@@ -13,10 +13,12 @@ import sys
 
 from ardnet import data, engine
 
+SIGMA2 = 0.01  # observation noise variance of the generated targets
+
 
 def main():
     seed = int(sys.argv[1]) if len(sys.argv) > 1 else 0
-    graph, ds, planted = data.gen_synthetic_dag_task(seed)
+    graph, ds, planted = data.gen_synthetic_dag_task(seed, sigma2=SIGMA2)
     cfg = data.dag_task_config(seed=seed)
     print(f"seed {seed}: {len(graph.edges)} candidate edges, "
           f"planted = {sorted(planted)}")
@@ -35,7 +37,7 @@ def main():
     verdict = "exact recovery" if alive == planted else "mismatch"
     print(f"\nfinal alive edges: {sorted(alive)} -> {verdict}")
     print(f"final test error: {run.report['final_test_error']:.4f} "
-          f"(noise floor ~{cfg.sigma2 * ds.y_test.shape[1]:.3f})")
+          f"(noise floor ~{SIGMA2 * ds.y_test.shape[1]:.3f})")
 
 
 if __name__ == "__main__":

@@ -90,31 +90,21 @@ def _load_config(args):
     return config
 
 
-def _write_run_outputs(out_dir, run, graph=None):
-    out_dir = Path(out_dir)
+def _cmd_search(args):
+    """search (planted-DAG task) and proxy-search (two-cell task)."""
+    config = _load_config(args)
+    if args.command == "search":
+        graph, data, _ = data_mod.gen_synthetic_dag_task(config.seed)
+        graph, run = engine.run_proxyless(graph, data, config)
+    else:
+        graph, data, groups, _ = data_mod.gen_two_cell_task(config.seed)
+        graph, run = engine.run_proxy_cells(graph, data, config, groups)
+    out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     exports.write_metrics_csv(run.history, out_dir / "metrics.csv")
-    if graph is not None:
-        record = exports.arch_export(graph, run.config)
-        exports.save_json(record, out_dir / "arch.json")
-        (out_dir / "graph.dot").write_text(exports.to_dot(record))
-
-
-def _cmd_search(args):
-    config = _load_config(args)
-    graph, data, _ = data_mod.gen_synthetic_dag_task(config.seed)
-    graph, run = engine.run_proxyless(graph, data, config)
-    _write_run_outputs(args.out, run, graph)
-    print(f"alive edges: {len(run.report['alive_edges'])}  "
-          f"test error: {run.report['final_test_error']:.4g}")
-    return 0
-
-
-def _cmd_proxy_search(args):
-    config = _load_config(args)
-    graph, data, groups, _ = data_mod.gen_two_cell_task(config.seed)
-    graph, run = engine.run_proxy_cells(graph, data, config, groups)
-    _write_run_outputs(args.out, run, graph)
+    record = exports.arch_export(graph, config)
+    exports.save_json(record, out_dir / "arch.json")
+    (out_dir / "graph.dot").write_text(exports.to_dot(record))
     print(f"alive edges: {len(run.report['alive_edges'])}  "
           f"test error: {run.report['final_test_error']:.4g}")
     return 0
@@ -197,7 +187,7 @@ def _cmd_export(args):
 
 _COMMANDS = {
     "search": _cmd_search,
-    "proxy-search": _cmd_proxy_search,
+    "proxy-search": _cmd_search,
     "compress": _cmd_compress,
     "retrain": _cmd_retrain,
     "eval": _cmd_eval,

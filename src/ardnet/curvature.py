@@ -24,8 +24,6 @@ __all__ = [
     "CurvatureResult",
     "network_curvature",
     "propagate_curvature",
-    "fc_hessian_exact",
-    "fc_hessian_diag",
     "conv_hessian",
     "finite_diff_hessian",
     "fd_weight_hessian_diag",
@@ -55,16 +53,8 @@ def _require_backward(caches):
             raise ValueError(f"missing backward pass: layer {idx} has no grad_out")
 
 
-def _as_full(h, out_shape):
-    """Promote a diagonal representation to per-sample full matrices."""
-    b = out_shape[0]
-    flat = h.reshape(b, -1)
-    return np.einsum("bi,ij->bij", flat, np.eye(flat.shape[1]))
-
-
 def _diag_of(h, out_shape):
     if h.ndim == 3:
-        b = h.shape[0]
         return np.einsum("bii->bi", h).reshape(out_shape)
     return h
 
@@ -99,9 +89,7 @@ def _conv_position_blocks(h_pre, c_out, full):
         pos = np.einsum("bchdh->bhcd", blocks)  # (b, hw, c_out, c_out)
         pos = pos.reshape(b * hw, c_out, c_out)
         return np.einsum("ncc->nc", pos), pos
-    b = h_pre.shape[0]
-    diag = h_pre.transpose(0, 2, 3, 1).reshape(-1, c_out)
-    return diag, None
+    return h_pre.transpose(0, 2, 3, 1).reshape(-1, c_out), None
 
 
 def network_curvature(layers, caches, target, energy_kind="mse", mode="exact"):
@@ -154,7 +142,7 @@ def propagate_curvature(layers, caches, h_seed, mode="exact"):
         if layer.kind in ("fc", "conv2d", "activation"):
             h_pre = _activation_step(layer, cache, h, is_full)
         else:
-            h_pre = _diag_of(h, cache.preact.shape) if is_full else h
+            h_pre = _diag_of(h, cache.preact.shape)
 
         if layer.kind == "fc":
             result.preact[idx] = h_pre
@@ -185,35 +173,17 @@ def propagate_curvature(layers, caches, h_seed, mode="exact"):
         elif layer.kind == "activation":
             result.preact[idx] = h_pre
             h = h_pre
-        elif layer.kind == "maxpool2d":
-            h_pre = _diag_of(h_pre, cache.preact.shape)
+        elif layer.kind in ("maxpool2d", "avgpool2d"):
             result.preact[idx] = h_pre
-            p, s = layer.pool, layer.stride
-            b, c, hh, ww = cache.x.shape
-            h_out, w_out = h_pre.shape[2], h_pre.shape[3]
-            hx = np.zeros((b, c, hh, ww))
-            u = cache.argmax // p
-            v = cache.argmax % p
-            bi, ci, yi, xi = np.indices((b, c, h_out, w_out))
-            np.add.at(hx, (bi, ci, yi * s + u, xi * s + v), h_pre)
-            h = hx
-        elif layer.kind == "avgpool2d":
-            h_pre = _diag_of(h_pre, cache.preact.shape)
-            result.preact[idx] = h_pre
-            p, s = layer.pool, layer.stride
-            b, c, hh, ww = cache.x.shape
-            h_out, w_out = h_pre.shape[2], h_pre.shape[3]
-            hx = np.zeros((b, c, hh, ww))
-            g = h_pre / (p * p) ** 2
-            for u in range(p):
-                for v in range(p):
-                    hx[:, :, u : u + s * h_out : s, v : v + s * w_out : s] += g
-            h = hx
+            # the diagonal scatters like the gradient, except that an
+            # average's 1/(p*p) weight enters squared
+            if layer.kind == "avgpool2d":
+                h_pre = h_pre / (layer.pool * layer.pool)
+            h = nn._pool_backward(layer, cache, h_pre)
         elif layer.kind == "flatten":
-            result.preact[idx] = _diag_of(h_pre, cache.preact.shape)
-            # flattening is a pure reindex: row-major flatten of (C, H, W)
-            # matches the flat feature order, so full matrices pass through
-            h = h_pre if is_full else h_pre.reshape(cache.x.shape)
+            # a pure reindex: the diagonal takes the input's shape
+            result.preact[idx] = h_pre
+            h = h_pre.reshape(cache.x.shape)
         else:
             raise ValueError(f"unknown layer kind {layer.kind!r}")
     if h.ndim == 3:
@@ -221,43 +191,33 @@ def propagate_curvature(layers, caches, h_seed, mode="exact"):
     return result, h
 
 
-def fc_hessian_exact(layers, caches, target, energy_kind="mse"):
-    """Exact-mode recursion (full pre-activation matrices for fc stacks)."""
-    return network_curvature(layers, caches, target, energy_kind, mode="exact")
+def conv_hessian(layers, caches, target, energy_kind="mse", mode="approx"):
+    """Mean-field curvature for stacks containing conv layers.
 
-
-def fc_hessian_diag(layers, caches, target, energy_kind="mse"):
-    """Diagonal approximation: element-wise recursion end to end."""
-    return network_curvature(layers, caches, target, energy_kind, mode="diag")
-
-
-def conv_hessian(layers, caches, target, energy_kind="mse", mode="exact"):
-    """Curvature for stacks containing conv layers (im2col equivalence).
-
-    exact: per-output-position channel blocks; approx: rank-one mean-field
-    form E(M)^2 (x) E(H) with the pre-activation diagonal replicated over
-    positions.
+    The diagonal recursion, with each conv layer's weight diagonal replaced
+    by the rank-one form E(M)^2 (x) E(H): the pre-activation diagonal and
+    the squared im2col patches averaged over positions.  The per-position
+    forms are network_curvature's exact and diag modes.
     """
-    if mode == "approx":
-        result = network_curvature(layers, caches, target, energy_kind, mode="diag")
-        for idx, layer in enumerate(layers):
-            if layer.kind != "conv2d":
-                continue
-            cache = caches[idx]
-            c_out = layer.weights.shape[0]
-            pos_diag = result.preact[idx].transpose(0, 2, 3, 1).reshape(-1, c_out)
-            n_pos = pos_diag.shape[0]
-            m_mean = np.abs(cache.cols).mean(axis=0)
-            h_mean = pos_diag.mean(axis=0)
-            # E(M)^2 (x) E(H), scaled back to a sum over positions so the
-            # magnitude matches the exact path
-            diag = n_pos * np.einsum("c,q->cq", h_mean, m_mean**2)
-            result.weight_diag[idx] = diag.reshape(layer.weights.shape)
-        result.mode = "approx"
-        return result
-    if mode not in ("exact", "diag"):
-        raise ValueError(f"unknown conv curvature mode {mode!r}")
-    return network_curvature(layers, caches, target, energy_kind, mode=mode)
+    if mode != "approx":
+        raise ValueError(f"conv_hessian computes the approx form only, not {mode!r}; "
+                         "use network_curvature for exact and diag")
+    result = network_curvature(layers, caches, target, energy_kind, mode="diag")
+    for idx, layer in enumerate(layers):
+        if layer.kind != "conv2d":
+            continue
+        cache = caches[idx]
+        c_out = layer.weights.shape[0]
+        pos_diag = result.preact[idx].transpose(0, 2, 3, 1).reshape(-1, c_out)
+        n_pos = pos_diag.shape[0]
+        m_mean = np.abs(cache.cols).mean(axis=0)
+        h_mean = pos_diag.mean(axis=0)
+        # E(M)^2 (x) E(H), scaled back to a sum over positions so the
+        # magnitude matches the exact path
+        diag = n_pos * np.einsum("c,q->cq", h_mean, m_mean**2)
+        result.weight_diag[idx] = diag.reshape(layer.weights.shape)
+    result.mode = "approx"
+    return result
 
 
 # ---------------------------------------------------------------------------

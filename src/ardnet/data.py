@@ -168,6 +168,17 @@ def _orthogonal(rng, d):
     return q * np.sign(np.diag(r))  # sign fix keeps the draw unique
 
 
+def _regression_data(rng, truth, dim, n_train, n_test, sigma2):
+    """Standard-normal inputs; targets from the truth graph plus N(0, sigma2)
+    noise."""
+    x_train = rng.normal(size=(n_train, dim))
+    x_test = rng.normal(size=(n_test, dim))
+    noise = np.sqrt(sigma2)
+    y_train = sg.graph_forward(truth, x_train)[0] + rng.normal(0, noise, (n_train, dim))
+    y_test = sg.graph_forward(truth, x_test)[0] + rng.normal(0, noise, (n_test, dim))
+    return Dataset(x_train, y_train, x_test, y_test, kind="regression")
+
+
 def _planted_is_functional(n_nodes, edges, planted):
     """Every planted edge must lie on an input->output path inside the
     planted subgraph."""
@@ -230,12 +241,7 @@ def gen_synthetic_dag_task(seed, n_nodes=6, n_edges=12, planted_size=3, dim=6,
     for eid in range(n_edges):
         truth.edges[eid].alive = eid in set(planted)
 
-    x_train = rng.normal(size=(n_train, dim))
-    x_test = rng.normal(size=(n_test, dim))
-    noise = np.sqrt(sigma2)
-    y_train = sg.graph_forward(truth, x_train)[0] + rng.normal(0, noise, (n_train, dim))
-    y_test = sg.graph_forward(truth, x_test)[0] + rng.normal(0, noise, (n_test, dim))
-    data = Dataset(x_train, y_train, x_test, y_test, kind="regression")
+    data = _regression_data(rng, truth, dim, n_train, n_test, sigma2)
     return graph, data, set(planted)
 
 
@@ -295,10 +301,5 @@ def gen_two_cell_task(seed, dim=6, n_cells=2, n_train=512, n_test=256, sigma2=0.
         if eid not in grouped:
             groups.append(GroupSpec(len(groups), [eid], "edge_singleton"))
 
-    x_train = rng.normal(size=(n_train, dim))
-    x_test = rng.normal(size=(n_test, dim))
-    noise = np.sqrt(sigma2)
-    y_train = sg.graph_forward(truth, x_train)[0] + rng.normal(0, noise, (n_train, dim))
-    y_test = sg.graph_forward(truth, x_test)[0] + rng.normal(0, noise, (n_test, dim))
-    data = Dataset(x_train, y_train, x_test, y_test, kind="regression")
+    data = _regression_data(rng, truth, dim, n_train, n_test, sigma2)
     return graph, data, groups, planted

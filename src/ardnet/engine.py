@@ -1,9 +1,12 @@
-"""End-to-end search and compression loops.
+"""End-to-end search and compression through one alternation driver.
 
-Three procedures share one skeleton: train for a few epochs under the
-current reweighted penalty, measure curvature on a held-out batch, update
-the variance chain in closed form, prune by the entropy criterion, cascade
-the dependency rule, repeat; finally retrain what survives.
+`_alternate` trains for a few epochs under the reweighted group penalty,
+measures curvature on a held-out batch, updates the variance chain in
+closed form, prunes by the entropy criterion and cascades, restores a path
+if the graph fell apart, and repeats until nothing is pruned and no gamma
+moves; then it retrains what survives.  It runs on `_EdgeSlots` (the tied
+architecture scalars of a SuperGraph) or `_WeightSlots` (the HyperState
+weight groups of a layer stack).  Every SGD pass goes through `_sgd_epoch`.
 """
 
 from __future__ import annotations
@@ -14,9 +17,10 @@ import numpy as np
 
 from . import nn
 from . import supergraph as sg
+from .curvature import network_curvature
 from .updates import (GroupSpec, HyperState, SearchConfig, group_l2_penalty,
-                      group_update, structural_update,
-                      update_posterior_variance)
+                      group_update, make_groups, sgd_momentum_step,
+                      structural_update, update_posterior_variance)
 
 __all__ = [
     "SearchRun",
@@ -68,10 +72,107 @@ def evaluate(model, data):
     return float(np.mean(np.sum(diff**2, axis=1)))
 
 
+def _energy_kind(data):
+    return "softmax_ce" if data.kind == "labels" else "mse"
+
+
+# ---------------------------------------------------------------------------
+# the shared SGD batch loop
+
+
 def _batches(n, batch_size, rng):
     perm = rng.permutation(n)
     for start in range(0, n, batch_size):
         yield perm[start : start + batch_size]
+
+
+def _sgd_epoch(step, data, batch_size, rng):
+    """One epoch over shuffled minibatches; step(x, y) updates the
+    parameters and returns the batch loss.  Returns the mean loss."""
+    losses = [step(data.x_train[idx], data.y_train[idx])
+              for idx in _batches(len(data.x_train), batch_size, rng)]
+    if not np.all(np.isfinite(losses)):
+        raise FloatingPointError("non-finite training loss; reduce the learning rate")
+    return float(np.mean(losses))
+
+
+def _step_layers(layers, grads, velocity, key, config):
+    """Momentum step on every weighted layer; masked weights stay zero."""
+    for li, item in enumerate(grads):
+        if item is None:
+            continue
+        layer, (gw, gb) = layers[li], item
+        mask = 1.0 if layer.mask is None else layer.mask
+        for name, grad in (("weights", gw * mask), ("bias", gb)):
+            if grad is not None:
+                value, velocity[key + (li, name)] = sgd_momentum_step(
+                    getattr(layer, name), grad, velocity.get(key + (li, name), 0.0),
+                    config.learning_rate, config.momentum)
+                setattr(layer, name, value)
+        layer.weights = layer.weights * mask
+
+
+# ---------------------------------------------------------------------------
+# the alternation driver
+
+
+def _alternate(slots, data, config, run, trace=None):
+    """Train, curvature, closed-form update, prune; then retrain survivors.
+
+    trace, for edge slots, receives a snapshot of every edge per iteration.
+    """
+    rng = np.random.default_rng(config.seed)
+    n_curv = min(config.curvature_batch, len(data.x_train))
+    for t in range(1, config.t_max + 1):
+        before = slots.gammas()
+        for _ in range(config.epochs_per_iteration):
+            loss = _sgd_epoch(slots.train_batch, data, config.batch_size, rng)
+        # curvature on a fresh held-out batch, once per iteration
+        idx = rng.choice(len(data.x_train), size=n_curv, replace=False)
+        slots.update(data.x_train[idx], data.y_train[idx])
+        entropy_pruned, cascade_pruned, degenerate = slots.prune()
+        gammas = slots.gammas()
+        if trace is not None:
+            trace.append({"iteration": t, "edges": slots.snapshot()})
+        values = list(gammas.values())
+        run.history_row(
+            iteration=t, epoch=config.epochs_per_iteration, loss=loss,
+            test_error=evaluate(slots.model, data), alive_edges=len(values),
+            gamma_min=float(min(values)) if values else float("nan"),
+            gamma_median=float(np.median(values)) if values else float("nan"),
+            entropy_pruned=entropy_pruned, cascade_pruned=cascade_pruned,
+        )
+        if degenerate:
+            break
+        moved = max((abs(g - before[key]) for key, g in gammas.items() if key in before),
+                    default=0.0)
+        if not entropy_pruned and not cascade_pruned and moved < 1e-6:
+            run.report["early_stop_iteration"] = t
+            break
+    slots.finish(data, run)
+    run.report["final_test_error"] = evaluate(slots.model, data)
+    return run
+
+
+def retrain_pruned(model, data, config, run=None):
+    """Standard SGD on the surviving parameters.
+
+    Graphs keep every architecture scalar frozen and train only the
+    layer-backed op weights of alive edges; layer stacks train under their
+    persistent masks.  Appends per-epoch rows to the run history when given.
+    """
+    if isinstance(model, sg.SuperGraph):
+        slots = _EdgeSlots(model, _singleton_groups(model), config, _energy_kind(data))
+    else:
+        slots = _WeightSlots(model, {}, config, _energy_kind(data))
+    rng = np.random.default_rng(config.seed + 1)
+    for ep in range(1, config.retrain_epochs + 1):
+        loss = _sgd_epoch(slots.retrain_batch, data, config.batch_size, rng)
+        if run is not None:
+            run.history_row(iteration=-1, epoch=ep, loss=loss,
+                            test_error=evaluate(model, data),
+                            alive_edges=len(slots.gammas()))
+    return evaluate(model, data)
 
 
 # ---------------------------------------------------------------------------
@@ -79,8 +180,7 @@ def _batches(n, batch_size, rng):
 
 
 def _singleton_groups(graph):
-    return [GroupSpec(gid, [eid], "edge_singleton")
-            for gid, eid in enumerate(range(len(graph.edges)))]
+    return [GroupSpec(eid, [eid]) for eid in range(len(graph.edges))]
 
 
 def _validate_groups(graph, groups):
@@ -96,244 +196,248 @@ def _validate_groups(graph, groups):
     if not np.all(seen == 1):
         missing = np.flatnonzero(seen != 1).tolist()
         raise ValueError(f"groups must partition the edge set; bad edges {missing}")
-    for grp in groups:
-        for eid in grp.members:
-            graph.edges[eid].group = grp.gid
 
 
-def _graph_penalty_grads(graph, groups, lambda_w):
-    """Value and per-edge subgradient of the reweighted group penalty.
+class _EdgeSlots:
+    """Architecture scalars of a SuperGraph, one shared scalar per group.
 
-    Singleton groups reduce to the reweighted l1 of the scalar path."""
-    value = 0.0
-    grads = {}
-    for grp in groups:
-        members = [eid for eid in grp.members if graph.edges[eid].alive]
-        if not members:
-            continue
-        w_g = np.array([graph.edges[eid].w for eid in members])
-        omega_g = graph.edges[members[0]].omega
-        v, g = group_l2_penalty(w_g, [GroupSpec(0, np.arange(len(members)))],
-                                [omega_g], lambda_w)
-        value += v
-        for eid, gi in zip(members, g):
-            grads[eid] = gi
-    return value, grads
-
-
-def _graph_train_epoch(graph, groups, data, config, rng, velocity, freeze_w=False):
-    """One SGD epoch on the penalized energy; returns the mean batch loss."""
-    losses = []
-    for idx in _batches(len(data.x_train), config.batch_size, rng):
-        out, gcache = sg.graph_forward(graph, data.x_train[idx])
-        kind = "softmax_ce" if data.kind == "labels" else "mse"
-        e_val, e_grad = nn.energy(out, data.y_train[idx],
-                                  kind if data.kind == "labels" else "mse")
-        pen_val, pen_grads = _graph_penalty_grads(graph, groups, config.lambda_w)
-        losses.append(e_val + pen_val)
-        if freeze_w:
-            continue
-        w_grads, _ = sg.graph_backward(graph, gcache, e_grad)
-        # tied slots are one shared scalar: accumulate member gradients and
-        # broadcast the update, so repeated cells stay bitwise identical
-        for grp in groups:
-            members = [eid for eid in grp.members if graph.edges[eid].alive]
-            if not members:
-                continue
-            g = sum(w_grads.get(eid, 0.0) + pen_grads.get(eid, 0.0)
-                    for eid in members)
-            v = config.momentum * velocity.get(grp.gid, 0.0) - config.learning_rate * g
-            velocity[grp.gid] = v
-            for eid in members:
-                graph.edges[eid].w += v
-    if not np.all(np.isfinite(losses)):
-        raise FloatingPointError("non-finite training loss; reduce the learning rate")
-    return float(np.mean(losses))
-
-
-def _graph_hyper_update(graph, groups, config):
-    """Closed-form (c, omega, s) per group, then gamma per edge."""
-    for grp in groups:
-        members = [eid for eid in grp.members if graph.edges[eid].alive]
-        if not members:
-            continue
-        gamma_prev = np.array([graph.edges[eid].gamma for eid in members])
-        hess = np.array([max(graph.edges[eid].hess, 0.0) for eid in members])
-        c = update_posterior_variance(gamma_prev, hess)
-        w_m = np.array([graph.edges[eid].w for eid in members])
-        s_g, omega_g = group_update(w_m, gamma_prev, c,
-                                    config.omega_floor, config.s_cap)
-        for eid, ci in zip(members, np.atleast_1d(c)):
-            e = graph.edges[eid]
-            e.c = float(ci)
-            e.s = max(s_g, 1e-300)  # s = 0 (w = 0) still needs a valid gamma
-            e.omega = omega_g
-    sg.refresh_gammas(graph)
-    # tied groups prune as one unit: every member adopts the group minimum
-    for grp in groups:
-        members = [eid for eid in grp.members if graph.edges[eid].alive]
-        if len(members) > 1:
-            gmin = min(graph.edges[eid].gamma for eid in members)
-            for eid in members:
-                graph.edges[eid].gamma = gmin
-
-
-def _prune_nonfunctional(graph):
-    """Kill alive edges that sit on no input->output path.
-
-    Dead-end branches carry zero curvature (their omega floors out and s
-    explodes), so the entropy rule alone never removes them; functionally
-    they are already disconnected from the output.
+    The alive members of each group change only at a prune, so they are
+    gathered once per iteration.
     """
-    fwd = {graph.input_node}
-    order = sg.topo_order(graph)
-    for node in order:
-        if any(graph.edges[eid].src in fwd for eid in graph.in_edges(node)):
-            fwd.add(node)
-    bwd = {graph.output_node}
-    for node in reversed(order):
-        if any(graph.edges[eid].dst in bwd for eid in graph.out_edges(node)):
-            bwd.add(node)
-    dead = [eid for eid in graph.alive_edge_ids()
-            if graph.edges[eid].src not in fwd or graph.edges[eid].dst not in bwd]
-    sg.apply_prune_mask(graph, dead, reason="cascade")
-    return dead
+
+    def __init__(self, graph, groups, config, kind):
+        self.model, self.config, self.kind = graph, config, kind
+        self.groups = groups
+        self.velocity = {}
+        self.restored = None
+        self._gather()
+
+    def _gather(self):
+        edges = self.model.edges
+        self.members = [m for m in ([eid for eid in grp.members.tolist() if edges[eid].alive]
+                                    for grp in self.groups) if m]
+        self.alive = np.array([eid for m in self.members for eid in m], dtype=np.intp)
+        self.group_of = np.repeat(np.arange(len(self.members)),
+                                  [len(m) for m in self.members])
+        self.specs = [GroupSpec(g, m) for g, m in enumerate(self.members)]
+        self.omega = [edges[m[0]].omega for m in self.members]
+
+    def gammas(self):
+        return {eid: self.model.edges[eid].gamma for eid in self.model.alive_edge_ids()}
+
+    def snapshot(self):
+        return {eid: (e.w, e.s, e.omega, e.gamma, e.alive)
+                for eid, e in enumerate(self.model.edges)}
+
+    def train_batch(self, x, y):
+        graph, edges, config = self.model, self.model.edges, self.config
+        out, gcache = sg.graph_forward(graph, x)
+        loss, e_grad = nn.energy(out, y, self.kind)
+        alive = self.alive.tolist()
+        w = np.array([e.w for e in edges])
+        pen, pen_grad = group_l2_penalty(w, self.specs, self.omega, config.lambda_w)
+        w_grads, _ = sg.graph_backward(graph, gcache, e_grad)
+        grad = np.array([w_grads.get(eid, 0.0) for eid in alive]) + pen_grad[self.alive]
+        # tied slots are one shared scalar: sum member gradients and move
+        # every member by the same step, so repeated cells stay bitwise equal
+        grad = np.bincount(self.group_of, weights=grad)[self.group_of]
+        velocity = self.velocity.setdefault("w", np.zeros(len(edges)))
+        w, velocity[self.alive] = sgd_momentum_step(
+            w[self.alive], grad, velocity[self.alive], config.learning_rate, config.momentum)
+        for eid, wi in zip(alive, w):
+            edges[eid].w = wi
+        return loss + pen
+
+    def retrain_batch(self, x, y):
+        graph, edges = self.model, self.model.edges
+        out, gcache = sg.graph_forward(graph, x)
+        loss, e_grad = nn.energy(out, y, self.kind)
+        trainable = [eid for eid in self.alive.tolist() if edges[eid].op.layers]
+        if trainable:
+            _, node_g = sg.graph_backward(graph, gcache, e_grad)
+            for eid in trainable:
+                e = edges[eid]
+                g_dst = node_g.get(e.dst)
+                cache = gcache.edge_cache.get(eid)
+                if g_dst is None or cache is None:
+                    continue
+                grads, _ = nn.backward(e.op.layers, cache, e.w * g_dst)
+                _step_layers(e.op.layers, grads, self.velocity, (eid,), self.config)
+        return loss
+
+    def update(self, x, y):
+        """Per-edge curvature, closed-form (c, omega, s) per group, then gamma."""
+        graph, edges, config = self.model, self.model.edges, self.config
+        out, gcache = sg.graph_forward(graph, x)
+        h_seed = nn.energy_hessian(out, y, self.kind,
+                                   "exact" if config.hessian_mode == "exact" else "diag")
+        hess = sg.arch_scalar_hessian(graph, gcache, h_seed, config.hessian_mode)
+        for eid, h in hess.items():
+            edges[eid].hess = max(h, 0.0)
+        for members in self.members:
+            gamma_prev = np.array([edges[eid].gamma for eid in members])
+            c = update_posterior_variance(gamma_prev, [edges[eid].hess for eid in members])
+            s_g, omega_g = group_update([edges[eid].w for eid in members], gamma_prev, c,
+                                        config.omega_floor, config.s_cap)
+            for eid, ci in zip(members, np.atleast_1d(c)):
+                e = edges[eid]
+                e.c = float(ci)
+                e.s = max(s_g, 1e-300)  # s = 0 (w = 0) still needs a valid gamma
+                e.omega = omega_g
+        sg.refresh_gammas(graph)
+        # tied groups prune as one unit: every member adopts the group minimum
+        for members in self.members:
+            gmin = min(edges[eid].gamma for eid in members)
+            for eid in members:
+                edges[eid].gamma = gmin
+
+    def prune(self):
+        """Entropy prune, then the cascade: edges without in-flow die, and
+        after an entropy kill so do edges on no path to the output (their
+        curvature is zero, so the entropy rule alone never removes them).
+        A disconnected result revives the widest input->output path."""
+        graph = self.model
+        mask = sg.entropy_prune_mask(graph, self.config.prune_threshold)
+        sg.apply_prune_mask(graph, mask)
+        report = sg.propagate_dependency_prune(graph, mask)
+        cascade = len(report.cascade_killed)
+        if mask:
+            live = sg.reachable_nodes(graph, reverse=True)
+            dead_end = [eid for eid in graph.alive_edge_ids()
+                        if graph.edges[eid].dst not in live]
+            sg.apply_prune_mask(graph, dead_end, reason="cascade")
+            cascade += len(dead_end)
+        if report.degenerate:
+            self.restored = sg.restore_widest_path(graph)
+        self._gather()
+        return len(report.entropy_killed), cascade, report.degenerate
+
+    def finish(self, data, run):
+        graph, config = self.model, self.config
+        if config.t_max > 0:
+            for eid in graph.alive_edge_ids():
+                graph.edges[eid].w = 1.0  # freeze before retraining
+            if config.retrain_epochs > 0:
+                retrain_pruned(graph, data, config, run)
+        if self.restored is not None:
+            run.report["restored_path"] = self.restored
+        run.report["degenerate"] = graph.degenerate
+        run.report["alive_edges"] = graph.alive_edge_ids()
 
 
-def _run_graph_search(graph, data, config, groups, mode, trace=None):
+def _search(graph, data, config, groups, mode, trace):
     config.validate()
     if not graph.gate_map:
         sg.insert_zero_gates(graph)
     if groups is None:
         groups = _singleton_groups(graph)
     _validate_groups(graph, groups)
-    rng = np.random.default_rng(config.seed)
+    slots = _EdgeSlots(graph, groups, config, _energy_kind(data))
     run = SearchRun(mode=mode, config=config)
-    velocity = {}
-    n_curv = min(config.curvature_batch, len(data.x_train))
-    for t in range(1, config.t_max + 1):
-        gamma_before = {eid: graph.edges[eid].gamma for eid in graph.alive_edge_ids()}
-        loss = float("nan")
-        for ep in range(1, config.epochs_per_iteration + 1):
-            loss = _graph_train_epoch(graph, groups, data, config, rng, velocity)
-        # curvature on a fresh held-out batch, once per iteration
-        idx = rng.choice(len(data.x_train), size=n_curv, replace=False)
-        out, gcache = sg.graph_forward(graph, data.x_train[idx])
-        kind = "softmax_ce" if data.kind == "labels" else "mse"
-        exact = config.hessian_mode == "exact"
-        h_seed = nn.energy_hessian(out, data.y_train[idx], kind,
-                                   "exact" if exact else "diag")
-        hess = sg.arch_scalar_hessian(graph, gcache, h_seed, config.hessian_mode)
-        for eid, h in hess.items():
-            graph.edges[eid].hess = max(h, 0.0)
-        _graph_hyper_update(graph, groups, config)
-        mask = sg.entropy_prune_mask(graph, config.prune_threshold)
-        sg.apply_prune_mask(graph, mask)
-        report = sg.propagate_dependency_prune(graph, mask)
-        if mask:
-            report.cascade_killed.extend(_prune_nonfunctional(graph))
-        alive = graph.alive_edge_ids()
-        if trace is not None:
-            trace.append({
-                "iteration": t,
-                "edges": {eid: (e.w, e.s, e.omega, e.gamma, e.alive)
-                          for eid, e in enumerate(graph.edges)},
-            })
-        gammas = [graph.edges[eid].gamma for eid in alive]
-        run.history_row(
-            iteration=t, epoch=config.epochs_per_iteration, loss=loss,
-            test_error=evaluate(graph, data), alive_edges=len(alive),
-            gamma_min=min(gammas) if gammas else float("nan"),
-            gamma_median=float(np.median(gammas)) if gammas else float("nan"),
-            entropy_pruned=len(report.entropy_killed),
-            cascade_pruned=len(report.cascade_killed),
-        )
-        if report.degenerate or not alive:
-            restored = sg.restore_widest_path(graph)
-            run.report["degenerate"] = True
-            run.report["restored_path"] = restored
-            break
-        moved = max((abs(graph.edges[eid].gamma - gamma_before[eid])
-                     for eid in alive if eid in gamma_before), default=0.0)
-        if not report.entropy_killed and not report.cascade_killed and moved < 1e-6:
-            run.report["early_stop_iteration"] = t
-            break
-    if config.t_max > 0:
-        for eid in graph.alive_edge_ids():
-            graph.edges[eid].w = 1.0  # freeze before retraining
-        if config.retrain_epochs > 0:
-            retrain_pruned(graph, data, config, run)
-    run.report.setdefault("degenerate", graph.degenerate)
-    run.report["alive_edges"] = graph.alive_edge_ids()
-    run.report["final_test_error"] = evaluate(graph, data)
+    _alternate(slots, data, config, run, trace)
     return graph, run
 
 
 def run_proxyless(graph, data, config, trace=None):
     """Per-edge search: every architecture scalar is its own group."""
-    return _run_graph_search(graph, data, config, None, "proxyless", trace)
+    return _search(graph, data, config, None, "proxyless", trace)
 
 
 def run_proxy_cells(graph, data, config, groups, trace=None):
     """Tied-cell search: grouped updates and a shared prune template."""
-    return _run_graph_search(graph, data, config, groups, "proxy_cell", trace)
+    return _search(graph, data, config, groups, "proxy_cell", trace)
 
 
 # ---------------------------------------------------------------------------
 # structured compression of layer stacks
 
 
-def _layer_group_penalty(layer, states, lambda_w):
-    """Reweighted group-lasso value and gradient for one layer's weights."""
-    w = layer.masked_weights().ravel()
-    value = 0.0
-    grad = np.zeros_like(w)
-    for state in states:
-        for g, spec in enumerate(state.groups):
-            if not state.alive[g]:
-                continue
-            wg = w[spec.members]
-            norm = float(np.linalg.norm(wg))
-            value += lambda_w * state.omega[g] * norm
-            if norm > 0:
-                grad[spec.members] += lambda_w * state.omega[g] * wg / norm
-    return value, grad.reshape(layer.weights.shape)
+class _WeightSlots:
+    """HyperState weight groups of a layer stack, one state per (layer,
+    pattern); a weight is zero-masked as soon as any of its groups dies.
 
+    With no patterns it is plain weight-decayed training of the stack."""
 
-def _net_train_epoch(net, data, config, rng, velocity, hyper=None):
-    losses = []
-    kind = "softmax_ce" if data.kind == "labels" else "mse"
-    for idx in _batches(len(data.x_train), config.batch_size, rng):
-        out, caches = nn.forward(net, data.x_train[idx])
-        e_val, e_grad = nn.energy(out, data.y_train[idx], kind)
+    def __init__(self, net, patterns, config, kind):
+        self.model, self.config, self.kind = net, config, kind
+        self.states = []  # (layer index, HyperState)
+        for li, names in patterns.items():
+            if net[li].weights is None:
+                raise ValueError(f"layer {li} has no weights to compress")
+            self.states += [(li, HyperState.init(make_groups(net[li].weights.shape, name)))
+                            for name in names]
+            if net[li].mask is None:
+                net[li].mask = np.ones_like(net[li].weights)
+        self.velocity = {}
+        self._gather()
+
+    def _gather(self):
+        """Alive groups and their omegas, per penalized layer."""
+        self.specs, self.omega = {}, {}
+        for li, state in self.states:
+            alive = np.flatnonzero(state.alive)
+            self.specs.setdefault(li, []).extend(state.groups[g] for g in alive)
+            self.omega.setdefault(li, []).extend(state.omega[alive])
+
+    def gammas(self):
+        return {(k, g): state.gamma[g] for k, (_, state) in enumerate(self.states)
+                for g in np.flatnonzero(state.alive)}
+
+    def train_batch(self, x, y):
+        net, config = self.model, self.config
+        out, caches = nn.forward(net, x)
+        loss, e_grad = nn.energy(out, y, self.kind)
         grads, _ = nn.backward(net, caches, e_grad)
-        loss = e_val
         for li, layer in enumerate(net):
-            if layer.weights is None:
+            if grads[li] is None:
                 continue
             gw, gb = grads[li]
             gw = gw + 2.0 * config.weight_decay * layer.masked_weights()
-            if hyper is not None and li in hyper:
-                pv, pg = _layer_group_penalty(layer, hyper[li], config.lambda_w)
-                loss += pv
-                gw = gw + pg
-            if layer.mask is not None:
-                gw = gw * layer.mask
-            key = (li, "w")
-            v = config.momentum * velocity.get(key, 0.0) - config.learning_rate * gw
-            velocity[key] = v
-            layer.weights = layer.weights + v
-            if layer.mask is not None:
-                layer.weights = layer.weights * layer.mask
-            if gb is not None:
-                key = (li, "b")
-                vb = config.momentum * velocity.get(key, 0.0) - config.learning_rate * gb
-                velocity[key] = vb
-                layer.bias = layer.bias + vb
-        losses.append(loss)
-    if not np.all(np.isfinite(losses)):
-        raise FloatingPointError("non-finite training loss; reduce the learning rate")
-    return float(np.mean(losses))
+            if li in self.specs:
+                pen, pen_grad = group_l2_penalty(layer.masked_weights().ravel(),
+                                                 self.specs[li], self.omega[li],
+                                                 config.lambda_w)
+                loss += pen
+                gw = gw + pen_grad.reshape(gw.shape)
+            grads[li] = (gw, gb)
+        _step_layers(net, grads, self.velocity, (), config)
+        return loss
+
+    retrain_batch = train_batch
+
+    def update(self, x, y):
+        """Layer curvature, then the structural rule on every state."""
+        net, config = self.model, self.config
+        out, caches = nn.forward(net, x)
+        _, e_grad = nn.energy(out, y, self.kind)
+        nn.backward(net, caches, e_grad)
+        mode = "exact" if config.hessian_mode == "exact" else "diag"
+        curv = network_curvature(net, caches, y, self.kind, mode)
+        for li, state in self.states:
+            structural_update(net[li].masked_weights(), state, curv.weight_diag[li],
+                              config.omega_floor, config.s_cap)
+
+    def prune(self):
+        net, killed = self.model, 0
+        for li, state in self.states:
+            dead = np.flatnonzero(state.alive & (state.gamma <= self.config.prune_threshold))
+            for g in dead:
+                net[li].mask.ravel()[state.groups[g].members] = 0.0
+            state.alive[dead] = False
+            killed += len(dead)
+        for li in self.specs:
+            net[li].weights = net[li].weights * net[li].mask
+            if not np.any(net[li].mask):
+                raise ValueError(f"network severed: layer {li} is fully pruned")
+        self._gather()
+        return killed, 0, False
+
+    def finish(self, data, run):
+        net = self.model
+        if self.config.retrain_epochs > 0:
+            retrain_pruned(net, data, self.config, run)
+        run.report["widths"] = surviving_widths(net)
+        run.report["param_ratio"] = _surviving_param_ratio(net)
 
 
 def run_compression(net, data, config, patterns):
@@ -344,80 +448,17 @@ def run_compression(net, data, config, patterns):
     weight is zero-masked as soon as any of its groups dies.
     """
     config.validate()
-    from .updates import make_groups
-    hyper = {}
-    for li, names in patterns.items():
-        if net[li].weights is None:
-            raise ValueError(f"layer {li} has no weights to compress")
-        hyper[li] = [HyperState.init(make_groups(net[li].weights.shape, name))
-                     for name in names]
-        if net[li].mask is None:
-            net[li].mask = np.ones_like(net[li].weights)
-    rng = np.random.default_rng(config.seed)
+    slots = _WeightSlots(net, patterns, config, _energy_kind(data))
     run = SearchRun(mode="compress", config=config)
-    velocity = {}
-    kind = "softmax_ce" if data.kind == "labels" else "mse"
-    n_curv = min(config.curvature_batch, len(data.x_train))
-    for t in range(1, config.t_max + 1):
-        loss = float("nan")
-        for ep in range(1, config.epochs_per_iteration + 1):
-            loss = _net_train_epoch(net, data, config, rng, velocity, hyper)
-        idx = rng.choice(len(data.x_train), size=n_curv, replace=False)
-        out, caches = nn.forward(net, data.x_train[idx])
-        _, e_grad = nn.energy(out, data.y_train[idx], kind)
-        nn.backward(net, caches, e_grad)
-        from .curvature import network_curvature
-        mode = "exact" if config.hessian_mode == "exact" else "diag"
-        curv = network_curvature(net, caches, data.y_train[idx], kind, mode)
-        pruned_groups = 0
-        for li, states in hyper.items():
-            hd = curv.weight_diag[li]
-            for state in states:
-                structural_update(net[li].masked_weights(), state, hd,
-                                  config.omega_floor, config.s_cap)
-                dead = state.alive & (state.gamma <= config.prune_threshold)
-                for g in np.flatnonzero(dead):
-                    members = state.groups[g].members
-                    net[li].mask.ravel()[members] = 0.0
-                    state.alive[g] = False
-                    pruned_groups += 1
-            net[li].weights = net[li].weights * net[li].mask
-            if not np.any(net[li].mask):
-                raise ValueError(f"network severed: layer {li} is fully pruned")
-        gammas = np.concatenate([
-            state.gamma[state.alive]
-            for states in hyper.values() for state in states
-            if np.any(state.alive)
-        ])
-        run.history_row(
-            iteration=t, epoch=config.epochs_per_iteration, loss=loss,
-            test_error=evaluate(net, data),
-            alive_edges=int(sum(int(np.sum(st.alive)) for sts in hyper.values()
-                                for st in sts)),
-            gamma_min=float(gammas.min()), gamma_median=float(np.median(gammas)),
-            entropy_pruned=pruned_groups, cascade_pruned=0,
-        )
-        if pruned_groups == 0 and t > 1:
-            prev = run.history[-2]
-            if abs(run.history[-1]["gamma_median"] - prev["gamma_median"]) < 1e-6:
-                run.report["early_stop_iteration"] = t
-                break
-    if config.retrain_epochs > 0:
-        retrain_pruned(net, data, config, run)
-    run.report["widths"] = surviving_widths(net)
-    run.report["param_ratio"] = _surviving_param_ratio(net)
-    run.report["final_test_error"] = evaluate(net, data)
+    _alternate(slots, data, config, run)
     return net, run
 
 
 def _surviving_param_ratio(net):
-    total = alive = 0
-    for layer in net:
-        if layer.weights is None:
-            continue
-        total += layer.weights.size
-        alive += int(np.count_nonzero(layer.mask)) if layer.mask is not None \
-            else layer.weights.size
+    weighted = [layer for layer in net if layer.weights is not None]
+    total = sum(layer.weights.size for layer in weighted)
+    alive = sum(layer.weights.size if layer.mask is None
+                else int(np.count_nonzero(layer.mask)) for layer in weighted)
     return alive / total if total else 1.0
 
 
@@ -427,75 +468,9 @@ def surviving_widths(net):
     for layer in net:
         if layer.weights is None:
             continue
-        mask = layer.mask if layer.mask is not None else np.ones_like(layer.weights)
-        if layer.kind == "fc":
-            widths.append((int(np.sum(np.any(mask != 0, axis=0))),
-                           int(np.sum(np.any(mask != 0, axis=1)))))
-        else:  # conv: channels in / filters out
-            widths.append((int(np.sum(np.any(mask != 0, axis=(0, 2, 3)))),
-                           int(np.sum(np.any(mask != 0, axis=(1, 2, 3))))))
+        used = layer.mask != 0 if layer.mask is not None else np.ones(layer.weights.shape, bool)
+        # fc (out, in) and conv (out, in, m, k) alike: inputs used, outputs used
+        kernel = tuple(range(2, used.ndim))
+        widths.append((int(np.sum(np.any(used, axis=(0,) + kernel))),
+                       int(np.sum(np.any(used, axis=(1,) + kernel)))))
     return widths
-
-
-# ---------------------------------------------------------------------------
-# retraining
-
-
-def retrain_pruned(model, data, config, run=None):
-    """Standard SGD on the surviving parameters.
-
-    Graphs keep every architecture scalar frozen at 1 and train only the
-    layer-backed op weights of alive edges; layer stacks train under their
-    persistent masks.  Appends per-epoch rows to the run history when given.
-    """
-    rng = np.random.default_rng(config.seed + 1)
-    velocity = {}
-    kind = "softmax_ce" if data.kind == "labels" else "mse"
-    for ep in range(1, config.retrain_epochs + 1):
-        if isinstance(model, sg.SuperGraph):
-            loss = _graph_retrain_epoch(model, data, config, rng, velocity, kind)
-        else:
-            loss = _net_train_epoch(model, data, config, rng, velocity, hyper=None)
-        if run is not None:
-            run.history_row(iteration=-1, epoch=ep, loss=loss,
-                            test_error=evaluate(model, data),
-                            alive_edges=len(model.alive_edge_ids())
-                            if isinstance(model, sg.SuperGraph) else 0)
-    return evaluate(model, data)
-
-
-def _graph_retrain_epoch(graph, data, config, rng, velocity, kind):
-    losses = []
-    trainable = [eid for eid in graph.alive_edge_ids()
-                 if graph.edges[eid].op.layers]
-    for idx in _batches(len(data.x_train), config.batch_size, rng):
-        out, gcache = sg.graph_forward(graph, data.x_train[idx])
-        e_val, e_grad = nn.energy(out, data.y_train[idx], kind)
-        losses.append(e_val)
-        if not trainable:
-            continue
-        _, node_g = sg.graph_backward(graph, gcache, e_grad)
-        for eid in trainable:
-            e = graph.edges[eid]
-            g_dst = node_g.get(e.dst)
-            cache = gcache.edge_cache.get(eid)
-            if g_dst is None or cache is None:
-                continue
-            grads, _ = nn.backward(e.op.layers, cache, e.w * g_dst)
-            for li, item in enumerate(grads):
-                if item is None:
-                    continue
-                gw, gb = item
-                layer = e.op.layers[li]
-                key = (eid, li, "w")
-                v = config.momentum * velocity.get(key, 0.0) \
-                    - config.learning_rate * gw
-                velocity[key] = v
-                layer.weights = layer.weights + v
-                if gb is not None:
-                    key = (eid, li, "b")
-                    vb = config.momentum * velocity.get(key, 0.0) \
-                        - config.learning_rate * gb
-                    velocity[key] = vb
-                    layer.bias = layer.bias + vb
-    return float(np.mean(losses))

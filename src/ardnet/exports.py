@@ -81,8 +81,8 @@ def save_json(record, path):
         fh.write("\n")
 
 
-def load_arch_json(path):
-    """Load and validate an architecture record; returns a SuperGraph.
+def _load_record(path, fields, what):
+    """Read a JSON record of this schema version.
 
     Fields outside the versioned schema are rejected, so records written by
     a future schema fail loudly instead of being half-read.
@@ -94,9 +94,15 @@ def load_arch_json(path):
             f"unsupported schema version {record.get('schema_version')!r} "
             f"(expected {SCHEMA_VERSION!r})"
         )
-    unknown = sorted(set(record) - _ARCH_FIELDS)
+    unknown = sorted(set(record) - fields)
     if unknown:
-        raise ValueError(f"unknown architecture fields: {', '.join(unknown)}")
+        raise ValueError(f"unknown {what} fields: {', '.join(unknown)}")
+    return record
+
+
+def load_arch_json(path):
+    """Load and validate an architecture record; returns a SuperGraph."""
+    record = _load_record(path, _ARCH_FIELDS, "architecture")
     for edge in record["edges"]:
         bad = sorted(set(edge) - _EDGE_FIELDS)
         if bad:
@@ -137,16 +143,7 @@ _MASK_FIELDS = {"schema_version", "layers", "widths", "provenance"}
 
 def load_mask_json(path):
     """Load a mask record; returns a list of (shape, mask array) pairs."""
-    with open(path, encoding="utf-8") as fh:
-        record = json.load(fh)
-    if record.get("schema_version") != SCHEMA_VERSION:
-        raise ValueError(
-            f"unsupported schema version {record.get('schema_version')!r} "
-            f"(expected {SCHEMA_VERSION!r})"
-        )
-    unknown = sorted(set(record) - _MASK_FIELDS)
-    if unknown:
-        raise ValueError(f"unknown mask fields: {', '.join(unknown)}")
+    record = _load_record(path, _MASK_FIELDS, "mask")
     out = []
     for entry in record["layers"]:
         shape = tuple(entry["shape"])

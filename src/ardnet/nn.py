@@ -121,9 +121,7 @@ class LayerCache:
     out: np.ndarray
     cols: np.ndarray | None = None  # im2col matrix for conv layers
     argmax: np.ndarray | None = None  # flat winner index per pool window
-    grad_preact: np.ndarray | None = None
     grad_out: np.ndarray | None = None
-    preact_hessian_diag: np.ndarray | None = None
 
 
 def fc_layer(n_in, n_out, activation="identity", rng=None, scale=None, bias=True):
@@ -323,7 +321,7 @@ def _pool_backward(layer, cache, g_pre):
 def backward(layers, caches, loss_grad):
     """Reverse pass.  Returns (per-layer (grad_w, grad_b) or None, grad_x).
 
-    Fills cache.grad_out and cache.grad_preact as a side effect; the caches
+    Fills cache.grad_out as a side effect; the caches
     must come from a forward call on the same layers.
     """
     if len(caches) != len(layers):
@@ -342,7 +340,6 @@ def backward(layers, caches, loss_grad):
         _, d1, _ = activation_funcs(layer.activation)
         cache.grad_out = g
         g_pre = g * d1(cache.preact)
-        cache.grad_preact = g_pre
         if layer.kind == "fc":
             gw = g_pre.T @ cache.x
             if layer.mask is not None:

@@ -27,7 +27,6 @@ __all__ = [
     "SuperGraph",
     "PruneReport",
     "topo_order",
-    "mix_output",
     "graph_forward",
     "graph_backward",
     "arch_scalar_hessian",
@@ -35,6 +34,7 @@ __all__ = [
     "refresh_gammas",
     "entropy_prune_mask",
     "apply_prune_mask",
+    "reachable_nodes",
     "propagate_dependency_prune",
     "restore_widest_path",
     "insert_zero_gates",
@@ -148,7 +148,6 @@ class Edge:
     omega: float = 0.0
     c: float = 1.0
     hess: float = 0.0
-    group: int | None = None
     alive: bool = True
     is_gate: bool = False
     killed_by: str | None = None  # "entropy" or "cascade" once dead
@@ -203,29 +202,22 @@ def topo_order(graph):
 # forward / backward / curvature
 
 
-def mix_output(graph, node, upstream, weights=None):
+def _mix(graph, node, upstream):
     """z_node = sum over alive in-edges of w_e * op_e(z_src).
 
-    upstream maps node id -> tensor; weights optionally overrides the stored
-    per-edge w (keyed by edge id).
+    upstream maps node id -> tensor, or None for a node that carries no
+    information flow; its out-edges are skipped.  Returns (z_node or None,
+    dict edge id -> (op output, op cache)).
     """
-    out, _ = _mix(graph, node, upstream, weights)
-    return out
-
-
-def _mix(graph, node, upstream, weights=None, skip_dead=False):
     total = None
     caches = {}
     for eid in graph.in_edges(node):
         e = graph.edges[eid]
-        if e.src not in upstream or upstream[e.src] is None:
-            if skip_dead and upstream.get(e.src, None) is None and e.src in upstream:
-                continue  # source node carries no information flow
-            raise ValueError(f"missing upstream output of node {e.src} for edge {eid}")
-        w = e.w if weights is None else weights[eid]
+        if upstream[e.src] is None:
+            continue
         op_out, cache = e.op.apply(upstream[e.src])
         caches[eid] = (op_out, cache)
-        term = w * op_out
+        term = e.w * op_out
         total = term if total is None else total + term
     return total, caches
 
@@ -246,10 +238,7 @@ def graph_forward(graph, x):
     for node in order:
         if node == graph.input_node:
             continue
-        if not graph.in_edges(node):
-            node_z[node] = None  # dead node: no information flow
-            continue
-        z, caches = _mix(graph, node, node_z, skip_dead=True)
+        z, caches = _mix(graph, node, node_z)  # None: no information flow
         node_z[node] = z
         for eid, (out, cache) in caches.items():
             edge_out[eid] = out
@@ -291,69 +280,52 @@ def arch_scalar_hessian(graph, gcache, h_seed, mode="exact"):
     summed downstream diagonal.  h_seed carries the 1/batch factor.
     """
     if mode == "exact":
-        return _arch_hessian_exact(graph, gcache, h_seed)
-    if mode != "approx":
-        raise ValueError(f"unknown arch-hessian mode {mode!r}")
-    # node diagonals, backward over the topological order
-    node_h = {graph.output_node: h_seed}
-    hess = {}
-    for node in reversed(gcache.order):
-        if node == graph.output_node or gcache.node_z.get(node) is None:
-            continue
-        acc = None
-        for eid in graph.out_edges(node):
-            e = graph.edges[eid]
-            h_dst = node_h.get(e.dst)
-            if h_dst is None:
-                continue
-            contrib = e.w**2 * e.op.hess_backmap(gcache.edge_cache[eid], h_dst)
-            acc = contrib if acc is None else acc + contrib
-        node_h[node] = acc
-    for eid in graph.alive_edge_ids():
-        e = graph.edges[eid]
-        h_dst = node_h.get(e.dst)
-        if h_dst is None or eid not in gcache.edge_out:
-            hess[eid] = 0.0
-            continue
-        u = gcache.edge_out[eid]
-        hess[eid] = float(np.mean(np.abs(u)) ** 2 * np.sum(h_dst))
-    return hess
+        if h_seed.ndim != 3:
+            raise ValueError("exact mode needs per-sample full Hessian seeds (b, n, n)")
+        out = gcache.node_z[graph.output_node]
+        seed = np.eye(out.reshape(out.shape[0], -1).shape[1])
 
-
-def _arch_hessian_exact(graph, gcache, h_seed):
-    if h_seed.ndim != 3:
-        raise ValueError("exact mode needs per-sample full Hessian seeds (b, n, n)")
-    out = gcache.node_z[graph.output_node]
-    d_out = out.reshape(out.shape[0], -1).shape[1]
-    jac = {graph.output_node: np.eye(d_out)}
-    for node in reversed(gcache.order):
-        if node == graph.output_node or gcache.node_z.get(node) is None:
-            continue
-        acc = None
-        for eid in graph.out_edges(node):
-            e = graph.edges[eid]
-            j_dst = jac.get(e.dst)
-            if j_dst is None:
-                continue
+        def pull(eid, e, j_dst):
             if not e.op.is_linear_map:
                 raise ValueError(
                     f"exact arch-hessian mode requires fixed linear ops; edge {eid} "
                     f"carries {e.op.tag!r} (use mode='approx')"
                 )
             m = e.op.matrix()
-            contrib = e.w * (j_dst if m is None else j_dst @ m)
-            acc = contrib if acc is None else acc + contrib
-        jac[node] = acc
+            return e.w * (j_dst if m is None else j_dst @ m)
+
+        def edge_hess(u, j_dst):
+            ju = u.reshape(h_seed.shape[0], -1) @ j_dst.T  # d z_out / d w_e per sample
+            return float(np.einsum("bi,bij,bj->", ju, h_seed, ju))
+    elif mode == "approx":
+        seed = h_seed
+
+        def pull(eid, e, h_dst):
+            return e.w**2 * e.op.hess_backmap(gcache.edge_cache[eid], h_dst)
+
+        def edge_hess(u, h_dst):
+            return float(np.mean(np.abs(u)) ** 2 * np.sum(h_dst))
+    else:
+        raise ValueError(f"unknown arch-hessian mode {mode!r}")
+    # one backward sweep over the topological order: per node, the sum of
+    # what its out-edges pull back from their targets
+    down = {graph.output_node: seed}
+    for node in reversed(gcache.order):
+        if node == graph.output_node or gcache.node_z.get(node) is None:
+            continue
+        acc = None
+        for eid in graph.out_edges(node):
+            e = graph.edges[eid]
+            if down.get(e.dst) is None:
+                continue
+            term = pull(eid, e, down[e.dst])
+            acc = term if acc is None else acc + term
+        down[node] = acc
     hess = {}
     for eid in graph.alive_edge_ids():
-        e = graph.edges[eid]
-        j_dst = jac.get(e.dst)
-        if j_dst is None or eid not in gcache.edge_out:
-            hess[eid] = 0.0
-            continue
-        u = gcache.edge_out[eid].reshape(h_seed.shape[0], -1)
-        ju = u @ j_dst.T  # (b, d_out): d z_out / d w_e per sample
-        hess[eid] = float(np.einsum("bi,bij,bj->", ju, h_seed, ju))
+        d = down.get(graph.edges[eid].dst)
+        hess[eid] = 0.0 if d is None or eid not in gcache.edge_out \
+            else edge_hess(gcache.edge_out[eid], d)
     return hess
 
 
@@ -424,34 +396,44 @@ class PruneReport:
     entropy_killed: list
     cascade_killed: list
     degenerate: bool = False
-    restored_path: list | None = None
 
 
-def _reachable_from_input(graph):
-    reach = {graph.input_node}
-    for node in topo_order(graph):
-        if node == graph.input_node:
-            continue
-        if any(graph.edges[eid].src in reach for eid in graph.in_edges(node)):
-            reach.add(node)
-    return reach
+def reachable_nodes(graph, reverse=False):
+    """Nodes joined to the input node by a path of alive edges or, with
+    reverse=True, nodes with such a path to the output node.
+
+    One sweep: alive edges taken in topological order of their tail (the
+    source going forward, the target going back) reach every head whose
+    tail is already reached.
+    """
+    pos = {node: i for i, node in enumerate(topo_order(graph))}
+    if reverse:
+        hops = sorted(((e.dst, e.src) for e in graph.edges if e.alive),
+                      key=lambda hop: -pos[hop[0]])
+        seen = {graph.output_node}
+    else:
+        hops = sorted(((e.src, e.dst) for e in graph.edges if e.alive),
+                      key=lambda hop: pos[hop[0]])
+        seen = {graph.input_node}
+    for tail, head in hops:
+        if tail in seen:
+            seen.add(head)
+    return seen
 
 
 def propagate_dependency_prune(graph, entropy_killed=()):
     """Cascade: kill every alive edge whose source has no alive in-flow.
 
     Reachability from the input over alive edges is the fixpoint of the
-    node-isolation rule, so one forward sweep suffices.  Returns a report
-    listing entropy- and cascade-killed edges separately.
+    node-isolation rule, so one forward sweep suffices, and killing the
+    edges it leaves out cannot change it.  Returns a report listing entropy-
+    and cascade-killed edges separately.
     """
-    reach = _reachable_from_input(graph)
-    cascade = []
-    for eid in graph.alive_edge_ids():
-        if graph.edges[eid].src not in reach:
-            cascade.append(eid)
+    reach = reachable_nodes(graph)
+    cascade = [eid for eid in graph.alive_edge_ids() if graph.edges[eid].src not in reach]
     apply_prune_mask(graph, cascade, reason="cascade")
-    degenerate = graph.output_node not in _reachable_from_input(graph)
-    return PruneReport(sorted(entropy_killed), sorted(cascade), degenerate)
+    return PruneReport(sorted(entropy_killed), sorted(cascade),
+                       graph.output_node not in reach)
 
 
 def restore_widest_path(graph):
@@ -560,15 +542,10 @@ def import_architecture(record):
     not serialized, so the imported graph reproduces structure, not
     numerics.
     """
-    edges = []
-    for rec in record["edges"]:
-        op = Op(rec["op"]) if rec["op"] in ("identity", "zero_gate") else Op(rec["op"], None)
-        e = Edge(rec["src"], rec["dst"], op, w=rec["w"], s=rec["s"],
-                 is_gate=rec["is_gate"])
-        e.gamma = rec["gamma"]
-        e.alive = rec["alive"]
-        edges.append(e)
-    graph = SuperGraph(
+    edges = [Edge(rec["src"], rec["dst"], Op(rec["op"]), w=rec["w"], s=rec["s"],
+                  gamma=rec["gamma"], alive=rec["alive"], is_gate=rec["is_gate"])
+             for rec in record["edges"]]
+    return SuperGraph(
         n_nodes=record["n_nodes"],
         edges=edges,
         input_node=record["input_node"],
@@ -577,4 +554,3 @@ def import_architecture(record):
         gate_node_of={int(k): v for k, v in record.get("gate_node_of", {}).items()},
         degenerate=record.get("degenerate", False),
     )
-    return graph

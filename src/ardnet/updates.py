@@ -52,7 +52,6 @@ class SearchConfig:
 
     lambda_w: float = 0.01        # sparsity intensity on architecture scalars
     weight_decay: float = 0.01    # l2 coefficient on network weights
-    sigma2: float = 0.01          # observation noise variance (synthetic data)
     t_max: int = 10               # outer iterations
     epochs_per_iteration: int = 1
     retrain_epochs: int = 5
@@ -67,7 +66,7 @@ class SearchConfig:
     hessian_mode: str = "approx"  # "exact" or "approx"
 
     def validate(self):
-        positive = ["lambda_w", "weight_decay", "sigma2", "learning_rate",
+        positive = ["lambda_w", "weight_decay", "learning_rate",
                     "omega_floor", "s_cap", "prune_threshold"]
         for name in positive:
             if getattr(self, name) <= 0:
@@ -260,7 +259,6 @@ class HyperState:
     c: np.ndarray = None
     alpha: np.ndarray = None
     alive: np.ndarray = None
-    iteration: int = 0
 
     @classmethod
     def init(cls, groups):
@@ -298,7 +296,6 @@ def structural_update(weights, state, hess_diag, floor=1e-8, cap=1e6):
         omega_new[g] = max(float(np.sqrt(alpha_new[g])), floor)
     state.gamma, state.omega = gamma_new, omega_new
     state.c, state.alpha = c_new, alpha_new
-    state.iteration += 1
     return state
 
 

@@ -76,7 +76,7 @@ def test_criterion_01_hessian_oracle_suite():
         out, caches = nn.forward(net, x)
         _, e_grad = nn.energy(out, t, "mse")
         nn.backward(net, caches, e_grad)
-        res = curvature.conv_hessian(net, caches, t, "mse", "exact")
+        res = curvature.network_curvature(net, caches, t, "mse", "exact")
         ref = fd_reference(net, x, t, 0)
         worst = max(worst, scaled_rel_err(res.weight_diag[0], ref))
     elapsed = time.time() - t0

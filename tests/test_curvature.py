@@ -96,7 +96,7 @@ def test_conv_1x1_kernel_reduces_to_fc():
     t2 = t4.reshape(5, 3)
     _, cc = net_forward_backward([conv], x4, t4)
     _, cf = net_forward_backward([fc], x2, t2)
-    rc = curvature.conv_hessian([conv], cc, t4, "mse", "exact")
+    rc = curvature.network_curvature([conv], cc, t4, "mse", "exact")
     rf = curvature.network_curvature([fc], cf, t2, "mse", "exact")
     assert rel_err(rc.weight_diag[0].reshape(3, 2), rf.weight_diag[0]) < 1e-12
 
@@ -107,7 +107,7 @@ def test_conv_exact_matches_finite_differences():
     x = rng.normal(size=(1, 2, 4, 4))
     t = rng.normal(size=(1, 2, 3, 3))
     _, caches = net_forward_backward(net, x, t)
-    res = curvature.conv_hessian(net, caches, t, "mse", "exact")
+    res = curvature.network_curvature(net, caches, t, "mse", "exact")
     ref = curvature.fd_weight_hessian_diag(net, x, t, "mse", 0, step=1e-4)
     assert rel_err(res.weight_diag[0], ref, floor=1e-4) < 1e-4
 
@@ -120,7 +120,7 @@ def test_conv_constant_batch_exact_equals_approx():
     net[0].weights = np.abs(net[0].weights) + 0.1
     t = np.zeros((4, 1, 2, 2))
     _, caches = net_forward_backward(net, x, t)
-    exact = curvature.conv_hessian(net, caches, t, "mse", "exact")
+    exact = curvature.network_curvature(net, caches, t, "mse", "exact")
     approx = curvature.conv_hessian(net, caches, t, "mse", "approx")
     # identical samples and positive entries: the mean-field form loses nothing
     # except position mixing; for a constant batch the diagonal recursion
@@ -146,6 +146,29 @@ def test_fd_cross_validates_recursive_path_on_mlp():
     x = rng.normal(size=(5, 4))
     t = rng.normal(size=(5, 3))
     _, caches = net_forward_backward(net, x, t)
-    res = curvature.fc_hessian_exact(net, caches, t)
+    res = curvature.network_curvature(net, caches, t, "mse", "exact")
     ref = curvature.fd_weight_hessian_diag(net, x, t, "mse", 1, step=1e-4)
     assert rel_err(res.weight_diag[1], ref, floor=1e-4) < 1e-4
+
+
+@pytest.mark.parametrize("pool", [False, True],
+                         ids=["conv-flatten-fc", "conv-maxpool-flatten-fc"])
+@pytest.mark.parametrize("mode", ["exact", "diag"])
+def test_curvature_runs_through_flatten_into_conv(mode, pool):
+    # the fc diagonal is exact in both modes (the mse output Hessian is
+    # diagonal); the conv diagonal drops cross-position terms by design, so
+    # it is only required to be finite
+    rng = np.random.default_rng(21)
+    net = [nn.conv_layer(1, 2, 3, "tanh", rng=rng)]
+    if pool:
+        net.append(nn.pool_layer("maxpool2d", 2))
+    net += [nn.flatten_layer(), nn.fc_layer(2 * (9 if pool else 36), 3, "tanh", rng=rng)]
+    x = rng.normal(size=(2, 1, 8, 8))
+    t = rng.normal(size=(2, 3))
+    res = run_net(net, x, t, mode)
+    for li, layer in enumerate(net):
+        if layer.weights is not None:
+            assert np.all(np.isfinite(res.weight_diag[li]))
+    fc = len(net) - 1
+    ref = curvature.fd_weight_hessian_diag(net, x, t, "mse", fc, step=1e-4)
+    assert rel_err(res.weight_diag[fc], ref, floor=1e-4) < 1e-4

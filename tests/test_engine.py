@@ -116,6 +116,44 @@ def test_degenerate_prune_restores_widest_path():
         assert np.all(np.isfinite(out))
 
 
+def test_degenerate_cell_search_restores_before_evaluating():
+    # on this task the first prune kills every slot; the widest path must be
+    # revived before the iteration's test error is measured
+    graph, ds, groups, _ = data.gen_two_cell_task(10)
+    graph, run = engine.run_proxy_cells(graph, ds, data.two_cell_task_config(10), groups)
+    assert run.report["degenerate"]
+    assert run.report["alive_edges"]
+    assert np.isfinite(run.report["final_test_error"])
+
+
+def test_one_penalty_call_equals_per_group_calls():
+    # the search penalty is one group_l2_penalty call over the alive edges;
+    # it must equal, bitwise, one call per group with alive members
+    from ardnet.updates import GroupSpec, group_l2_penalty
+    graph, ds, groups, _ = data.gen_two_cell_task(0)
+    cfg = data.two_cell_task_config(0)
+    rng = np.random.default_rng(0)
+    for _ in range(200):
+        for e in graph.edges:
+            e.alive = bool(rng.random() < 0.6)
+            e.w, e.omega = rng.normal(), rng.random()
+        slots = engine._EdgeSlots(graph, groups, cfg, "mse")
+        w = np.array([e.w for e in graph.edges])
+        value, grad = group_l2_penalty(w, slots.specs, slots.omega, cfg.lambda_w)
+        ref_value, ref_grad = 0.0, {}
+        for grp in groups:
+            members = [eid for eid in grp.members.tolist() if graph.edges[eid].alive]
+            if not members:
+                continue
+            v, g = group_l2_penalty([graph.edges[eid].w for eid in members],
+                                    [GroupSpec(0, np.arange(len(members)))],
+                                    [graph.edges[members[0]].omega], cfg.lambda_w)
+            ref_value += v
+            ref_grad.update(zip(members, g))
+        assert value == ref_value
+        assert grad.tolist() == [ref_grad.get(eid, 0.0) for eid in range(len(w))]
+
+
 def make_blob_task(seed=0, n=600, dim=10, informative=3, classes=4):
     rng = np.random.default_rng(seed)
     centers = rng.normal(size=(classes, informative)) * 3.0
