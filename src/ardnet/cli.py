@@ -23,6 +23,7 @@ import numpy as np
 
 from . import data as data_mod
 from . import engine, exports, models
+from . import supergraph as sg
 
 
 class _Parser(argparse.ArgumentParser):
@@ -171,9 +172,8 @@ def _cmd_eval(args):
 
 
 def _cmd_export(args):
-    with open(args.arch, encoding="utf-8") as fh:
-        record = json.load(fh)
-    exports.load_arch_json(args.arch)  # validation only
+    record = exports.load_arch_record(args.arch)
+    sg.import_architecture(record)  # rejects a broken topology
     if args.format == "dot":
         text = exports.to_dot(record)
     else:

@@ -1,12 +1,18 @@
 """Recursive curvature computation for layer stacks.
 
 Backward pass over a forward/backward cache chain producing per-layer
-weight-Hessian diagonals.  Two modes:
+weight-Hessian diagonals.  Each layer takes the curvature H at its output to
+its pre-activation as B H B + D (B = f', D = f'' * dE/dout).  The weight
+diagonal and the diagonal backmap of its linear map A follow from
+diag(A^T D A) = (A*A)^T diag(D): they are `nn`'s adjoint of the layer kind
+with every coefficient squared.  Two modes:
 
-  exact  -- full per-sample pre-activation Hessian matrices through fc and
-            activation layers; conv layers use per-output-position blocks and
-            propagate a diagonal upstream (positions never mix).
-  diag   -- diagonal vectors end to end; element-wise recursion only.
+  diag   -- diagonal vectors end to end.
+  exact  -- full per-sample pre-activation matrices through fc (W^T H W) and
+            activation layers; a conv layer keeps each output position's
+            channel block and passes a diagonal upstream (positions never
+            mix), and pool and flatten read diagonals.  An fc layer with no
+            fc layer below it forms only diag(W^T H W).
 
 Both carry the 1/batch factor of the energy, so results are directly
 comparable to finite differences of the batch-mean energy.
@@ -38,7 +44,8 @@ class CurvatureResult:
 
     weight_diag[i] is shaped like layer i's weights (None for weightless
     layers).  preact[i] is the pre-activation Hessian: in exact mode a
-    (b, n, n) stack for fc/activation layers, otherwise a diagonal array
+    (b, n, n) stack wherever full matrices reach (fc and conv layers, and
+    activation layers above the lowest of them), otherwise a diagonal array
     shaped like the pre-activation.
     """
 
@@ -53,43 +60,54 @@ def _require_backward(caches):
             raise ValueError(f"missing backward pass: layer {idx} has no grad_out")
 
 
-def _diag_of(h, out_shape):
-    if h.ndim == 3:
-        return np.einsum("bii->bi", h).reshape(out_shape)
-    return h
+def _diag(h, shape):
+    """Diagonals of per-sample matrices (b, n, n), reshaped to shape."""
+    return np.diagonal(h, axis1=1, axis2=2).reshape(shape)
 
 
-def _activation_step(layer, cache, h_out, full):
+def _activation_step(layer, cache, h_out):
     """H wrt layer output -> H wrt layer pre-activation (B H B + D)."""
     _, d1, d2 = nn.activation_funcs(layer.activation)
     bmat = d1(cache.preact)
     dmat = d2(cache.preact) * cache.grad_out
-    if full:
-        b = h_out.shape[0]
-        bf = bmat.reshape(b, -1)
+    if h_out.ndim == 3:
+        bf = bmat.reshape(len(h_out), -1)
         h_pre = h_out * bf[:, :, None] * bf[:, None, :]
         idx = np.arange(bf.shape[1])
-        h_pre[:, idx, idx] += dmat.reshape(b, -1)
+        h_pre[:, idx, idx] += dmat.reshape(bf.shape)
         return h_pre
     return bmat**2 * h_out + dmat
 
 
-def _conv_position_blocks(h_pre, c_out, full):
-    """Reshape conv pre-activation curvature to per-position form.
+def _sandwich_diag(h, w):
+    """diag(W^T H W) for each matrix of a stack h (N, n, n) and w (n, m),
+    without forming the (N, m, m) products."""
+    hw = h @ w
+    hw *= w
+    return hw.sum(axis=1)
 
-    Returns (n_pos, c_out) diagonals and, when full, (n_pos, c_out, c_out)
-    blocks, with n_pos = b*H_out*W_out ordered like im2col rows.
-    """
-    if h_pre.ndim == 3:
-        # full matrices over flattened (C_out, H_o, W_o); cut out the
-        # channel-coupling block at each spatial position
+
+def _full_backmap(layers, caches, idx, h_pre):
+    """Exact-mode input curvature of layer idx from its full pre-activation
+    matrices.  They pass on in full only to an fc or conv layer below
+    (through activation layers only); else only their diagonal is formed.
+    A conv layer keeps each output position's channel block."""
+    layer, cache = layers[idx], caches[idx]
+    if layer.kind == "conv2d":
+        c_out = layer.weights.shape[0]
         b, n, _ = h_pre.shape
-        hw = n // c_out
-        blocks = h_pre.reshape(b, c_out, hw, c_out, hw)
-        pos = np.einsum("bchdh->bhcd", blocks)  # (b, hw, c_out, c_out)
-        pos = pos.reshape(b * hw, c_out, c_out)
-        return np.einsum("ncc->nc", pos), pos
-    return h_pre.transpose(0, 2, 3, 1).reshape(-1, c_out), None
+        # each position's (C_out, C_out) block, in im2col row order
+        blocks = np.diagonal(h_pre.reshape(b, c_out, n // c_out, c_out, n // c_out), 0, 2, 4)
+        blocks = blocks.transpose(0, 3, 1, 2).reshape(-1, c_out, c_out)
+        hcols = _sandwich_diag(blocks, layer.masked_weights().reshape(c_out, -1))
+        return nn.col2im(hcols, cache.x.shape, layer.weights.shape[2:],
+                         layer.stride, layer.padding)
+    below = [lower.kind for lower in layers[:idx] if lower.kind != "activation"]
+    keep_full = bool(below) and below[-1] in ("fc", "conv2d")
+    if layer.kind == "activation":
+        return h_pre if keep_full else _diag(h_pre, cache.x.shape)
+    w = layer.masked_weights()
+    return w.T @ h_pre @ w if keep_full else _sandwich_diag(h_pre, w)
 
 
 def network_curvature(layers, caches, target, energy_kind="mse", mode="exact"):
@@ -138,56 +156,15 @@ def propagate_curvature(layers, caches, h_seed, mode="exact"):
                              preact=[None] * len(layers), mode=mode)
     for idx in range(len(layers) - 1, -1, -1):
         layer, cache = layers[idx], caches[idx]
-        is_full = h.ndim == 3
-        if layer.kind in ("fc", "conv2d", "activation"):
-            h_pre = _activation_step(layer, cache, h, is_full)
-        else:
-            h_pre = _diag_of(h, cache.preact.shape)
-
-        if layer.kind == "fc":
-            result.preact[idx] = h_pre
-            pre_diag = _diag_of(h_pre, cache.preact.shape)
-            # diag(a a^T (x) H) = a_i^2 H_jj, summed over the batch (H
-            # already carries the 1/b factor)
-            result.weight_diag[idx] = np.einsum("bj,bi->ji", pre_diag, cache.x**2)
-            w = layer.masked_weights()
-            if is_full:
-                h = np.einsum("ji,bjk,kl->bil", w, h_pre, w)
-            else:
-                h = pre_diag @ w**2
-        elif layer.kind == "conv2d":
-            result.preact[idx] = h_pre
-            c_out, c_in, m, k = layer.weights.shape
-            pos_diag, pos_blocks = _conv_position_blocks(h_pre, c_out, is_full)
-            cols = cache.cols
-            # diag((M)^n (M)^n^T (x) (H)^n) summed over positions n
-            result.weight_diag[idx] = np.einsum(
-                "nc,nq->cq", pos_diag, cols**2
-            ).reshape(layer.weights.shape)
-            wmat = layer.masked_weights().reshape(c_out, -1)
-            if pos_blocks is not None:
-                hcols = np.einsum("cq,ncd,dq->nq", wmat, pos_blocks, wmat)
-            else:
-                hcols = pos_diag @ wmat**2
-            h = nn.col2im(hcols, cache.x.shape, (m, k), layer.stride, layer.padding)
-        elif layer.kind == "activation":
-            result.preact[idx] = h_pre
-            h = h_pre
-        elif layer.kind in ("maxpool2d", "avgpool2d"):
-            result.preact[idx] = h_pre
-            # the diagonal scatters like the gradient, except that an
-            # average's 1/(p*p) weight enters squared
-            if layer.kind == "avgpool2d":
-                h_pre = h_pre / (layer.pool * layer.pool)
-            h = nn._pool_backward(layer, cache, h_pre)
-        elif layer.kind == "flatten":
-            # a pure reindex: the diagonal takes the input's shape
-            result.preact[idx] = h_pre
-            h = h_pre.reshape(cache.x.shape)
-        else:
-            raise ValueError(f"unknown layer kind {layer.kind!r}")
-    if h.ndim == 3:
-        h = _diag_of(h, caches[0].x.shape)
+        if h.ndim == 3 and layer.kind not in ("fc", "conv2d", "activation"):
+            h = _diag(h, cache.out.shape)  # pool and flatten read diagonals only
+        h_pre = result.preact[idx] = _activation_step(layer, cache, h)
+        full = h_pre.ndim == 3
+        d_pre = _diag(h_pre, cache.preact.shape) if full else h_pre
+        result.weight_diag[idx], _, h = nn._ADJOINTS[layer.kind](
+            layer, cache, d_pre, squared=True)
+        if full:
+            h = _full_backmap(layers, caches, idx, h_pre)
     return result, h
 
 
@@ -206,15 +183,11 @@ def conv_hessian(layers, caches, target, energy_kind="mse", mode="approx"):
     for idx, layer in enumerate(layers):
         if layer.kind != "conv2d":
             continue
-        cache = caches[idx]
-        c_out = layer.weights.shape[0]
-        pos_diag = result.preact[idx].transpose(0, 2, 3, 1).reshape(-1, c_out)
-        n_pos = pos_diag.shape[0]
-        m_mean = np.abs(cache.cols).mean(axis=0)
-        h_mean = pos_diag.mean(axis=0)
+        cols = caches[idx].cols  # one row per output position
+        pos_diag = result.preact[idx].transpose(0, 2, 3, 1).reshape(len(cols), -1)
         # E(M)^2 (x) E(H), scaled back to a sum over positions so the
         # magnitude matches the exact path
-        diag = n_pos * np.einsum("c,q->cq", h_mean, m_mean**2)
+        diag = len(cols) * np.outer(pos_diag.mean(axis=0), np.abs(cols).mean(axis=0) ** 2)
         result.weight_diag[idx] = diag.reshape(layer.weights.shape)
     result.mode = "approx"
     return result

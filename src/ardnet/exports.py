@@ -21,6 +21,7 @@ __all__ = [
     "parse_config",
     "arch_export",
     "save_json",
+    "load_arch_record",
     "load_arch_json",
     "mask_export",
     "load_mask_json",
@@ -39,8 +40,9 @@ SCHEMA_VERSION = "1"
 def parse_config(path):
     """Read a JSON config file into a SearchConfig.
 
-    An empty file means all defaults.  Unknown keys and invalid values are
-    rejected with the offending field named.
+    An empty file means all defaults.  Unknown keys, values of the wrong
+    JSON type (a boolean is not a number) and invalid values are rejected
+    with the offending field named.
     """
     with open(path, encoding="utf-8") as fh:
         text = fh.read().strip()
@@ -51,6 +53,13 @@ def parse_config(path):
     unknown = sorted(set(payload) - known)
     if unknown:
         raise ValueError(f"unknown config keys: {', '.join(unknown)}")
+    defaults = SearchConfig()
+    for name, value in payload.items():
+        want = type(getattr(defaults, name))
+        if isinstance(value, bool) or not isinstance(
+                value, (int, float) if want is float else want):
+            raise ValueError(f"config field {name} must be {want.__name__}, "
+                             f"got {value!r}")
     config = SearchConfig(**payload)
     config.validate()
     return config
@@ -62,7 +71,9 @@ def parse_config(path):
 
 _ARCH_FIELDS = {"schema_version", "n_nodes", "input_node", "output_node",
                 "degenerate", "gate_map", "gate_node_of", "edges", "provenance"}
+_ARCH_REQUIRED = ("n_nodes", "input_node", "output_node", "edges")
 _EDGE_FIELDS = {"id", "src", "dst", "op", "w", "gamma", "s", "alive", "is_gate"}
+_EDGE_REQUIRED = ("src", "dst", "op", "w", "gamma", "s", "alive", "is_gate")
 
 
 def arch_export(graph, config=None, seed=None):
@@ -81,7 +92,20 @@ def save_json(record, path):
         fh.write("\n")
 
 
-def _load_record(path, fields, what):
+def _check_fields(obj, fields, required, what):
+    """Reject anything but a JSON object holding every required field and
+    no field outside `fields`."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{what} must be a JSON object, not {type(obj).__name__}")
+    missing = [name for name in required if name not in obj]
+    if missing:
+        raise ValueError(f"{what} is missing fields: {', '.join(missing)}")
+    unknown = sorted(set(obj) - fields)
+    if unknown:
+        raise ValueError(f"unknown {what} fields: {', '.join(unknown)}")
+
+
+def _load_record(path, fields, required, what):
     """Read a JSON record of this schema version.
 
     Fields outside the versioned schema are rejected, so records written by
@@ -89,25 +113,28 @@ def _load_record(path, fields, what):
     """
     with open(path, encoding="utf-8") as fh:
         record = json.load(fh)
+    if not isinstance(record, dict):
+        raise ValueError(f"{what} record must be a JSON object")
     if record.get("schema_version") != SCHEMA_VERSION:
         raise ValueError(
             f"unsupported schema version {record.get('schema_version')!r} "
             f"(expected {SCHEMA_VERSION!r})"
         )
-    unknown = sorted(set(record) - fields)
-    if unknown:
-        raise ValueError(f"unknown {what} fields: {', '.join(unknown)}")
+    _check_fields(record, fields, required, what)
+    return record
+
+
+def load_arch_record(path):
+    """Load and validate an architecture record; returns the record dict."""
+    record = _load_record(path, _ARCH_FIELDS, _ARCH_REQUIRED, "architecture")
+    for edge in record["edges"]:
+        _check_fields(edge, _EDGE_FIELDS, _EDGE_REQUIRED, "edge")
     return record
 
 
 def load_arch_json(path):
     """Load and validate an architecture record; returns a SuperGraph."""
-    record = _load_record(path, _ARCH_FIELDS, "architecture")
-    for edge in record["edges"]:
-        bad = sorted(set(edge) - _EDGE_FIELDS)
-        if bad:
-            raise ValueError(f"unknown edge fields: {', '.join(bad)}")
-    return sg.import_architecture(record)
+    return sg.import_architecture(load_arch_record(path))
 
 
 # ---------------------------------------------------------------------------
@@ -139,13 +166,15 @@ def mask_export(net, config=None, widths=None):
 
 
 _MASK_FIELDS = {"schema_version", "layers", "widths", "provenance"}
+_MASK_LAYER_FIELDS = {"kind", "shape", "mask"}
 
 
 def load_mask_json(path):
     """Load a mask record; returns a list of (shape, mask array) pairs."""
-    record = _load_record(path, _MASK_FIELDS, "mask")
+    record = _load_record(path, _MASK_FIELDS, ("layers",), "mask")
     out = []
     for entry in record["layers"]:
+        _check_fields(entry, _MASK_LAYER_FIELDS, ("shape", "mask"), "mask layer")
         shape = tuple(entry["shape"])
         mask = np.asarray(entry["mask"], dtype=np.float64).reshape(shape)
         out.append((shape, mask))

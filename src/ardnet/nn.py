@@ -2,8 +2,9 @@
 
 All arithmetic is float64 numpy. A Layer couples one linear/structural map
 (fully connected, conv via im2col, pooling, flatten) with an element-wise
-activation, which keeps forward, backward and curvature recursions uniform.
-The batch axis is always leading.
+activation.  Each map kind has one adjoint: `backward` calls it for
+gradients, and the curvature recursion calls it with every coefficient
+squared for Hessian diagonals.  The batch axis is always leading.
 """
 
 from __future__ import annotations
@@ -299,23 +300,61 @@ def forward(layers, x):
     return x, caches
 
 
-def _pool_backward(layer, cache, g_pre):
+# ---------------------------------------------------------------------------
+# one adjoint per layer kind
+#
+# An adjoint maps a pre-activation gradient g_pre to the (weight, bias,
+# input) terms of its kind's linear map, None where the kind has no such
+# term.  squared=True squares every coefficient of the map, which turns it
+# into the diagonal curvature rule: diag(A^T D A) = (A*A)^T diag(D).
+
+
+def _fc_adjoint(layer, cache, g_pre, squared=False):
+    x, w = cache.x, layer.masked_weights()
+    if squared:
+        x, w = x**2, w**2
+    gb = g_pre.sum(axis=0) if layer.bias is not None else None
+    return g_pre.T @ x, gb, g_pre @ w
+
+
+def _conv_adjoint(layer, cache, g_pre, squared=False):
+    c_out = layer.weights.shape[0]
+    cols, wmat = cache.cols, layer.masked_weights().reshape(c_out, -1)
+    if squared:
+        cols, wmat = cols**2, wmat**2
+    gp = g_pre.transpose(0, 2, 3, 1).reshape(-1, c_out)  # rows ordered like cols
+    gb = gp.sum(axis=0) if layer.bias is not None else None
+    gx = col2im(gp @ wmat, cache.x.shape, layer.weights.shape[2:],
+                layer.stride, layer.padding)
+    return (gp.T @ cols).reshape(layer.weights.shape), gb, gx
+
+
+def _pool_adjoint(layer, cache, g_pre, squared=False):
     p, s = layer.pool, layer.stride
-    b, c, h, w = cache.x.shape
-    h_out, w_out = g_pre.shape[2], g_pre.shape[3]
-    gx = np.zeros((b, c, h, w))
+    b, c, h_out, w_out = g_pre.shape
+    gx = np.zeros(cache.x.shape)
     if layer.kind == "avgpool2d":
-        g = g_pre / (p * p)
+        area = p * p  # every window input enters with weight 1/area
+        g = g_pre / (area * area if squared else area)
         for u in range(p):
             for v in range(p):
                 gx[:, :, u : u + s * h_out : s, v : v + s * w_out : s] += g
-        return gx
-    # maxpool: route to the winning position per window
-    u = cache.argmax // p
-    v = cache.argmax % p
-    bi, ci, yi, xi = np.indices((b, c, h_out, w_out))
-    np.add.at(gx, (bi, ci, yi * s + u, xi * s + v), g_pre)
-    return gx
+    else:  # maxpool: each window's winning input enters with weight 1
+        u, v = np.divmod(cache.argmax, p)
+        bi, ci, yi, xi = np.indices((b, c, h_out, w_out))
+        np.add.at(gx, (bi, ci, yi * s + u, xi * s + v), g_pre)
+    return None, None, gx
+
+
+def _reshape_adjoint(layer, cache, g_pre, squared=False):
+    # flatten, and activation layers, whose map is the identity (the
+    # activation's derivative is already in g_pre)
+    return None, None, g_pre.reshape(cache.x.shape)
+
+
+_ADJOINTS = {"fc": _fc_adjoint, "conv2d": _conv_adjoint,
+             "maxpool2d": _pool_adjoint, "avgpool2d": _pool_adjoint,
+             "activation": _reshape_adjoint, "flatten": _reshape_adjoint}
 
 
 def backward(layers, caches, loss_grad):
@@ -339,33 +378,9 @@ def backward(layers, caches, loss_grad):
             )
         _, d1, _ = activation_funcs(layer.activation)
         cache.grad_out = g
-        g_pre = g * d1(cache.preact)
-        if layer.kind == "fc":
-            gw = g_pre.T @ cache.x
-            if layer.mask is not None:
-                gw *= layer.mask
-            gb = g_pre.sum(axis=0) if layer.bias is not None else None
-            grads[idx] = (gw, gb)
-            g = g_pre @ layer.masked_weights()
-        elif layer.kind == "conv2d":
-            c_out = layer.weights.shape[0]
-            gp = g_pre.transpose(0, 2, 3, 1).reshape(-1, c_out)
-            gw = (gp.T @ cache.cols).reshape(layer.weights.shape)
-            if layer.mask is not None:
-                gw *= layer.mask
-            gb = gp.sum(axis=0) if layer.bias is not None else None
-            grads[idx] = (gw, gb)
-            gcols = gp @ layer.masked_weights().reshape(c_out, -1)
-            g = col2im(gcols, cache.x.shape, layer.weights.shape[2:],
-                       layer.stride, layer.padding)
-        elif layer.kind == "activation":
-            g = g_pre
-        elif layer.kind in ("maxpool2d", "avgpool2d"):
-            g = _pool_backward(layer, cache, g_pre)
-        elif layer.kind == "flatten":
-            g = g_pre.reshape(cache.x.shape)
-        else:
-            raise ValueError(f"unknown layer kind {layer.kind!r}")
+        gw, gb, g = _ADJOINTS[layer.kind](layer, cache, g * d1(cache.preact))
+        if gw is not None:
+            grads[idx] = (gw if layer.mask is None else gw * layer.mask, gb)
     return grads, g
 
 

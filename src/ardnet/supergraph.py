@@ -155,6 +155,13 @@ class Edge:
 
 @dataclass
 class SuperGraph:
+    """Nodes 0..n_nodes-1 joined by edges, alive or pruned.
+
+    `order` is the topological order of all nodes.  Only `__post_init__`
+    and `insert_zero_gates` write the edge list or an edge's src/dst, and
+    both recompute it; a prune changes `alive` only, never the order.
+    """
+
     n_nodes: int
     edges: list
     input_node: int = 0
@@ -162,6 +169,7 @@ class SuperGraph:
     gate_map: dict = field(default_factory=dict)      # guarded node -> gate edge id
     gate_node_of: dict = field(default_factory=dict)  # auxiliary node -> guarded node
     degenerate: bool = False
+    order: list = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.output_node is None:
@@ -171,7 +179,7 @@ class SuperGraph:
                 raise ValueError(f"edge {eid} references a node outside the graph")
             if e.src == e.dst:
                 raise ValueError(f"edge {eid} is a self-loop")
-        topo_order(self)  # raises on cycles
+        self.order = topo_order(self)  # raises on cycles
 
     def in_edges(self, node, alive_only=True):
         return [eid for eid, e in enumerate(self.edges)
@@ -227,15 +235,13 @@ class GraphCache:
     node_z: dict
     edge_out: dict    # edge id -> op output tensor (before w scaling)
     edge_cache: dict  # edge id -> op-internal cache
-    order: list
 
 
 def graph_forward(graph, x):
     """Topological evaluation; returns (output tensor, GraphCache)."""
-    order = topo_order(graph)
     node_z = {graph.input_node: np.asarray(x, dtype=np.float64)}
     edge_out, edge_cache = {}, {}
-    for node in order:
+    for node in graph.order:
         if node == graph.input_node:
             continue
         z, caches = _mix(graph, node, node_z)  # None: no information flow
@@ -245,7 +251,7 @@ def graph_forward(graph, x):
             edge_cache[eid] = cache
     if node_z.get(graph.output_node) is None:
         raise ValueError("output node receives no information flow")
-    return node_z[graph.output_node], GraphCache(node_z, edge_out, edge_cache, order)
+    return node_z[graph.output_node], GraphCache(node_z, edge_out, edge_cache)
 
 
 def graph_backward(graph, gcache, grad_output):
@@ -255,7 +261,7 @@ def graph_backward(graph, gcache, grad_output):
     """
     node_g = {graph.output_node: np.asarray(grad_output, dtype=np.float64)}
     w_grads = {}
-    for node in reversed(gcache.order):
+    for node in reversed(graph.order):
         g = node_g.get(node)
         if g is None:
             continue
@@ -310,7 +316,7 @@ def arch_scalar_hessian(graph, gcache, h_seed, mode="exact"):
     # one backward sweep over the topological order: per node, the sum of
     # what its out-edges pull back from their targets
     down = {graph.output_node: seed}
-    for node in reversed(gcache.order):
+    for node in reversed(graph.order):
         if node == graph.output_node or gcache.node_z.get(node) is None:
             continue
         acc = None
@@ -406,7 +412,7 @@ def reachable_nodes(graph, reverse=False):
     source going forward, the target going back) reach every head whose
     tail is already reached.
     """
-    pos = {node: i for i, node in enumerate(topo_order(graph))}
+    pos = {node: i for i, node in enumerate(graph.order)}
     if reverse:
         hops = sorted(((e.dst, e.src) for e in graph.edges if e.alive),
                       key=lambda hop: -pos[hop[0]])
@@ -444,7 +450,7 @@ def restore_widest_path(graph):
     """
     best = {graph.input_node: np.inf}
     back = {}
-    for node in topo_order(graph):
+    for node in graph.order:
         if node not in best:
             continue
         for eid in graph.out_edges(node, alive_only=False):
@@ -499,7 +505,7 @@ def insert_zero_gates(graph):
             graph.edges[eid].src = aux
         graph.gate_map[node] = gate_id
         graph.gate_node_of[aux] = node
-    topo_order(graph)  # re-validate
+    graph.order = topo_order(graph)
     return graph
 
 

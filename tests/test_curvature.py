@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from ardnet import curvature, nn
 
@@ -101,6 +103,26 @@ def test_conv_1x1_kernel_reduces_to_fc():
     assert rel_err(rc.weight_diag[0].reshape(3, 2), rf.weight_diag[0]) < 1e-12
 
 
+def test_conv_position_block_maps_back_like_fc():
+    # a 1x1 kernel on a 1x1 image is an fc layer with one position, whose
+    # channel block is the whole dense curvature matrix
+    rng = np.random.default_rng(31)
+    w = rng.normal(size=(3, 2, 1, 1))
+    conv = nn.Layer("conv2d", weights=w, activation="tanh")
+    fc = nn.Layer("fc", weights=w.reshape(3, 2), activation="tanh")
+    x, g = rng.normal(size=(4, 2)), rng.normal(size=(4, 3))
+    a = rng.normal(size=(4, 3, 3))
+    seed = a @ a.transpose(0, 2, 1)
+    results = []
+    for layer, shape in ((conv, (4, -1, 1, 1)), (fc, (4, -1))):
+        _, caches = nn.forward([layer], x.reshape(shape))
+        nn.backward([layer], caches, g.reshape(shape))
+        res, h_in = curvature.propagate_curvature([layer], caches, seed, "exact")
+        results.append((res.weight_diag[0].reshape(3, 2), h_in.reshape(4, 2)))
+    for got, ref in zip(*results):
+        assert rel_err(got, ref) < 1e-12
+
+
 def test_conv_exact_matches_finite_differences():
     rng = np.random.default_rng(8)
     net = [nn.conv_layer(2, 2, 2, "tanh", rng=rng)]
@@ -172,3 +194,142 @@ def test_curvature_runs_through_flatten_into_conv(mode, pool):
     fc = len(net) - 1
     ref = curvature.fd_weight_hessian_diag(net, x, t, "mse", fc, step=1e-4)
     assert rel_err(res.weight_diag[fc], ref, floor=1e-4) < 1e-4
+
+
+@pytest.mark.parametrize("mode", ["exact", "diag"])
+def test_activation_layer_matches_the_activation_inside_a_layer(mode):
+    # for any output seed, an activation layer above a conv layer passes on
+    # the same curvature as the activation built into that conv layer
+    rng = np.random.default_rng(30)
+    fused = nn.conv_layer(2, 3, 2, "tanh", rng=rng)
+    split = [nn.Layer("conv2d", weights=fused.weights, bias=fused.bias),
+             nn.activation_layer("tanh")]
+    x = rng.normal(size=(2, 2, 4, 4))
+    out, _ = nn.forward([fused], x)
+    g = rng.normal(size=out.shape)
+    if mode == "exact":
+        a = rng.normal(size=(2, out[0].size, out[0].size))
+        seed = a @ a.transpose(0, 2, 1)  # dense, so conv position blocks matter
+    else:
+        seed = rng.uniform(size=out.shape)
+    results = []
+    for net in ([fused], split):
+        _, caches = nn.forward(net, x)
+        nn.backward(net, caches, g)
+        results.append(curvature.propagate_curvature(net, caches, seed, mode))
+    (r1, h1), (r2, h2) = results
+    np.testing.assert_allclose(r2.weight_diag[0], r1.weight_diag[0], rtol=1e-12)
+    np.testing.assert_allclose(h2, h1, rtol=1e-12)
+
+
+@pytest.mark.parametrize("kind", ["flatten", "maxpool2d", "avgpool2d"])
+def test_activation_of_a_pool_or_flatten_layer_enters_the_curvature(kind):
+    rng = np.random.default_rng(32)
+    net = [nn.Layer(kind, activation="tanh", stride=2), nn.flatten_layer(),
+           nn.fc_layer(32 if kind == "flatten" else 8, 3, "tanh", rng=rng)]
+    x = rng.normal(size=(2, 2, 4, 4))
+    t = 0.5 * rng.normal(size=(2, 3))
+    _, caches = net_forward_backward(net, x, t)
+    ref = curvature.finite_diff_hessian(
+        lambda z: nn.energy(nn.forward(net, z)[0], t)[0], x.copy(), 4e-4)
+    for mode in ("exact", "diag"):
+        seed = nn.energy_hessian(caches[-1].out, t, "mse", mode)
+        _, h_in = curvature.propagate_curvature(net, caches, seed, mode)
+        # the mse output Hessian is diagonal, so both modes are exact here
+        assert rel_err(h_in, ref, floor=1e-4) < 1e-4
+
+
+# ---------------------------------------------------------------------------
+# property test of the recursion over random stacks
+
+SMOOTH = ["tanh", "softplus", "identity"]  # finite differences fail across a relu kink
+# half-scale inputs and targets and a 4e-4 step keep the finite differences'
+# rounding (about eps * energy / step^2) well under the 1e-8 absolute error
+# that the 1e-4 floor allows; at step 1e-4 it alone exceeds that bound
+FD_STEP = 4e-4
+
+
+@st.composite
+def tail_layers(draw, max_layers=3):
+    """1-3 fc or activation layers as (kind, width or None, activation)."""
+    return [draw(st.one_of(
+        st.tuples(st.just("fc"), st.integers(1, 4), st.sampled_from(SMOOTH)),
+        st.tuples(st.just("activation"), st.none(), st.sampled_from(SMOOTH)),
+    )) for _ in range(draw(st.integers(1, max_layers)))]
+
+
+def build_tail(spec, width, rng):
+    layers = []
+    for kind, n_out, act in spec:
+        if kind == "fc":
+            layers.append(nn.fc_layer(width, n_out, act, rng=rng))
+            width = n_out
+        else:
+            layers.append(nn.activation_layer(act))
+    return layers, width
+
+
+def batch_energy(net, x, t, kind):
+    out, _ = nn.forward(net, x)
+    return nn.energy(out, t, kind)[0]
+
+
+def check_stack(net, x, energy_kind, rng, input_diag=False):
+    """Weight diagonals are finite in both modes; in exact mode every fc
+    diagonal, and with input_diag the input diagonal, match finite
+    differences of the batch energy."""
+    out, _ = nn.forward(net, x)
+    n_out = out.shape[1]
+    t = (rng.integers(0, n_out, len(x)) if energy_kind == "softmax_ce"
+         else 0.5 * rng.normal(size=out.shape))
+    for mode in ("exact", "diag"):
+        res = run_net(net, x, t, mode, energy_kind)
+        for li, layer in enumerate(net):
+            if layer.weights is not None:
+                assert np.all(np.isfinite(res.weight_diag[li]))
+            if mode == "exact" and layer.kind == "fc":
+                ref = curvature.fd_weight_hessian_diag(net, x, t, energy_kind, li, FD_STEP)
+                assert rel_err(res.weight_diag[li], ref, floor=1e-4) < 1e-4
+    if input_diag:
+        _, caches = net_forward_backward(net, x, t, energy_kind)
+        seed = nn.energy_hessian(caches[-1].out, t, energy_kind, "exact")
+        _, h_in = curvature.propagate_curvature(net, caches, seed, "exact")
+        ref = curvature.finite_diff_hessian(
+            lambda z: batch_energy(net, z, t, energy_kind), x.copy(), FD_STEP)
+        assert rel_err(h_in, ref, floor=1e-4) < 1e-4
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=40)
+@given(tail=tail_layers(), d_in=st.integers(1, 4), batch=st.integers(1, 3),
+       energy_kind=st.sampled_from(["mse", "softmax_ce"]), seed=st.integers(0, 2**16))
+def test_recursion_matches_finite_differences_on_fc_stacks(tail, d_in, batch,
+                                                           energy_kind, seed):
+    rng = np.random.default_rng(seed)
+    net, width = build_tail(tail, d_in, rng)
+    assume(energy_kind == "mse" or width > 1)
+    check_stack(net, 0.5 * rng.normal(size=(batch, d_in)), energy_kind, rng,
+                input_diag=True)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=40)
+@given(c_in=st.integers(1, 2), c_out=st.integers(1, 3), kernel=st.integers(2, 3),
+       padding=st.integers(0, 1), conv_act=st.sampled_from(SMOOTH),
+       pool=st.sampled_from([None, "maxpool2d", "avgpool2d"]), tail=tail_layers(),
+       batch=st.integers(1, 3), energy_kind=st.sampled_from(["mse", "softmax_ce"]),
+       seed=st.integers(0, 2**16))
+def test_recursion_matches_finite_differences_on_conv_stacks(
+        c_in, c_out, kernel, padding, conv_act, pool, tail, batch, energy_kind, seed):
+    # the conv diagonal drops cross-position terms by design, so only the
+    # fc diagonals above it are held to finite differences
+    rng = np.random.default_rng(seed)
+    side = 6
+    net = [nn.conv_layer(c_in, c_out, kernel, conv_act, padding=padding, rng=rng)]
+    out_side = side + 2 * padding - kernel + 1
+    if pool is not None:
+        net.append(nn.pool_layer(pool, 2))
+        out_side //= 2
+    net.append(nn.flatten_layer())
+    layers, width = build_tail(tail, c_out * out_side**2, rng)
+    assume(energy_kind == "mse" or width > 1)
+    x = 0.5 * rng.normal(size=(batch, c_in, side, side))
+    check_stack(net + layers, x, energy_kind, rng)

@@ -1,5 +1,7 @@
 """Search, compression and retrain loops on small synthetic problems."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -41,6 +43,17 @@ def test_lambda_zero_limit_prunes_nothing():
 def test_search_recovers_planted_edges_single_seed():
     graph, ds, planted = data.gen_synthetic_dag_task(0)
     cfg = data.dag_task_config(seed=0)
+    graph, run = engine.run_proxyless(graph, ds, cfg)
+    alive = {eid for eid in run.report["alive_edges"]
+             if not graph.edges[eid].is_gate}
+    assert alive == planted
+
+
+def test_approx_hessian_search_recovers_planted_edges():
+    # the approx recursion reads every op's output gradient, so the update
+    # runs a backward pass on its curvature batch
+    graph, ds, planted = data.gen_synthetic_dag_task(0)
+    cfg = dataclasses.replace(data.dag_task_config(seed=0), hessian_mode="approx")
     graph, run = engine.run_proxyless(graph, ds, cfg)
     alive = {eid for eid in run.report["alive_edges"]
              if not graph.edges[eid].is_gate}

@@ -49,6 +49,25 @@ def test_config_invalid_value_names_field(tmp_path):
         exports.parse_config(path)
 
 
+@pytest.mark.parametrize("payload, name", [
+    ('{"t_max": "a"}', "t_max"),
+    ('{"t_max": 2.5}', "t_max"),
+    ('{"lambda_w": true}', "lambda_w"),
+    ('{"hessian_mode": null}', "hessian_mode"),
+])
+def test_config_wrong_type_names_field(tmp_path, payload, name):
+    path = tmp_path / "c.json"
+    path.write_text(payload)
+    with pytest.raises(ValueError, match=name):
+        exports.parse_config(path)
+
+
+def test_config_accepts_an_integer_for_a_float_field(tmp_path):
+    path = tmp_path / "c.json"
+    path.write_text('{"lambda_w": 1}')
+    assert exports.parse_config(path).lambda_w == 1
+
+
 # ---------------------------------------------------------------------------
 # architecture JSON
 
@@ -94,6 +113,23 @@ def test_arch_json_wrong_schema_version_rejected(tmp_path):
     exports.save_json(record, path)
     with pytest.raises(ValueError, match="schema version"):
         exports.load_arch_json(path)
+
+
+def test_records_name_a_missing_field(tmp_path):
+    path = tmp_path / "rec.json"
+    record = exports.arch_export(make_graph())
+    del record["edges"][0]["dst"]
+    exports.save_json(record, path)
+    with pytest.raises(ValueError, match="dst"):
+        exports.load_arch_json(path)
+    record = exports.mask_export([nn.fc_layer(2, 3)])
+    del record["layers"][0]["shape"]
+    exports.save_json(record, path)
+    with pytest.raises(ValueError, match="shape"):
+        exports.load_mask_json(path)
+    path.write_text('["not", "an", "object"]')
+    with pytest.raises(ValueError, match="JSON object"):
+        exports.load_mask_json(path)
 
 
 def test_arch_provenance_carries_config_hash():
@@ -220,3 +256,27 @@ def test_cli_export_dot(tmp_path):
     res = run_cli("export", "--arch", str(out / "arch.json"), "--format", "dot")
     assert res.returncode == 0
     assert res.stdout.startswith("digraph")
+
+
+def test_cli_search_approx_hessian_mode(tmp_path):
+    cfg = write_search_config(tmp_path)
+    res = run_cli("search", "--config", str(cfg), "--seed", "0",
+                  "--mode", "approx-hessian", "--out", str(tmp_path / "run"))
+    assert res.returncode == 0, res.stderr
+
+
+@pytest.mark.parametrize("command, text", [
+    ("export", "[]"),
+    ("export", '{"schema_version": "1"}'),
+    ("search", '{"t_max": "a"}'),
+], ids=["arch-not-an-object", "arch-without-edges", "config-wrong-type"])
+def test_cli_malformed_input_exits_one_without_traceback(tmp_path, command, text):
+    path = tmp_path / "in.json"
+    path.write_text(text)
+    if command == "export":
+        res = run_cli("export", "--arch", str(path))
+    else:
+        res = run_cli("search", "--config", str(path), "--out", str(tmp_path / "x"))
+    assert res.returncode == 1
+    assert "error:" in res.stderr
+    assert "Traceback" not in res.stderr

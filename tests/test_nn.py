@@ -181,3 +181,34 @@ def test_num_params():
 def test_unknown_activation_rejected():
     with pytest.raises(ValueError, match="unknown activation"):
         nn.activation_funcs("swish")
+
+
+@pytest.mark.parametrize("make, shape", [
+    (lambda rng: nn.fc_layer(3, 4, rng=rng), (2, 3)),
+    (lambda rng: nn.conv_layer(2, 3, 3, stride=2, padding=1, rng=rng), (2, 2, 5, 5)),
+    (lambda rng: nn.pool_layer("maxpool2d", 2, 1), (2, 2, 4, 4)),
+    (lambda rng: nn.pool_layer("avgpool2d", 3, 2), (2, 1, 7, 7)),
+    (lambda rng: nn.flatten_layer(), (2, 2, 3, 3)),
+    (lambda rng: nn.activation_layer("tanh"), (2, 5)),
+], ids=["fc", "conv2d", "maxpool2d", "avgpool2d", "flatten", "activation"])
+def test_squared_adjoint_is_the_curvature_diagonal_of_the_map(make, shape):
+    # the adjoint at a unit pre-activation vector e_k returns row k of the
+    # layer's linear maps (weights, bias, input -> pre-activation), so
+    # diag(A^T D A) = sum_k d_k (row k)^2 must be the squared adjoint at d
+    rng = np.random.default_rng(3)
+    layer = make(rng)
+    _, (cache,) = nn.forward([layer], rng.normal(size=shape))
+    adjoint = nn._ADJOINTS[layer.kind]
+    d = rng.uniform(0.5, 2.0, size=cache.preact.shape)
+    want = [0.0, 0.0, 0.0]
+    for k in range(d.size):
+        unit = np.zeros(d.size)
+        unit[k] = 1.0
+        rows = adjoint(layer, cache, unit.reshape(d.shape))
+        want = [None if row is None else acc + d.flat[k] * row**2
+                for acc, row in zip(want, rows)]
+    got = adjoint(layer, cache, d, squared=True)
+    assert [g is None for g in got] == [w is None for w in want]
+    for g, w in zip(got, want):
+        if g is not None:
+            np.testing.assert_allclose(g, w, rtol=1e-12, atol=1e-15)
