@@ -18,8 +18,8 @@ import numpy as np
 from . import nn
 from . import supergraph as sg
 from .curvature import network_curvature
-from .updates import (GroupSpec, HyperState, SearchConfig, group_l2_penalty,
-                      group_update, make_groups, sgd_momentum_step,
+from .updates import (GroupSpec, HyperState, SearchConfig, flat_groups,
+                      group_l2_penalty, group_update, make_groups, sgd_momentum_step,
                       structural_update, update_posterior_variance)
 
 __all__ = [
@@ -202,25 +202,24 @@ class _EdgeSlots:
     """Architecture scalars of a SuperGraph, one shared scalar per group.
 
     The alive members of each group change only at a prune, so they are
-    gathered once per iteration.
+    gathered once per iteration, in flat form, with their group's omega.
     """
 
     def __init__(self, graph, groups, config, kind):
         self.model, self.config, self.kind = graph, config, kind
-        self.groups = groups
+        self.index, self.group = flat_groups(groups)
         self.velocity = {}
         self.restored = None
         self._gather()
 
     def _gather(self):
         edges = self.model.edges
-        self.members = [m for m in ([eid for eid in grp.members.tolist() if edges[eid].alive]
-                                    for grp in self.groups) if m]
-        self.alive = np.array([eid for m in self.members for eid in m], dtype=np.intp)
-        self.group_of = np.repeat(np.arange(len(self.members)),
-                                  [len(m) for m in self.members])
-        self.specs = [GroupSpec(g, m) for g, m in enumerate(self.members)]
-        self.omega = [edges[m[0]].omega for m in self.members]
+        live = np.array([e.alive for e in edges], dtype=bool)[self.index]
+        self.alive = self.index[live]
+        # every alive member of a group shares its omega; take the first's
+        _, first, self.group_of = np.unique(self.group[live], return_index=True,
+                                            return_inverse=True)
+        self.omega = np.array([e.omega for e in edges])[self.alive[first]]
 
     def gammas(self):
         return {eid: self.model.edges[eid].gamma for eid in self.model.alive_edge_ids()}
@@ -235,7 +234,8 @@ class _EdgeSlots:
         loss, e_grad = nn.energy(out, y, self.kind)
         alive = self.alive.tolist()
         w = np.array([e.w for e in edges])
-        pen, pen_grad = group_l2_penalty(w, self.specs, self.omega, config.lambda_w)
+        pen, pen_grad = group_l2_penalty(w, self.alive, self.group_of, self.omega,
+                                         config.lambda_w)
         w_grads, _ = sg.graph_backward(graph, gcache, e_grad)
         grad = np.array([w_grads.get(eid, 0.0) for eid in alive]) + pen_grad[self.alive]
         # tied slots are one shared scalar: sum member gradients and move
@@ -276,22 +276,21 @@ class _EdgeSlots:
         hess = sg.arch_scalar_hessian(graph, gcache, h_seed, config.hessian_mode)
         for eid, h in hess.items():
             edges[eid].hess = max(h, 0.0)
-        for members in self.members:
-            gamma_prev = np.array([edges[eid].gamma for eid in members])
-            c = update_posterior_variance(gamma_prev, [edges[eid].hess for eid in members])
-            s_g, omega_g = group_update([edges[eid].w for eid in members], gamma_prev, c,
-                                        config.omega_floor, config.s_cap)
-            for eid, ci in zip(members, np.atleast_1d(c)):
-                e = edges[eid]
-                e.c = float(ci)
-                e.s = max(s_g, 1e-300)  # s = 0 (w = 0) still needs a valid gamma
-                e.omega = omega_g
+        alive, group = self.alive.tolist(), self.group_of
+        gamma_prev = np.array([edges[eid].gamma for eid in alive])
+        c = update_posterior_variance(gamma_prev, [edges[eid].hess for eid in alive])
+        s, omega = group_update([edges[eid].w for eid in alive], gamma_prev, c, group,
+                                config.omega_floor, config.s_cap)
+        for eid, ci, si, oi in zip(alive, c.tolist(), s[group].tolist(), omega[group].tolist()):
+            e = edges[eid]
+            e.c, e.omega = ci, oi
+            e.s = max(si, 1e-300)  # s = 0 (w = 0) still needs a valid gamma
         sg.refresh_gammas(graph)
         # tied groups prune as one unit: every member adopts the group minimum
-        for members in self.members:
-            gmin = min(edges[eid].gamma for eid in members)
-            for eid in members:
-                edges[eid].gamma = gmin
+        gmin = np.full(omega.size, np.inf)
+        np.minimum.at(gmin, group, [edges[eid].gamma for eid in alive])
+        for eid, g in zip(alive, gmin[group].tolist()):
+            edges[eid].gamma = g
 
     def prune(self):
         """Entropy prune, then the cascade: edges without in-flow die, and
@@ -355,34 +354,26 @@ def run_proxy_cells(graph, data, config, groups, trace=None):
 
 
 class _WeightSlots:
-    """HyperState weight groups of a layer stack, one state per (layer,
-    pattern); a weight is zero-masked as soon as any of its groups dies.
+    """Compression groups of a layer stack, one HyperState per layer holding
+    all of its patterns' groups; a weight is zero-masked as soon as any of
+    its groups dies, so a dead group's norm is 0.
 
     With no patterns it is plain weight-decayed training of the stack."""
 
     def __init__(self, net, patterns, config, kind):
         self.model, self.config, self.kind = net, config, kind
-        self.states = []  # (layer index, HyperState)
+        self.states = {}  # layer index -> HyperState
         for li, names in patterns.items():
             if net[li].weights is None:
                 raise ValueError(f"layer {li} has no weights to compress")
-            self.states += [(li, HyperState.init(make_groups(net[li].weights.shape, name)))
-                            for name in names]
+            self.states[li] = HyperState.init([grp for name in names for grp in
+                                               make_groups(net[li].weights.shape, name)])
             if net[li].mask is None:
                 net[li].mask = np.ones_like(net[li].weights)
         self.velocity = {}
-        self._gather()
-
-    def _gather(self):
-        """Alive groups and their omegas, per penalized layer."""
-        self.specs, self.omega = {}, {}
-        for li, state in self.states:
-            alive = np.flatnonzero(state.alive)
-            self.specs.setdefault(li, []).extend(state.groups[g] for g in alive)
-            self.omega.setdefault(li, []).extend(state.omega[alive])
 
     def gammas(self):
-        return {(k, g): state.gamma[g] for k, (_, state) in enumerate(self.states)
+        return {(li, g): state.gamma[g] for li, state in self.states.items()
                 for g in np.flatnonzero(state.alive)}
 
     def train_batch(self, x, y):
@@ -395,10 +386,10 @@ class _WeightSlots:
                 continue
             gw, gb = grads[li]
             gw = gw + 2.0 * config.weight_decay * layer.masked_weights()
-            if li in self.specs:
-                pen, pen_grad = group_l2_penalty(layer.masked_weights().ravel(),
-                                                 self.specs[li], self.omega[li],
-                                                 config.lambda_w)
+            state = self.states.get(li)
+            if state is not None:
+                pen, pen_grad = group_l2_penalty(layer.masked_weights().ravel(), state.index,
+                                                 state.group, state.omega, config.lambda_w)
                 loss += pen
                 gw = gw + pen_grad.reshape(gw.shape)
             grads[li] = (gw, gb)
@@ -415,23 +406,20 @@ class _WeightSlots:
         nn.backward(net, caches, e_grad)
         mode = "exact" if config.hessian_mode == "exact" else "diag"
         curv = network_curvature(net, caches, y, self.kind, mode)
-        for li, state in self.states:
+        for li, state in self.states.items():
             structural_update(net[li].masked_weights(), state, curv.weight_diag[li],
                               config.omega_floor, config.s_cap)
 
     def prune(self):
         net, killed = self.model, 0
-        for li, state in self.states:
-            dead = np.flatnonzero(state.alive & (state.gamma <= self.config.prune_threshold))
-            for g in dead:
-                net[li].mask.ravel()[state.groups[g].members] = 0.0
-            state.alive[dead] = False
-            killed += len(dead)
-        for li in self.specs:
+        for li, state in self.states.items():
+            dead = state.alive & (state.gamma <= self.config.prune_threshold)
+            net[li].mask.ravel()[state.index[dead[state.group]]] = 0.0
+            state.alive &= ~dead
+            killed += int(np.count_nonzero(dead))
             net[li].weights = net[li].weights * net[li].mask
             if not np.any(net[li].mask):
                 raise ValueError(f"network severed: layer {li} is fully pruned")
-        self._gather()
         return killed, 0, False
 
     def finish(self, data, run):
@@ -446,8 +434,8 @@ def run_compression(net, data, config, patterns):
     """Structured-sparsity compression of a layer stack.
 
     patterns maps layer index -> list of pattern names (see make_groups);
-    each (layer, pattern) slot keeps its own per-group variance chain, and a
-    weight is zero-masked as soon as any of its groups dies.
+    every group keeps its own variance chain, and a weight is zero-masked as
+    soon as any of its groups dies.
     """
     config.validate()
     slots = _WeightSlots(net, patterns, config, _energy_kind(data))

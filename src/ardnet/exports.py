@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
+import reprlib
 
 import numpy as np
 
@@ -69,10 +70,29 @@ def parse_config(path):
 # architecture export
 
 
-_ARCH_FIELDS = {"schema_version", "n_nodes", "input_node", "output_node",
-                "degenerate", "gate_map", "gate_node_of", "edges", "provenance"}
+def _is_int(value):
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value):
+    return _is_int(value) or isinstance(value, float)
+
+
+# every field of a record schema -> (JSON type check, its name), or None
+# for a field the loaders do not read
+_INT = (_is_int, "an integer")
+_NUMBER = (_is_number, "a number")
+_BOOL = (lambda v: isinstance(v, bool), "a boolean")
+_LIST = (lambda v: isinstance(v, list), "a list")
+_INT_MAP = (lambda v: isinstance(v, dict) and all(map(_is_int, v.values())),
+            "an object of integers")
+_ARCH_FIELDS = {"schema_version": None, "n_nodes": _INT, "input_node": _INT,
+                "output_node": _INT, "degenerate": _BOOL, "gate_map": _INT_MAP,
+                "gate_node_of": _INT_MAP, "edges": _LIST, "provenance": None}
 _ARCH_REQUIRED = ("n_nodes", "input_node", "output_node", "edges")
-_EDGE_FIELDS = {"id", "src", "dst", "op", "w", "gamma", "s", "alive", "is_gate"}
+_EDGE_FIELDS = {"id": None, "src": _INT, "dst": _INT,
+                "op": (lambda v: isinstance(v, str), "a string"), "w": _NUMBER,
+                "gamma": _NUMBER, "s": _NUMBER, "alive": _BOOL, "is_gate": _BOOL}
 _EDGE_REQUIRED = ("src", "dst", "op", "w", "gamma", "s", "alive", "is_gate")
 
 
@@ -93,16 +113,20 @@ def save_json(record, path):
 
 
 def _check_fields(obj, fields, required, what):
-    """Reject anything but a JSON object holding every required field and
-    no field outside `fields`."""
+    """Reject anything but a JSON object holding every required field, no
+    field outside `fields` and every field of its JSON type."""
     if not isinstance(obj, dict):
         raise ValueError(f"{what} must be a JSON object, not {type(obj).__name__}")
     missing = [name for name in required if name not in obj]
     if missing:
         raise ValueError(f"{what} is missing fields: {', '.join(missing)}")
-    unknown = sorted(set(obj) - fields)
+    unknown = sorted(set(obj) - set(fields))
     if unknown:
         raise ValueError(f"unknown {what} fields: {', '.join(unknown)}")
+    for name, kind in fields.items():
+        if kind is not None and name in obj and not kind[0](obj[name]):
+            raise ValueError(f"{what} field {name} must be {kind[1]}, "
+                             f"got {reprlib.repr(obj[name])}")
 
 
 def _load_record(path, fields, required, what):
@@ -165,8 +189,13 @@ def mask_export(net, config=None, widths=None):
     }
 
 
-_MASK_FIELDS = {"schema_version", "layers", "widths", "provenance"}
-_MASK_LAYER_FIELDS = {"kind", "shape", "mask"}
+_MASK_FIELDS = {"schema_version": None, "layers": _LIST, "widths": None,
+                "provenance": None}
+_MASK_LAYER_FIELDS = {
+    "kind": None,
+    "shape": (lambda v: isinstance(v, list) and all(map(_is_int, v)), "a list of integers"),
+    "mask": (lambda v: isinstance(v, list) and all(map(_is_number, v)), "a list of numbers"),
+}
 
 
 def load_mask_json(path):

@@ -6,9 +6,10 @@ The scalar chain per parameter and outer iteration t is
     omega = sqrt(gamma_prev - c) / gamma_prev     (reweighting coefficient)
     s     = |w / omega|                           (switch variance)
 
-with an omega floor and an s cap absorbing the hess = 0 degeneracy.  Group
-variants share one (s, omega) across all members.  The structural-compression
-rules operate on arbitrary index-set groups over a weight tensor.
+with an omega floor and an s cap absorbing the hess = 0 degeneracy.  A group
+shares one (s, omega) across its members, and the reweighted l1 penalty is
+the group lasso on one-member groups.  Groups, overlapping or not, are held
+in the flat form of `flat_groups`, so every per-group sum is one bincount.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field, asdict, fields
+from dataclasses import dataclass, asdict, fields
 
 import numpy as np
 
@@ -28,8 +29,8 @@ __all__ = [
     "update_posterior_variance",
     "update_omega",
     "update_switch",
-    "reweighted_l1_penalty",
     "group_l2_penalty",
+    "flat_groups",
     "group_update",
     "make_groups",
     "structural_update",
@@ -64,6 +65,12 @@ class SearchConfig:
     s_cap: float = 1e6
     prune_threshold: float = ENTROPY_PRUNE_THRESHOLD
     hessian_mode: str = "approx"  # "exact" or "approx"
+
+    def __post_init__(self):
+        # 1 and 1.0 are one configuration, so they must give one config_hash
+        for f in fields(self):
+            if f.type == "float":
+                setattr(self, f.name, float(getattr(self, f.name)))
 
     def validate(self):
         positive = ["lambda_w", "weight_decay", "learning_rate",
@@ -124,30 +131,19 @@ def update_switch(w, omega, cap=1e6):
 # penalties
 
 
-def reweighted_l1_penalty(w, omega, lambda_w):
-    """lambda_w * sum |omega * w| and its subgradient (0 at w = 0)."""
-    w = np.asarray(w, dtype=np.float64)
-    omega = np.asarray(omega, dtype=np.float64)
-    value = lambda_w * np.sum(np.abs(omega * w))
-    grad = lambda_w * omega * np.sign(w)
-    return value, grad
-
-
-def group_l2_penalty(w, groups, omega_group, lambda_w):
-    """Reweighted group lasso: lambda_w * sum_g omega_g * ||w_g||_2.
+def group_l2_penalty(w, index, group, omega, lambda_w):
+    """Reweighted group lasso: lambda_w * sum_g omega_g * ||w_g||_2 over the
+    flat groups (index, group); one-member groups give the reweighted l1.
 
     Subgradient is lambda_w * omega_g * w / ||w_g|| (0 for a zero group).
     """
     w = np.asarray(w, dtype=np.float64)
-    value = 0.0
-    grad = np.zeros_like(w)
-    for spec, og in zip(groups, omega_group):
-        wg = w[spec.members]
-        norm = float(np.linalg.norm(wg))
-        value += lambda_w * og * norm
-        if norm > 0:
-            grad[spec.members] += lambda_w * og * wg / norm
-    return value, grad
+    coef = lambda_w * np.asarray(omega, dtype=np.float64)
+    wm = w[index]
+    norm = np.sqrt(np.bincount(group, weights=wm * wm, minlength=coef.size))
+    norm_m = norm[group]
+    term = np.divide(coef[group] * wm, norm_m, out=np.zeros_like(wm), where=norm_m > 0)
+    return float(np.sum(coef * norm)), np.bincount(index, weights=term, minlength=w.size)
 
 
 # ---------------------------------------------------------------------------
@@ -168,27 +164,25 @@ class GroupSpec:
             raise ValueError(f"group {self.gid} is empty")
 
 
-def group_update(w_members, gamma_prev, c, floor=1e-8, cap=1e6):
-    """Shared (s, omega) for one group.
+def flat_groups(groups):
+    """(index, group): every member index of `groups`, group by group, and
+    the position of its group."""
+    index = np.concatenate([np.zeros(0, dtype=np.intp)] + [grp.members for grp in groups])
+    return index, np.repeat(np.arange(len(groups)), [grp.members.size for grp in groups])
 
-    omega_g = sqrt(sum_i (gamma_i - c_i) / gamma_i^2), the root-sum of the
-    members' squared scalar omegas, and s_g = ||w_g||_2 / omega_g.  With one
-    member this reduces bitwise to update_omega/update_switch.
+
+def group_update(w, gamma_prev, c, group, floor=1e-8, cap=1e6):
+    """Shared (s, omega) of every group, one entry per group position.
+
+    omega_g is the root-sum of the members' `update_omega`s and s_g =
+    ||w_g||_2 / omega_g; sqrt(x^2) = |x| in floating point, so a one-member
+    group equals update_omega/update_switch bitwise.
     """
-    w = np.asarray(w_members, dtype=np.float64)
-    gamma_prev = np.asarray(gamma_prev, dtype=np.float64)
-    c = np.asarray(c, dtype=np.float64)
-    if w.size == 0:
-        raise ValueError("empty group")
-    if np.any(c > gamma_prev + 1e-12):
-        raise ValueError("posterior variance exceeds prior variance: clamp hess first")
-    if w.size == 1:
-        omega = update_omega(gamma_prev, c, floor)
-        return float(update_switch(w, omega, cap).ravel()[0]), float(omega.ravel()[0])
-    omega_sq = np.maximum(gamma_prev - c, 0.0) / gamma_prev**2
-    omega_g = max(float(np.sqrt(np.sum(omega_sq))), floor)
-    s_g = min(float(np.linalg.norm(w)) / omega_g, cap)
-    return s_g, omega_g
+    w = np.asarray(w, dtype=np.float64)
+    omega_sq = update_omega(gamma_prev, c, 0.0) ** 2
+    omega = np.maximum(np.sqrt(np.bincount(group, weights=omega_sq)), floor)
+    s = np.minimum(np.sqrt(np.bincount(group, weights=w * w)) / omega, cap)
+    return s, omega
 
 
 _PATTERNS = (
@@ -251,19 +245,18 @@ def make_groups(shape, pattern):
 
 @dataclass
 class HyperState:
-    """Per-group hyperparameters of one (layer, pattern) compression slot."""
+    """Per-group hyperparameters of one layer's groups, in flat form."""
 
-    groups: list
+    index: np.ndarray  # flat weight index of every member, group by group
+    group: np.ndarray  # group position of every member
     gamma: np.ndarray  # one value per group
     omega: np.ndarray
-    c: np.ndarray = None
-    alpha: np.ndarray = None
-    alive: np.ndarray = None
+    alive: np.ndarray
 
     @classmethod
     def init(cls, groups):
         g = len(groups)
-        return cls(groups=groups, gamma=np.ones(g), omega=np.ones(g),
+        return cls(*flat_groups(groups), gamma=np.ones(g), omega=np.ones(g),
                    alive=np.ones(g, dtype=bool))
 
 
@@ -271,31 +264,22 @@ def structural_update(weights, state, hess_diag, floor=1e-8, cap=1e6):
     """One compression-rule update of a HyperState.
 
     Per alive group g:  gamma_g = ||W_g||_2 / omega_g(t-1) then, element-wise
-    with the clamped Hessian diagonal,  c = (1/gamma + h)^-1,
-    alpha = -c/gamma^2 + 1/gamma = h/(1 + gamma h), and
-    omega_g = sqrt(sum_g |alpha|).
+    with the clamped Hessian diagonal,  alpha = -c/gamma^2 + 1/gamma =
+    h/(1 + gamma h) for c = (1/gamma + h)^-1, and omega_g = sqrt(sum_g |alpha|).
+    Dead groups keep their values.
     """
     w = np.asarray(weights, dtype=np.float64).ravel()
     h = np.maximum(np.asarray(hess_diag, dtype=np.float64).ravel(), 0.0)
     if h.shape != w.shape:
         raise ValueError(f"hessian diag shape {h.shape} does not match weights {w.shape}")
-    gamma_new = state.gamma.copy()
-    omega_new = state.omega.copy()
-    c_new = np.zeros_like(gamma_new)
-    alpha_new = np.zeros_like(gamma_new)
-    for g, spec in enumerate(state.groups):
-        if not state.alive[g]:
-            continue
-        gamma_g = min(float(np.linalg.norm(w[spec.members])) / max(state.omega[g], floor), cap)
-        hg = h[spec.members]
-        c_g = gamma_g / (1.0 + gamma_g * hg)        # element-wise posterior variance
-        alpha_g = hg / (1.0 + gamma_g * hg)         # = -c/gamma^2 + 1/gamma
-        gamma_new[g] = gamma_g
-        c_new[g] = float(np.mean(c_g))
-        alpha_new[g] = float(np.sum(np.abs(alpha_g)))
-        omega_new[g] = max(float(np.sqrt(alpha_new[g])), floor)
-    state.gamma, state.omega = gamma_new, omega_new
-    state.c, state.alpha = c_new, alpha_new
+    n, wm, hm = state.gamma.size, w[state.index], h[state.index]
+    norm = np.sqrt(np.bincount(state.group, weights=wm * wm, minlength=n))
+    gamma = np.minimum(norm / np.maximum(state.omega, floor), cap)
+    alpha = hm / (1.0 + gamma[state.group] * hm)
+    omega = np.maximum(np.sqrt(np.bincount(state.group, weights=np.abs(alpha), minlength=n)),
+                       floor)
+    state.gamma = np.where(state.alive, gamma, state.gamma)
+    state.omega = np.where(state.alive, omega, state.omega)
     return state
 
 

@@ -1,6 +1,7 @@
 """Search, compression and retrain loops on small synthetic problems."""
 
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -142,7 +143,7 @@ def test_degenerate_cell_search_restores_before_evaluating():
 def test_one_penalty_call_equals_per_group_calls():
     # the search penalty is one group_l2_penalty call over the alive edges;
     # it must equal, bitwise, one call per group with alive members
-    from ardnet.updates import GroupSpec, group_l2_penalty
+    from ardnet.updates import group_l2_penalty
     graph, ds, groups, _ = data.gen_two_cell_task(0)
     cfg = data.two_cell_task_config(0)
     rng = np.random.default_rng(0)
@@ -152,14 +153,15 @@ def test_one_penalty_call_equals_per_group_calls():
             e.w, e.omega = rng.normal(), rng.random()
         slots = engine._EdgeSlots(graph, groups, cfg, "mse")
         w = np.array([e.w for e in graph.edges])
-        value, grad = group_l2_penalty(w, slots.specs, slots.omega, cfg.lambda_w)
+        value, grad = group_l2_penalty(w, slots.alive, slots.group_of, slots.omega,
+                                       cfg.lambda_w)
         ref_value, ref_grad = 0.0, {}
         for grp in groups:
             members = [eid for eid in grp.members.tolist() if graph.edges[eid].alive]
             if not members:
                 continue
             v, g = group_l2_penalty([graph.edges[eid].w for eid in members],
-                                    [GroupSpec(0, np.arange(len(members)))],
+                                    np.arange(len(members)), np.zeros(len(members), int),
                                     [graph.edges[members[0]].omega], cfg.lambda_w)
             ref_value += v
             ref_grad.update(zip(members, g))
@@ -225,6 +227,29 @@ def test_retrain_keeps_masked_weights_zero_and_helps():
     for layer in net:
         if layer.mask is not None:
             assert np.all(layer.weights[layer.mask == 0] == 0.0)
+
+
+def test_two_patterns_of_a_layer_equal_their_combined_pattern():
+    # row then column is the group list of row_and_column, in the same order,
+    # so one layer with both patterns compresses bitwise like the combined one
+    from ardnet.updates import make_groups
+    split = make_groups((16, 10), "row") + make_groups((16, 10), "column")
+    joint = make_groups((16, 10), "row_and_column")
+    assert [g.members.tolist() for g in split] == [g.members.tolist() for g in joint]
+    ds = make_blob_task()
+    runs = []
+    for patterns in ({0: ["row", "column"]}, {0: ["row_and_column"]}):
+        cfg = SearchConfig(t_max=6, epochs_per_iteration=2, batch_size=50,
+                           lambda_w=0.05, weight_decay=0.001, learning_rate=0.05,
+                           seed=0, hessian_mode="approx", retrain_epochs=0)
+        runs.append(engine.run_compression(compression_setup()[0], ds, cfg, patterns))
+    (net1, run1), (net2, run2) = runs
+    assert run1.report["param_ratio"] < 1.0  # the patterns pruned something
+    for a, b in zip(net1, net2):
+        assert np.array_equal(a.weights, b.weights)
+        assert (a.mask is None) == (b.mask is None)
+        assert a.mask is None or np.array_equal(a.mask, b.mask)
+    assert json.dumps(run1.history) == json.dumps(run2.history)
 
 
 def test_retrain_on_unpruned_net_is_ordinary_training():

@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from ardnet import exports, nn
+from ardnet import data, exports, nn
 from ardnet import supergraph as sg
 from ardnet.updates import SearchConfig
 
@@ -66,6 +66,19 @@ def test_config_accepts_an_integer_for_a_float_field(tmp_path):
     path = tmp_path / "c.json"
     path.write_text('{"lambda_w": 1}')
     assert exports.parse_config(path).lambda_w == 1
+
+
+def test_int_and_float_spellings_share_one_config_hash(tmp_path):
+    assert SearchConfig(lambda_w=1).config_hash() == SearchConfig(lambda_w=1.0).config_hash()
+    hashes = set()
+    for text in ('{"lambda_w": 1}', '{"lambda_w": 1.0}'):
+        path = tmp_path / "c.json"
+        path.write_text(text)
+        hashes.add(exports.parse_config(path).config_hash())
+    assert len(hashes) == 1
+    # configurations written with floats keep their hashes
+    assert SearchConfig().config_hash() == "3e5bebc4c415873f"
+    assert data.dag_task_config(0).config_hash() == "13058cff8eb1379e"
 
 
 # ---------------------------------------------------------------------------
@@ -130,6 +143,36 @@ def test_records_name_a_missing_field(tmp_path):
     path.write_text('["not", "an", "object"]')
     with pytest.raises(ValueError, match="JSON object"):
         exports.load_mask_json(path)
+
+
+@pytest.mark.parametrize("kind, path, value", [
+    ("arch", ("edges",), 5),
+    ("arch", ("n_nodes",), "a"),
+    ("arch", ("edges", 0, "src"), "x"),
+    ("mask", ("layers",), 5),
+    ("mask", ("layers", 0, "shape"), 3),
+], ids=["arch-edges-int", "arch-n_nodes-str", "arch-src-str", "mask-layers-int",
+        "mask-shape-int"])
+def test_wrong_typed_record_field_is_named_without_traceback(tmp_path, kind, path, value):
+    if kind == "arch":
+        record = exports.arch_export(make_graph())
+    else:
+        record = exports.mask_export([nn.fc_layer(2, 3)])
+    *keys, name = path
+    target = record
+    for key in keys:
+        target = target[key]
+    target[name] = value
+    rec_path = tmp_path / "rec.json"
+    exports.save_json(record, rec_path)
+    if kind == "mask":
+        with pytest.raises(ValueError, match=name):
+            exports.load_mask_json(rec_path)
+        return
+    res = run_cli("export", "--arch", str(rec_path))
+    assert res.returncode == 1
+    assert "error:" in res.stderr and name in res.stderr
+    assert "Traceback" not in res.stderr
 
 
 def test_arch_provenance_carries_config_hash():

@@ -4,13 +4,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ardnet import updates
 from ardnet.updates import (ENTROPY_PRUNE_THRESHOLD, GroupSpec, SearchConfig,
-                            group_l2_penalty, group_update, make_groups,
-                            reweighted_l1_penalty, sgd_momentum_step,
-                            update_omega, update_posterior_variance,
-                            update_switch)
+                            flat_groups, group_l2_penalty, group_update,
+                            make_groups, sgd_momentum_step, update_omega,
+                            update_posterior_variance, update_switch)
+
+
+def reweighted_l1_penalty(w, omega, lambda_w):
+    """The reweighted l1: group_l2_penalty with one-member groups."""
+    members = np.arange(len(w))
+    return group_l2_penalty(w, members, members, omega, lambda_w)
 
 
 def test_threshold_constant():
@@ -99,10 +106,10 @@ def test_group_update_singleton_reduces_bitwise():
         gamma = float(10.0 ** rng.uniform(-3, 3))
         hess = float(10.0 ** rng.uniform(-3, 3))
         c = float(update_posterior_variance(gamma, hess))
-        s_g, o_g = group_update(np.array([w]), np.array([gamma]), np.array([c]))
+        s_g, o_g = group_update(np.array([w]), np.array([gamma]), np.array([c]), [0])
         omega = update_omega(gamma, c)
-        assert o_g == float(omega)
-        assert s_g == float(update_switch(w, omega))
+        assert o_g[0] == float(omega)
+        assert s_g[0] == float(update_switch(w, omega))
 
 
 def test_group_update_identical_members():
@@ -110,9 +117,9 @@ def test_group_update_identical_members():
     w, gamma, hess = 0.8, 2.0, 1.5
     c = float(update_posterior_variance(gamma, hess))
     k = 4
-    s_g, _ = group_update(np.full(k, w), np.full(k, gamma), np.full(k, c))
+    s_g, _ = group_update(np.full(k, w), np.full(k, gamma), np.full(k, c), np.zeros(k, int))
     omega_i = float(update_omega(gamma, c))
-    assert s_g == pytest.approx(abs(w) / omega_i, rel=1e-12)
+    assert s_g[0] == pytest.approx(abs(w) / omega_i, rel=1e-12)
 
 
 def test_group_update_rejects_empty():
@@ -123,7 +130,7 @@ def test_group_update_rejects_empty():
 def test_group_l2_penalty_and_gradient():
     w = np.array([3.0, 4.0, 1.0])
     groups = [GroupSpec(0, [0, 1]), GroupSpec(1, [2])]
-    v, g = group_l2_penalty(w, groups, [1.0, 2.0], 0.1)
+    v, g = group_l2_penalty(w, *flat_groups(groups), [1.0, 2.0], 0.1)
     assert v == pytest.approx(0.1 * (5.0 + 2.0))
     assert g[0] == pytest.approx(0.1 * 3.0 / 5.0)
     assert g[2] == pytest.approx(0.2)
@@ -228,3 +235,111 @@ def test_config_hash_stable_and_sensitive():
     a = SearchConfig().config_hash()
     assert a == SearchConfig().config_hash()
     assert a != SearchConfig(seed=1).config_hash()
+
+
+# ---------------------------------------------------------------------------
+# the flat form against per-group reference loops
+
+
+def _penalty_loop(w, groups, omega, lambda_w):
+    value, grad = 0.0, np.zeros_like(w)
+    for members, og in zip(groups, omega):
+        wg = w[members]
+        norm = float(np.linalg.norm(wg))
+        value += lambda_w * og * norm
+        if norm > 0:
+            grad[members] += lambda_w * og * wg / norm
+    return value, grad
+
+
+def _group_update_loop(w, gamma_prev, c, floor, cap):
+    if w.size == 1:
+        omega = update_omega(gamma_prev, c, floor)
+        return float(update_switch(w, omega, cap)[0]), float(omega[0])
+    omega_sq = np.maximum(gamma_prev - c, 0.0) / gamma_prev**2
+    omega_g = max(float(np.sqrt(np.sum(omega_sq))), floor)
+    return min(float(np.linalg.norm(w)) / omega_g, cap), omega_g
+
+
+def _structural_update_loop(w, groups, gamma, omega, alive, h, floor, cap):
+    gamma, omega, h = gamma.copy(), omega.copy(), np.maximum(h, 0.0)
+    for g, members in enumerate(groups):
+        if not alive[g]:
+            continue
+        gamma_g = min(float(np.linalg.norm(w[members])) / max(omega[g], floor), cap)
+        hg = h[members]
+        gamma[g] = gamma_g
+        omega[g] = max(float(np.sqrt(np.sum(np.abs(hg / (1.0 + gamma_g * hg))))), floor)
+    return gamma, omega
+
+
+@st.composite
+def grouped_vectors(draw):
+    """A vector, overlapping groups over it (some of one member), some groups
+    zeroed, an alive flag per group and a seeded generator for the rest."""
+    n = draw(st.integers(1, 10))
+    member_sets = st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True)
+    groups = [np.array(m) for m in draw(st.lists(member_sets, min_size=1, max_size=8))]
+    flags = st.lists(st.booleans(), min_size=len(groups), max_size=len(groups))
+    zeroed, alive = draw(flags), np.array(draw(flags))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    w = rng.normal(size=n)
+    for members, zero in zip(groups, zeroed):
+        if zero:
+            w[members] = 0.0
+    return w, groups, alive, rng
+
+
+def _close(value, ref):
+    """Within 1e-12 relative to the reference's largest magnitude."""
+    value, ref = np.asarray(value), np.asarray(ref)
+    return np.max(np.abs(value - ref), initial=0.0) <= 1e-12 * np.max(np.abs(ref), initial=0.0)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=100)
+@given(case=grouped_vectors())
+def test_flat_penalty_matches_the_group_loop(case):
+    w, groups, _, rng = case
+    omega = rng.random(len(groups)) * 3.0
+    value, grad = group_l2_penalty(w, *flat_groups([GroupSpec(g, m) for g, m in
+                                                    enumerate(groups)]), omega, 0.1)
+    ref_value, ref_grad = _penalty_loop(w, groups, omega, 0.1)
+    assert _close(value, ref_value)
+    assert _close(grad, ref_grad)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=100)
+@given(case=grouped_vectors())
+def test_flat_group_update_matches_the_group_loop(case):
+    _, groups, _, rng = case
+    _, group = flat_groups([GroupSpec(g, m) for g, m in enumerate(groups)])
+    w = rng.normal(size=group.size) * (rng.random(group.size) < 0.8)
+    gamma = 10.0 ** rng.uniform(-2, 2, group.size)
+    c = update_posterior_variance(gamma, 10.0 ** rng.uniform(-3, 3, group.size)
+                                  * (rng.random(group.size) < 0.8))
+    s, omega = group_update(w, gamma, c, group, 1e-8, 1e6)
+    for g, members in enumerate(groups):
+        at = group == g
+        ref_s, ref_omega = _group_update_loop(w[at], gamma[at], c[at], 1e-8, 1e6)
+        if members.size == 1:
+            assert (s[g], omega[g]) == (ref_s, ref_omega)
+        assert _close(s[g], ref_s) and _close(omega[g], ref_omega)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=100)
+@given(case=grouped_vectors())
+def test_flat_structural_update_matches_the_group_loop(case):
+    w, groups, alive, rng = case
+    state = updates.HyperState.init([GroupSpec(g, m) for g, m in enumerate(groups)])
+    state.gamma = rng.random(len(groups)) * 2.0
+    state.omega = 10.0 ** rng.uniform(-10, 1, len(groups))
+    state.alive = alive
+    h = rng.normal(size=w.size) * 2.0
+    ref_gamma, ref_omega = _structural_update_loop(w, groups, state.gamma, state.omega,
+                                                   alive, h, 1e-8, 1e6)
+    before = state.gamma.copy(), state.omega.copy()
+    updates.structural_update(w, state, h, 1e-8, 1e6)
+    assert _close(state.gamma[alive], ref_gamma[alive])
+    assert _close(state.omega[alive], ref_omega[alive])
+    assert np.array_equal(state.gamma[~alive], before[0][~alive])
+    assert np.array_equal(state.omega[~alive], before[1][~alive])
