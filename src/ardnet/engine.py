@@ -39,7 +39,8 @@ class SearchRun:
 
     mode: str
     config: SearchConfig
-    history: list = field(default_factory=list)  # dict rows, one per epoch
+    # dict rows: one per outer iteration, then one per retrain epoch
+    history: list = field(default_factory=list)
     report: dict = field(default_factory=dict)
 
     def history_row(self, **kw):
@@ -269,8 +270,9 @@ class _EdgeSlots:
         """Per-edge curvature, closed-form (c, omega, s) per group, then gamma."""
         graph, edges, config = self.model, self.model.edges, self.config
         out, gcache = sg.graph_forward(graph, x)
-        # the approx recursion reads each op's output gradient
-        sg.graph_backward(graph, gcache, nn.energy(out, y, self.kind)[1])
+        if config.hessian_mode == "approx":
+            # the approx recursion reads each op's output gradient
+            sg.graph_backward(graph, gcache, nn.energy(out, y, self.kind)[1])
         h_seed = nn.energy_hessian(out, y, self.kind,
                                    "exact" if config.hessian_mode == "exact" else "diag")
         hess = sg.arch_scalar_hessian(graph, gcache, h_seed, config.hessian_mode)

@@ -159,7 +159,8 @@ class SuperGraph:
 
     `order` is the topological order of all nodes.  Only `__post_init__`
     and `insert_zero_gates` write the edge list or an edge's src/dst, and
-    both recompute it; a prune changes `alive` only, never the order.
+    both recompute it; a prune changes `alive` only, never the order.  The
+    alive adjacency is cached in a `_Plan` keyed on the alive flags.
     """
 
     n_nodes: int
@@ -170,6 +171,7 @@ class SuperGraph:
     gate_node_of: dict = field(default_factory=dict)  # auxiliary node -> guarded node
     degenerate: bool = False
     order: list = field(init=False, repr=False)
+    _plan: _Plan | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.output_node is None:
@@ -206,28 +208,56 @@ def topo_order(graph):
         raise ValueError(f"graph contains a cycle: {err.args[1]}") from None
 
 
+@dataclass
+class _Plan:
+    """Alive adjacency of a graph, valid while its alive flags equal `key`.
+
+    Edge-id lists are ascending.  `steps` holds, for each non-input node in
+    topological order, (node, [(edge id, edge, source node, layer), ...])
+    over its alive in-edges; layer is the op's fc layer when the op is one
+    plain matrix, else None.  The layer, not its weights, is kept, because
+    retraining replaces `layer.weights`.
+    """
+
+    key: list
+    ins: list      # node -> alive in-edge ids
+    outs: list     # node -> alive out-edge ids
+    fan_out: list  # node -> every out-edge id, alive or not
+    steps: list
+
+
+def _matrix_layer(op):
+    """The op's layer when it is one fc map with no bias, mask or activation."""
+    if op.tag != "fc" or not op.layers or len(op.layers) != 1:
+        return None
+    layer = op.layers[0]
+    plain = layer.bias is None and layer.mask is None and layer.activation == "identity"
+    return layer if layer.kind == "fc" and plain else None
+
+
+def _plan(graph):
+    """The graph's plan, rebuilt when an alive flag or the edge count changed
+    (code may write `edge.alive` directly)."""
+    edges = graph.edges
+    key = [e.alive for e in edges]
+    plan = graph._plan
+    if plan is not None and plan.key == key:
+        return plan
+    ins, outs, fan_out = ([[] for _ in range(graph.n_nodes)] for _ in range(3))
+    for eid, e in enumerate(edges):
+        fan_out[e.src].append(eid)
+        if e.alive:
+            ins[e.dst].append(eid)
+            outs[e.src].append(eid)
+    steps = [(node, [(eid, edges[eid], edges[eid].src, _matrix_layer(edges[eid].op))
+                     for eid in ins[node]])
+             for node in graph.order if node != graph.input_node]
+    graph._plan = _Plan(key, ins, outs, fan_out, steps)
+    return graph._plan
+
+
 # ---------------------------------------------------------------------------
 # forward / backward / curvature
-
-
-def _mix(graph, node, upstream):
-    """z_node = sum over alive in-edges of w_e * op_e(z_src).
-
-    upstream maps node id -> tensor, or None for a node that carries no
-    information flow; its out-edges are skipped.  Returns (z_node or None,
-    dict edge id -> (op output, op cache)).
-    """
-    total = None
-    caches = {}
-    for eid in graph.in_edges(node):
-        e = graph.edges[eid]
-        if upstream[e.src] is None:
-            continue
-        op_out, cache = e.op.apply(upstream[e.src])
-        caches[eid] = (op_out, cache)
-        term = e.w * op_out
-        total = term if total is None else total + term
-    return total, caches
 
 
 @dataclass
@@ -237,42 +267,70 @@ class GraphCache:
     edge_cache: dict  # edge id -> op-internal cache
 
 
+def _non_finite(eid, e):
+    return FloatingPointError(f"non-finite output of edge {eid} ({e.op.tag})")
+
+
 def graph_forward(graph, x):
-    """Topological evaluation; returns (output tensor, GraphCache)."""
+    """Topological evaluation; returns (output tensor, GraphCache).
+
+    z_node is the sum over alive in-edges of w_e * op_e(z_src); a node with
+    no information flow holds None and its out-edges are skipped.  A plain
+    matrix op runs as one matmul and records the cache `nn.forward` makes.
+    """
     node_z = {graph.input_node: np.asarray(x, dtype=np.float64)}
     edge_out, edge_cache = {}, {}
-    for node in graph.order:
-        if node == graph.input_node:
-            continue
-        z, caches = _mix(graph, node, node_z)  # None: no information flow
-        node_z[node] = z
-        for eid, (out, cache) in caches.items():
+    for node, steps in _plan(graph).steps:
+        total = None
+        for eid, e, src, layer in steps:
+            z = node_z[src]
+            if z is None:
+                continue
+            if layer is None:
+                try:
+                    out, cache = e.op.apply(z)
+                except FloatingPointError:
+                    raise _non_finite(eid, e) from None
+            else:
+                out = z @ layer.weights.T
+                if not np.isfinite(out).all():
+                    raise _non_finite(eid, e)
+                cache = [nn.LayerCache(x=z, preact=out, out=out)]
             edge_out[eid] = out
             edge_cache[eid] = cache
+            term = e.w * out
+            total = term if total is None else total + term
+        node_z[node] = total
     if node_z.get(graph.output_node) is None:
         raise ValueError("output node receives no information flow")
     return node_z[graph.output_node], GraphCache(node_z, edge_out, edge_cache)
 
 
 def graph_backward(graph, gcache, grad_output):
-    """Reverse accumulation.
+    """Reverse accumulation over the edges the forward pass ran.
 
-    Returns (dict edge id -> dE/dw scalar, dict node id -> dE/dz_node).
+    Returns (dict edge id -> dE/dw scalar, dict node id -> dE/dz_node).  A
+    plain matrix op's cache gets its grad_out, as `nn.backward` sets it.
     """
     node_g = {graph.output_node: np.asarray(grad_output, dtype=np.float64)}
     w_grads = {}
-    for node in reversed(graph.order):
+    edge_out, edge_cache = gcache.edge_out, gcache.edge_cache
+    for node, steps in reversed(_plan(graph).steps):
         g = node_g.get(node)
         if g is None:
             continue
-        for eid in graph.in_edges(node):
-            e = graph.edges[eid]
-            w_grads[eid] = float(np.sum(g * gcache.edge_out[eid]))
-            gx = e.w * e.op.vjp(gcache.edge_cache[eid], g)
-            if node_g.get(e.src) is None:
-                node_g[e.src] = gx
+        for eid, e, src, layer in steps:
+            out = edge_out.get(eid)
+            if out is None:  # its source carried no information flow
+                continue
+            w_grads[eid] = float((g * out).sum())
+            if layer is None:
+                gx = e.w * e.op.vjp(edge_cache[eid], g)
             else:
-                node_g[e.src] = node_g[e.src] + gx
+                edge_cache[eid][0].grad_out = g
+                gx = e.w * (g @ layer.weights)
+            prev = node_g.get(src)
+            node_g[src] = gx if prev is None else prev + gx
     return w_grads, node_g
 
 
@@ -315,12 +373,13 @@ def arch_scalar_hessian(graph, gcache, h_seed, mode="exact"):
         raise ValueError(f"unknown arch-hessian mode {mode!r}")
     # one backward sweep over the topological order: per node, the sum of
     # what its out-edges pull back from their targets
+    outs = _plan(graph).outs
     down = {graph.output_node: seed}
     for node in reversed(graph.order):
         if node == graph.output_node or gcache.node_z.get(node) is None:
             continue
         acc = None
-        for eid in graph.out_edges(node):
+        for eid in outs[node]:
             e = graph.edges[eid]
             if down.get(e.dst) is None:
                 continue
@@ -360,7 +419,7 @@ def gamma_of_edge(graph, eid):
         src = guarded  # predecessor mass lives on the guarded node
     if src != graph.input_node:
         pred = 0.0
-        for pid in graph.in_edges(src):
+        for pid in _plan(graph).ins[src]:
             p = graph.edges[pid]
             if p.is_gate:
                 continue
@@ -448,12 +507,13 @@ def restore_widest_path(graph):
     Fallback for a fully disconnected prune; marks the graph degenerate.
     Returns the list of revived edge ids.
     """
+    fan_out = _plan(graph).fan_out
     best = {graph.input_node: np.inf}
     back = {}
     for node in graph.order:
         if node not in best:
             continue
-        for eid in graph.out_edges(node, alive_only=False):
+        for eid in fan_out[node]:
             e = graph.edges[eid]
             cand = min(best[node], e.gamma)
             if cand > best.get(e.dst, -np.inf):
@@ -506,6 +566,7 @@ def insert_zero_gates(graph):
         graph.gate_map[node] = gate_id
         graph.gate_node_of[aux] = node
     graph.order = topo_order(graph)
+    graph._plan = None  # edges were re-pointed
     return graph
 
 

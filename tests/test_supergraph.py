@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ardnet import nn
 from ardnet import supergraph as sg
@@ -27,23 +29,25 @@ def chain_graph(n, **kw):
 def test_single_identity_edge_passes_through():
     g = chain_graph(2, w=1.0)
     z = np.array([[1.0, -2.0]])
-    assert np.array_equal(sg._mix(g, 1, {0: z})[0], z)
+    assert np.array_equal(sg.graph_forward(g, z)[0], z)
 
 
 def test_two_half_weight_edges_are_convex():
-    g = sg.SuperGraph(3, [identity_edge(0, 2, w=0.5), identity_edge(1, 2, w=0.5)])
+    g = sg.SuperGraph(3, [identity_edge(0, 1), identity_edge(0, 2, w=0.5),
+                          identity_edge(1, 2, w=0.5)])
     z = np.array([[4.0, 6.0]])
-    out, _ = sg._mix(g, 2, {0: z, 1: z})
+    out, _ = sg.graph_forward(g, z)
     assert np.allclose(out, z)
 
 
 def test_mix_matches_brute_force_expansion():
     rng = np.random.default_rng(0)
     x = rng.normal(size=(2, 1, 4, 4))
-    ops = [sg.make_op("conv3x3", rng=rng, channels=(1, 1)) for _ in range(2)]
-    g = sg.SuperGraph(3, [sg.Edge(0, 2, ops[0], w=0.3), sg.Edge(1, 2, ops[1], w=-1.2)])
-    y = rng.normal(size=(2, 1, 4, 4))
-    out, _ = sg._mix(g, 2, {0: x, 1: y})
+    ops = [sg.make_op("conv3x3", rng=rng, channels=(1, 1)) for _ in range(3)]
+    g = sg.SuperGraph(3, [sg.Edge(0, 1, ops[2]), sg.Edge(0, 2, ops[0], w=0.3),
+                          sg.Edge(1, 2, ops[1], w=-1.2)])
+    y = ops[2].apply(x)[0]
+    out, _ = sg.graph_forward(g, x)
     ref = 0.3 * ops[0].apply(x)[0] + (-1.2) * ops[1].apply(y)[0]
     assert np.max(np.abs(out - ref)) < 1e-12
 
@@ -90,6 +94,215 @@ def test_w_gradients_match_finite_differences():
         wm[eid] -= step
         ref = (energy_at(wp) - energy_at(wm)) / (2 * step)
         assert abs(w_grads[eid] - ref) / max(abs(ref), 1e-8) < 1e-6
+
+
+@pytest.mark.parametrize("op", [
+    sg.make_op("fc", matrix=np.full((2, 2), 1e300)),
+    sg.Op("fc", [nn.Layer("fc", weights=np.full((2, 2), 1e300), activation="relu")]),
+    sg.Op("conv3x3", [nn.Layer("conv2d", weights=np.full((2, 2, 3, 3), 1e300), padding=1)]),
+], ids=["matrix", "fc-relu", "conv3x3"])
+def test_overflow_names_the_edge(op):
+    g = sg.SuperGraph(3, [identity_edge(0, 1), sg.Edge(1, 2, op)])
+    x = np.full((1, 2) if op.tag == "fc" else (1, 2, 3, 3), 1e10)
+    with np.errstate(over="ignore"), pytest.raises(
+            FloatingPointError, match=rf"^non-finite output of edge 1 \({op.tag}\)$"):
+        sg.graph_forward(g, x)
+
+
+def test_backward_skips_edges_whose_source_has_no_flow():
+    # node 1 has no in-edge, so its out-edge runs in neither pass
+    g = sg.SuperGraph(4, [identity_edge(0, 2), identity_edge(1, 2), identity_edge(2, 3)])
+    x = np.array([[1.0, 2.0]])
+    out, gcache = sg.graph_forward(g, x)
+    w_grads, node_g = sg.graph_backward(g, gcache, np.ones_like(out))
+    assert sorted(w_grads) == [0, 2]
+    assert 1 not in node_g
+
+
+# ---------------------------------------------------------------------------
+# the cached plan against the per-edge loop it replaces
+
+
+def loop_forward(graph, x):
+    """Per-edge reference: alive in-edges by linear scan, every op applied
+    through the op itself."""
+    node_z = {graph.input_node: np.asarray(x, dtype=np.float64)}
+    edge_out, edge_cache = {}, {}
+    for node in graph.order:
+        if node == graph.input_node:
+            continue
+        total = None
+        for eid in graph.in_edges(node):
+            e = graph.edges[eid]
+            if node_z[e.src] is None:
+                continue
+            edge_out[eid], edge_cache[eid] = e.op.apply(node_z[e.src])
+            term = e.w * edge_out[eid]
+            total = term if total is None else total + term
+        node_z[node] = total
+    if node_z.get(graph.output_node) is None:
+        raise ValueError("output node receives no information flow")
+    return node_z[graph.output_node], sg.GraphCache(node_z, edge_out, edge_cache)
+
+
+def loop_backward(graph, gcache, grad_output):
+    node_g = {graph.output_node: np.asarray(grad_output, dtype=np.float64)}
+    w_grads = {}
+    for node in reversed(graph.order):
+        g = node_g.get(node)
+        if g is None:
+            continue
+        for eid in graph.in_edges(node):
+            e = graph.edges[eid]
+            w_grads[eid] = float(np.sum(g * gcache.edge_out[eid]))
+            gx = e.w * e.op.vjp(gcache.edge_cache[eid], g)
+            node_g[e.src] = gx if node_g.get(e.src) is None else node_g[e.src] + gx
+    return w_grads, node_g
+
+
+def loop_arch_hessian(graph, gcache, h_seed, mode):
+    """arch_scalar_hessian with out-edges found by linear scan."""
+    if mode == "exact":
+        out = gcache.node_z[graph.output_node]
+        seed = np.eye(out.reshape(out.shape[0], -1).shape[1])
+
+        def pull(eid, e, j_dst):
+            m = e.op.matrix()
+            return e.w * (j_dst if m is None else j_dst @ m)
+
+        def edge_hess(u, j_dst):
+            ju = u.reshape(h_seed.shape[0], -1) @ j_dst.T
+            return float(np.einsum("bi,bij,bj->", ju, h_seed, ju))
+    else:
+        seed = h_seed
+
+        def pull(eid, e, h_dst):
+            return e.w**2 * e.op.hess_backmap(gcache.edge_cache[eid], h_dst)
+
+        def edge_hess(u, h_dst):
+            return float(np.mean(np.abs(u)) ** 2 * np.sum(h_dst))
+    down = {graph.output_node: seed}
+    for node in reversed(graph.order):
+        if node == graph.output_node or gcache.node_z.get(node) is None:
+            continue
+        acc = None
+        for eid in graph.out_edges(node):
+            e = graph.edges[eid]
+            if down.get(e.dst) is None:
+                continue
+            term = pull(eid, e, down[e.dst])
+            acc = term if acc is None else acc + term
+        down[node] = acc
+    hess = {}
+    for eid in graph.alive_edge_ids():
+        d = down.get(graph.edges[eid].dst)
+        hess[eid] = 0.0 if d is None or eid not in gcache.edge_out \
+            else edge_hess(gcache.edge_out[eid], d)
+    return hess
+
+
+def same_bits(a, b):
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(same_bits(a[k], b[k]) for k in a)
+    if isinstance(a, list):
+        return len(a) == len(b) and all(map(same_bits, a, b))
+    if a is None or b is None:
+        return a is b
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def grad_outs(gcache):
+    return {eid: None if cache is None else [c.grad_out for c in cache]
+            for eid, cache in gcache.edge_cache.items()}
+
+
+DIM, SIDE = 3, 6  # dense feature width; spatial side length at depth 0
+
+
+def plan_op(kind, rng):
+    if kind in ("identity", "conv3x3", "maxpool"):
+        return sg.make_op(kind, rng=rng, channels=(1, 1))
+    op = sg.make_op("fc", matrix=rng.normal(size=(DIM, DIM)))
+    layer = op.layers[0]
+    if kind == "fc-bias":
+        layer.bias = rng.normal(size=DIM)
+    elif kind == "fc-mask":
+        layer.mask = (rng.random((DIM, DIM)) < 0.7).astype(float)
+    elif kind == "fc-relu":
+        layer.activation = "relu"
+    return op
+
+
+@st.composite
+def plan_graphs(draw):
+    """(n_nodes, [(src, dst, kind)], spatial, gates): a chain plus extra edges.
+    Dense graphs mix fc variants and identities; spatial graphs give node j
+    a depth (spatial side SIDE - depth), joined by conv3x3 or identity
+    within a depth and by 2x2 stride-1 maxpool from one depth to the next."""
+    spatial = draw(st.booleans())
+    n = draw(st.integers(3, 6))
+    if spatial:
+        steps = [draw(st.booleans()) for _ in range(n - 1)]
+        depth = np.concatenate([[0], np.cumsum(steps)]).tolist()
+    edges = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            if j != i + 1 and not draw(st.booleans()):
+                continue
+            if not spatial:
+                kinds = ["matrix", "fc-bias", "fc-mask", "fc-relu", "identity"]
+            elif depth[j] == depth[i]:
+                kinds = ["conv3x3", "identity"]
+            elif depth[j] == depth[i] + 1:
+                kinds = ["maxpool"]
+            else:
+                continue
+            edges.append((i, j, draw(st.sampled_from(kinds))))
+    return n, edges, spatial, draw(st.booleans())
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=60)
+@given(spec=plan_graphs(), seed=st.integers(0, 2**16))
+def test_plan_walk_equals_the_per_edge_loop(spec, seed):
+    n, edge_spec, spatial, gates = spec
+    rng = np.random.default_rng(seed)
+    g = sg.SuperGraph(n, [sg.Edge(i, j, plan_op(kind, rng)) for i, j, kind in edge_spec])
+    if gates:
+        sg.insert_zero_gates(g)
+    linear = all(kind in ("matrix", "identity") for _, _, kind in edge_spec)
+    x = rng.normal(size=(5, 1, SIDE, SIDE) if spatial else (5, DIM))
+    for _ in range(4):
+        # direct writes the plan must notice: alive flags, w, and the weights
+        # retraining replaces; then kill edges whose source lost its in-flow
+        for e in g.edges:
+            e.alive, e.w = bool(rng.random() < 0.8), float(rng.normal())
+            if e.op.layers and e.op.layers[0].kind == "fc":
+                e.op.layers[0].weights = rng.normal(size=(DIM, DIM))
+        reach = sg.reachable_nodes(g)
+        for e in g.edges:
+            e.alive = e.alive and e.src in reach
+        if g.output_node not in reach:
+            for forward in (sg.graph_forward, loop_forward):
+                with pytest.raises(ValueError, match="no information flow"):
+                    forward(g, x)
+            continue
+        out, gcache = sg.graph_forward(g, x)
+        ref, rcache = loop_forward(g, x)
+        assert same_bits(out, ref)
+        assert same_bits(gcache.node_z, rcache.node_z)
+        assert same_bits(gcache.edge_out, rcache.edge_out)
+        t = rng.normal(size=out.shape)
+        _, e_grad = nn.energy(out, t, "mse")
+        got, ref_grads = sg.graph_backward(g, gcache, e_grad), loop_backward(g, rcache, e_grad)
+        assert got[0] == ref_grads[0]
+        assert same_bits(got[1], ref_grads[1])
+        assert same_bits(grad_outs(gcache), grad_outs(rcache))
+        modes = ("approx", "exact") if linear else ("approx",)
+        for mode in modes:
+            h_seed = nn.energy_hessian(out, t, "mse", "exact" if mode == "exact" else "diag")
+            assert sg.arch_scalar_hessian(g, gcache, h_seed, mode) == \
+                loop_arch_hessian(g, rcache, h_seed, mode)
 
 
 # ---------------------------------------------------------------------------
