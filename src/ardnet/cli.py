@@ -207,7 +207,7 @@ def main(argv=None):
     except (ValueError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (OSError, FloatingPointError, np.linalg.LinAlgError) as exc:
+    except (OSError, RuntimeError, FloatingPointError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

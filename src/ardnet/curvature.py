@@ -46,7 +46,8 @@ class CurvatureResult:
     layers).  preact[i] is the pre-activation Hessian: in exact mode a
     (b, n, n) stack wherever full matrices reach (fc and conv layers, and
     activation layers above the lowest of them), otherwise a diagonal array
-    shaped like the pre-activation.
+    shaped like the pre-activation; None below the lowest layer the
+    recursion visits.
     """
 
     weight_diag: list = field(default_factory=list)
@@ -54,8 +55,8 @@ class CurvatureResult:
     mode: str = "exact"
 
 
-def _require_backward(caches):
-    for idx, cache in enumerate(caches):
+def _require_backward(caches, stop):
+    for idx, cache in enumerate(caches[stop:], stop):
         if cache.grad_out is None:
             raise ValueError(f"missing backward pass: layer {idx} has no grad_out")
 
@@ -114,11 +115,12 @@ def network_curvature(layers, caches, target, energy_kind="mse", mode="exact"):
     """Run the curvature recursion over a forward/backward cache chain.
 
     The recursion is seeded with the analytic Hessian of the energy at the
-    network output (identity for mse, diag(p) - p p^T for softmax-ce).
+    network output (identity for mse, diag(p) - p p^T for softmax-ce).  It
+    stops at the lowest weighted layer, so the backward pass may too.
     """
     if mode not in ("exact", "diag"):
         raise ValueError(f"unknown curvature mode {mode!r}")
-    _require_backward(caches)
+    _require_backward(caches, nn._walk_stop(layers, input_grad=False))
     output = caches[-1].out
     full = mode == "exact"
     if full and _is_one_wide(layers, output):
@@ -126,11 +128,11 @@ def network_curvature(layers, caches, target, energy_kind="mse", mode="exact"):
         # exact recursion; sharing the code path keeps the two modes bitwise
         # identical instead of merely equal up to multiplication order
         h = nn.energy_hessian(output, target, energy_kind, "diag")
-        result, _ = propagate_curvature(layers, caches, h, "diag")
+        result, _ = propagate_curvature(layers, caches, h, "diag", input_grad=False)
         result.mode = "exact"
         return result
     h = nn.energy_hessian(output, target, energy_kind, "exact" if full else "diag")
-    result, _ = propagate_curvature(layers, caches, h, mode)
+    result, _ = propagate_curvature(layers, caches, h, mode, input_grad=False)
     return result
 
 
@@ -144,28 +146,32 @@ def _is_one_wide(layers, output):
     )
 
 
-def propagate_curvature(layers, caches, h_seed, mode="exact"):
+def propagate_curvature(layers, caches, h_seed, mode="exact", input_grad=True):
     """Run the curvature recursion from an arbitrary output-curvature seed.
 
     h_seed is the Hessian of the objective w.r.t. the stack output: per-sample
     full matrices (b, n, n) in exact mode, or a diagonal shaped like the
     output.  Returns (CurvatureResult, curvature diagonal w.r.t. the input).
+    input_grad=False stops at the lowest weighted layer, as nn.backward
+    does, and returns None for the input curvature.
     """
     h = h_seed
     result = CurvatureResult(weight_diag=[None] * len(layers),
                              preact=[None] * len(layers), mode=mode)
-    for idx in range(len(layers) - 1, -1, -1):
+    stop = nn._walk_stop(layers, input_grad)
+    for idx in range(len(layers) - 1, stop - 1, -1):
         layer, cache = layers[idx], caches[idx]
         if h.ndim == 3 and layer.kind not in ("fc", "conv2d", "activation"):
             h = _diag(h, cache.out.shape)  # pool and flatten read diagonals only
         h_pre = result.preact[idx] = _activation_step(layer, cache, h)
         full = h_pre.ndim == 3
         d_pre = _diag(h_pre, cache.preact.shape) if full else h_pre
+        input_term = input_grad or idx > stop
         result.weight_diag[idx], _, h = nn._ADJOINTS[layer.kind](
-            layer, cache, d_pre, squared=True)
-        if full:
+            layer, cache, d_pre, squared=True, input_term=input_term)
+        if full and input_term:
             h = _full_backmap(layers, caches, idx, h_pre)
-    return result, h
+    return result, h if input_grad else None
 
 
 def conv_hessian(layers, caches, target, energy_kind="mse", mode="approx"):

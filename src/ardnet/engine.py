@@ -20,7 +20,8 @@ from . import supergraph as sg
 from .curvature import network_curvature
 from .updates import (GroupSpec, HyperState, SearchConfig, flat_groups,
                       group_l2_penalty, group_update, make_groups, sgd_momentum_step,
-                      structural_update, update_posterior_variance)
+                      slab_axes, slab_l2_penalty, structural_update,
+                      update_posterior_variance)
 
 __all__ = [
     "SearchRun",
@@ -150,8 +151,10 @@ def _alternate(slots, data, config, run, trace=None):
         if not entropy_pruned and not cascade_pruned and moved < 1e-6:
             run.report["early_stop_iteration"] = t
             break
-    slots.finish(data, run)
-    run.report["final_test_error"] = evaluate(slots.model, data)
+    if slots.finish(data, run) or not run.history:
+        run.report["final_test_error"] = evaluate(slots.model, data)
+    else:  # the model is the one the last history row evaluated
+        run.report["final_test_error"] = run.history[-1]["test_error"]
     return run
 
 
@@ -167,13 +170,14 @@ def retrain_pruned(model, data, config, run=None):
     else:
         slots = _WeightSlots(model, {}, config, _energy_kind(data))
     rng = np.random.default_rng(config.seed + 1)
+    row = None
     for ep in range(1, config.retrain_epochs + 1):
         loss = _sgd_epoch(slots.retrain_batch, data, config.batch_size, rng)
         if run is not None:
-            run.history_row(iteration=-1, epoch=ep, loss=loss,
-                            test_error=evaluate(model, data),
-                            alive_edges=len(slots.gammas()))
-    return evaluate(model, data)
+            row = run.history_row(iteration=-1, epoch=ep, loss=loss,
+                                  test_error=evaluate(model, data),
+                                  alive_edges=len(slots.gammas()))
+    return evaluate(model, data) if row is None else row["test_error"]
 
 
 # ---------------------------------------------------------------------------
@@ -262,7 +266,7 @@ class _EdgeSlots:
                 cache = gcache.edge_cache.get(eid)
                 if g_dst is None or cache is None:
                     continue
-                grads, _ = nn.backward(e.op.layers, cache, e.w * g_dst)
+                grads, _ = nn.backward(e.op.layers, cache, e.w * g_dst, input_grad=False)
                 _step_layers(e.op.layers, grads, self.velocity, (eid,), self.config)
         return loss
 
@@ -316,6 +320,8 @@ class _EdgeSlots:
         return len(report.entropy_killed), cascade, report.degenerate
 
     def finish(self, data, run):
+        """Freeze the alive scalars at 1 and retrain the op weights.  True:
+        the frozen graph is a model that no history row evaluated."""
         graph, config = self.model, self.config
         if config.t_max > 0:
             for eid in graph.alive_edge_ids():
@@ -326,6 +332,7 @@ class _EdgeSlots:
             run.report["restored_path"] = self.restored
         run.report["degenerate"] = graph.degenerate
         run.report["alive_edges"] = graph.alive_edge_ids()
+        return True
 
 
 def _search(graph, data, config, groups, mode, trace):
@@ -365,11 +372,14 @@ class _WeightSlots:
     def __init__(self, net, patterns, config, kind):
         self.model, self.config, self.kind = net, config, kind
         self.states = {}  # layer index -> HyperState
+        self.slabs = {}  # layer index -> slab_axes of its groups, in order
         for li, names in patterns.items():
             if net[li].weights is None:
                 raise ValueError(f"layer {li} has no weights to compress")
-            self.states[li] = HyperState.init([grp for name in names for grp in
-                                               make_groups(net[li].weights.shape, name)])
+            shape = net[li].weights.shape
+            self.states[li] = HyperState.init([grp for name in names
+                                               for grp in make_groups(shape, name)])
+            self.slabs[li] = [axes for name in names for axes in slab_axes(shape, name)]
             if net[li].mask is None:
                 net[li].mask = np.ones_like(net[li].weights)
         self.velocity = {}
@@ -382,7 +392,7 @@ class _WeightSlots:
         net, config = self.model, self.config
         out, caches = nn.forward(net, x)
         loss, e_grad = nn.energy(out, y, self.kind)
-        grads, _ = nn.backward(net, caches, e_grad)
+        grads, _ = nn.backward(net, caches, e_grad, input_grad=False)
         for li, layer in enumerate(net):
             if grads[li] is None:
                 continue
@@ -390,10 +400,10 @@ class _WeightSlots:
             gw = gw + 2.0 * config.weight_decay * layer.masked_weights()
             state = self.states.get(li)
             if state is not None:
-                pen, pen_grad = group_l2_penalty(layer.masked_weights().ravel(), state.index,
-                                                 state.group, state.omega, config.lambda_w)
+                pen, pen_grad = slab_l2_penalty(layer.masked_weights(), self.slabs[li],
+                                                state.omega, config.lambda_w)
                 loss += pen
-                gw = gw + pen_grad.reshape(gw.shape)
+                gw = gw + pen_grad
             grads[li] = (gw, gb)
         _step_layers(net, grads, self.velocity, (), config)
         return loss
@@ -405,7 +415,7 @@ class _WeightSlots:
         net, config = self.model, self.config
         out, caches = nn.forward(net, x)
         _, e_grad = nn.energy(out, y, self.kind)
-        nn.backward(net, caches, e_grad)
+        nn.backward(net, caches, e_grad, input_grad=False)
         mode = "exact" if config.hessian_mode == "exact" else "diag"
         curv = network_curvature(net, caches, y, self.kind, mode)
         for li, state in self.states.items():
@@ -421,15 +431,18 @@ class _WeightSlots:
             killed += int(np.count_nonzero(dead))
             net[li].weights = net[li].weights * net[li].mask
             if not np.any(net[li].mask):
-                raise ValueError(f"network severed: layer {li} is fully pruned")
+                raise RuntimeError(f"network severed: layer {li} is fully pruned")
         return killed, 0, False
 
     def finish(self, data, run):
+        """Retrain the survivors, each epoch with a history row.  False:
+        the model is the one that the last history row evaluated."""
         net = self.model
         if self.config.retrain_epochs > 0:
             retrain_pruned(net, data, self.config, run)
         run.report["widths"] = surviving_widths(net)
         run.report["param_ratio"] = _surviving_param_ratio(net)
+        return False
 
 
 def run_compression(net, data, config, patterns):

@@ -266,18 +266,25 @@ def _layer_forward(layer, x, idx):
     if layer.kind in ("maxpool2d", "avgpool2d"):
         if x.ndim != 4:
             raise ValueError(f"layer {idx} ({layer.kind}) expects 4-d input, got {x.shape}")
-        p, s = layer.pool, layer.stride
-        b, c, h, w = x.shape
-        h_out, w_out = conv_output_shape(h, w, (p, p), s, 0)
+        p, (h, w) = layer.pool, x.shape[2:]
+        h_out, w_out = conv_output_shape(h, w, (p, p), layer.stride, 0)
         if h_out < 1 or w_out < 1:
             raise ValueError(f"layer {idx} ({layer.kind}): window {p} does not fit {h}x{w}")
-        win = np.lib.stride_tricks.sliding_window_view(x, (p, p), axis=(2, 3))
-        win = win[:, :, ::s, ::s].reshape(b, c, h_out, w_out, p * p)
+        views = _pool_views(layer, x, h_out, w_out)
         if layer.kind == "maxpool2d":
-            amax = np.argmax(win, axis=-1)
-            pre = np.take_along_axis(win, amax[..., None], axis=-1)[..., 0]
+            # a running maximum keeps a NaN for the finite check; the winner
+            # moves to j (above every earlier winner) only on a strict >,
+            # np.argmax's first-max rule on ties, and np.maximum returns its
+            # second argument on a tie such as (-0.0, 0.0)
+            pre, amax = views[0].copy(), np.zeros(views[0].shape, dtype=np.intp)
+            for j, view in enumerate(views[1:], 1):
+                np.maximum(amax, (view > pre) * j, out=amax)
+                np.maximum(view, pre, out=pre)
             return LayerCache(x=x, preact=pre, out=act(pre), argmax=amax)
-        pre = win.mean(axis=-1)
+        pre = np.zeros(views[0].shape)  # from +0.0, as a numpy sum starts
+        for view in views:
+            pre += view
+        pre /= p * p
         return LayerCache(x=x, preact=pre, out=act(pre))
     if layer.kind == "flatten":
         pre = x.reshape(x.shape[0], -1)
@@ -307,46 +314,57 @@ def forward(layers, x):
 # input) terms of its kind's linear map, None where the kind has no such
 # term.  squared=True squares every coefficient of the map, which turns it
 # into the diagonal curvature rule: diag(A^T D A) = (A*A)^T diag(D).
+# input_term=False skips the input term of a weighted kind; a walk asks it
+# of the lowest weighted layer when nothing reads the input gradient.
 
 
-def _fc_adjoint(layer, cache, g_pre, squared=False):
+def _fc_adjoint(layer, cache, g_pre, squared=False, input_term=True):
     x, w = cache.x, layer.masked_weights()
     if squared:
         x, w = x**2, w**2
     gb = g_pre.sum(axis=0) if layer.bias is not None else None
-    return g_pre.T @ x, gb, g_pre @ w
+    return g_pre.T @ x, gb, g_pre @ w if input_term else None
 
 
-def _conv_adjoint(layer, cache, g_pre, squared=False):
+def _conv_adjoint(layer, cache, g_pre, squared=False, input_term=True):
     c_out = layer.weights.shape[0]
     cols, wmat = cache.cols, layer.masked_weights().reshape(c_out, -1)
     if squared:
         cols, wmat = cols**2, wmat**2
     gp = g_pre.transpose(0, 2, 3, 1).reshape(-1, c_out)  # rows ordered like cols
     gb = gp.sum(axis=0) if layer.bias is not None else None
-    gx = col2im(gp @ wmat, cache.x.shape, layer.weights.shape[2:],
-                layer.stride, layer.padding)
+    gx = None
+    if input_term:
+        gx = col2im(gp @ wmat, cache.x.shape, layer.weights.shape[2:],
+                    layer.stride, layer.padding)
     return (gp.T @ cols).reshape(layer.weights.shape), gb, gx
 
 
-def _pool_adjoint(layer, cache, g_pre, squared=False):
+def _pool_views(layer, x, h_out, w_out):
+    """The p*p strided views x[:, :, u::s, v::s] of a pool's input, cut to
+    its output size; view u*p + v holds offset (u, v) of every window."""
     p, s = layer.pool, layer.stride
-    b, c, h_out, w_out = g_pre.shape
+    return [x[:, :, u : u + s * h_out : s, v : v + s * w_out : s]
+            for u in range(p) for v in range(p)]
+
+
+def _pool_adjoint(layer, cache, g_pre, squared=False, input_term=True):
     gx = np.zeros(cache.x.shape)
+    views = _pool_views(layer, gx, *g_pre.shape[2:])
     if layer.kind == "avgpool2d":
-        area = p * p  # every window input enters with weight 1/area
+        area = layer.pool**2  # every window input enters with weight 1/area
         g = g_pre / (area * area if squared else area)
-        for u in range(p):
-            for v in range(p):
-                gx[:, :, u : u + s * h_out : s, v : v + s * w_out : s] += g
-    else:  # maxpool: each window's winning input enters with weight 1
-        u, v = np.divmod(cache.argmax, p)
-        bi, ci, yi, xi = np.indices((b, c, h_out, w_out))
-        np.add.at(gx, (bi, ci, yi * s + u, xi * s + v), g_pre)
+        for view in views:
+            view += g
+    else:
+        # each window's winning input enters with weight 1; offsets run last
+        # to first, the order in which overlapping windows reach an input
+        for j in range(len(views) - 1, -1, -1):
+            views[j] += np.where(cache.argmax == j, g_pre, 0.0)
     return None, None, gx
 
 
-def _reshape_adjoint(layer, cache, g_pre, squared=False):
+def _reshape_adjoint(layer, cache, g_pre, squared=False, input_term=True):
     # flatten, and activation layers, whose map is the identity (the
     # activation's derivative is already in g_pre)
     return None, None, g_pre.reshape(cache.x.shape)
@@ -357,17 +375,29 @@ _ADJOINTS = {"fc": _fc_adjoint, "conv2d": _conv_adjoint,
              "activation": _reshape_adjoint, "flatten": _reshape_adjoint}
 
 
-def backward(layers, caches, loss_grad):
+def _walk_stop(layers, input_grad=True):
+    """Lowest layer index a reverse walk visits: 0 when the input term is
+    wanted, else the lowest weighted layer (len(layers) if none)."""
+    if input_grad:
+        return 0
+    return next((idx for idx, layer in enumerate(layers) if layer.weights is not None),
+                len(layers))
+
+
+def backward(layers, caches, loss_grad, input_grad=True):
     """Reverse pass.  Returns (per-layer (grad_w, grad_b) or None, grad_x).
 
-    Fills cache.grad_out as a side effect; the caches
+    input_grad=False stops at the lowest weighted layer: it forms no input
+    term, the layers below it are not visited and grad_x is None.  Fills
+    cache.grad_out of every visited layer as a side effect; the caches
     must come from a forward call on the same layers.
     """
     if len(caches) != len(layers):
         raise ValueError("cache list does not match layer list")
     g = np.asarray(loss_grad, dtype=np.float64)
     grads = [None] * len(layers)
-    for idx in range(len(layers) - 1, -1, -1):
+    stop = _walk_stop(layers, input_grad)
+    for idx in range(len(layers) - 1, stop - 1, -1):
         layer, cache = layers[idx], caches[idx]
         if cache.out is None:
             raise ValueError(f"stale cache at layer {idx}: run forward first")
@@ -378,10 +408,11 @@ def backward(layers, caches, loss_grad):
             )
         _, d1, _ = activation_funcs(layer.activation)
         cache.grad_out = g
-        gw, gb, g = _ADJOINTS[layer.kind](layer, cache, g * d1(cache.preact))
+        gw, gb, g = _ADJOINTS[layer.kind](layer, cache, g * d1(cache.preact),
+                                          input_term=input_grad or idx > stop)
         if gw is not None:
             grads[idx] = (gw if layer.mask is None else gw * layer.mask, gb)
-    return grads, g
+    return grads, g if input_grad else None
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,8 @@ with an omega floor and an s cap absorbing the hess = 0 degeneracy.  A group
 shares one (s, omega) across its members, and the reweighted l1 penalty is
 the group lasso on one-member groups.  Groups, overlapping or not, are held
 in the flat form of `flat_groups`, so every per-group sum is one bincount.
+The groups of a weight pattern are also slabs of the weight (`slab_axes`),
+so the per-batch compression penalty sums over axes instead.
 """
 
 from __future__ import annotations
@@ -33,6 +35,8 @@ __all__ = [
     "flat_groups",
     "group_update",
     "make_groups",
+    "slab_axes",
+    "slab_l2_penalty",
     "structural_update",
     "sgd_momentum_step",
     "cccp_surrogate_cost",
@@ -185,11 +189,36 @@ def group_update(w, gamma_prev, c, group, floor=1e-8, cap=1e6):
     return s, omega
 
 
-_PATTERNS = (
-    "shape", "row", "column", "row_and_column", "channel",
-    "group_shape", "group_row", "group_column", "group_row_and_column",
-    "filter",
-)
+# Every pattern is a set of slabs of the (n, c, m, k) view of a weight (a
+# 2-d (out, in) weight is (n, c, 1, 1)).  A slab kind keeps some axes, one
+# group per index of them in C order, and spans the others; the table holds
+# the spanned axes.  Row and column of a 2-d weight are its output and
+# input units.
+_SLABS = {
+    "shape": (0,), "row": (0, 3), "column": (0, 2), "channel": (0, 2, 3),
+    "group_shape": (0, 1), "group_row": (0, 1, 3), "group_column": (0, 1, 2),
+    "filter": (1, 2, 3),
+}
+_SLABS_2D = {**_SLABS, "row": (1, 2, 3), "column": (0, 2, 3)}
+_PATTERNS = {**{kind: (kind,) for kind in _SLABS},
+             "row_and_column": ("row", "column"),
+             "group_row_and_column": ("group_row", "group_column")}
+
+
+def _view4(shape):
+    shape = tuple(shape)
+    return shape + (1, 1) if len(shape) == 2 else shape
+
+
+def slab_axes(shape, pattern):
+    """Spanned axes of each slab kind of `pattern` over the (n, c, m, k)
+    view of a weight of `shape`, in the group order of `make_groups`."""
+    if len(shape) not in (2, 4):
+        raise ValueError(f"pattern {pattern!r} needs a 2-d or 4-d weight, got {tuple(shape)}")
+    if pattern not in _PATTERNS:
+        raise ValueError(f"unknown pattern {pattern!r}")
+    table = _SLABS_2D if len(shape) == 2 else _SLABS
+    return [table[kind] for kind in _PATTERNS[pattern]]
 
 
 def make_groups(shape, pattern):
@@ -199,48 +228,34 @@ def make_groups(shape, pattern):
     per output unit, column/shape = per input unit, filter = per output
     unit; the group_* variants need a genuine kernel axis.
     """
-    shape = tuple(shape)
-    if len(shape) == 2:
-        shape4 = (shape[0], shape[1], 1, 1)
-    elif len(shape) == 4:
-        shape4 = shape
-    else:
-        raise ValueError(f"pattern {pattern!r} needs a 2-d or 4-d weight, got {shape}")
-    n, c, m, k = shape4
+    slabs, shape4 = slab_axes(shape, pattern), _view4(shape)
     idx = np.arange(int(np.prod(shape4))).reshape(shape4)
+    members = []
+    for axes in slabs:
+        kept = tuple(a for a in range(4) if a not in axes)
+        span = int(np.prod([shape4[a] for a in axes]))
+        members.extend(idx.transpose(kept + axes).reshape(-1, span))
+    return [GroupSpec(gid, mem, pattern) for gid, mem in enumerate(members)]
 
-    def slabs(kind):
-        if kind == "shape":
-            return [idx[:, ci, ui, vi] for ci in range(c) for ui in range(m) for vi in range(k)]
-        if kind == "row":
-            if len(shape) == 2:
-                return [idx[ni, :, 0, 0] for ni in range(n)]
-            return [idx[:, ci, ui, :] for ci in range(c) for ui in range(m)]
-        if kind == "column":
-            if len(shape) == 2:
-                return [idx[:, ci, 0, 0] for ci in range(c)]
-            return [idx[:, ci, :, vi] for ci in range(c) for vi in range(k)]
-        if kind == "channel":
-            return [idx[:, ci] for ci in range(c)]
-        if kind == "group_shape":
-            return [idx[:, :, ui, vi] for ui in range(m) for vi in range(k)]
-        if kind == "group_row":
-            return [idx[:, :, ui, :] for ui in range(m)]
-        if kind == "group_column":
-            return [idx[:, :, :, vi] for vi in range(k)]
-        if kind == "filter":
-            return [idx[ni] for ni in range(n)]
-        raise ValueError(f"unknown pattern {kind!r}")
 
-    if pattern == "row_and_column":
-        members = slabs("row") + slabs("column")
-    elif pattern == "group_row_and_column":
-        members = slabs("group_row") + slabs("group_column")
-    elif pattern in _PATTERNS:
-        members = slabs(pattern)
-    else:
-        raise ValueError(f"unknown pattern {pattern!r}")
-    return [GroupSpec(gid, np.sort(mem.ravel()), pattern) for gid, mem in enumerate(members)]
+def slab_l2_penalty(w, slabs, omega, lambda_w):
+    """`group_l2_penalty` over the groups of `slab_axes` kinds `slabs`,
+    with omega in their group order: each kind's norms are one axis sum of
+    w^2, and its gradient broadcasts them back, with no gather or scatter.
+    """
+    w = np.asarray(w, dtype=np.float64)
+    w4 = w.reshape(_view4(w.shape))
+    coef = lambda_w * np.asarray(omega, dtype=np.float64)
+    sq, grad, term, norms = w4 * w4, np.zeros_like(w4), np.empty_like(w4), []
+    for axes in slabs:
+        norm = np.sqrt(np.sum(sq, axis=axes, keepdims=True))
+        start = sum(n.size for n in norms)
+        c = coef[start : start + norm.size].reshape(norm.shape)
+        live = norm > 0  # a zero slab's term is 0 (c * w / ||w|| elsewhere)
+        np.multiply(np.where(live, c, 0.0), w4, out=term)
+        grad += np.divide(term, np.where(live, norm, 1.0), out=term)
+        norms.append(norm.ravel())
+    return float(np.sum(coef * np.concatenate(norms))), grad.reshape(w.shape)
 
 
 @dataclass

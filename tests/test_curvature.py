@@ -333,3 +333,46 @@ def test_recursion_matches_finite_differences_on_conv_stacks(
     assume(energy_kind == "mse" or width > 1)
     x = 0.5 * rng.normal(size=(batch, c_in, side, side))
     check_stack(net + layers, x, energy_kind, rng)
+
+
+def bottom_weighted_stack(conv, rng):
+    """(layers, input): conv -> maxpool -> flatten -> fc, or flatten -> fc,
+    each with an fc classifier on top."""
+    if conv:
+        net = [nn.conv_layer(1, 3, 3, "relu", rng=rng), nn.pool_layer("maxpool2d", 2),
+               nn.flatten_layer(), nn.fc_layer(27, 5, "tanh", rng=rng)]
+        x = rng.normal(size=(4, 1, 8, 8))
+    else:
+        net = [nn.flatten_layer(), nn.fc_layer(16, 5, "tanh", rng=rng)]
+        x = rng.normal(size=(4, 1, 4, 4))
+    return net + [nn.fc_layer(5, 3, rng=rng)], x
+
+
+@pytest.mark.parametrize("conv", [True, False],
+                         ids=["conv-maxpool-flatten-fc", "flatten-fc"])
+def test_no_input_term_leaves_weight_gradients_and_diagonals_bitwise(conv):
+    rng = np.random.default_rng(40)
+    net, x = bottom_weighted_stack(conv, rng)
+    labels = rng.integers(0, 3, len(x))
+    out, full = nn.forward(net, x)
+    _, part = nn.forward(net, x)
+    _, e_grad = nn.energy(out, labels, "softmax_ce")
+    want, gx = nn.backward(net, full, e_grad)
+    got, none = nn.backward(net, part, e_grad, input_grad=False)
+    assert gx.shape == x.shape and none is None
+    stop = nn._walk_stop(net, input_grad=False)
+    assert all(cache.grad_out is None for cache in part[:stop])
+    for w, g in zip(want, got):
+        assert (w is None) == (g is None)
+        if w is not None:
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(w, g))
+    for mode in ("diag", "exact"):
+        h = nn.energy_hessian(out, labels, "softmax_ce", mode)
+        ref, h_in = curvature.propagate_curvature(net, full, h, mode)
+        res, none = curvature.propagate_curvature(net, part, h, mode, input_grad=False)
+        assert h_in.shape == x.shape and none is None
+        net_res = curvature.network_curvature(net, part, labels, "softmax_ce", mode)
+        for li, layer in enumerate(net):
+            if layer.weights is not None:
+                assert res.weight_diag[li].tobytes() == ref.weight_diag[li].tobytes()
+                assert net_res.weight_diag[li].tobytes() == ref.weight_diag[li].tobytes()

@@ -252,6 +252,30 @@ def test_two_patterns_of_a_layer_equal_their_combined_pattern():
     assert json.dumps(run1.history) == json.dumps(run2.history)
 
 
+@pytest.mark.parametrize("retrain_epochs", [0, 2])
+def test_compression_runs_one_test_pass_per_model_state(monkeypatch, retrain_epochs):
+    ds = make_blob_task()
+    net, patterns = compression_setup()
+    cfg = SearchConfig(t_max=4, epochs_per_iteration=1, batch_size=50,
+                       lambda_w=0.01, weight_decay=0.001, learning_rate=0.05,
+                       seed=0, hessian_mode="approx", retrain_epochs=retrain_epochs)
+    forward, test_passes = nn.forward, []
+
+    def counted(layers, x):
+        if x is ds.x_test:
+            test_passes.append(len(x))
+        return forward(layers, x)
+
+    monkeypatch.setattr(nn, "forward", counted)
+    net, run = engine.run_compression(net, ds, cfg, patterns)
+    # one pass per outer iteration and one per retrain epoch, none after
+    assert len(test_passes) == len(run.history)
+    assert len([row for row in run.history if row["iteration"] >= 1]) == cfg.t_max
+    assert run.report["final_test_error"] == run.history[-1]["test_error"]
+    monkeypatch.undo()
+    assert run.report["final_test_error"] == engine.evaluate(net, ds)
+
+
 def test_retrain_on_unpruned_net_is_ordinary_training():
     ds = make_blob_task()
     rng = np.random.default_rng(1)

@@ -1,8 +1,10 @@
 """Artifact serialization and the command-line interface."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,9 +14,13 @@ from ardnet import supergraph as sg
 from ardnet.updates import SearchConfig
 
 
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
 def run_cli(*argv):
+    env = dict(os.environ, PYTHONPATH=str(SRC))
     return subprocess.run([sys.executable, "-m", "ardnet.cli", *argv],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
 
 
 # ---------------------------------------------------------------------------
@@ -289,6 +295,21 @@ def test_cli_missing_data_exits_two(tmp_path):
     res = run_cli("compress", "--config", str(cfg), "--data",
                   str(tmp_path / "nope"), "--out", str(tmp_path / "x"))
     assert res.returncode == 2
+
+
+def test_cli_compress_that_severs_the_network_exits_two(tmp_path):
+    rng = np.random.default_rng(0)
+    for name, n in (("train", 64), ("t10k", 32)):
+        data.write_idx(tmp_path / f"{name}-images-idx3-ubyte",
+                       rng.integers(0, 256, (n, 28, 28)))
+        data.write_idx(tmp_path / f"{name}-labels-idx1-ubyte", rng.integers(0, 10, n))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"prune_threshold": 1e9, "t_max": 1}')
+    res = run_cli("compress", "--config", str(cfg), "--data", str(tmp_path),
+                  "--out", str(tmp_path / "x"))
+    assert res.returncode == 2
+    assert "error: network severed" in res.stderr
+    assert "Traceback" not in res.stderr
 
 
 def test_cli_export_dot(tmp_path):

@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from ardnet import nn
 
@@ -169,6 +172,78 @@ def test_maxpool_and_avgpool_forward():
     av, _ = nn.forward([nn.pool_layer("avgpool2d", 2)], x)
     assert np.array_equal(mx[0, 0], [[5, 7], [13, 15]])
     assert np.array_equal(av[0, 0], [[2.5, 4.5], [10.5, 12.5]])
+
+
+# ---------------------------------------------------------------------------
+# pools against the sliding-window kernels they replaced
+
+
+def window_pool(x, p, s, kind):
+    """Pool forward by sliding windows: (pre-activation, argmax or None)."""
+    b, c, h, w = x.shape
+    h_out, w_out = (h - p) // s + 1, (w - p) // s + 1
+    win = np.lib.stride_tricks.sliding_window_view(x, (p, p), axis=(2, 3))
+    win = win[:, :, ::s, ::s].reshape(b, c, h_out, w_out, p * p)
+    if kind == "avgpool2d":
+        return win.mean(axis=-1), None
+    amax = np.argmax(win, axis=-1)
+    return np.take_along_axis(win, amax[..., None], axis=-1)[..., 0], amax
+
+
+def scatter_maxpool_adjoint(x_shape, amax, g, p, s):
+    """Maxpool input gradient by one np.add.at over every window's winner."""
+    gx = np.zeros(x_shape)
+    u, v = np.divmod(amax, p)
+    bi, ci, yi, xi = np.indices(g.shape)
+    np.add.at(gx, (bi, ci, yi * s + u, xi * s + v), g)
+    return gx
+
+
+def bitwise(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+# few distinct values, signed zeros and negatives: relu makes many ties
+TIES = st.sampled_from([-1.0, -0.0, 0.0, 0.5, 1.0, 2.0])
+VALUES = TIES | st.floats(-4.0, 4.0, allow_subnormal=False)
+
+
+@st.composite
+def pool_cases(draw):
+    p, s = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    b, c = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    h, w = draw(st.integers(p, p + 7)), draw(st.integers(p, p + 7))
+    x = draw(hnp.arrays(np.float64, (b, c, h, w), elements=VALUES))
+    h_out, w_out = (h - p) // s + 1, (w - p) // s + 1
+    g = draw(hnp.arrays(np.float64, (b, c, h_out, w_out), elements=VALUES))
+    # an input that some window reads: offset (u, v) of window (yo, xo)
+    cell = (draw(st.integers(0, b - 1)), draw(st.integers(0, c - 1)),
+            draw(st.integers(0, h_out - 1)) * s + draw(st.integers(0, p - 1)),
+            draw(st.integers(0, w_out - 1)) * s + draw(st.integers(0, p - 1)))
+    return p, s, np.maximum(x, 0.0) if draw(st.booleans()) else x, g, cell
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=300)
+@given(case=pool_cases())
+def test_strided_offset_pools_equal_the_sliding_window_kernels(case):
+    p, s, x, g, cell = case
+    for kind in ("maxpool2d", "avgpool2d"):
+        layer = nn.pool_layer(kind, p, s)
+        out, caches = nn.forward([layer], x)
+        pre, amax = window_pool(x, p, s, kind)
+        _, gx = nn.backward([layer], caches, g)
+        if kind == "maxpool2d":
+            assert bitwise(out, pre)
+            assert bitwise(caches[0].argmax, amax)
+            assert bitwise(gx, scatter_maxpool_adjoint(x.shape, amax, g, p, s))
+        elif p <= 2:
+            assert bitwise(out, pre)
+        else:  # np.mean sums nine elements pairwise
+            np.testing.assert_allclose(out, pre, rtol=0, atol=1e-15 * np.abs(x).max())
+        bad = x.copy()
+        bad[cell] = np.nan
+        with pytest.raises(FloatingPointError):
+            nn.forward([layer], bad)
 
 
 def test_num_params():

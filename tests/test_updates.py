@@ -174,6 +174,79 @@ def test_make_groups_unknown_pattern():
         make_groups((2, 2), "diagonal")
 
 
+def index_set_groups(shape, pattern):
+    """make_groups by explicit index sets, one slab at a time."""
+    shape = tuple(shape)
+    n, c, m, k = shape4 = shape + (1, 1) if len(shape) == 2 else shape
+    idx = np.arange(int(np.prod(shape4))).reshape(shape4)
+
+    def slabs(kind):
+        if kind == "shape":
+            return [idx[:, ci, ui, vi] for ci in range(c) for ui in range(m) for vi in range(k)]
+        if kind == "row":
+            if len(shape) == 2:
+                return [idx[ni, :, 0, 0] for ni in range(n)]
+            return [idx[:, ci, ui, :] for ci in range(c) for ui in range(m)]
+        if kind == "column":
+            if len(shape) == 2:
+                return [idx[:, ci, 0, 0] for ci in range(c)]
+            return [idx[:, ci, :, vi] for ci in range(c) for vi in range(k)]
+        if kind == "channel":
+            return [idx[:, ci] for ci in range(c)]
+        if kind == "group_shape":
+            return [idx[:, :, ui, vi] for ui in range(m) for vi in range(k)]
+        if kind == "group_row":
+            return [idx[:, :, ui, :] for ui in range(m)]
+        if kind == "group_column":
+            return [idx[:, :, :, vi] for vi in range(k)]
+        return [idx[ni] for ni in range(n)]  # filter
+
+    if pattern == "row_and_column":
+        members = slabs("row") + slabs("column")
+    elif pattern == "group_row_and_column":
+        members = slabs("group_row") + slabs("group_column")
+    else:
+        members = slabs(pattern)
+    return [np.sort(mem.ravel()) for mem in members]
+
+
+PATTERNS = ["shape", "row", "column", "row_and_column", "channel", "group_shape",
+            "group_row", "group_column", "group_row_and_column", "filter"]
+SHAPES = [(5, 7), (4, 3, 2, 5)]
+
+
+@pytest.mark.parametrize("shape", SHAPES, ids=["2d", "4d"])
+@pytest.mark.parametrize("pattern", PATTERNS)
+def test_slab_table_reproduces_the_index_set_groups(shape, pattern):
+    groups = make_groups(shape, pattern)
+    ref = index_set_groups(shape, pattern)
+    assert [g.gid for g in groups] == list(range(len(ref)))
+    assert all(g.pattern == pattern for g in groups)
+    assert all(g.members.dtype == np.intp for g in groups)
+    assert [g.members.tolist() for g in groups] == [mem.tolist() for mem in ref]
+
+
+@pytest.mark.parametrize("shape", SHAPES, ids=["2d", "4d"])
+@pytest.mark.parametrize("pattern", PATTERNS)
+def test_axis_penalty_matches_the_flat_group_penalty(shape, pattern):
+    rng = np.random.default_rng(len(pattern))
+    groups = make_groups(shape, pattern)
+    w = rng.normal(size=shape)
+    for grp in groups[::3]:  # dead slabs: zeroed, as the prune masks them
+        w.ravel()[grp.members] = 0.0
+    omega = rng.uniform(0.1, 3.0, len(groups))
+    value, grad = updates.slab_l2_penalty(w, updates.slab_axes(shape, pattern), omega, 0.3)
+    ref_value, ref_grad = group_l2_penalty(w.ravel(), *flat_groups(groups), omega, 0.3)
+    assert value == pytest.approx(ref_value, rel=1e-12, abs=0.0)
+    assert grad.shape == shape
+    np.testing.assert_allclose(grad.ravel(), ref_grad, rtol=1e-12, atol=0.0)
+
+
+def test_slab_axes_rejects_other_ranks():
+    with pytest.raises(ValueError, match="2-d or 4-d"):
+        updates.slab_axes((2, 3, 4), "row")
+
+
 def test_structural_update_zero_group_collapses():
     w = np.zeros((2, 3))
     w[0] = [1.0, 1.0, 1.0]
