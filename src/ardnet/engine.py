@@ -208,17 +208,21 @@ class _EdgeSlots:
 
     The alive members of each group change only at a prune, so they are
     gathered once per iteration, in flat form, with their group's omega.
+    Between prunes training steps `w`, one array over edge ids; `update`
+    writes it back to the edges.
     """
 
     def __init__(self, graph, groups, config, kind):
         self.model, self.config, self.kind = graph, config, kind
         self.index, self.group = flat_groups(groups)
         self.velocity = {}
+        self.w_velocity = np.zeros(len(graph.edges))
         self.restored = None
         self._gather()
 
     def _gather(self):
         edges = self.model.edges
+        self.w = np.array([e.w for e in edges])
         live = np.array([e.alive for e in edges], dtype=bool)[self.index]
         self.alive = self.index[live]
         # every alive member of a group shares its omega; take the first's
@@ -234,46 +238,47 @@ class _EdgeSlots:
                 for eid, e in enumerate(self.model.edges)}
 
     def train_batch(self, x, y):
-        graph, edges, config = self.model, self.model.edges, self.config
-        out, gcache = sg.graph_forward(graph, x)
+        config, w, alive = self.config, self.w, self.alive
+        out, gcache = sg.graph_forward(self.model, x, w)
         loss, e_grad = nn.energy(out, y, self.kind)
-        alive = self.alive.tolist()
-        w = np.array([e.w for e in edges])
-        pen, pen_grad = group_l2_penalty(w, self.alive, self.group_of, self.omega,
+        pen, pen_grad = group_l2_penalty(w, alive, self.group_of, self.omega,
                                          config.lambda_w)
-        w_grads, _ = sg.graph_backward(graph, gcache, e_grad)
-        grad = np.array([w_grads.get(eid, 0.0) for eid in alive]) + pen_grad[self.alive]
+        w_grads, _ = sg.graph_backward(self.model, gcache, e_grad)
+        grad = w_grads[alive] + pen_grad[alive]
         # tied slots are one shared scalar: sum member gradients and move
         # every member by the same step, so repeated cells stay bitwise equal
         grad = np.bincount(self.group_of, weights=grad)[self.group_of]
-        velocity = self.velocity.setdefault("w", np.zeros(len(edges)))
-        w, velocity[self.alive] = sgd_momentum_step(
-            w[self.alive], grad, velocity[self.alive], config.learning_rate, config.momentum)
-        for eid, wi in zip(alive, w):
-            edges[eid].w = wi
+        w[alive], self.w_velocity[alive] = sgd_momentum_step(
+            w[alive], grad, self.w_velocity[alive], config.learning_rate, config.momentum)
         return loss + pen
 
     def retrain_batch(self, x, y):
         graph, edges = self.model, self.model.edges
-        out, gcache = sg.graph_forward(graph, x)
+        out, gcache = sg.graph_forward(graph, x, self.w)
         loss, e_grad = nn.energy(out, y, self.kind)
         trainable = [eid for eid in self.alive.tolist() if edges[eid].op.layers]
         if trainable:
             _, node_g = sg.graph_backward(graph, gcache, e_grad)
             for eid in trainable:
                 e = edges[eid]
-                g_dst = node_g.get(e.dst)
-                cache = gcache.edge_cache.get(eid)
+                g_dst = node_g[e.dst]
+                cache = sg.op_cache(graph, gcache, eid)
                 if g_dst is None or cache is None:
                     continue
-                grads, _ = nn.backward(e.op.layers, cache, e.w * g_dst, input_grad=False)
+                grads, _ = nn.backward(e.op.layers, cache, self.w[eid] * g_dst,
+                                       input_grad=False)
                 _step_layers(e.op.layers, grads, self.velocity, (eid,), self.config)
         return loss
 
     def update(self, x, y):
-        """Per-edge curvature, closed-form (c, omega, s) per group, then gamma."""
+        """Write w back to the edges; per-edge curvature, closed-form
+        (c, omega, s) per group, then gamma."""
         graph, edges, config = self.model, self.model.edges, self.config
-        out, gcache = sg.graph_forward(graph, x)
+        alive, group = self.alive.tolist(), self.group_of
+        w = self.w[self.alive]
+        for eid, wi in zip(alive, w):
+            edges[eid].w = wi
+        out, gcache = sg.graph_forward(graph, x, self.w)
         if config.hessian_mode == "approx":
             # the approx recursion reads each op's output gradient
             sg.graph_backward(graph, gcache, nn.energy(out, y, self.kind)[1])
@@ -282,11 +287,9 @@ class _EdgeSlots:
         hess = sg.arch_scalar_hessian(graph, gcache, h_seed, config.hessian_mode)
         for eid, h in hess.items():
             edges[eid].hess = max(h, 0.0)
-        alive, group = self.alive.tolist(), self.group_of
         gamma_prev = np.array([edges[eid].gamma for eid in alive])
         c = update_posterior_variance(gamma_prev, [edges[eid].hess for eid in alive])
-        s, omega = group_update([edges[eid].w for eid in alive], gamma_prev, c, group,
-                                config.omega_floor, config.s_cap)
+        s, omega = group_update(w, gamma_prev, c, group, config.omega_floor, config.s_cap)
         for eid, ci, si, oi in zip(alive, c.tolist(), s[group].tolist(), omega[group].tolist()):
             e = edges[eid]
             e.c, e.omega = ci, oi

@@ -12,6 +12,7 @@ gamma harmonically.
 from __future__ import annotations
 
 import graphlib
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,6 +30,7 @@ __all__ = [
     "topo_order",
     "graph_forward",
     "graph_backward",
+    "op_cache",
     "arch_scalar_hessian",
     "gamma_of_edge",
     "refresh_gammas",
@@ -66,16 +68,18 @@ class Op:
 
     @property
     def is_linear_map(self) -> bool:
-        """True when the op is a fixed linear map (exact-curvature capable)."""
-        return self.tag in ("identity", "zero_gate", "fc")
+        """True when the op is a fixed linear map (exact-curvature capable):
+        identity-like, or one fc matrix with no bias, mask or activation."""
+        return self.tag in ("identity", "zero_gate") or _matrix_layer(self) is not None
 
     def matrix(self):
         """The (d_out, d_in) matrix of a linear op; None for identity-like."""
         if self.tag in ("identity", "zero_gate"):
             return None
-        if self.tag == "fc":
-            return self.layers[0].masked_weights()
-        raise ValueError(f"op {self.tag!r} has no dense matrix form")
+        layer = _matrix_layer(self)
+        if layer is None:
+            raise ValueError(f"op {self.tag!r} has no dense matrix form")
+        return layer.weights
 
     def apply(self, z):
         """Returns (output, cache); cache feeds vjp / hess_backmap."""
@@ -262,76 +266,134 @@ def _plan(graph):
 
 @dataclass
 class GraphCache:
-    node_z: dict
-    edge_out: dict    # edge id -> op output tensor (before w scaling)
-    edge_cache: dict  # edge id -> op-internal cache
+    """What one forward walk leaves for the backward walk and the curvature.
+
+    Lists run over node ids (node_z, node_g) and edge ids (edge_out,
+    edge_cache), holding None where nothing flowed.  A plain matrix edge
+    keeps no op cache; `op_cache` builds it when a reader needs one.
+    """
+
+    plan: _Plan
+    w: np.ndarray | list  # edge id -> architecture scalar the walk used
+    node_z: list          # node id -> state tensor
+    edge_out: list        # edge id -> op output tensor (before w scaling)
+    edge_cache: list      # edge id -> op-internal cache
+    node_g: list | None = None  # node id -> dE/dz_node, set by graph_backward
 
 
 def _non_finite(eid, e):
     return FloatingPointError(f"non-finite output of edge {eid} ({e.op.tag})")
 
 
-def graph_forward(graph, x):
+def _first_non_finite(steps, edge_out):
+    """The error naming a node's first plain matrix in-edge with a non-finite
+    output, or None when every such output is finite."""
+    for eid, e, _, layer in steps:
+        out = edge_out[eid]
+        if layer is not None and out is not None and not np.isfinite(out).all():
+            return _non_finite(eid, e)
+    return None
+
+
+def graph_forward(graph, x, w=None):
     """Topological evaluation; returns (output tensor, GraphCache).
 
-    z_node is the sum over alive in-edges of w_e * op_e(z_src); a node with
-    no information flow holds None and its out-edges are skipped.  A plain
-    matrix op runs as one matmul and records the cache `nn.forward` makes.
+    z_node is the sum over alive in-edges of w_e * op_e(z_src), with w an
+    array over edge ids (the edges' own w when None); a node with no
+    information flow holds None and its out-edges are skipped.  A plain
+    matrix op runs as one matmul; a node checks its sum once, and a
+    non-finite sum names the first such in-edge whose output is non-finite
+    (a sum that overflowed from finite outputs is left to the next check
+    downstream).  Other ops check their own outputs in `nn.forward`.
     """
-    node_z = {graph.input_node: np.asarray(x, dtype=np.float64)}
-    edge_out, edge_cache = {}, {}
-    for node, steps in _plan(graph).steps:
-        total = None
+    plan = _plan(graph)
+    if w is None:
+        w = [e.w for e in graph.edges]
+    node_z = [None] * graph.n_nodes
+    node_z[graph.input_node] = np.asarray(x, dtype=np.float64)
+    edge_out = [None] * len(graph.edges)
+    edge_cache = [None] * len(graph.edges)
+    for node, steps in plan.steps:
+        total, matrix = None, False
         for eid, e, src, layer in steps:
             z = node_z[src]
             if z is None:
                 continue
             if layer is None:
                 try:
-                    out, cache = e.op.apply(z)
+                    out, edge_cache[eid] = e.op.apply(z)
                 except FloatingPointError:
-                    raise _non_finite(eid, e) from None
+                    raise _first_non_finite(steps, edge_out) or _non_finite(eid, e) from None
             else:
                 out = z @ layer.weights.T
-                if not np.isfinite(out).all():
-                    raise _non_finite(eid, e)
-                cache = [nn.LayerCache(x=z, preact=out, out=out)]
+                matrix = True
             edge_out[eid] = out
-            edge_cache[eid] = cache
-            term = e.w * out
+            term = w[eid] * out
             total = term if total is None else total + term
+        # the sum of squares is finite only if every entry is (it also
+        # overflows on entries above 1e154, which the closer look clears)
+        if matrix and not math.isfinite(np.vdot(total, total)):
+            err = _first_non_finite(steps, edge_out)
+            if err is not None:
+                raise err
         node_z[node] = total
-    if node_z.get(graph.output_node) is None:
+    if node_z[graph.output_node] is None:
         raise ValueError("output node receives no information flow")
-    return node_z[graph.output_node], GraphCache(node_z, edge_out, edge_cache)
+    return node_z[graph.output_node], GraphCache(plan, w, node_z, edge_out, edge_cache)
 
 
 def graph_backward(graph, gcache, grad_output):
     """Reverse accumulation over the edges the forward pass ran.
 
-    Returns (dict edge id -> dE/dw scalar, dict node id -> dE/dz_node).  A
-    plain matrix op's cache gets its grad_out, as `nn.backward` sets it.
+    Returns (array over edge ids of dE/dw, 0.0 where the edge did not run;
+    list node id -> dE/dz_node or None), and keeps the node gradients in
+    the cache.  The products g * op output that are C-ordered and shaped
+    like the output gradient are reduced in one sum, which equals their own
+    sums bit for bit; any other product keeps its own sum.
     """
-    node_g = {graph.output_node: np.asarray(grad_output, dtype=np.float64)}
-    w_grads = {}
-    edge_out, edge_cache = gcache.edge_out, gcache.edge_cache
-    for node, steps in reversed(_plan(graph).steps):
-        g = node_g.get(node)
+    plan, w, edge_out, edge_cache = gcache.plan, gcache.w, gcache.edge_out, gcache.edge_cache
+    node_g = [None] * len(gcache.node_z)
+    g_out = node_g[graph.output_node] = np.asarray(grad_output, dtype=np.float64)
+    prods = np.zeros((len(edge_out),) + g_out.shape)
+    own = {}  # edge id -> its own product sum
+    for node, steps in reversed(plan.steps):
+        g = node_g[node]
         if g is None:
             continue
+        batched = g.shape == g_out.shape and g.flags.c_contiguous
         for eid, e, src, layer in steps:
-            out = edge_out.get(eid)
+            out = edge_out[eid]
             if out is None:  # its source carried no information flow
                 continue
-            w_grads[eid] = float((g * out).sum())
-            if layer is None:
-                gx = e.w * e.op.vjp(edge_cache[eid], g)
+            if batched and out.flags.c_contiguous:
+                np.multiply(g, out, out=prods[eid])
             else:
-                edge_cache[eid][0].grad_out = g
-                gx = e.w * (g @ layer.weights)
-            prev = node_g.get(src)
+                own[eid] = (g * out).sum()
+            if layer is None:
+                gx = w[eid] * e.op.vjp(edge_cache[eid], g)
+            else:
+                gx = w[eid] * (g @ layer.weights)
+            prev = node_g[src]
             node_g[src] = gx if prev is None else prev + gx
+    w_grads = prods.sum(axis=tuple(range(1, prods.ndim)))
+    for eid, value in own.items():
+        w_grads[eid] = value
+    gcache.node_g = node_g
     return w_grads, node_g
+
+
+def op_cache(graph, gcache, eid):
+    """The `nn` cache of an edge's op after a walk (None if it did not run).
+
+    A plain matrix edge stores none; its cache is built from the walk's
+    tensors, with the gradient that graph_backward left at its target.
+    """
+    e = graph.edges[eid]
+    out = gcache.edge_out[eid]
+    if out is None or _matrix_layer(e.op) is None:
+        return gcache.edge_cache[eid]
+    g_dst = None if gcache.node_g is None else gcache.node_g[e.dst]
+    return [nn.LayerCache(x=gcache.node_z[e.src], preact=out, out=out, grad_out=g_dst)]
 
 
 def arch_scalar_hessian(graph, gcache, h_seed, mode="exact"):
@@ -340,9 +402,11 @@ def arch_scalar_hessian(graph, gcache, h_seed, mode="exact"):
     exact mode accumulates output Jacobians through the DAG (fixed linear
     ops only) and contracts them against the full energy Hessian seed
     (b, n, n).  approx mode runs the element-wise diagonal recursion, works
-    for any op kind, and reduces each edge to (mean |op output|)^2 times the
-    summed downstream diagonal.  h_seed carries the 1/batch factor.
+    for any op kind, needs graph_backward run on gcache first, and reduces
+    each edge to (mean |op output|)^2 times the summed downstream diagonal.
+    h_seed carries the 1/batch factor.
     """
+    w = gcache.w
     if mode == "exact":
         if h_seed.ndim != 3:
             raise ValueError("exact mode needs per-sample full Hessian seeds (b, n, n)")
@@ -353,10 +417,10 @@ def arch_scalar_hessian(graph, gcache, h_seed, mode="exact"):
             if not e.op.is_linear_map:
                 raise ValueError(
                     f"exact arch-hessian mode requires fixed linear ops; edge {eid} "
-                    f"carries {e.op.tag!r} (use mode='approx')"
+                    f"carries {e.op.tag!r}, which is not one (use mode='approx')"
                 )
             m = e.op.matrix()
-            return e.w * (j_dst if m is None else j_dst @ m)
+            return w[eid] * (j_dst if m is None else j_dst @ m)
 
         def edge_hess(u, j_dst):
             ju = u.reshape(h_seed.shape[0], -1) @ j_dst.T  # d z_out / d w_e per sample
@@ -365,7 +429,7 @@ def arch_scalar_hessian(graph, gcache, h_seed, mode="exact"):
         seed = h_seed
 
         def pull(eid, e, h_dst):
-            return e.w**2 * e.op.hess_backmap(gcache.edge_cache[eid], h_dst)
+            return w[eid]**2 * e.op.hess_backmap(op_cache(graph, gcache, eid), h_dst)
 
         def edge_hess(u, h_dst):
             return float(np.mean(np.abs(u)) ** 2 * np.sum(h_dst))
@@ -373,24 +437,24 @@ def arch_scalar_hessian(graph, gcache, h_seed, mode="exact"):
         raise ValueError(f"unknown arch-hessian mode {mode!r}")
     # one backward sweep over the topological order: per node, the sum of
     # what its out-edges pull back from their targets
-    outs = _plan(graph).outs
-    down = {graph.output_node: seed}
+    outs = gcache.plan.outs
+    down = [None] * graph.n_nodes
+    down[graph.output_node] = seed
     for node in reversed(graph.order):
-        if node == graph.output_node or gcache.node_z.get(node) is None:
+        if node == graph.output_node or gcache.node_z[node] is None:
             continue
         acc = None
         for eid in outs[node]:
             e = graph.edges[eid]
-            if down.get(e.dst) is None:
+            if down[e.dst] is None:
                 continue
             term = pull(eid, e, down[e.dst])
             acc = term if acc is None else acc + term
         down[node] = acc
     hess = {}
     for eid in graph.alive_edge_ids():
-        d = down.get(graph.edges[eid].dst)
-        hess[eid] = 0.0 if d is None or eid not in gcache.edge_out \
-            else edge_hess(gcache.edge_out[eid], d)
+        d, u = down[graph.edges[eid].dst], gcache.edge_out[eid]
+        hess[eid] = 0.0 if d is None or u is None else edge_hess(u, d)
     return hess
 
 

@@ -1,0 +1,33 @@
+"""tools/compare_outputs.py: dump a tree's outputs, diff two dumps."""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+TOOL = ROOT / "tools" / "compare_outputs.py"
+
+
+def run_tool(*args):
+    return subprocess.run([sys.executable, str(TOOL), *map(str, args)],
+                          capture_output=True, text=True, timeout=300)
+
+
+def test_dump_diffs_clean_against_itself_and_names_a_change(tmp_path):
+    dump = tmp_path / "dump.json"
+    done = run_tool("dump", ROOT, dump, "--search-seeds", 2, "--compress-seeds", 1)
+    assert done.returncode == 0, done.stderr
+    record = json.loads(dump.read_text())
+    assert sorted(record["search"]) == ["0", "1"]
+    assert sorted(record["search"]["0"]) == ["proxy_cells", "proxyless"]
+    assert sorted(record["compress"]) == ["compress-fc-exact/0", "compress-lenet5/0"]
+    same = run_tool("diff", dump, dump)
+    assert same.returncode == 0 and same.stdout.strip() == "0 difference(s)"
+
+    record["search"]["1"]["proxyless"]["history"][0]["loss"] += 1.0
+    changed = tmp_path / "changed.json"
+    changed.write_text(json.dumps(record))
+    differ = run_tool("diff", dump, changed)
+    assert differ.returncode == 1
+    assert differ.stdout.splitlines()[0].startswith("/search/1/proxyless/history/0/loss: ")

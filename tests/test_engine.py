@@ -169,6 +169,20 @@ def test_one_penalty_call_equals_per_group_calls():
         assert grad.tolist() == [ref_grad.get(eid, 0.0) for eid in range(len(w))]
 
 
+def test_search_steps_its_w_array_and_update_writes_it_back():
+    graph, ds, groups, _ = data.gen_two_cell_task(0)
+    cfg = data.two_cell_task_config(0)
+    slots = engine._EdgeSlots(graph, groups, cfg, "mse")
+    before = [e.w for e in graph.edges]
+    for start in range(0, 4 * cfg.batch_size, cfg.batch_size):
+        idx = slice(start, start + cfg.batch_size)
+        slots.train_batch(ds.x_train[idx], ds.y_train[idx])
+    assert [e.w for e in graph.edges] == before
+    assert not np.array_equal(slots.w, before)
+    slots.update(ds.x_train[:cfg.curvature_batch], ds.y_train[:cfg.curvature_batch])
+    assert [e.w for e in graph.edges] == slots.w.tolist()
+
+
 def make_blob_task(seed=0, n=600, dim=10, informative=3, classes=4):
     rng = np.random.default_rng(seed)
     centers = rng.normal(size=(classes, informative)) * 3.0

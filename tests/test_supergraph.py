@@ -1,5 +1,7 @@
 """Search DAG: mixing, variance algebra, pruning, gates, export."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -96,17 +98,43 @@ def test_w_gradients_match_finite_differences():
         assert abs(w_grads[eid] - ref) / max(abs(ref), 1e-8) < 1e-6
 
 
-@pytest.mark.parametrize("op", [
-    sg.make_op("fc", matrix=np.full((2, 2), 1e300)),
-    sg.Op("fc", [nn.Layer("fc", weights=np.full((2, 2), 1e300), activation="relu")]),
-    sg.Op("conv3x3", [nn.Layer("conv2d", weights=np.full((2, 2, 3, 3), 1e300), padding=1)]),
-], ids=["matrix", "fc-relu", "conv3x3"])
-def test_overflow_names_the_edge(op):
-    g = sg.SuperGraph(3, [identity_edge(0, 1), sg.Edge(1, 2, op)])
-    x = np.full((1, 2) if op.tag == "fc" else (1, 2, 3, 3), 1e10)
-    with np.errstate(over="ignore"), pytest.raises(
-            FloatingPointError, match=rf"^non-finite output of edge 1 \({op.tag}\)$"):
-        sg.graph_forward(g, x)
+BIG = np.full((2, 2), 1e300)
+
+
+def relu_fc_op(matrix):
+    return sg.Op("fc", [nn.Layer("fc", weights=matrix, activation="relu")])
+
+
+@pytest.mark.parametrize("graph, x, eid, tag", [
+    (sg.SuperGraph(3, [identity_edge(0, 1), fc_edge(1, 2, BIG)]),
+     np.full((1, 2), 1e10), 1, "fc"),
+    (sg.SuperGraph(3, [identity_edge(0, 1), sg.Edge(1, 2, relu_fc_op(BIG))]),
+     np.full((1, 2), 1e10), 1, "fc"),
+    (sg.SuperGraph(3, [identity_edge(0, 1), sg.Edge(1, 2, sg.Op("conv3x3", [
+        nn.Layer("conv2d", weights=np.full((2, 2, 3, 3), 1e300), padding=1)]))]),
+     np.full((1, 2, 3, 3), 1e10), 1, "conv3x3"),
+    # finite outputs of edges 0 and 1 whose sum overflows: node 1 raises
+    # nothing, and the next plain edge downstream is named
+    (sg.SuperGraph(3, [fc_edge(0, 1, np.eye(2)), fc_edge(0, 1, np.eye(2)),
+                       fc_edge(1, 2, np.eye(2))]),
+     np.full((1, 2), 1.5e308), 2, "fc"),
+    # node 2 is a dead end: it reaches no output, but its in-edge still runs
+    (sg.SuperGraph(4, [identity_edge(0, 1), fc_edge(1, 2, BIG), identity_edge(1, 3)]),
+     np.full((1, 2), 1e10), 1, "fc"),
+    # both in-edges of node 2 overflow: the first in edge order is named,
+    # a plain matrix ahead of an op that checks itself, and the reverse
+    (sg.SuperGraph(3, [identity_edge(0, 1), fc_edge(1, 2, BIG),
+                       sg.Edge(1, 2, relu_fc_op(BIG))]),
+     np.full((1, 2), 1e10), 1, "fc"),
+    (sg.SuperGraph(3, [identity_edge(0, 1), sg.Edge(1, 2, relu_fc_op(BIG)),
+                       fc_edge(1, 2, BIG)]),
+     np.full((1, 2), 1e10), 1, "fc"),
+], ids=["matrix", "fc-relu", "conv3x3", "sum-overflow", "dead-end",
+        "matrix-then-op", "op-then-matrix"])
+def test_overflow_names_the_edge(graph, x, eid, tag):
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            FloatingPointError, match=rf"^non-finite output of edge {eid} \({tag}\)$"):
+        sg.graph_forward(graph, x)
 
 
 def test_backward_skips_edges_whose_source_has_no_flow():
@@ -115,17 +143,18 @@ def test_backward_skips_edges_whose_source_has_no_flow():
     x = np.array([[1.0, 2.0]])
     out, gcache = sg.graph_forward(g, x)
     w_grads, node_g = sg.graph_backward(g, gcache, np.ones_like(out))
-    assert sorted(w_grads) == [0, 2]
-    assert 1 not in node_g
+    assert gcache.edge_out[1] is None and w_grads[1] == 0.0
+    assert w_grads[0] == w_grads[2] == 3.0
+    assert node_g[1] is None
 
 
 # ---------------------------------------------------------------------------
 # the cached plan against the per-edge loop it replaces
 
 
-def loop_forward(graph, x):
+def loop_forward(graph, x, w):
     """Per-edge reference: alive in-edges by linear scan, every op applied
-    through the op itself."""
+    through the op itself, dicts keyed by node and edge id."""
     node_z = {graph.input_node: np.asarray(x, dtype=np.float64)}
     edge_out, edge_cache = {}, {}
     for node in graph.order:
@@ -137,12 +166,13 @@ def loop_forward(graph, x):
             if node_z[e.src] is None:
                 continue
             edge_out[eid], edge_cache[eid] = e.op.apply(node_z[e.src])
-            term = e.w * edge_out[eid]
+            term = w[eid] * edge_out[eid]
             total = term if total is None else total + term
         node_z[node] = total
     if node_z.get(graph.output_node) is None:
         raise ValueError("output node receives no information flow")
-    return node_z[graph.output_node], sg.GraphCache(node_z, edge_out, edge_cache)
+    return node_z[graph.output_node], SimpleNamespace(
+        w=w, node_z=node_z, edge_out=edge_out, edge_cache=edge_cache)
 
 
 def loop_backward(graph, gcache, grad_output):
@@ -155,20 +185,21 @@ def loop_backward(graph, gcache, grad_output):
         for eid in graph.in_edges(node):
             e = graph.edges[eid]
             w_grads[eid] = float(np.sum(g * gcache.edge_out[eid]))
-            gx = e.w * e.op.vjp(gcache.edge_cache[eid], g)
+            gx = gcache.w[eid] * e.op.vjp(gcache.edge_cache[eid], g)
             node_g[e.src] = gx if node_g.get(e.src) is None else node_g[e.src] + gx
     return w_grads, node_g
 
 
 def loop_arch_hessian(graph, gcache, h_seed, mode):
     """arch_scalar_hessian with out-edges found by linear scan."""
+    w = gcache.w
     if mode == "exact":
         out = gcache.node_z[graph.output_node]
         seed = np.eye(out.reshape(out.shape[0], -1).shape[1])
 
         def pull(eid, e, j_dst):
             m = e.op.matrix()
-            return e.w * (j_dst if m is None else j_dst @ m)
+            return w[eid] * (j_dst if m is None else j_dst @ m)
 
         def edge_hess(u, j_dst):
             ju = u.reshape(h_seed.shape[0], -1) @ j_dst.T
@@ -177,7 +208,7 @@ def loop_arch_hessian(graph, gcache, h_seed, mode):
         seed = h_seed
 
         def pull(eid, e, h_dst):
-            return e.w**2 * e.op.hess_backmap(gcache.edge_cache[eid], h_dst)
+            return w[eid]**2 * e.op.hess_backmap(gcache.edge_cache[eid], h_dst)
 
         def edge_hess(u, h_dst):
             return float(np.mean(np.abs(u)) ** 2 * np.sum(h_dst))
@@ -212,9 +243,13 @@ def same_bits(a, b):
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-def grad_outs(gcache):
-    return {eid: None if cache is None else [c.grad_out for c in cache]
-            for eid, cache in gcache.edge_cache.items()}
+def listed(by_id, n):
+    """A dict keyed by node or edge id as a list over ids, None where absent."""
+    return [by_id.get(i) for i in range(n)]
+
+
+def grad_outs(caches):
+    return [None if cache is None else [c.grad_out for c in cache] for cache in caches]
 
 
 DIM, SIDE = 3, 6  # dense feature width; spatial side length at depth 0
@@ -285,19 +320,26 @@ def test_plan_walk_equals_the_per_edge_loop(spec, seed):
         if g.output_node not in reach:
             for forward in (sg.graph_forward, loop_forward):
                 with pytest.raises(ValueError, match="no information flow"):
-                    forward(g, x)
+                    forward(g, x, [e.w for e in g.edges])
             continue
-        out, gcache = sg.graph_forward(g, x)
-        ref, rcache = loop_forward(g, x)
+        # the walk runs on an explicit w, not on the edges' own
+        w = rng.normal(size=len(g.edges))
+        out, gcache = sg.graph_forward(g, x, w)
+        ref, rcache = loop_forward(g, x, w)
+        n_edges = len(g.edges)
         assert same_bits(out, ref)
-        assert same_bits(gcache.node_z, rcache.node_z)
-        assert same_bits(gcache.edge_out, rcache.edge_out)
+        assert same_bits(gcache.node_z, listed(rcache.node_z, g.n_nodes))
+        assert same_bits(gcache.edge_out, listed(rcache.edge_out, n_edges))
         t = rng.normal(size=out.shape)
         _, e_grad = nn.energy(out, t, "mse")
         got, ref_grads = sg.graph_backward(g, gcache, e_grad), loop_backward(g, rcache, e_grad)
-        assert got[0] == ref_grads[0]
-        assert same_bits(got[1], ref_grads[1])
-        assert same_bits(grad_outs(gcache), grad_outs(rcache))
+        ref_w_grads = np.zeros(n_edges)
+        ref_w_grads[list(ref_grads[0])] = list(ref_grads[0].values())
+        assert same_bits(got[0], ref_w_grads)
+        assert same_bits(got[1], listed(ref_grads[1], g.n_nodes))
+        # plain matrix edges build their caches on demand
+        assert same_bits(grad_outs(sg.op_cache(g, gcache, eid) for eid in range(n_edges)),
+                         grad_outs(listed(rcache.edge_cache, n_edges)))
         modes = ("approx", "exact") if linear else ("approx",)
         for mode in modes:
             h_seed = nn.energy_hessian(out, t, "mse", "exact" if mode == "exact" else "diag")
@@ -374,6 +416,26 @@ def test_exact_mode_rejects_nonlinear_ops():
     h_seed = np.zeros((1, 9, 9))
     with pytest.raises(ValueError, match="approx"):
         sg.arch_scalar_hessian(g, gcache, h_seed, "exact")
+
+
+def test_exact_mode_rejects_fc_ops_that_are_not_one_matrix():
+    # exact mode once read the relu fc op as a plain matrix and gave edge 0
+    # a curvature of 27.0 on this graph, where finite differences give 6.49
+    rng = np.random.default_rng(0)
+    relu = sg.Op("fc", [nn.Layer("fc", weights=rng.normal(size=(4, 4)), activation="relu")])
+    g = sg.SuperGraph(3, [fc_edge(0, 1, rng.normal(size=(4, 4)), w=1.1), sg.Edge(1, 2, relu)])
+    x, t = rng.normal(size=(6, 4)), rng.normal(size=(6, 4))
+    out, gcache = sg.graph_forward(g, x)
+    h_seed = nn.energy_hessian(out, t, "mse", "exact")
+    with pytest.raises(ValueError, match=r"edge 1 carries 'fc'.*mode='approx'"):
+        sg.arch_scalar_hessian(g, gcache, h_seed, "exact")
+    assert g.edges[0].op.is_linear_map and not relu.is_linear_map
+    for attr, value in (("bias", np.zeros(4)), ("mask", np.ones((4, 4)))):
+        op = sg.make_op("fc", matrix=np.eye(4))
+        setattr(op.layers[0], attr, value)
+        assert not op.is_linear_map
+        with pytest.raises(ValueError, match="no dense matrix form"):
+            op.matrix()
 
 
 # ---------------------------------------------------------------------------
