@@ -30,7 +30,6 @@ __all__ = [
     "CurvatureResult",
     "network_curvature",
     "propagate_curvature",
-    "conv_hessian",
     "finite_diff_hessian",
     "fd_weight_hessian_diag",
     "mac_count_exact",
@@ -172,31 +171,6 @@ def propagate_curvature(layers, caches, h_seed, mode="exact", input_grad=True):
         if full and input_term:
             h = _full_backmap(layers, caches, idx, h_pre)
     return result, h if input_grad else None
-
-
-def conv_hessian(layers, caches, target, energy_kind="mse", mode="approx"):
-    """Mean-field curvature for stacks containing conv layers.
-
-    The diagonal recursion, with each conv layer's weight diagonal replaced
-    by the rank-one form E(M)^2 (x) E(H): the pre-activation diagonal and
-    the squared im2col patches averaged over positions.  The per-position
-    forms are network_curvature's exact and diag modes.
-    """
-    if mode != "approx":
-        raise ValueError(f"conv_hessian computes the approx form only, not {mode!r}; "
-                         "use network_curvature for exact and diag")
-    result = network_curvature(layers, caches, target, energy_kind, mode="diag")
-    for idx, layer in enumerate(layers):
-        if layer.kind != "conv2d":
-            continue
-        cols = caches[idx].cols  # one row per output position
-        pos_diag = result.preact[idx].transpose(0, 2, 3, 1).reshape(len(cols), -1)
-        # E(M)^2 (x) E(H), scaled back to a sum over positions so the
-        # magnitude matches the exact path
-        diag = len(cols) * np.outer(pos_diag.mean(axis=0), np.abs(cols).mean(axis=0) ** 2)
-        result.weight_diag[idx] = diag.reshape(layer.weights.shape)
-    result.mode = "approx"
-    return result
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,11 @@ nodes themselves apply no nonlinearity.  Gate edges implement the
 prioritized zero operation: one identity edge guarding each non-input
 node's entire fan-out, whose switch variance enters every downstream
 gamma harmonically.
+
+The curvature of the energy w.r.t. each w comes from the same backward
+walk that trains w: exact mode contracts per-sample Jacobians d out / d w_e,
+one walk per output dimension, against the energy Hessian (Gauss-Newton),
+on every op kind; approx mode pulls a diagonal back through the ops.
 """
 
 from __future__ import annotations
@@ -65,21 +70,6 @@ class Op:
     def __post_init__(self):
         if self.tag not in OP_TAGS:
             raise ValueError(f"unknown op tag {self.tag!r}")
-
-    @property
-    def is_linear_map(self) -> bool:
-        """True when the op is a fixed linear map (exact-curvature capable):
-        identity-like, or one fc matrix with no bias, mask or activation."""
-        return self.tag in ("identity", "zero_gate") or _matrix_layer(self) is not None
-
-    def matrix(self):
-        """The (d_out, d_in) matrix of a linear op; None for identity-like."""
-        if self.tag in ("identity", "zero_gate"):
-            return None
-        layer = _matrix_layer(self)
-        if layer is None:
-            raise ValueError(f"op {self.tag!r} has no dense matrix form")
-        return layer.weights
 
     def apply(self, z):
         """Returns (output, cache); cache feeds vjp / hess_backmap."""
@@ -399,62 +389,58 @@ def op_cache(graph, gcache, eid):
 def arch_scalar_hessian(graph, gcache, h_seed, mode="exact"):
     """Per-edge curvature of the energy w.r.t. each architecture scalar w.
 
-    exact mode accumulates output Jacobians through the DAG (fixed linear
-    ops only) and contracts them against the full energy Hessian seed
-    (b, n, n).  approx mode runs the element-wise diagonal recursion, works
-    for any op kind, needs graph_backward run on gcache first, and reduces
-    each edge to (mean |op output|)^2 times the summed downstream diagonal.
+    exact mode is the Gauss-Newton rule sum_b J_b^T H_b J_b against the
+    full energy Hessian seed (b, n, n).  J_e[b, k] = d out[b, k] / d w_e is
+    the sum over sample b's features of node_g[dst] * (op output of e),
+    with node_g from one graph_backward seeded with the one-hot e_k per
+    output dimension k; those passes overwrite the cache's backward state.  It
+    runs on every op kind and is the exact second derivative wherever the
+    output is linear in w_e along the downstream ops (relu and maxpool
+    almost everywhere).  approx mode runs the element-wise diagonal
+    recursion, needs graph_backward run on gcache first, and reduces each
+    edge to (mean |op output|)^2 times the summed downstream diagonal.
     h_seed carries the 1/batch factor.
     """
-    w = gcache.w
+    edges, edge_out = graph.edges, gcache.edge_out
     if mode == "exact":
         if h_seed.ndim != 3:
             raise ValueError("exact mode needs per-sample full Hessian seeds (b, n, n)")
         out = gcache.node_z[graph.output_node]
-        seed = np.eye(out.reshape(out.shape[0], -1).shape[1])
-
-        def pull(eid, e, j_dst):
-            if not e.op.is_linear_map:
-                raise ValueError(
-                    f"exact arch-hessian mode requires fixed linear ops; edge {eid} "
-                    f"carries {e.op.tag!r}, which is not one (use mode='approx')"
-                )
-            m = e.op.matrix()
-            return w[eid] * (j_dst if m is None else j_dst @ m)
-
-        def edge_hess(u, j_dst):
-            ju = u.reshape(h_seed.shape[0], -1) @ j_dst.T  # d z_out / d w_e per sample
-            return float(np.einsum("bi,bij,bj->", ju, h_seed, ju))
-    elif mode == "approx":
-        seed = h_seed
-
-        def pull(eid, e, h_dst):
-            return w[eid]**2 * e.op.hess_backmap(op_cache(graph, gcache, eid), h_dst)
-
-        def edge_hess(u, h_dst):
-            return float(np.mean(np.abs(u)) ** 2 * np.sum(h_dst))
-    else:
+        b, n = h_seed.shape[:2]
+        grads = [graph_backward(graph, gcache, np.tile(e_k, (b, 1)).reshape(out.shape))[1]
+                 for e_k in np.eye(n)]
+        jac = np.zeros((b, len(edges), n))  # [b, e, k] = d out[b, k] / d w_e
+        for node, ins in enumerate(gcache.plan.ins):
+            if grads[0][node] is None:  # no path to the output
+                continue
+            g = np.stack([node_g[node] for node_g in grads]).reshape(n, b, -1)
+            for eid in ins:
+                if edge_out[eid] is not None:
+                    jac[:, eid] = np.einsum("kbf,bf->bk", g, edge_out[eid].reshape(b, -1))
+        curv = np.einsum("bei,bei->e", jac @ h_seed, jac).tolist()
+        return {eid: curv[eid] for eid in graph.alive_edge_ids()}
+    if mode != "approx":
         raise ValueError(f"unknown arch-hessian mode {mode!r}")
     # one backward sweep over the topological order: per node, the sum of
-    # what its out-edges pull back from their targets
-    outs = gcache.plan.outs
+    # the diagonal curvature its out-edges pull back from their targets
+    w, outs = gcache.w, gcache.plan.outs
     down = [None] * graph.n_nodes
-    down[graph.output_node] = seed
+    down[graph.output_node] = h_seed
     for node in reversed(graph.order):
         if node == graph.output_node or gcache.node_z[node] is None:
             continue
         acc = None
         for eid in outs[node]:
-            e = graph.edges[eid]
+            e = edges[eid]
             if down[e.dst] is None:
                 continue
-            term = pull(eid, e, down[e.dst])
+            term = w[eid]**2 * e.op.hess_backmap(op_cache(graph, gcache, eid), down[e.dst])
             acc = term if acc is None else acc + term
         down[node] = acc
     hess = {}
     for eid in graph.alive_edge_ids():
-        d, u = down[graph.edges[eid].dst], gcache.edge_out[eid]
-        hess[eid] = 0.0 if d is None or u is None else edge_hess(u, d)
+        d, u = down[edges[eid].dst], edge_out[eid]
+        hess[eid] = 0.0 if d is None or u is None else float(np.mean(np.abs(u)) ** 2 * np.sum(d))
     return hess
 
 

@@ -30,4 +30,16 @@ def test_dump_diffs_clean_against_itself_and_names_a_change(tmp_path):
     changed.write_text(json.dumps(record))
     differ = run_tool("diff", dump, changed)
     assert differ.returncode == 1
-    assert differ.stdout.splitlines()[0].startswith("/search/1/proxyless/history/0/loss: ")
+    lines = differ.stdout.splitlines()
+    assert lines[0].startswith("/search/1/proxyless/history/0/loss: ")
+    loss = record["search"]["1"]["proxyless"]["history"][0]["loss"]
+    assert lines[1:] == [f"0 structural difference(s); 1 float difference(s), "
+                         f"largest relative {1.0 / abs(loss):.3g}", "1 difference(s)"]
+
+    del record["search"]["1"]["proxyless"]["history"][0]["loss"]
+    changed.write_text(json.dumps(record))
+    differ = run_tool("diff", dump, changed)
+    assert differ.returncode == 1
+    assert differ.stdout.splitlines()[-2:] == [
+        "1 structural difference(s); 0 float difference(s), largest relative 0",
+        "1 difference(s)"]

@@ -88,7 +88,7 @@ def test_synthetic_task_deterministic():
     assert np.array_equal(d1.y_train, d2.y_train)
     for e1, e2 in zip(g1.edges, g2.edges):
         assert (e1.src, e1.dst) == (e2.src, e2.dst)
-        assert np.array_equal(e1.op.matrix(), e2.op.matrix())
+        assert np.array_equal(e1.op.layers[0].weights, e2.op.layers[0].weights)
 
 
 def test_synthetic_planted_subgraph_reproduces_noiseless_targets():

@@ -191,15 +191,15 @@ def loop_backward(graph, gcache, grad_output):
 
 
 def loop_arch_hessian(graph, gcache, h_seed, mode):
-    """arch_scalar_hessian with out-edges found by linear scan."""
+    """arch_scalar_hessian with out-edges found by linear scan; its exact
+    mode accumulates output Jacobians through fixed linear ops."""
     w = gcache.w
     if mode == "exact":
         out = gcache.node_z[graph.output_node]
         seed = np.eye(out.reshape(out.shape[0], -1).shape[1])
 
-        def pull(eid, e, j_dst):
-            m = e.op.matrix()
-            return w[eid] * (j_dst if m is None else j_dst @ m)
+        def pull(eid, e, j_dst):  # fixed linear ops only
+            return w[eid] * (j_dst if e.op.layers is None else j_dst @ e.op.layers[0].weights)
 
         def edge_hess(u, j_dst):
             ju = u.reshape(h_seed.shape[0], -1) @ j_dst.T
@@ -256,7 +256,7 @@ DIM, SIDE = 3, 6  # dense feature width; spatial side length at depth 0
 
 
 def plan_op(kind, rng):
-    if kind in ("identity", "conv3x3", "maxpool"):
+    if kind in ("identity", "conv3x3", "maxpool", "avgpool"):
         return sg.make_op(kind, rng=rng, channels=(1, 1))
     op = sg.make_op("fc", matrix=rng.normal(size=(DIM, DIM)))
     layer = op.layers[0]
@@ -274,7 +274,8 @@ def plan_graphs(draw):
     """(n_nodes, [(src, dst, kind)], spatial, gates): a chain plus extra edges.
     Dense graphs mix fc variants and identities; spatial graphs give node j
     a depth (spatial side SIDE - depth), joined by conv3x3 or identity
-    within a depth and by 2x2 stride-1 maxpool from one depth to the next."""
+    within a depth and by a 2x2 stride-1 max or average pool from one depth
+    to the next."""
     spatial = draw(st.booleans())
     n = draw(st.integers(3, 6))
     if spatial:
@@ -290,7 +291,7 @@ def plan_graphs(draw):
             elif depth[j] == depth[i]:
                 kinds = ["conv3x3", "identity"]
             elif depth[j] == depth[i] + 1:
-                kinds = ["maxpool"]
+                kinds = ["maxpool", "avgpool"]
             else:
                 continue
             edges.append((i, j, draw(st.sampled_from(kinds))))
@@ -340,11 +341,16 @@ def test_plan_walk_equals_the_per_edge_loop(spec, seed):
         # plain matrix edges build their caches on demand
         assert same_bits(grad_outs(sg.op_cache(g, gcache, eid) for eid in range(n_edges)),
                          grad_outs(listed(rcache.edge_cache, n_edges)))
-        modes = ("approx", "exact") if linear else ("approx",)
-        for mode in modes:
-            h_seed = nn.energy_hessian(out, t, "mse", "exact" if mode == "exact" else "diag")
-            assert sg.arch_scalar_hessian(g, gcache, h_seed, mode) == \
-                loop_arch_hessian(g, rcache, h_seed, mode)
+        h_seed = nn.energy_hessian(out, t, "mse", "diag")
+        assert sg.arch_scalar_hessian(g, gcache, h_seed, "approx") == \
+            loop_arch_hessian(g, rcache, h_seed, "approx")
+        if linear:
+            # the Jacobian reference sums in another order than the VJPs
+            h_seed = nn.energy_hessian(out, t, "mse", "exact")
+            got = sg.arch_scalar_hessian(g, gcache, h_seed, "exact")
+            ref = loop_arch_hessian(g, rcache, h_seed, "exact")
+            assert got.keys() == ref.keys()
+            assert np.allclose(list(got.values()), list(ref.values()), rtol=1e-12, atol=0)
 
 
 # ---------------------------------------------------------------------------
@@ -407,35 +413,95 @@ def test_scalar_hessian_matches_finite_differences():
         assert abs(hess[eid] - ref) / max(abs(ref), 1e-6) < 1e-3
 
 
-def test_exact_mode_rejects_nonlinear_ops():
+def fd_arch_hessian(graph, x, t, w, eid, kind="mse"):
+    """Central second difference of the energy in w_eid, and a bound on its
+    rounding error (a few ulps of the energy over the squared step).
+
+    The mse energy is quadratic in w_e wherever the output is linear in it,
+    so a wide step (1e-2) loses nothing to truncation and little to
+    rounding.  A relu or maxpool kink inside the step, or an energy that is
+    not quadratic, breaks that; it shows as a second difference at half the
+    step that differs, and the step then shrinks tenfold.
+    """
+    def energy(value):
+        wv = np.array(w, dtype=np.float64)
+        wv[eid] = value
+        out, _ = sg.graph_forward(graph, x, wv)
+        return nn.energy(out, t, kind)[0]
+
+    e0 = energy(w[eid])
+
+    def second_difference(step):
+        d2 = (energy(w[eid] + step) - 2 * e0 + energy(w[eid] - step)) / step**2
+        return d2, 1e-14 * abs(e0) / step**2
+
+    for step in (1e-2, 1e-3, 1e-4):
+        (ref, err), (half, half_err) = second_difference(step), second_difference(step / 2)
+        if abs(ref - half) <= 1e-7 * abs(ref) + err + half_err:
+            break
+    return ref, err
+
+
+def assert_exact_matches_fd(graph, x, t, rtol, kind="mse"):
+    w = [e.w for e in graph.edges]
+    out, gcache = sg.graph_forward(graph, x)
+    hess = sg.arch_scalar_hessian(graph, gcache, nn.energy_hessian(out, t, kind, "exact"))
+    assert list(hess) == graph.alive_edge_ids()
+    for eid, h in hess.items():
+        ref, err = fd_arch_hessian(graph, x, t, w, eid, kind)
+        assert abs(h - ref) <= rtol * abs(ref) + err, (eid, h, ref)
+
+
+def test_exact_mode_on_a_maxpool_edge_matches_finite_differences():
     rng = np.random.default_rng(4)
-    op = sg.make_op("maxpool")
-    g = sg.SuperGraph(2, [sg.Edge(0, 1, op)])
+    g = sg.SuperGraph(2, [sg.Edge(0, 1, sg.make_op("maxpool"))])
     x = rng.normal(size=(1, 1, 4, 4))
-    out, gcache = sg.graph_forward(g, x)
-    h_seed = np.zeros((1, 9, 9))
-    with pytest.raises(ValueError, match="approx"):
-        sg.arch_scalar_hessian(g, gcache, h_seed, "exact")
+    assert_exact_matches_fd(g, x, rng.normal(size=(1, 1, 3, 3)), rtol=1e-7)
 
 
-def test_exact_mode_rejects_fc_ops_that_are_not_one_matrix():
+def test_exact_mode_on_a_relu_fc_edge_matches_finite_differences():
     # exact mode once read the relu fc op as a plain matrix and gave edge 0
     # a curvature of 27.0 on this graph, where finite differences give 6.49
     rng = np.random.default_rng(0)
     relu = sg.Op("fc", [nn.Layer("fc", weights=rng.normal(size=(4, 4)), activation="relu")])
     g = sg.SuperGraph(3, [fc_edge(0, 1, rng.normal(size=(4, 4)), w=1.1), sg.Edge(1, 2, relu)])
     x, t = rng.normal(size=(6, 4)), rng.normal(size=(6, 4))
-    out, gcache = sg.graph_forward(g, x)
-    h_seed = nn.energy_hessian(out, t, "mse", "exact")
-    with pytest.raises(ValueError, match=r"edge 1 carries 'fc'.*mode='approx'"):
-        sg.arch_scalar_hessian(g, gcache, h_seed, "exact")
-    assert g.edges[0].op.is_linear_map and not relu.is_linear_map
-    for attr, value in (("bias", np.zeros(4)), ("mask", np.ones((4, 4)))):
-        op = sg.make_op("fc", matrix=np.eye(4))
-        setattr(op.layers[0], attr, value)
-        assert not op.is_linear_map
-        with pytest.raises(ValueError, match="no dense matrix form"):
-            op.matrix()
+    assert_exact_matches_fd(g, x, t, rtol=1e-7)
+
+
+def test_exact_mode_contracts_the_full_energy_hessian():
+    # softmax cross-entropy seeds diag(p) - p p^T, which mse never fills off
+    # the diagonal; exact mode is still the second derivative, as the
+    # output is linear in w_e almost everywhere
+    rng = np.random.default_rng(5)
+    relu = sg.Op("fc", [nn.Layer("fc", weights=rng.normal(size=(4, 4)), activation="relu")])
+    g = sg.SuperGraph(3, [fc_edge(0, 1, rng.normal(size=(4, 4)), w=0.7), sg.Edge(1, 2, relu),
+                          fc_edge(0, 2, rng.normal(size=(4, 4)), w=-0.4)])
+    x, labels = rng.normal(size=(6, 4)), rng.integers(0, 4, size=6)
+    assert_exact_matches_fd(g, x, labels, rtol=1e-6, kind="softmax_ce")
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=40)
+@given(spec=plan_graphs(), seed=st.integers(0, 2**16))
+def test_exact_mode_matches_finite_differences_on_every_op(spec, seed):
+    """relu, bias and mask fc, conv3x3, max and average pool, identity and
+    gate edges, with random w and some edges dead."""
+    n, edge_spec, spatial, gates = spec
+    rng = np.random.default_rng(seed)
+    g = sg.SuperGraph(n, [sg.Edge(i, j, plan_op(kind, rng), w=float(rng.normal()))
+                          for i, j, kind in edge_spec])
+    if gates:
+        sg.insert_zero_gates(g)
+    for e in g.edges:
+        e.alive = e.is_gate or rng.random() < 0.8
+    reach = sg.reachable_nodes(g)
+    for e in g.edges:
+        e.alive = e.alive and e.src in reach
+    if g.output_node not in reach:
+        return
+    x = rng.normal(size=(4, 1, SIDE, SIDE) if spatial else (4, DIM))
+    out, _ = sg.graph_forward(g, x)
+    assert_exact_matches_fd(g, x, rng.normal(size=out.shape), rtol=1e-6)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,10 @@ workloads from ``SRC_ROOT/perfbench``, then records as JSON in ``OUT``:
 
 Floats are written with ``repr``, so a record compares bit for bit.
 ``diff`` prints every difference between two records and exits 1 if there
-is one, 0 if there is none.  A tree is dumped in its own process, so to
+is one, 0 if there is none.  When there are differences, a summary line
+counts the structural ones (a key or length, or a value that is not a
+float) apart from the float-only ones, with the largest relative float
+difference.  A tree is dumped in its own process, so to
 compare a change against its parent, dump each tree and diff the two files.
 """
 
@@ -25,6 +28,7 @@ import argparse
 import copy
 import hashlib
 import json
+import math
 import os
 import sys
 import tempfile
@@ -112,22 +116,35 @@ def _same(a, b):
     return type(a) is type(b) and a == b
 
 
+def _relative(a, b):
+    """Relative difference of two floats; inf when only one is finite or a nan."""
+    if a == b:
+        return 0.0  # 0.0 and -0.0
+    if not (math.isfinite(a) and math.isfinite(b)):
+        return math.inf
+    return abs(a - b) / max(abs(a), abs(b))
+
+
 def differences(a, b, path=""):
-    """Every path at which two records differ, with both values."""
+    """Every path at which two records differ, as (line naming both values,
+    relative difference when both are floats, else None)."""
     if isinstance(a, dict) and isinstance(b, dict):
         found = []
         for key in sorted(set(a) | set(b)):
             sub = f"{path}/{key}"
             if key not in a or key not in b:
-                found.append(f"{sub}: only in {'B' if key not in a else 'A'}")
+                found.append((f"{sub}: only in {'B' if key not in a else 'A'}", None))
             else:
                 found.extend(differences(a[key], b[key], sub))
         return found
     if isinstance(a, list) and isinstance(b, list):
         if len(a) != len(b):
-            return [f"{path}: length {len(a)} != {len(b)}"]
+            return [(f"{path}: length {len(a)} != {len(b)}", None)]
         return [d for i, (x, y) in enumerate(zip(a, b)) for d in differences(x, y, f"{path}/{i}")]
-    return [] if _same(a, b) else [f"{path}: {a!r} != {b!r}"]
+    if _same(a, b):
+        return []
+    floats = isinstance(a, float) and isinstance(b, float)
+    return [(f"{path}: {a!r} != {b!r}", _relative(a, b) if floats else None)]
 
 
 def diff(path_a, path_b):
@@ -136,8 +153,12 @@ def diff(path_a, path_b):
     with open(path_b, encoding="utf-8") as fh:
         b = json.load(fh)
     found = differences(a, b)
-    for line in found:
+    for line, _ in found:
         print(line)
+    if found:
+        drift = [rel for _, rel in found if rel is not None]
+        print(f"{len(found) - len(drift)} structural difference(s); {len(drift)} float "
+              f"difference(s), largest relative {max(drift, default=0.0):.3g}")
     print(f"{len(found)} difference(s)")
     return 1 if found else 0
 
