@@ -39,14 +39,11 @@ def _build_parser():
     parser = _Parser(prog="ardnet", description=__doc__.split("\n")[0])
     sub = parser.add_subparsers(dest="command", metavar="command")
 
-    def common(p, needs_out=True):
+    def common(p):
         p.add_argument("--config", required=True,
                        help="JSON config file (empty file = defaults)")
         p.add_argument("--seed", type=int, help="override the config seed")
-        p.add_argument("--mode", choices=["exact", "approx-hessian"],
-                       help="curvature mode override")
-        if needs_out:
-            p.add_argument("--out", required=True, help="output directory")
+        p.add_argument("--out", required=True, help="output directory")
 
     p = sub.add_parser("search", help="per-edge search on a synthetic DAG task")
     common(p)
@@ -55,6 +52,8 @@ def _build_parser():
 
     p = sub.add_parser("compress", help="structured compression on IDX data")
     common(p)
+    p.add_argument("--mode", choices=["exact", "approx-hessian"],
+                   help="layer curvature mode override")
     p.add_argument("--data", required=True, help="directory with IDX files")
     p.add_argument("--net", default="lenet300-100",
                    choices=["lenet300-100", "lenet5"])

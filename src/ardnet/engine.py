@@ -66,7 +66,7 @@ def evaluate(model, data):
     if isinstance(model, sg.SuperGraph):
         out, _ = sg.graph_forward(model, data.x_test)
     else:
-        out, _ = nn.forward(model, data.x_test)
+        out = nn.predict(model, data.x_test)
     if data.kind == "labels":
         pred = np.argmax(out, axis=1)
         return float(np.mean(pred != data.y_test))
@@ -279,12 +279,8 @@ class _EdgeSlots:
         for eid, wi in zip(alive, w):
             edges[eid].w = wi
         out, gcache = sg.graph_forward(graph, x, self.w)
-        if config.hessian_mode == "approx":
-            # the approx recursion reads each op's output gradient
-            sg.graph_backward(graph, gcache, nn.energy(out, y, self.kind)[1])
-        h_seed = nn.energy_hessian(out, y, self.kind,
-                                   "exact" if config.hessian_mode == "exact" else "diag")
-        hess = sg.arch_scalar_hessian(graph, gcache, h_seed, config.hessian_mode)
+        hess = sg.arch_scalar_hessian(graph, gcache,
+                                      nn.energy_hessian(out, y, self.kind, "exact"))
         for eid, h in hess.items():
             edges[eid].hess = max(h, 0.0)
         gamma_prev = np.array([edges[eid].gamma for eid in alive])

@@ -22,6 +22,7 @@ __all__ = [
     "pool_layer",
     "flatten_layer",
     "forward",
+    "predict",
     "backward",
     "im2col",
     "col2im",
@@ -305,6 +306,16 @@ def forward(layers, x):
         caches.append(cache)
         x = cache.out
     return x, caches
+
+
+def predict(layers, x):
+    """The output of `forward`, bit for bit, keeping no layer's cache alive
+    once the next layer has run (same errors, same layer indices)."""
+    x = np.asarray(x, dtype=np.float64)
+    for idx, layer in enumerate(layers):
+        x = _layer_forward(layer, x, idx).out
+        _check_finite(x, "output", idx)
+    return x
 
 
 # ---------------------------------------------------------------------------

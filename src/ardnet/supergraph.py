@@ -9,9 +9,9 @@ node's entire fan-out, whose switch variance enters every downstream
 gamma harmonically.
 
 The curvature of the energy w.r.t. each w comes from the same backward
-walk that trains w: exact mode contracts per-sample Jacobians d out / d w_e,
-one walk per output dimension, against the energy Hessian (Gauss-Newton),
-on every op kind; approx mode pulls a diagonal back through the ops.
+walk that trains w: one Gauss-Newton rule contracts per-sample Jacobians
+d out / d w_e, one walk per output dimension, against the full energy
+Hessian, on every op kind.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import nn
-from .curvature import propagate_curvature
+from .curvature import propagate_curvature  # noqa: F401  perfbench's smoke test pins it
 
 __all__ = [
     "OP_TAGS",
@@ -58,7 +58,7 @@ OP_TAGS = ("identity", "fc", "conv3x3", "conv5x5", "maxpool", "avgpool", "zero_g
 
 @dataclass
 class Op:
-    """One candidate operation: a pure map with vjp and curvature backmap.
+    """One candidate operation: a pure map with its vjp.
 
     identity / zero_gate pass tensors through; every other tag is backed by
     a frozen single-layer template from the network core.
@@ -72,7 +72,7 @@ class Op:
             raise ValueError(f"unknown op tag {self.tag!r}")
 
     def apply(self, z):
-        """Returns (output, cache); cache feeds vjp / hess_backmap."""
+        """Returns (output, cache); cache feeds vjp."""
         if self.tag in ("identity", "zero_gate"):
             return z, None
         if self.layers is None:
@@ -85,13 +85,6 @@ class Op:
             return g
         _, gx = nn.backward(self.layers, cache, g)
         return gx
-
-    def hess_backmap(self, cache, h_out):
-        """Diagonal output-curvature -> diagonal input-curvature."""
-        if self.tag in ("identity", "zero_gate"):
-            return h_out
-        _, h_in = propagate_curvature(self.layers, cache, h_out, mode="diag")
-        return h_in
 
 
 def make_op(tag, rng=None, dims=None, channels=None, matrix=None):
@@ -215,7 +208,6 @@ class _Plan:
 
     key: list
     ins: list      # node -> alive in-edge ids
-    outs: list     # node -> alive out-edge ids
     fan_out: list  # node -> every out-edge id, alive or not
     steps: list
 
@@ -237,16 +229,15 @@ def _plan(graph):
     plan = graph._plan
     if plan is not None and plan.key == key:
         return plan
-    ins, outs, fan_out = ([[] for _ in range(graph.n_nodes)] for _ in range(3))
+    ins, fan_out = ([[] for _ in range(graph.n_nodes)] for _ in range(2))
     for eid, e in enumerate(edges):
         fan_out[e.src].append(eid)
         if e.alive:
             ins[e.dst].append(eid)
-            outs[e.src].append(eid)
     steps = [(node, [(eid, edges[eid], edges[eid].src, _matrix_layer(edges[eid].op))
                      for eid in ins[node]])
              for node in graph.order if node != graph.input_node]
-    graph._plan = _Plan(key, ins, outs, fan_out, steps)
+    graph._plan = _Plan(key, ins, fan_out, steps)
     return graph._plan
 
 
@@ -386,62 +377,35 @@ def op_cache(graph, gcache, eid):
     return [nn.LayerCache(x=gcache.node_z[e.src], preact=out, out=out, grad_out=g_dst)]
 
 
-def arch_scalar_hessian(graph, gcache, h_seed, mode="exact"):
+def arch_scalar_hessian(graph, gcache, h_seed):
     """Per-edge curvature of the energy w.r.t. each architecture scalar w.
 
-    exact mode is the Gauss-Newton rule sum_b J_b^T H_b J_b against the
-    full energy Hessian seed (b, n, n).  J_e[b, k] = d out[b, k] / d w_e is
-    the sum over sample b's features of node_g[dst] * (op output of e),
-    with node_g from one graph_backward seeded with the one-hot e_k per
-    output dimension k; those passes overwrite the cache's backward state.  It
-    runs on every op kind and is the exact second derivative wherever the
-    output is linear in w_e along the downstream ops (relu and maxpool
-    almost everywhere).  approx mode runs the element-wise diagonal
-    recursion, needs graph_backward run on gcache first, and reduces each
-    edge to (mean |op output|)^2 times the summed downstream diagonal.
-    h_seed carries the 1/batch factor.
+    The Gauss-Newton rule sum_b J_b^T H_b J_b against the full energy
+    Hessian seed (b, n, n), which carries the 1/batch factor.
+    J_e[b, k] = d out[b, k] / d w_e is the sum over sample b's features of
+    node_g[dst] * (op output of e), with node_g from one graph_backward
+    seeded with the one-hot e_k per output dimension k; those passes
+    overwrite the cache's backward state.  It runs on every op kind and is
+    the exact second derivative wherever the output is linear in w_e along
+    the downstream ops (relu and maxpool almost everywhere).
     """
-    edges, edge_out = graph.edges, gcache.edge_out
-    if mode == "exact":
-        if h_seed.ndim != 3:
-            raise ValueError("exact mode needs per-sample full Hessian seeds (b, n, n)")
-        out = gcache.node_z[graph.output_node]
-        b, n = h_seed.shape[:2]
-        grads = [graph_backward(graph, gcache, np.tile(e_k, (b, 1)).reshape(out.shape))[1]
-                 for e_k in np.eye(n)]
-        jac = np.zeros((b, len(edges), n))  # [b, e, k] = d out[b, k] / d w_e
-        for node, ins in enumerate(gcache.plan.ins):
-            if grads[0][node] is None:  # no path to the output
-                continue
-            g = np.stack([node_g[node] for node_g in grads]).reshape(n, b, -1)
-            for eid in ins:
-                if edge_out[eid] is not None:
-                    jac[:, eid] = np.einsum("kbf,bf->bk", g, edge_out[eid].reshape(b, -1))
-        curv = np.einsum("bei,bei->e", jac @ h_seed, jac).tolist()
-        return {eid: curv[eid] for eid in graph.alive_edge_ids()}
-    if mode != "approx":
-        raise ValueError(f"unknown arch-hessian mode {mode!r}")
-    # one backward sweep over the topological order: per node, the sum of
-    # the diagonal curvature its out-edges pull back from their targets
-    w, outs = gcache.w, gcache.plan.outs
-    down = [None] * graph.n_nodes
-    down[graph.output_node] = h_seed
-    for node in reversed(graph.order):
-        if node == graph.output_node or gcache.node_z[node] is None:
+    if h_seed.ndim != 3:
+        raise ValueError("edge curvature needs per-sample full Hessian seeds (b, n, n)")
+    edge_out = gcache.edge_out
+    out = gcache.node_z[graph.output_node]
+    b, n = h_seed.shape[:2]
+    grads = [graph_backward(graph, gcache, np.tile(e_k, (b, 1)).reshape(out.shape))[1]
+             for e_k in np.eye(n)]
+    jac = np.zeros((b, len(graph.edges), n))  # [b, e, k] = d out[b, k] / d w_e
+    for node, ins in enumerate(gcache.plan.ins):
+        if grads[0][node] is None:  # no path to the output
             continue
-        acc = None
-        for eid in outs[node]:
-            e = edges[eid]
-            if down[e.dst] is None:
-                continue
-            term = w[eid]**2 * e.op.hess_backmap(op_cache(graph, gcache, eid), down[e.dst])
-            acc = term if acc is None else acc + term
-        down[node] = acc
-    hess = {}
-    for eid in graph.alive_edge_ids():
-        d, u = down[edges[eid].dst], edge_out[eid]
-        hess[eid] = 0.0 if d is None or u is None else float(np.mean(np.abs(u)) ** 2 * np.sum(d))
-    return hess
+        g = np.stack([node_g[node] for node_g in grads]).reshape(n, b, -1)
+        for eid in ins:
+            if edge_out[eid] is not None:
+                jac[:, eid] = np.einsum("kbf,bf->bk", g, edge_out[eid].reshape(b, -1))
+    curv = np.einsum("bei,bei->e", jac @ h_seed, jac).tolist()
+    return {eid: curv[eid] for eid in graph.alive_edge_ids()}
 
 
 # ---------------------------------------------------------------------------

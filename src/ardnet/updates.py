@@ -68,7 +68,9 @@ class SearchConfig:
     omega_floor: float = 1e-8
     s_cap: float = 1e6
     prune_threshold: float = ENTROPY_PRUNE_THRESHOLD
-    hessian_mode: str = "approx"  # "exact" or "approx"
+    # compress's layer curvature: "exact" full matrices or "approx" diagonal
+    # (graph searches always take the Gauss-Newton edge rule)
+    hessian_mode: str = "approx"
 
     def __post_init__(self):
         # 1 and 1.0 are one configuration, so they must give one config_hash

@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from ardnet import data, engine, nn
+from ardnet import data, engine, exports, nn
 from ardnet import supergraph as sg
 from ardnet.updates import SearchConfig
 
@@ -50,15 +50,19 @@ def test_search_recovers_planted_edges_single_seed():
     assert alive == planted
 
 
-def test_approx_hessian_search_recovers_planted_edges():
-    # the approx recursion reads every op's output gradient, so the update
-    # runs a backward pass on its curvature batch
-    graph, ds, planted = data.gen_synthetic_dag_task(0)
-    cfg = dataclasses.replace(data.dag_task_config(seed=0), hessian_mode="approx")
-    graph, run = engine.run_proxyless(graph, ds, cfg)
-    alive = {eid for eid in run.report["alive_edges"]
-             if not graph.edges[eid].is_gate}
-    assert alive == planted
+def test_search_curvature_does_not_depend_on_hessian_mode():
+    # hessian_mode selects the layer curvature of compress only: a graph
+    # search always takes the Gauss-Newton edge rule
+    runs = []
+    for mode in ("approx", "exact"):
+        graph, ds, planted = data.gen_synthetic_dag_task(0)
+        cfg = dataclasses.replace(data.dag_task_config(seed=0), hessian_mode=mode)
+        graph, run = engine.run_proxyless(graph, ds, cfg)
+        runs.append((repr(run.history), repr(exports.arch_export(graph, cfg)["edges"])))
+        alive = {eid for eid in run.report["alive_edges"]
+                 if not graph.edges[eid].is_gate}
+        assert alive == planted
+    assert runs[0] == runs[1]
 
 
 def test_history_rows_have_full_schema():
@@ -273,14 +277,14 @@ def test_compression_runs_one_test_pass_per_model_state(monkeypatch, retrain_epo
     cfg = SearchConfig(t_max=4, epochs_per_iteration=1, batch_size=50,
                        lambda_w=0.01, weight_decay=0.001, learning_rate=0.05,
                        seed=0, hessian_mode="approx", retrain_epochs=retrain_epochs)
-    forward, test_passes = nn.forward, []
+    predict, test_passes = nn.predict, []
 
     def counted(layers, x):
         if x is ds.x_test:
             test_passes.append(len(x))
-        return forward(layers, x)
+        return predict(layers, x)
 
-    monkeypatch.setattr(nn, "forward", counted)
+    monkeypatch.setattr(nn, "predict", counted)
     net, run = engine.run_compression(net, ds, cfg, patterns)
     # one pass per outer iteration and one per retrain epoch, none after
     assert len(test_passes) == len(run.history)

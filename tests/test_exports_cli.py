@@ -322,11 +322,19 @@ def test_cli_export_dot(tmp_path):
     assert res.stdout.startswith("digraph")
 
 
-def test_cli_search_approx_hessian_mode(tmp_path):
+@pytest.mark.parametrize("command, extra", [
+    ("search", ()),
+    ("proxy-search", ()),
+    ("retrain", ("--data", "idx", "--masks", "masks.json")),
+], ids=["search", "proxy-search", "retrain"])
+def test_cli_mode_is_a_compress_option_only(tmp_path, command, extra):
     cfg = write_search_config(tmp_path)
-    res = run_cli("search", "--config", str(cfg), "--seed", "0",
-                  "--mode", "approx-hessian", "--out", str(tmp_path / "run"))
-    assert res.returncode == 0, res.stderr
+    res = run_cli(command, "--config", str(cfg), "--out", str(tmp_path / "run"),
+                  *extra, "--mode", "exact")
+    assert res.returncode == 1
+    assert "error: unrecognized arguments: --mode exact" in res.stderr
+    assert "Traceback" not in res.stderr
+    assert not (tmp_path / "run").exists()
 
 
 @pytest.mark.parametrize("command, text", [

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from ardnet import nn
+from ardnet import models, nn
 
 
 def fd_grad(fn, theta, step=1e-5):
@@ -150,6 +150,33 @@ def test_softmax_energy_hessian_is_psd():
     for hb in h:
         eig = np.linalg.eigvalsh(hb)
         assert eig.min() > -1e-12
+
+
+@pytest.mark.parametrize("name", ["lenet5", "fc"])
+def test_predict_equals_forward_and_raises_its_errors(name):
+    rng = np.random.default_rng(0)
+    if name == "lenet5":
+        net, x = models.build_model("lenet5", seed=0), rng.normal(size=(4, 1, 28, 28))
+    else:
+        net = [nn.fc_layer(5, 7, activation="relu", rng=rng),
+               nn.fc_layer(7, 6, activation="tanh", rng=rng), nn.fc_layer(6, 3, rng=rng)]
+        x = rng.normal(size=(9, 5))
+    out, ref = nn.predict(net, x), nn.forward(net, x)[0]
+    assert out.shape == ref.shape and out.tobytes() == ref.tobytes()
+    # a non-finite input, then non-finite weights in the last layer
+    bad = x.copy()
+    bad.flat[0] = np.nan
+    for case, arg in (("input", bad), ("last layer", x)):
+        if case == "last layer":
+            net[-1].weights = np.full_like(net[-1].weights, np.inf)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(FloatingPointError) as ref:
+                nn.forward(net, arg)
+            with pytest.raises(FloatingPointError) as got:
+                nn.predict(net, arg)
+        assert str(got.value) == str(ref.value)
+        if case == "last layer":
+            assert str(got.value) == f"non-finite values in output of layer {len(net) - 1}"
 
 
 def test_mask_zeroes_forward_and_gradients():
