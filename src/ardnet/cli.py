@@ -41,7 +41,7 @@ def _build_parser():
 
     def common(p):
         p.add_argument("--config", required=True,
-                       help="JSON config file (empty file = defaults)")
+                       help="JSON config file (empty file = the command's tuned config)")
         p.add_argument("--seed", type=int, help="override the config seed")
         p.add_argument("--out", required=True, help="output directory")
 
@@ -81,7 +81,11 @@ def _build_parser():
 
 
 def _load_config(args):
-    config = exports.parse_config(args.config)
+    """The command's tuned config, overridden by the file, --seed and --mode."""
+    tuned = {"search": data_mod.dag_task_config, "proxy-search": data_mod.two_cell_task_config}
+    base = (tuned[args.command]() if args.command in tuned
+            else models.mnist_compression_config(args.net))
+    config = exports.parse_config(args.config, base)
     if getattr(args, "seed", None) is not None:
         config.seed = args.seed
     if getattr(args, "mode", None) is not None:

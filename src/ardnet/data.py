@@ -234,12 +234,9 @@ def gen_synthetic_dag_task(seed, n_nodes=6, n_edges=12, planted_size=3, dim=6,
              for (i, j) in pairs]
     graph = sg.SuperGraph(n_nodes, edges)
 
-    truth = sg.SuperGraph(
-        n_nodes,
-        [sg.Edge(i, j, edges[k].op, w=1.0) for k, (i, j) in enumerate(pairs)],
-    )
-    for eid in range(n_edges):
-        truth.edges[eid].alive = eid in set(planted)
+    truth = sg.SuperGraph(n_nodes, edges)  # every w is 1; only the planted edges run
+    truth.alive[:] = False
+    truth.alive[planted] = True
 
     data = _regression_data(rng, truth, dim, n_train, n_test, sigma2)
     return graph, data, set(planted)
@@ -267,24 +264,16 @@ def gen_two_cell_task(seed, dim=6, n_cells=2, n_train=512, n_test=256, sigma2=0.
     # the reweighting ratchet, so the planted subset is fixed to the chain.
     planted = {0, 2}
 
-    def build(alive_slots):
-        edges = []
-        slot_of = []
-        cell_in = 0
-        for cell in range(n_cells):
-            a, b = 1 + 2 * cell, 2 + 2 * cell
-            for slot, (src, dst) in enumerate([(cell_in, a), (cell_in, b), (a, b)]):
-                e = sg.Edge(src, dst, slot_ops[slot],
-                            w=1.0 if slot in alive_slots else 0.0)
-                e.alive = slot in alive_slots
-                edges.append(e)
-                slot_of.append(slot)
-            cell_in = b
-        g = sg.SuperGraph(1 + 2 * n_cells, edges)
-        return g, slot_of
-
-    truth, _ = build(planted)
-    graph, slot_of = build({0, 1, 2})
+    edges, slot_of, cell_in = [], [], 0
+    for cell in range(n_cells):
+        a, b = 1 + 2 * cell, 2 + 2 * cell
+        for slot, (src, dst) in enumerate([(cell_in, a), (cell_in, b), (a, b)]):
+            edges.append(sg.Edge(src, dst, slot_ops[slot]))
+            slot_of.append(slot)
+        cell_in = b
+    truth = sg.SuperGraph(1 + 2 * n_cells, edges)  # every w is 1; only planted slots run
+    truth.alive[:] = [slot in planted for slot in slot_of]
+    graph = sg.SuperGraph(1 + 2 * n_cells, edges)
     sg.insert_zero_gates(graph)
 
     groups = []
@@ -297,7 +286,7 @@ def gen_two_cell_task(seed, dim=6, n_cells=2, n_train=512, n_test=256, sigma2=0.
     if a_gates:
         groups.append(GroupSpec(len(groups), a_gates, "cell_tied"))
     grouped = {eid for grp in groups for eid in grp.members.tolist()}
-    for eid in range(len(graph.edges)):
+    for eid in range(len(graph.ops)):
         if eid not in grouped:
             groups.append(GroupSpec(len(groups), [eid], "edge_singleton"))
 

@@ -5,8 +5,9 @@ measures curvature on a held-out batch, updates the variance chain in
 closed form, prunes by the entropy criterion and cascades, restores a path
 if the graph fell apart, and repeats until nothing is pruned and no gamma
 moves; then it retrains what survives.  It runs on `_EdgeSlots` (the tied
-architecture scalars of a SuperGraph) or `_WeightSlots` (the HyperState
-weight groups of a layer stack).  Every SGD pass goes through `_sgd_epoch`.
+architecture scalars of a SuperGraph, its `w` array) or `_WeightSlots` (the
+HyperState weight groups of a layer stack).  The graph's arrays hold the
+search state.  Every SGD pass goes through `_sgd_epoch`.
 """
 
 from __future__ import annotations
@@ -185,13 +186,13 @@ def retrain_pruned(model, data, config, run=None):
 
 
 def _singleton_groups(graph):
-    return [GroupSpec(eid, [eid]) for eid in range(len(graph.edges))]
+    return [GroupSpec(eid, [eid]) for eid in range(len(graph.ops))]
 
 
 def _validate_groups(graph, groups):
-    seen = np.zeros(len(graph.edges), dtype=int)
+    seen = np.zeros(len(graph.ops), dtype=int)
     for grp in groups:
-        tags = {graph.edges[eid].op.tag for eid in grp.members}
+        tags = {graph.ops[eid].tag for eid in grp.members}
         if len(tags) > 1:
             raise ValueError(
                 f"group {grp.gid} ties edges with different ops {sorted(tags)}: "
@@ -206,42 +207,43 @@ def _validate_groups(graph, groups):
 class _EdgeSlots:
     """Architecture scalars of a SuperGraph, one shared scalar per group.
 
-    The alive members of each group change only at a prune, so they are
-    gathered once per iteration, in flat form, with their group's omega.
-    Between prunes training steps `w`, one array over edge ids; `update`
-    writes it back to the edges.
+    Training steps the graph's `w` array in place.  `omega` is an array
+    over edge ids.  The alive members of each group change only at a
+    prune, so they are gathered once per iteration, in flat form, with
+    their group's omega.
     """
 
     def __init__(self, graph, groups, config, kind):
         self.model, self.config, self.kind = graph, config, kind
         self.index, self.group = flat_groups(groups)
         self.velocity = {}
-        self.w_velocity = np.zeros(len(graph.edges))
+        self.w_velocity = np.zeros(len(graph.ops))
+        self.omega = np.zeros(len(graph.ops))
         self.restored = None
         self._gather()
 
     def _gather(self):
-        edges = self.model.edges
-        self.w = np.array([e.w for e in edges])
-        live = np.array([e.alive for e in edges], dtype=bool)[self.index]
+        live = self.model.alive[self.index]
         self.alive = self.index[live]
         # every alive member of a group shares its omega; take the first's
         _, first, self.group_of = np.unique(self.group[live], return_index=True,
                                             return_inverse=True)
-        self.omega = np.array([e.omega for e in edges])[self.alive[first]]
+        self.group_omega = self.omega[self.alive[first]]
 
     def gammas(self):
-        return {eid: self.model.edges[eid].gamma for eid in self.model.alive_edge_ids()}
+        ids = self.model.alive_edge_ids()
+        return dict(zip(ids, self.model.gamma[ids].tolist()))
 
     def snapshot(self):
-        return {eid: (e.w, e.s, e.omega, e.gamma, e.alive)
-                for eid, e in enumerate(self.model.edges)}
+        graph = self.model
+        return dict(enumerate(zip(graph.w.tolist(), graph.s.tolist(), self.omega.tolist(),
+                                  graph.gamma.tolist(), graph.alive.tolist())))
 
     def train_batch(self, x, y):
-        config, w, alive = self.config, self.w, self.alive
-        out, gcache = sg.graph_forward(self.model, x, w)
+        config, w, alive = self.config, self.model.w, self.alive
+        out, gcache = sg.graph_forward(self.model, x)
         loss, e_grad = nn.energy(out, y, self.kind)
-        pen, pen_grad = group_l2_penalty(w, alive, self.group_of, self.omega,
+        pen, pen_grad = group_l2_penalty(w, alive, self.group_of, self.group_omega,
                                          config.lambda_w)
         w_grads, _ = sg.graph_backward(self.model, gcache, e_grad)
         grad = w_grads[alive] + pen_grad[alive]
@@ -253,49 +255,40 @@ class _EdgeSlots:
         return loss + pen
 
     def retrain_batch(self, x, y):
-        graph, edges = self.model, self.model.edges
-        out, gcache = sg.graph_forward(graph, x, self.w)
+        graph = self.model
+        out, gcache = sg.graph_forward(graph, x)
         loss, e_grad = nn.energy(out, y, self.kind)
-        trainable = [eid for eid in self.alive.tolist() if edges[eid].op.layers]
+        trainable = [eid for eid in self.alive.tolist() if graph.ops[eid].layers]
         if trainable:
             _, node_g = sg.graph_backward(graph, gcache, e_grad)
             for eid in trainable:
-                e = edges[eid]
-                g_dst = node_g[e.dst]
+                layers = graph.ops[eid].layers
+                g_dst = node_g[graph.dst[eid]]
                 cache = sg.op_cache(graph, gcache, eid)
                 if g_dst is None or cache is None:
                     continue
-                grads, _ = nn.backward(e.op.layers, cache, self.w[eid] * g_dst,
-                                       input_grad=False)
-                _step_layers(e.op.layers, grads, self.velocity, (eid,), self.config)
+                grads, _ = nn.backward(layers, cache, graph.w[eid] * g_dst, input_grad=False)
+                _step_layers(layers, grads, self.velocity, (eid,), self.config)
         return loss
 
     def update(self, x, y):
-        """Write w back to the edges; per-edge curvature, closed-form
-        (c, omega, s) per group, then gamma."""
-        graph, edges, config = self.model, self.model.edges, self.config
-        alive, group = self.alive.tolist(), self.group_of
-        w = self.w[self.alive]
-        for eid, wi in zip(alive, w):
-            edges[eid].w = wi
-        out, gcache = sg.graph_forward(graph, x, self.w)
+        """Per-edge curvature, closed-form (c, omega, s) per group, then gamma."""
+        graph, config, alive, group = self.model, self.config, self.alive, self.group_of
+        out, gcache = sg.graph_forward(graph, x)
         hess = sg.arch_scalar_hessian(graph, gcache,
-                                      nn.energy_hessian(out, y, self.kind, "exact"))
-        for eid, h in hess.items():
-            edges[eid].hess = max(h, 0.0)
-        gamma_prev = np.array([edges[eid].gamma for eid in alive])
-        c = update_posterior_variance(gamma_prev, [edges[eid].hess for eid in alive])
-        s, omega = group_update(w, gamma_prev, c, group, config.omega_floor, config.s_cap)
-        for eid, ci, si, oi in zip(alive, c.tolist(), s[group].tolist(), omega[group].tolist()):
-            e = edges[eid]
-            e.c, e.omega = ci, oi
-            e.s = max(si, 1e-300)  # s = 0 (w = 0) still needs a valid gamma
+                                      nn.energy_hessian(out, y, self.kind, "exact"))[alive]
+        hess[hess < 0.0] = 0.0
+        gamma_prev = graph.gamma[alive]
+        c = update_posterior_variance(gamma_prev, hess)
+        s, omega = group_update(graph.w[alive], gamma_prev, c, group,
+                                config.omega_floor, config.s_cap)
+        self.omega[alive] = omega[group]
+        graph.s[alive] = np.maximum(s[group], 1e-300)  # s = 0 (w = 0) still needs a valid gamma
         sg.refresh_gammas(graph)
         # tied groups prune as one unit: every member adopts the group minimum
         gmin = np.full(omega.size, np.inf)
-        np.minimum.at(gmin, group, [edges[eid].gamma for eid in alive])
-        for eid, g in zip(alive, gmin[group].tolist()):
-            edges[eid].gamma = g
+        np.minimum.at(gmin, group, graph.gamma[alive])
+        graph.gamma[alive] = gmin[group]
 
     def prune(self):
         """Entropy prune, then the cascade: edges without in-flow die, and
@@ -305,26 +298,24 @@ class _EdgeSlots:
         graph = self.model
         mask = sg.entropy_prune_mask(graph, self.config.prune_threshold)
         sg.apply_prune_mask(graph, mask)
-        report = sg.propagate_dependency_prune(graph, mask)
+        report = sg.propagate_dependency_prune(graph)
         cascade = len(report.cascade_killed)
         if mask:
             live = sg.reachable_nodes(graph, reverse=True)
-            dead_end = [eid for eid in graph.alive_edge_ids()
-                        if graph.edges[eid].dst not in live]
-            sg.apply_prune_mask(graph, dead_end, reason="cascade")
+            dead_end = [eid for eid in graph.alive_edge_ids() if graph.dst[eid] not in live]
+            sg.apply_prune_mask(graph, dead_end)
             cascade += len(dead_end)
         if report.degenerate:
             self.restored = sg.restore_widest_path(graph)
         self._gather()
-        return len(report.entropy_killed), cascade, report.degenerate
+        return len(mask), cascade, report.degenerate
 
     def finish(self, data, run):
         """Freeze the alive scalars at 1 and retrain the op weights.  True:
         the frozen graph is a model that no history row evaluated."""
         graph, config = self.model, self.config
         if config.t_max > 0:
-            for eid in graph.alive_edge_ids():
-                graph.edges[eid].w = 1.0  # freeze before retraining
+            graph.w[graph.alive] = 1.0  # freeze before retraining
             if config.retrain_epochs > 0:
                 retrain_pruned(graph, data, config, run)
         if self.restored is not None:

@@ -9,6 +9,7 @@ enter the payload.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 import reprlib
 
@@ -38,12 +39,12 @@ SCHEMA_VERSION = "1"
 # configuration
 
 
-def parse_config(path):
-    """Read a JSON config file into a SearchConfig.
+def parse_config(path, base=None):
+    """Read a JSON config file into a SearchConfig: the file's keys
+    override `base` (all defaults when None), so an empty file gives base.
 
-    An empty file means all defaults.  Unknown keys, values of the wrong
-    JSON type (a boolean is not a number) and invalid values are rejected
-    with the offending field named.
+    Unknown keys, values of the wrong JSON type (a boolean is not a number)
+    and invalid values are rejected with the offending field named.
     """
     with open(path, encoding="utf-8") as fh:
         text = fh.read().strip()
@@ -61,7 +62,7 @@ def parse_config(path):
                 value, (int, float) if want is float else want):
             raise ValueError(f"config field {name} must be {want.__name__}, "
                              f"got {value!r}")
-    config = SearchConfig(**payload)
+    config = dataclasses.replace(base or defaults, **payload)
     config.validate()
     return config
 

@@ -1,8 +1,10 @@
 """Over-parameterized search DAG.
 
-Nodes carry tensors, edges carry one candidate operation each plus the
-architecture scalar w and its variance chain (s, gamma, omega, c, hess).
-A node's state is the w-weighted sum of its alive incoming edge outputs;
+Nodes carry tensors, edges carry one candidate operation each.  The graph
+holds the search state as arrays over edge ids (architecture scalar w,
+switch s, dependency variance gamma, alive), beside the topology (src,
+dst, ops, is_gate); `Edge` is the frozen record it is built from and read
+back as.  A node's state is the w-weighted sum of its alive in-edge outputs;
 nodes themselves apply no nonlinearity.  Gate edges implement the
 prioritized zero operation: one identity edge guarding each non-input
 node's entire fan-out, whose switch variance enters every downstream
@@ -16,9 +18,9 @@ Hessian, on every op kind.
 
 from __future__ import annotations
 
-import graphlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from operator import attrgetter
 
 import numpy as np
 
@@ -37,7 +39,6 @@ __all__ = [
     "graph_backward",
     "op_cache",
     "arch_scalar_hessian",
-    "gamma_of_edge",
     "refresh_gammas",
     "entropy_prune_mask",
     "apply_prune_mask",
@@ -122,9 +123,10 @@ def make_op(tag, rng=None, dims=None, channels=None, matrix=None):
 # graph structure
 
 
-@dataclass
+@dataclass(frozen=True)
 class Edge:
-    """One (source, target, operation) slot with its variance chain."""
+    """One (source, target, operation) slot and its search state, as a
+    record: a graph is built from records and returns fresh ones."""
 
     src: int
     dst: int
@@ -132,81 +134,99 @@ class Edge:
     w: float = 1.0
     s: float = 1.0
     gamma: float = 1.0
-    omega: float = 0.0
-    c: float = 1.0
-    hess: float = 0.0
     alive: bool = True
     is_gate: bool = False
-    killed_by: str | None = None  # "entropy" or "cascade" once dead
 
 
-@dataclass
+# the edge fields a SuperGraph holds as arrays over edge ids (op is the list `ops`)
+_EDGE_ARRAYS = {"src": np.intp, "dst": np.intp, "w": np.float64, "s": np.float64,
+                "gamma": np.float64, "alive": bool, "is_gate": bool}
+
+
 class SuperGraph:
     """Nodes 0..n_nodes-1 joined by edges, alive or pruned.
 
-    `order` is the topological order of all nodes.  Only `__post_init__`
-    and `insert_zero_gates` write the edge list or an edge's src/dst, and
-    both recompute it; a prune changes `alive` only, never the order.  The
-    alive adjacency is cached in a `_Plan` keyed on the alive flags.
+    Edge state is arrays over edge ids, written in place; `edges` reads them
+    back as frozen records.  `order` is the topological order of all nodes.
+    Only the constructor and `insert_zero_gates` add edges or move an edge's
+    src/dst, and both recompute it; a prune changes `alive` only, never the
+    order.  The alive adjacency is cached in a `_Plan` keyed on `alive`.
     """
 
-    n_nodes: int
-    edges: list
-    input_node: int = 0
-    output_node: int | None = None
-    gate_map: dict = field(default_factory=dict)      # guarded node -> gate edge id
-    gate_node_of: dict = field(default_factory=dict)  # auxiliary node -> guarded node
-    degenerate: bool = False
-    order: list = field(init=False, repr=False)
-    _plan: _Plan | None = field(default=None, init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        if self.output_node is None:
-            self.output_node = self.n_nodes - 1
-        for eid, e in enumerate(self.edges):
-            if not (0 <= e.src < self.n_nodes and 0 <= e.dst < self.n_nodes):
+    def __init__(self, n_nodes, edges, input_node=0, output_node=None,
+                 gate_map=None, gate_node_of=None, degenerate=False):
+        self.n_nodes = n_nodes
+        self.input_node = input_node
+        self.output_node = n_nodes - 1 if output_node is None else output_node
+        self.gate_map = dict(gate_map or {})          # guarded node -> gate edge id
+        self.gate_node_of = dict(gate_node_of or {})  # auxiliary node -> guarded node
+        self.degenerate = degenerate
+        self._set_edges(edges)
+        for eid, (src, dst) in enumerate(zip(self.src.tolist(), self.dst.tolist())):
+            if not (0 <= src < n_nodes and 0 <= dst < n_nodes):
                 raise ValueError(f"edge {eid} references a node outside the graph")
-            if e.src == e.dst:
+            if src == dst:
                 raise ValueError(f"edge {eid} is a self-loop")
         self.order = topo_order(self)  # raises on cycles
 
-    def in_edges(self, node, alive_only=True):
-        return [eid for eid, e in enumerate(self.edges)
-                if e.dst == node and (e.alive or not alive_only)]
+    def _set_edges(self, edges):
+        """Build the edge arrays from a sequence of records."""
+        self.ops = [e.op for e in edges]
+        columns = list(zip(*map(attrgetter(*_EDGE_ARRAYS), edges))) or [()] * len(_EDGE_ARRAYS)
+        for (name, dtype), column in zip(_EDGE_ARRAYS.items(), columns):
+            setattr(self, name, np.array(column, dtype))
+        self._plan = None
 
-    def out_edges(self, node, alive_only=True):
-        return [eid for eid, e in enumerate(self.edges)
-                if e.src == node and (e.alive or not alive_only)]
+    @property
+    def edges(self):
+        """Every edge as a frozen record of its current state, built on each read."""
+        return tuple(map(Edge, self.src.tolist(), self.dst.tolist(), self.ops,
+                         self.w.tolist(), self.s.tolist(), self.gamma.tolist(),
+                         self.alive.tolist(), self.is_gate.tolist()))
+
+    def in_edges(self, node):
+        return np.flatnonzero(self.alive & (self.dst == node)).tolist()
 
     def alive_edge_ids(self):
-        return [eid for eid, e in enumerate(self.edges) if e.alive]
+        return np.flatnonzero(self.alive).tolist()
 
 
 def topo_order(graph):
-    """Deterministic topological order of all node ids; raises on cycles."""
-    sorter = graphlib.TopologicalSorter()
-    for node in range(graph.n_nodes):
-        sorter.add(node)
-    for e in graph.edges:
-        sorter.add(e.dst, e.src)
-    try:
-        return list(sorter.static_order())
-    except graphlib.CycleError as err:
-        raise ValueError(f"graph contains a cycle: {err.args[1]}") from None
+    """Deterministic topological order of all node ids; raises on cycles.
+
+    Kahn's algorithm, first in first out: the nodes with no in-edge in id
+    order, then each node's successors in edge-id order as they become
+    ready (the order of `graphlib.TopologicalSorter.static_order`).
+    """
+    n_pred, succ = [0] * graph.n_nodes, [[] for _ in range(graph.n_nodes)]
+    for src, dst in zip(graph.src.tolist(), graph.dst.tolist()):
+        n_pred[dst] += 1
+        succ[src].append(dst)
+    order = [node for node in range(graph.n_nodes) if n_pred[node] == 0]
+    for node in order:  # the list grows while it is read
+        for nxt in succ[node]:
+            n_pred[nxt] -= 1
+            if n_pred[nxt] == 0:
+                order.append(nxt)
+    if len(order) < graph.n_nodes:
+        stuck = sorted(set(range(graph.n_nodes)) - set(order))
+        raise ValueError(f"graph contains a cycle: nodes {stuck} have no order")
+    return order
 
 
 @dataclass
 class _Plan:
-    """Alive adjacency of a graph, valid while its alive flags equal `key`.
+    """Alive adjacency of a graph, valid while its alive array's bytes
+    equal `key`.
 
     Edge-id lists are ascending.  `steps` holds, for each non-input node in
-    topological order, (node, [(edge id, edge, source node, layer), ...])
+    topological order, (node, [(edge id, op, source node, layer), ...])
     over its alive in-edges; layer is the op's fc layer when the op is one
     plain matrix, else None.  The layer, not its weights, is kept, because
     retraining replaces `layer.weights`.
     """
 
-    key: list
+    key: bytes
     ins: list      # node -> alive in-edge ids
     fan_out: list  # node -> every out-edge id, alive or not
     steps: list
@@ -222,20 +242,19 @@ def _matrix_layer(op):
 
 
 def _plan(graph):
-    """The graph's plan, rebuilt when an alive flag or the edge count changed
-    (code may write `edge.alive` directly)."""
-    edges = graph.edges
-    key = [e.alive for e in edges]
+    """The graph's plan, rebuilt when an alive flag changed (code may write
+    `graph.alive` directly)."""
+    key = graph.alive.tobytes()
     plan = graph._plan
     if plan is not None and plan.key == key:
         return plan
+    src, ops = graph.src.tolist(), graph.ops
     ins, fan_out = ([[] for _ in range(graph.n_nodes)] for _ in range(2))
-    for eid, e in enumerate(edges):
-        fan_out[e.src].append(eid)
-        if e.alive:
-            ins[e.dst].append(eid)
-    steps = [(node, [(eid, edges[eid], edges[eid].src, _matrix_layer(edges[eid].op))
-                     for eid in ins[node]])
+    for eid, (a, b, alive) in enumerate(zip(src, graph.dst.tolist(), graph.alive.tolist())):
+        fan_out[a].append(eid)
+        if alive:
+            ins[b].append(eid)
+    steps = [(node, [(eid, ops[eid], src[eid], _matrix_layer(ops[eid])) for eid in ins[node]])
              for node in graph.order if node != graph.input_node]
     graph._plan = _Plan(key, ins, fan_out, steps)
     return graph._plan
@@ -255,56 +274,53 @@ class GraphCache:
     """
 
     plan: _Plan
-    w: np.ndarray | list  # edge id -> architecture scalar the walk used
-    node_z: list          # node id -> state tensor
-    edge_out: list        # edge id -> op output tensor (before w scaling)
-    edge_cache: list      # edge id -> op-internal cache
+    node_z: list      # node id -> state tensor
+    edge_out: list    # edge id -> op output tensor (before w scaling)
+    edge_cache: list  # edge id -> op-internal cache
     node_g: list | None = None  # node id -> dE/dz_node, set by graph_backward
 
 
-def _non_finite(eid, e):
-    return FloatingPointError(f"non-finite output of edge {eid} ({e.op.tag})")
+def _non_finite(eid, op):
+    return FloatingPointError(f"non-finite output of edge {eid} ({op.tag})")
 
 
 def _first_non_finite(steps, edge_out):
     """The error naming a node's first plain matrix in-edge with a non-finite
     output, or None when every such output is finite."""
-    for eid, e, _, layer in steps:
+    for eid, op, _, layer in steps:
         out = edge_out[eid]
         if layer is not None and out is not None and not np.isfinite(out).all():
-            return _non_finite(eid, e)
+            return _non_finite(eid, op)
     return None
 
 
-def graph_forward(graph, x, w=None):
+def graph_forward(graph, x):
     """Topological evaluation; returns (output tensor, GraphCache).
 
-    z_node is the sum over alive in-edges of w_e * op_e(z_src), with w an
-    array over edge ids (the edges' own w when None); a node with no
-    information flow holds None and its out-edges are skipped.  A plain
-    matrix op runs as one matmul; a node checks its sum once, and a
-    non-finite sum names the first such in-edge whose output is non-finite
-    (a sum that overflowed from finite outputs is left to the next check
-    downstream).  Other ops check their own outputs in `nn.forward`.
+    z_node is the sum over alive in-edges of w_e * op_e(z_src), with w the
+    graph's array; a node with no information flow holds None and its
+    out-edges are skipped.  A plain matrix op runs as one matmul; a node
+    checks its sum once, and a non-finite sum names the first such in-edge
+    whose output is non-finite (a sum that overflowed from finite outputs
+    is left to the next check downstream).  Other ops check their own
+    outputs in `nn.forward`.
     """
-    plan = _plan(graph)
-    if w is None:
-        w = [e.w for e in graph.edges]
+    plan, w = _plan(graph), graph.w
     node_z = [None] * graph.n_nodes
     node_z[graph.input_node] = np.asarray(x, dtype=np.float64)
-    edge_out = [None] * len(graph.edges)
-    edge_cache = [None] * len(graph.edges)
+    edge_out = [None] * len(graph.ops)
+    edge_cache = [None] * len(graph.ops)
     for node, steps in plan.steps:
         total, matrix = None, False
-        for eid, e, src, layer in steps:
+        for eid, op, src, layer in steps:
             z = node_z[src]
             if z is None:
                 continue
             if layer is None:
                 try:
-                    out, edge_cache[eid] = e.op.apply(z)
+                    out, edge_cache[eid] = op.apply(z)
                 except FloatingPointError:
-                    raise _first_non_finite(steps, edge_out) or _non_finite(eid, e) from None
+                    raise _first_non_finite(steps, edge_out) or _non_finite(eid, op) from None
             else:
                 out = z @ layer.weights.T
                 matrix = True
@@ -320,7 +336,7 @@ def graph_forward(graph, x, w=None):
         node_z[node] = total
     if node_z[graph.output_node] is None:
         raise ValueError("output node receives no information flow")
-    return node_z[graph.output_node], GraphCache(plan, w, node_z, edge_out, edge_cache)
+    return node_z[graph.output_node], GraphCache(plan, node_z, edge_out, edge_cache)
 
 
 def graph_backward(graph, gcache, grad_output):
@@ -332,7 +348,7 @@ def graph_backward(graph, gcache, grad_output):
     like the output gradient are reduced in one sum, which equals their own
     sums bit for bit; any other product keeps its own sum.
     """
-    plan, w, edge_out, edge_cache = gcache.plan, gcache.w, gcache.edge_out, gcache.edge_cache
+    plan, w, edge_out, edge_cache = gcache.plan, graph.w, gcache.edge_out, gcache.edge_cache
     node_g = [None] * len(gcache.node_z)
     g_out = node_g[graph.output_node] = np.asarray(grad_output, dtype=np.float64)
     prods = np.zeros((len(edge_out),) + g_out.shape)
@@ -342,7 +358,7 @@ def graph_backward(graph, gcache, grad_output):
         if g is None:
             continue
         batched = g.shape == g_out.shape and g.flags.c_contiguous
-        for eid, e, src, layer in steps:
+        for eid, op, src, layer in steps:
             out = edge_out[eid]
             if out is None:  # its source carried no information flow
                 continue
@@ -351,7 +367,7 @@ def graph_backward(graph, gcache, grad_output):
             else:
                 own[eid] = (g * out).sum()
             if layer is None:
-                gx = w[eid] * e.op.vjp(edge_cache[eid], g)
+                gx = w[eid] * op.vjp(edge_cache[eid], g)
             else:
                 gx = w[eid] * (g @ layer.weights)
             prev = node_g[src]
@@ -369,16 +385,16 @@ def op_cache(graph, gcache, eid):
     A plain matrix edge stores none; its cache is built from the walk's
     tensors, with the gradient that graph_backward left at its target.
     """
-    e = graph.edges[eid]
     out = gcache.edge_out[eid]
-    if out is None or _matrix_layer(e.op) is None:
+    if out is None or _matrix_layer(graph.ops[eid]) is None:
         return gcache.edge_cache[eid]
-    g_dst = None if gcache.node_g is None else gcache.node_g[e.dst]
-    return [nn.LayerCache(x=gcache.node_z[e.src], preact=out, out=out, grad_out=g_dst)]
+    g_dst = None if gcache.node_g is None else gcache.node_g[graph.dst[eid]]
+    return [nn.LayerCache(x=gcache.node_z[graph.src[eid]], preact=out, out=out, grad_out=g_dst)]
 
 
 def arch_scalar_hessian(graph, gcache, h_seed):
-    """Per-edge curvature of the energy w.r.t. each architecture scalar w.
+    """Per-edge curvature of the energy w.r.t. each architecture scalar w,
+    as an array over edge ids, 0.0 where the edge did not run.
 
     The Gauss-Newton rule sum_b J_b^T H_b J_b against the full energy
     Hessian seed (b, n, n), which carries the 1/batch factor.
@@ -396,7 +412,7 @@ def arch_scalar_hessian(graph, gcache, h_seed):
     b, n = h_seed.shape[:2]
     grads = [graph_backward(graph, gcache, np.tile(e_k, (b, 1)).reshape(out.shape))[1]
              for e_k in np.eye(n)]
-    jac = np.zeros((b, len(graph.edges), n))  # [b, e, k] = d out[b, k] / d w_e
+    jac = np.zeros((b, len(graph.ops), n))  # [b, e, k] = d out[b, k] / d w_e
     for node, ins in enumerate(gcache.plan.ins):
         if grads[0][node] is None:  # no path to the output
             continue
@@ -404,75 +420,63 @@ def arch_scalar_hessian(graph, gcache, h_seed):
         for eid in ins:
             if edge_out[eid] is not None:
                 jac[:, eid] = np.einsum("kbf,bf->bk", g, edge_out[eid].reshape(b, -1))
-    curv = np.einsum("bei,bei->e", jac @ h_seed, jac).tolist()
-    return {eid: curv[eid] for eid in graph.alive_edge_ids()}
+    return np.einsum("bei,bei->e", jac @ h_seed, jac)
 
 
 # ---------------------------------------------------------------------------
 # variance algebra and pruning
 
 
-def gamma_of_edge(graph, eid):
-    """Harmonic dependency variance of one edge.
-
-    1/gamma = 1/s_gate + 1/(sum of predecessor switches) + 1/s_edge, with
-    the gate term present only when the edge leaves a gated fan-out and the
-    predecessor term dropped at the input-node boundary.
-    """
-    e = graph.edges[eid]
-    if e.s <= 0:
-        raise ValueError(f"edge {eid} has non-positive switch variance {e.s}")
-    inv = 1.0 / e.s
-    src = e.src
-    if src in graph.gate_node_of:
-        guarded = graph.gate_node_of[src]
-        gate = graph.edges[graph.gate_map[guarded]]
-        if gate.s <= 0:
-            raise ValueError(f"gate of node {guarded} has non-positive switch {gate.s}")
-        inv += 1.0 / gate.s
-        src = guarded  # predecessor mass lives on the guarded node
-    if src != graph.input_node:
-        pred = 0.0
-        for pid in _plan(graph).ins[src]:
-            p = graph.edges[pid]
-            if p.is_gate:
-                continue
-            if p.s <= 0:
-                raise ValueError(f"edge {pid} has non-positive switch variance {p.s}")
-            pred += p.s
-        if pred > 0:
-            inv += 1.0 / pred
-        else:
-            return 0.0  # no alive in-flow: the edge is dead weight
-    return 1.0 / inv
-
-
 def refresh_gammas(graph):
-    for eid in graph.alive_edge_ids():
-        graph.edges[eid].gamma = gamma_of_edge(graph, eid)
+    """Harmonic dependency variance of every alive edge, in one pass.
+
+    1/gamma = 1/s_edge + 1/s_gate + 1/(sum of predecessor switches), with
+    the gate term present only when the edge leaves a gated fan-out and the
+    predecessor term dropped at the input-node boundary.  An edge out of
+    auxiliary node j' takes the predecessors of its guarded node j, the
+    alive non-gate in-edges of j, summed in edge-id order.  An edge whose
+    source has no alive in-flow is dead weight: gamma 0.  Dead edges keep
+    their gamma.
+    """
+    s = graph.s
+    node, gate = np.arange(graph.n_nodes), np.full(graph.n_nodes, -1)
+    for aux, guarded in graph.gate_node_of.items():
+        node[aux], gate[aux] = guarded, graph.gate_map[guarded]
+    ids = np.flatnonzero(graph.alive)
+    src = graph.src[ids]
+    gates = gate[src]
+    gated = gates >= 0
+    used = np.concatenate([ids, gates[gated]])
+    if np.any(s[used] <= 0):
+        eid = used[s[used] <= 0].min()
+        raise ValueError(f"edge {eid} has non-positive switch variance {s[eid]}")
+    inv = 1.0 / s[ids]
+    inv[gated] += 1.0 / s[gates[gated]]
+    preds = graph.alive & ~graph.is_gate
+    pred = np.bincount(graph.dst[preds], weights=s[preds], minlength=graph.n_nodes)[node[src]]
+    bounded = node[src] != graph.input_node
+    flow = bounded & (pred > 0)
+    inv[flow] += 1.0 / pred[flow]
+    gamma = 1.0 / inv
+    gamma[bounded & ~flow] = 0.0
+    graph.gamma[ids] = gamma
     return graph
 
 
 def entropy_prune_mask(graph, threshold=None):
-    """Edges whose dependency variance has nonpositive Gaussian entropy."""
+    """Alive edges whose dependency variance has nonpositive Gaussian entropy."""
     from .updates import ENTROPY_PRUNE_THRESHOLD
     thr = ENTROPY_PRUNE_THRESHOLD if threshold is None else threshold
-    return {eid for eid in graph.alive_edge_ids()
-            if graph.edges[eid].gamma <= thr}
+    return set(np.flatnonzero(graph.alive & (graph.gamma <= thr)).tolist())
 
 
-def apply_prune_mask(graph, mask, reason="entropy"):
-    for eid in mask:
-        e = graph.edges[eid]
-        if e.alive:
-            e.alive = False
-            e.killed_by = reason
+def apply_prune_mask(graph, mask):
+    graph.alive[list(mask)] = False
     return graph
 
 
 @dataclass
 class PruneReport:
-    entropy_killed: list
     cascade_killed: list
     degenerate: bool = False
 
@@ -486,13 +490,13 @@ def reachable_nodes(graph, reverse=False):
     tail is already reached.
     """
     pos = {node: i for i, node in enumerate(graph.order)}
+    ids = np.flatnonzero(graph.alive)
+    src, dst = graph.src[ids].tolist(), graph.dst[ids].tolist()
     if reverse:
-        hops = sorted(((e.dst, e.src) for e in graph.edges if e.alive),
-                      key=lambda hop: -pos[hop[0]])
+        hops = sorted(zip(dst, src), key=lambda hop: -pos[hop[0]])
         seen = {graph.output_node}
     else:
-        hops = sorted(((e.src, e.dst) for e in graph.edges if e.alive),
-                      key=lambda hop: pos[hop[0]])
+        hops = sorted(zip(src, dst), key=lambda hop: pos[hop[0]])
         seen = {graph.input_node}
     for tail, head in hops:
         if tail in seen:
@@ -500,19 +504,18 @@ def reachable_nodes(graph, reverse=False):
     return seen
 
 
-def propagate_dependency_prune(graph, entropy_killed=()):
+def propagate_dependency_prune(graph):
     """Cascade: kill every alive edge whose source has no alive in-flow.
 
     Reachability from the input over alive edges is the fixpoint of the
     node-isolation rule, so one forward sweep suffices, and killing the
-    edges it leaves out cannot change it.  Returns a report listing entropy-
-    and cascade-killed edges separately.
+    edges it leaves out cannot change it.  Returns a report listing the
+    cascade-killed edges.
     """
-    reach = reachable_nodes(graph)
-    cascade = [eid for eid in graph.alive_edge_ids() if graph.edges[eid].src not in reach]
-    apply_prune_mask(graph, cascade, reason="cascade")
-    return PruneReport(sorted(entropy_killed), sorted(cascade),
-                       graph.output_node not in reach)
+    reach, src = reachable_nodes(graph), graph.src.tolist()
+    cascade = [eid for eid in graph.alive_edge_ids() if src[eid] not in reach]
+    apply_prune_mask(graph, cascade)
+    return PruneReport(cascade, graph.output_node not in reach)
 
 
 def restore_widest_path(graph):
@@ -522,17 +525,17 @@ def restore_widest_path(graph):
     Returns the list of revived edge ids.
     """
     fan_out = _plan(graph).fan_out
+    src, dst, gamma = graph.src.tolist(), graph.dst.tolist(), graph.gamma.tolist()
     best = {graph.input_node: np.inf}
     back = {}
     for node in graph.order:
         if node not in best:
             continue
         for eid in fan_out[node]:
-            e = graph.edges[eid]
-            cand = min(best[node], e.gamma)
-            if cand > best.get(e.dst, -np.inf):
-                best[e.dst] = cand
-                back[e.dst] = eid
+            cand = min(best[node], gamma[eid])
+            if cand > best.get(dst[eid], -np.inf):
+                best[dst[eid]] = cand
+                back[dst[eid]] = eid
     if graph.output_node not in back:
         raise ValueError("no input->output path exists in the graph at all")
     path = []
@@ -540,12 +543,9 @@ def restore_widest_path(graph):
     while node != graph.input_node:
         eid = back[node]
         path.append(eid)
-        node = graph.edges[eid].src
+        node = src[eid]
     path.reverse()
-    for eid in path:
-        e = graph.edges[eid]
-        e.alive = True
-        e.killed_by = None
+    graph.alive[path] = True
     graph.degenerate = True
     return path
 
@@ -558,29 +558,24 @@ def insert_zero_gates(graph):
     """Guard every non-input node's fan-out with a single identity gate.
 
     Node j with outgoing edges gains an auxiliary node j'; a gate edge
-    j -> j' (w = s = 1) is inserted and j's outgoing edges are re-pointed
-    to originate at j'.
+    j -> j' (w = s = 1) is appended and j's outgoing edges, alive or not,
+    are re-pointed to originate at j'.
     """
     if graph.gate_map:
         raise ValueError("zero gates already inserted")
-    original_nodes = list(range(graph.n_nodes))
-    for node in original_nodes:
-        if node == graph.input_node:
-            continue
-        fan_out = graph.out_edges(node, alive_only=False)
-        if not fan_out:
+    fan_out = _plan(graph).fan_out
+    gates = []
+    for node in range(graph.n_nodes):
+        if node == graph.input_node or not fan_out[node]:
             continue
         aux = graph.n_nodes
         graph.n_nodes += 1
-        gate = Edge(node, aux, make_op("zero_gate"), w=1.0, s=1.0, is_gate=True)
-        graph.edges.append(gate)
-        gate_id = len(graph.edges) - 1
-        for eid in fan_out:
-            graph.edges[eid].src = aux
-        graph.gate_map[node] = gate_id
+        graph.src[fan_out[node]] = aux
+        graph.gate_map[node] = len(graph.ops) + len(gates)
         graph.gate_node_of[aux] = node
+        gates.append(Edge(node, aux, make_op("zero_gate"), is_gate=True))
+    graph._set_edges(graph.edges + tuple(gates))
     graph.order = topo_order(graph)
-    graph._plan = None  # edges were re-pointed
     return graph
 
 
@@ -588,31 +583,23 @@ def insert_zero_gates(graph):
 # export
 
 
+_EXPORT_FIELDS = ("src", "dst", "op", "w", "gamma", "s", "alive", "is_gate")
+
+
 def export_architecture(graph):
     """Plain-dict record of the final topology, ops and (w, gamma, s)."""
-    alive = graph.alive_edge_ids()
+    columns = [[op.tag for op in graph.ops] if name == "op" else getattr(graph, name).tolist()
+               for name in _EXPORT_FIELDS]
     return {
         "schema_version": "1",
         "n_nodes": graph.n_nodes,
         "input_node": graph.input_node,
         "output_node": graph.output_node,
-        "degenerate": bool(graph.degenerate or not alive),
+        "degenerate": bool(graph.degenerate or not graph.alive.any()),
         "gate_map": {str(k): v for k, v in graph.gate_map.items()},
         "gate_node_of": {str(k): v for k, v in graph.gate_node_of.items()},
-        "edges": [
-            {
-                "id": eid,
-                "src": e.src,
-                "dst": e.dst,
-                "op": e.op.tag,
-                "w": float(e.w),
-                "gamma": float(e.gamma),
-                "s": float(e.s),
-                "alive": bool(e.alive),
-                "is_gate": bool(e.is_gate),
-            }
-            for eid, e in enumerate(graph.edges)
-        ],
+        "edges": [dict(zip(("id",) + _EXPORT_FIELDS, (eid,) + row))
+                  for eid, row in enumerate(zip(*columns))],
     }
 
 

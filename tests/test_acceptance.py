@@ -204,7 +204,7 @@ def test_criterion_06_dependency_prune_fixpoint():
                               for i, j in pairs])
         killed = {i for i in range(len(pairs)) if rng.random() < 0.35}
         sg.apply_prune_mask(g, killed)
-        sg.propagate_dependency_prune(g, killed)
+        sg.propagate_dependency_prune(g)
         ok &= set(g.alive_edge_ids()) == brute_force_alive(n, pairs, killed)
     report(6, "cascaded alive set equals the reachability oracle on 100 "
               "random DAGs", ok)

@@ -22,6 +22,18 @@ def test_dump_diffs_clean_against_itself_and_names_a_change(tmp_path):
     assert sorted(record["search"]) == ["0", "1"]
     assert sorted(record["search"]["0"]) == ["proxy_cells", "proxyless"]
     assert sorted(record["compress"]) == ["compress-fc-exact/0", "compress-lenet5/0"]
+    # every iteration's (w, s, omega, gamma, alive) of every edge, as trace= records it
+    for search in ("proxy_cells", "proxyless"):
+        result = record["search"]["0"][search]
+        trace, edges = result["trace"], result["export"]["edges"]
+        assert [snap["iteration"] for snap in trace] == list(range(1, len(trace) + 1))
+        assert len(trace) == len(result["history"]) > 0
+        last = trace[-1]["edges"]
+        assert sorted(last, key=int) == [str(e["id"]) for e in edges]
+        for e in edges:  # the search ends by freezing w, so w is not compared
+            w, s, omega, gamma, alive = last[str(e["id"])]
+            assert (s, gamma, alive) == (e["s"], e["gamma"], e["alive"])
+            assert isinstance(w, float) and isinstance(omega, float)
     same = run_tool("diff", dump, dump)
     assert same.returncode == 0 and same.stdout.strip() == "0 difference(s)"
 

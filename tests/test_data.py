@@ -94,9 +94,9 @@ def test_synthetic_task_deterministic():
 def test_synthetic_planted_subgraph_reproduces_noiseless_targets():
     graph, ds, planted = data.gen_synthetic_dag_task(1, n_train=32, n_test=16,
                                                      sigma2=1e-30)
-    for eid, e in enumerate(graph.edges):
-        e.w = 1.0 if eid in planted else 0.0
-        e.alive = eid in planted
+    for eid in range(len(graph.ops)):
+        graph.w[eid] = 1.0 if eid in planted else 0.0
+        graph.alive[eid] = eid in planted
     out, _ = sg.graph_forward(graph, ds.x_train)
     assert np.max(np.abs(out - ds.y_train)) < 1e-12
 

@@ -151,40 +151,58 @@ def test_one_penalty_call_equals_per_group_calls():
     graph, ds, groups, _ = data.gen_two_cell_task(0)
     cfg = data.two_cell_task_config(0)
     rng = np.random.default_rng(0)
+    slots = engine._EdgeSlots(graph, groups, cfg, "mse")
+    w, omega = graph.w, slots.omega
     for _ in range(200):
-        for e in graph.edges:
-            e.alive = bool(rng.random() < 0.6)
-            e.w, e.omega = rng.normal(), rng.random()
-        slots = engine._EdgeSlots(graph, groups, cfg, "mse")
-        w = np.array([e.w for e in graph.edges])
-        value, grad = group_l2_penalty(w, slots.alive, slots.group_of, slots.omega,
+        for eid in range(len(graph.ops)):
+            graph.alive[eid] = rng.random() < 0.6
+            w[eid], omega[eid] = rng.normal(), rng.random()
+        slots._gather()
+        value, grad = group_l2_penalty(w, slots.alive, slots.group_of, slots.group_omega,
                                        cfg.lambda_w)
         ref_value, ref_grad = 0.0, {}
         for grp in groups:
-            members = [eid for eid in grp.members.tolist() if graph.edges[eid].alive]
+            members = [eid for eid in grp.members.tolist() if graph.alive[eid]]
             if not members:
                 continue
-            v, g = group_l2_penalty([graph.edges[eid].w for eid in members],
-                                    np.arange(len(members)), np.zeros(len(members), int),
-                                    [graph.edges[members[0]].omega], cfg.lambda_w)
+            v, g = group_l2_penalty(w[members], np.arange(len(members)),
+                                    np.zeros(len(members), int), [omega[members[0]]],
+                                    cfg.lambda_w)
             ref_value += v
             ref_grad.update(zip(members, g))
         assert value == ref_value
         assert grad.tolist() == [ref_grad.get(eid, 0.0) for eid in range(len(w))]
 
 
-def test_search_steps_its_w_array_and_update_writes_it_back():
+def test_search_trains_the_graph_w_in_place():
     graph, ds, groups, _ = data.gen_two_cell_task(0)
     cfg = data.two_cell_task_config(0)
     slots = engine._EdgeSlots(graph, groups, cfg, "mse")
-    before = [e.w for e in graph.edges]
+    w = graph.w
+    before = w.copy()
     for start in range(0, 4 * cfg.batch_size, cfg.batch_size):
         idx = slice(start, start + cfg.batch_size)
         slots.train_batch(ds.x_train[idx], ds.y_train[idx])
-    assert [e.w for e in graph.edges] == before
-    assert not np.array_equal(slots.w, before)
-    slots.update(ds.x_train[:cfg.curvature_batch], ds.y_train[:cfg.curvature_batch])
-    assert [e.w for e in graph.edges] == slots.w.tolist()
+    assert graph.w is w and not np.array_equal(w, before)
+    assert [e.w for e in graph.edges] == w.tolist()
+
+
+def test_train_batch_builds_no_edge_record(monkeypatch):
+    graph, ds, groups, _ = data.gen_two_cell_task(0)
+    cfg = data.two_cell_task_config(0)
+    slots = engine._EdgeSlots(graph, groups, cfg, "mse")
+    built, init = [], sg.Edge.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(sg.Edge, "__init__", counting_init)
+    for start in range(0, 4 * cfg.batch_size, cfg.batch_size):
+        idx = slice(start, start + cfg.batch_size)
+        slots.train_batch(ds.x_train[idx], ds.y_train[idx])
+    assert len(built) == 0
+    assert len(graph.edges) == len(built) == len(graph.ops)  # the count sees records
 
 
 def make_blob_task(seed=0, n=600, dim=10, informative=3, classes=4):

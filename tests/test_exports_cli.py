@@ -207,7 +207,7 @@ def test_mask_export_round_trip(tmp_path):
 
 def test_dot_styles_alive_and_pruned_edges():
     g = make_graph()
-    g.edges[1].alive = False
+    g.alive[1] = False
     text = exports.to_dot(sg.export_architecture(g))
     assert text.startswith("digraph")
     assert "style=solid" in text and "style=dashed" in text
@@ -262,6 +262,22 @@ def test_cli_runs_are_byte_identical(tmp_path):
         outs.append(out)
     assert (outs[0] / "metrics.csv").read_bytes() == (outs[1] / "metrics.csv").read_bytes()
     assert (outs[0] / "arch.json").read_bytes() == (outs[1] / "arch.json").read_bytes()
+
+
+@pytest.mark.parametrize("command", ["search", "proxy-search"])
+def test_cli_empty_config_runs_the_tuned_search(tmp_path, command):
+    # an empty file means the command's tuned task config: the defaults
+    # alone diverge on the planted-DAG task
+    cfg = tmp_path / "empty.json"
+    cfg.write_text("")
+    archs = []
+    for name in ("r1", "r2"):
+        res = run_cli(command, "--config", str(cfg), "--seed", "0", "--out", str(tmp_path / name))
+        assert res.returncode == 0, res.stderr
+        archs.append((tmp_path / name / "arch.json").read_bytes())
+    assert archs[0] == archs[1]
+    tuned = data.dag_task_config(0) if command == "search" else data.two_cell_task_config(0)
+    assert json.loads(archs[0])["provenance"]["config_hash"] == tuned.config_hash()
 
 
 def test_cli_missing_config_exits_one(tmp_path):

@@ -1,5 +1,7 @@
 """Search DAG: mixing, variance algebra, pruning, gates, export."""
 
+import dataclasses
+import graphlib
 from types import SimpleNamespace
 
 import numpy as np
@@ -74,21 +76,19 @@ def test_w_gradients_match_finite_differences():
     t = rng.normal(size=(5, 3))
 
     def energy_at(ws):
-        saved = [e.w for e in g.edges]
-        for e, w in zip(g.edges, ws):
-            e.w = w
+        saved = g.w.copy()
+        g.w[:] = ws
         try:
             out, _ = sg.graph_forward(g, x)
             v, _ = nn.energy(out, t, "mse")
         finally:
-            for e, w in zip(g.edges, saved):
-                e.w = w
+            g.w[:] = saved
         return v
 
     out, gcache = sg.graph_forward(g, x)
     _, e_grad = nn.energy(out, t, "mse")
     w_grads, _ = sg.graph_backward(g, gcache, e_grad)
-    w0 = np.array([e.w for e in g.edges])
+    w0 = g.w.copy()
     step = 1e-6
     for eid in range(4):
         wp, wm = w0.copy(), w0.copy()
@@ -152,9 +152,10 @@ def test_backward_skips_edges_whose_source_has_no_flow():
 # the cached plan against the per-edge loop it replaces
 
 
-def loop_forward(graph, x, w):
+def loop_forward(graph, x):
     """Per-edge reference: alive in-edges by linear scan, every op applied
     through the op itself, dicts keyed by node and edge id."""
+    w = graph.w.tolist()
     node_z = {graph.input_node: np.asarray(x, dtype=np.float64)}
     edge_out, edge_cache = {}, {}
     for node in graph.order:
@@ -172,7 +173,7 @@ def loop_forward(graph, x, w):
     if node_z.get(graph.output_node) is None:
         raise ValueError("output node receives no information flow")
     return node_z[graph.output_node], SimpleNamespace(
-        w=w, node_z=node_z, edge_out=edge_out, edge_cache=edge_cache)
+        node_z=node_z, edge_out=edge_out, edge_cache=edge_cache)
 
 
 def loop_backward(graph, gcache, grad_output):
@@ -185,7 +186,7 @@ def loop_backward(graph, gcache, grad_output):
         for eid in graph.in_edges(node):
             e = graph.edges[eid]
             w_grads[eid] = float(np.sum(g * gcache.edge_out[eid]))
-            gx = gcache.w[eid] * e.op.vjp(gcache.edge_cache[eid], g)
+            gx = graph.w[eid] * e.op.vjp(gcache.edge_cache[eid], g)
             node_g[e.src] = gx if node_g.get(e.src) is None else node_g[e.src] + gx
     return w_grads, node_g
 
@@ -193,15 +194,16 @@ def loop_backward(graph, gcache, grad_output):
 def loop_arch_hessian(graph, gcache, h_seed):
     """arch_scalar_hessian as output Jacobians accumulated down through fixed
     linear ops, with out-edges found by linear scan."""
-    w = gcache.w
+    w = graph.w
     out = gcache.node_z[graph.output_node]
     down = {graph.output_node: np.eye(out.reshape(out.shape[0], -1).shape[1])}
     for node in reversed(graph.order):
         if node == graph.output_node or gcache.node_z.get(node) is None:
             continue
         acc = None
-        for eid in graph.out_edges(node):
-            e = graph.edges[eid]
+        for eid, e in enumerate(graph.edges):
+            if not (e.alive and e.src == node):
+                continue
             j_dst = down.get(e.dst)
             if j_dst is None:
                 continue
@@ -298,23 +300,22 @@ def test_plan_walk_equals_the_per_edge_loop(spec, seed):
     for _ in range(4):
         # direct writes the plan must notice: alive flags, w, and the weights
         # retraining replaces; then kill edges whose source lost its in-flow
-        for e in g.edges:
-            e.alive, e.w = bool(rng.random() < 0.8), float(rng.normal())
-            if e.op.layers and e.op.layers[0].kind == "fc":
-                e.op.layers[0].weights = rng.normal(size=(DIM, DIM))
+        for eid, op in enumerate(g.ops):
+            g.alive[eid], g.w[eid] = rng.random() < 0.8, rng.normal()
+            if op.layers and op.layers[0].kind == "fc":
+                op.layers[0].weights = rng.normal(size=(DIM, DIM))
         reach = sg.reachable_nodes(g)
-        for e in g.edges:
-            e.alive = e.alive and e.src in reach
+        g.alive &= np.isin(g.src, list(reach))
         if g.output_node not in reach:
             for forward in (sg.graph_forward, loop_forward):
                 with pytest.raises(ValueError, match="no information flow"):
-                    forward(g, x, [e.w for e in g.edges])
+                    forward(g, x)
             continue
-        # the walk runs on an explicit w, not on the edges' own
-        w = rng.normal(size=len(g.edges))
-        out, gcache = sg.graph_forward(g, x, w)
-        ref, rcache = loop_forward(g, x, w)
-        n_edges = len(g.edges)
+        # the walk reads w written to the graph's array after the plan was built
+        g.w[:] = rng.normal(size=len(g.ops))
+        out, gcache = sg.graph_forward(g, x)
+        ref, rcache = loop_forward(g, x)
+        n_edges = len(g.ops)
         assert same_bits(out, ref)
         assert same_bits(gcache.node_z, listed(rcache.node_z, g.n_nodes))
         assert same_bits(gcache.edge_out, listed(rcache.edge_out, n_edges))
@@ -333,8 +334,8 @@ def test_plan_walk_equals_the_per_edge_loop(spec, seed):
             h_seed = nn.energy_hessian(out, t, "mse", "exact")
             got = sg.arch_scalar_hessian(g, gcache, h_seed)
             ref = loop_arch_hessian(g, rcache, h_seed)
-            assert got.keys() == ref.keys()
-            assert np.allclose(list(got.values()), list(ref.values()), rtol=1e-12, atol=0)
+            assert list(ref) == g.alive_edge_ids() and not got[~g.alive].any()
+            assert np.allclose(got[g.alive], list(ref.values()), rtol=1e-12, atol=0)
 
 
 # ---------------------------------------------------------------------------
@@ -381,23 +382,22 @@ def test_scalar_hessian_matches_finite_differences():
     hess = sg.arch_scalar_hessian(g, gcache, h_seed)
     step = 1e-4
     for eid in range(4):
-        e = g.edges[eid]
-        orig = e.w
+        orig = g.w[eid]
 
         def e_at(w):
-            e.w = w
+            g.w[eid] = w
             try:
                 o, _ = sg.graph_forward(g, x)
                 v, _ = nn.energy(o, t, "mse")
             finally:
-                e.w = orig
+                g.w[eid] = orig
             return v
 
         ref = (e_at(orig + step) - 2 * e_at(orig) + e_at(orig - step)) / step**2
         assert abs(hess[eid] - ref) / max(abs(ref), 1e-6) < 1e-3
 
 
-def fd_arch_hessian(graph, x, t, w, eid, kind="mse"):
+def fd_arch_hessian(graph, x, t, eid, kind="mse"):
     """Central second difference of the energy in w_eid, and a bound on its
     rounding error (a few ulps of the energy over the squared step).
 
@@ -407,16 +407,18 @@ def fd_arch_hessian(graph, x, t, w, eid, kind="mse"):
     not quadratic, breaks that; it shows as a second difference at half the
     step that differs, and the step then shrinks tenfold.
     """
+    w = graph.w[eid]
+
     def energy(value):
-        wv = np.array(w, dtype=np.float64)
-        wv[eid] = value
-        out, _ = sg.graph_forward(graph, x, wv)
+        graph.w[eid] = value
+        out, _ = sg.graph_forward(graph, x)
+        graph.w[eid] = w
         return nn.energy(out, t, kind)[0]
 
-    e0 = energy(w[eid])
+    e0 = energy(w)
 
     def second_difference(step):
-        d2 = (energy(w[eid] + step) - 2 * e0 + energy(w[eid] - step)) / step**2
+        d2 = (energy(w + step) - 2 * e0 + energy(w - step)) / step**2
         return d2, 1e-14 * abs(e0) / step**2
 
     for step in (1e-2, 1e-3, 1e-4):
@@ -427,13 +429,12 @@ def fd_arch_hessian(graph, x, t, w, eid, kind="mse"):
 
 
 def assert_exact_matches_fd(graph, x, t, rtol, kind="mse"):
-    w = [e.w for e in graph.edges]
     out, gcache = sg.graph_forward(graph, x)
     hess = sg.arch_scalar_hessian(graph, gcache, nn.energy_hessian(out, t, kind, "exact"))
-    assert list(hess) == graph.alive_edge_ids()
-    for eid, h in hess.items():
-        ref, err = fd_arch_hessian(graph, x, t, w, eid, kind)
-        assert abs(h - ref) <= rtol * abs(ref) + err, (eid, h, ref)
+    assert not hess[~graph.alive].any()
+    for eid in graph.alive_edge_ids():
+        ref, err = fd_arch_hessian(graph, x, t, eid, kind)
+        assert abs(hess[eid] - ref) <= rtol * abs(ref) + err, (eid, hess[eid], ref)
 
 
 def test_exact_mode_on_a_maxpool_edge_matches_finite_differences():
@@ -476,11 +477,10 @@ def test_exact_mode_matches_finite_differences_on_every_op(spec, seed):
                           for i, j, kind in edge_spec])
     if gates:
         sg.insert_zero_gates(g)
-    for e in g.edges:
-        e.alive = e.is_gate or rng.random() < 0.8
+    for eid in range(len(g.ops)):
+        g.alive[eid] = g.is_gate[eid] or rng.random() < 0.8
     reach = sg.reachable_nodes(g)
-    for e in g.edges:
-        e.alive = e.alive and e.src in reach
+    g.alive &= np.isin(g.src, list(reach))
     if g.output_node not in reach:
         return
     x = rng.normal(size=(4, 1, SIDE, SIDE) if spatial else (4, DIM))
@@ -495,17 +495,16 @@ def test_exact_mode_matches_finite_differences_on_every_op(spec, seed):
 def test_gamma_harmonic_two_terms():
     # predecessors sum to 0.1, own switch 0.1, no gate -> 0.05
     g = sg.SuperGraph(3, [identity_edge(0, 1, s=0.1), identity_edge(1, 2, s=0.1)])
-    assert sg.gamma_of_edge(g, 1) == pytest.approx(0.05)
+    assert sg.refresh_gammas(g).gamma[1] == pytest.approx(0.05)
 
 
 def test_gamma_three_equal_resistors():
     g = sg.SuperGraph(3, [identity_edge(0, 1, s=1.0), identity_edge(1, 2, s=1.0)])
     sg.insert_zero_gates(g)
-    gate = g.edges[g.gate_map[1]]
-    gate.s = 1.0
+    g.s[g.gate_map[1]] = 1.0
     # the non-gate edge out of node 1 now sees gate + predecessor + own switch
     eid = next(i for i, e in enumerate(g.edges) if not e.is_gate and e.dst == 2)
-    assert sg.gamma_of_edge(g, eid) == pytest.approx(1.0 / 3.0)
+    assert sg.refresh_gammas(g).gamma[eid] == pytest.approx(1.0 / 3.0)
 
 
 def test_gamma_bounded_by_every_term():
@@ -518,13 +517,88 @@ def test_gamma_bounded_by_every_term():
         g = sg.SuperGraph(5, edges, input_node=0)
         # nodes 1, 2 unreachable feeders are fine for pure algebra: give them
         # direct input edges so the graph stays sane
-        gamma = sg.gamma_of_edge(g, 3)
+        gamma = sg.refresh_gammas(g).gamma[3]
         assert gamma <= min(float(np.sum(s_pred)), s_edge) + 1e-15
 
 
 def test_input_boundary_drops_predecessor_term():
     g = chain_graph(2, s=0.25)
-    assert sg.gamma_of_edge(g, 0) == pytest.approx(0.25)
+    assert sg.refresh_gammas(g).gamma[0] == pytest.approx(0.25)
+
+
+def gamma_of_edge(graph, eid):
+    """Per-edge reference for refresh_gammas: the harmonic loop over one
+    edge's record, its gate's and its predecessors', found by linear scan.
+
+    1/gamma = 1/s_gate + 1/(sum of predecessor switches) + 1/s_edge, with
+    the gate term present only when the edge leaves a gated fan-out and the
+    predecessor term dropped at the input-node boundary.
+    """
+    edges = graph.edges
+    e = edges[eid]
+    if e.s <= 0:
+        raise ValueError(f"edge {eid} has non-positive switch variance {e.s}")
+    inv = 1.0 / e.s
+    src = e.src
+    if src in graph.gate_node_of:
+        guarded = graph.gate_node_of[src]
+        gate = edges[graph.gate_map[guarded]]
+        if gate.s <= 0:
+            raise ValueError(f"gate of node {guarded} has non-positive switch {gate.s}")
+        inv += 1.0 / gate.s
+        src = guarded  # predecessor mass lives on the guarded node
+    if src != graph.input_node:
+        pred = 0.0
+        for pid in graph.in_edges(src):
+            p = edges[pid]
+            if p.is_gate:
+                continue
+            if p.s <= 0:
+                raise ValueError(f"edge {pid} has non-positive switch variance {p.s}")
+            pred += p.s
+        if pred > 0:
+            inv += 1.0 / pred
+        else:
+            return 0.0  # no alive in-flow: the edge is dead weight
+    return 1.0 / inv
+
+
+@st.composite
+def cell_graphs(draw):
+    """(n_nodes, [(src, dst)], slot of each edge, gates): 1-3 copies of one
+    random cell DAG stacked output to input; the corresponding edges of the
+    cells form one slot."""
+    n_cells, k = draw(st.integers(1, 3)), draw(st.integers(2, 4))  # k nodes per cell
+    cell = [(i, j) for i in range(k) for j in range(i + 1, k)
+            if j == i + 1 or draw(st.booleans())]
+    edges = [(c * (k - 1) + i, c * (k - 1) + j) for c in range(n_cells) for i, j in cell]
+    return n_cells * (k - 1) + 1, edges, list(range(len(cell))) * n_cells, draw(st.booleans())
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=100)
+@given(spec=cell_graphs(), seed=st.integers(0, 2**16))
+def test_refresh_gammas_equals_the_per_edge_loop(spec, seed):
+    n, pairs, slots, gates = spec
+    rng = np.random.default_rng(seed)
+    g = sg.SuperGraph(n, [identity_edge(i, j) for i, j in pairs])
+    if gates:
+        sg.insert_zero_gates(g)
+    n_edges = len(g.ops)
+    # tied cells share each slot's switch; gates draw their own
+    g.s[:] = 10.0 ** rng.uniform(-8, 4, n_edges)
+    g.s[:len(slots)] = g.s[slots]
+    g.gamma[:] = rng.random(n_edges)
+    g.alive[:] = rng.random(n_edges) < 0.75
+    before = g.gamma.copy()
+    ref = np.array([gamma_of_edge(g, eid) for eid in g.alive_edge_ids()])
+    sg.refresh_gammas(g)
+    assert g.gamma[g.alive].tobytes() == ref.tobytes()
+    assert g.gamma[~g.alive].tobytes() == before[~g.alive].tobytes()
+    if g.alive.any():
+        eid = int(rng.choice(g.alive_edge_ids()))
+        g.s[eid] = -rng.random()
+        with pytest.raises(ValueError, match=rf"^edge {eid} has non-positive switch variance"):
+            sg.refresh_gammas(g)
 
 
 # ---------------------------------------------------------------------------
@@ -533,9 +607,9 @@ def test_input_boundary_drops_predecessor_term():
 
 def test_entropy_threshold_boundaries():
     g = sg.SuperGraph(4, [identity_edge(0, 1), identity_edge(0, 2), identity_edge(0, 3)])
-    g.edges[0].gamma = 0.05          # below: pruned
-    g.edges[1].gamma = 0.10          # above: kept
-    g.edges[2].gamma = ENTROPY_PRUNE_THRESHOLD  # boundary: pruned (inclusive)
+    g.gamma[0] = 0.05          # below: pruned
+    g.gamma[1] = 0.10          # above: kept
+    g.gamma[2] = ENTROPY_PRUNE_THRESHOLD  # boundary: pruned (inclusive)
     mask = sg.entropy_prune_mask(g)
     assert mask == {0, 2}
 
@@ -550,14 +624,14 @@ def test_cascade_after_bridge_kill():
                           identity_edge(2, 4), identity_edge(1, 3)],
                       input_node=1, output_node=3)
     sg.apply_prune_mask(g, {0})
-    report = sg.propagate_dependency_prune(g, {0})
+    report = sg.propagate_dependency_prune(g)
     assert sorted(report.cascade_killed) == [1, 2]
     assert g.edges[3].alive
 
 
 def test_cascade_empty_when_nothing_killed():
     g = chain_graph(4)
-    report = sg.propagate_dependency_prune(g, set())
+    report = sg.propagate_dependency_prune(g)
     assert report.cascade_killed == []
     assert not report.degenerate
 
@@ -592,7 +666,7 @@ def test_cascade_matches_reachability_oracle():
         g = sg.SuperGraph(n, [identity_edge(i, j) for i, j in pairs])
         killed = {i for i in range(len(pairs)) if rng.random() < 0.3}
         sg.apply_prune_mask(g, killed)
-        sg.propagate_dependency_prune(g, killed)
+        sg.propagate_dependency_prune(g)
         got = set(g.alive_edge_ids())
         assert got == brute_force_alive(n, pairs, killed)
 
@@ -630,12 +704,12 @@ def test_double_gate_insertion_rejected():
 def test_tiny_gate_switch_bounds_downstream_gammas():
     g = sg.SuperGraph(4, [identity_edge(0, 1), identity_edge(1, 2), identity_edge(2, 3)])
     sg.insert_zero_gates(g)
-    gate = g.edges[g.gate_map[1]]
-    gate.s = 1e-6
+    gate = g.gate_map[1]
+    g.s[gate] = 1e-6
     sg.refresh_gammas(g)
-    for eid, e in enumerate(g.edges):
-        if not e.is_gate and e.src == gate.dst:
-            assert e.gamma <= gate.s
+    for e in g.edges:
+        if not e.is_gate and e.src == g.dst[gate]:
+            assert e.gamma <= g.s[gate]
             assert e.gamma <= ENTROPY_PRUNE_THRESHOLD
 
 
@@ -657,7 +731,7 @@ def test_gate_preserves_forward_values():
 def test_fully_pruned_graph_flagged_degenerate():
     g = chain_graph(3)
     sg.apply_prune_mask(g, {0, 1})
-    report = sg.propagate_dependency_prune(g, {0, 1})
+    report = sg.propagate_dependency_prune(g)
     assert report.degenerate
     record = sg.export_architecture(g)
     assert record["degenerate"]
@@ -666,9 +740,9 @@ def test_fully_pruned_graph_flagged_degenerate():
 
 def test_restore_widest_path_by_bottleneck_gamma():
     g = sg.SuperGraph(3, [identity_edge(0, 1), identity_edge(1, 2), identity_edge(0, 2)])
-    g.edges[0].gamma = 0.9
-    g.edges[1].gamma = 0.8
-    g.edges[2].gamma = 0.5
+    g.gamma[0] = 0.9
+    g.gamma[1] = 0.8
+    g.gamma[2] = 0.5
     sg.apply_prune_mask(g, {0, 1, 2})
     path = sg.restore_widest_path(g)
     assert path == [0, 1]  # bottleneck 0.8 beats the direct edge's 0.5
@@ -679,7 +753,7 @@ def test_export_import_round_trip_topology():
     g = sg.SuperGraph(4, [identity_edge(0, 1, w=0.5, s=2.0), identity_edge(1, 3, w=-1.0),
                           identity_edge(0, 2), identity_edge(2, 3)])
     sg.insert_zero_gates(g)
-    g.edges[1].alive = False
+    g.alive[1] = False
     record = sg.export_architecture(g)
     g2 = sg.import_architecture(record)
     assert g2.n_nodes == g.n_nodes
@@ -690,9 +764,58 @@ def test_export_import_round_trip_topology():
     assert sg.export_architecture(g2) == record
 
 
+def test_edge_records_reflect_array_writes():
+    g = chain_graph(3)
+    g.w[1], g.s[0], g.gamma[1], g.alive[0] = 0.25, 2.0, 0.5, False
+    first, second = g.edges
+    assert (first.s, first.alive, second.w, second.gamma) == (2.0, False, 0.25, 0.5)
+    sg.insert_zero_gates(g)
+    gate = g.edges[g.gate_map[1]]
+    assert gate.is_gate and g.edges[1].src == gate.dst == 3
+
+
+def test_edge_records_are_frozen():
+    g = chain_graph(2)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        g.edges[0].alive = False
+    assert g.alive[0]
+
+
+def test_edge_fields_are_the_exported_edge_fields():
+    g = sg.SuperGraph(3, [identity_edge(0, 1, w=0.5, s=2.0, gamma=0.25),
+                          identity_edge(1, 2, alive=False)])
+    sg.insert_zero_gates(g)
+    record = sg.export_architecture(g)
+    for eid, (e, exported) in enumerate(zip(g.edges, record["edges"], strict=True)):
+        fields = {f.name: getattr(e, f.name) for f in dataclasses.fields(e)}
+        assert exported == {"id": eid, **fields, "op": e.op.tag}
+
+
 def test_intact_graph_export_preserves_edge_count():
     g = chain_graph(5)
     assert len(sg.export_architecture(g)["edges"]) == 4
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=100)
+@given(n=st.integers(2, 8), seed=st.integers(0, 2**16))
+def test_topo_order_is_graphlibs_static_order(n, seed):
+    # random multigraphs on shuffled node ids, some with a back edge
+    rng = np.random.default_rng(seed)
+    perm = rng.permutation(n).tolist()
+    pairs = [(perm[i], perm[j]) for i, j in rng.integers(0, n, (2 * n, 2)).tolist()
+             if i < j or (i > j and rng.random() < 0.1)]
+    sorter = graphlib.TopologicalSorter()
+    for node in range(n):
+        sorter.add(node)
+    for src, dst in pairs:
+        sorter.add(dst, src)
+    try:
+        ref = list(sorter.static_order())
+    except graphlib.CycleError:
+        with pytest.raises(ValueError, match="^graph contains a cycle"):
+            sg.SuperGraph(n, [identity_edge(src, dst) for src, dst in pairs])
+        return
+    assert sg.SuperGraph(n, [identity_edge(src, dst) for src, dst in pairs]).order == ref
 
 
 def test_cycle_rejected():

@@ -8,7 +8,9 @@ workloads from ``SRC_ROOT/perfbench``, then records as JSON in ``OUT``:
 
 - ``run_proxyless`` and ``run_proxy_cells`` on the package's synthetic tasks
   at task seeds 0..N-1 (default 50): history, architecture export and
-  report, or the text of the exception the search raised;
+  report, or the text of the exception the search raised, and in either
+  case the search's ``trace=`` snapshots: per iteration, the
+  (w, s, omega, gamma, alive) of every edge;
 - ``run_compression`` on the inputs of both compress workloads of the
   benchmark at seeds 0..N-1 (default 5): history, report, mask export, and
   the digest of every weight, bias and mask array.
@@ -57,13 +59,15 @@ def _plain(value):
 
 
 def _search_record(exports, config, search):
-    """Outputs of search(config), which returns (graph, run)."""
+    """Outputs of search(config, trace), which returns (graph, run) and
+    appends one snapshot per iteration to trace."""
+    trace = []
     try:
-        graph, run = search(config)
+        graph, run = search(config, trace)
     except Exception as exc:  # the record keeps what the search raised
-        return {"error": f"{type(exc).__name__}: {exc}"}
+        return {"error": f"{type(exc).__name__}: {exc}", "trace": _plain(trace)}
     return {"history": _plain(run.history), "report": _plain(run.report),
-            "export": _plain(exports.arch_export(graph, config))}
+            "export": _plain(exports.arch_export(graph, config)), "trace": _plain(trace)}
 
 
 def _compress_record(engine, exports, task):
@@ -94,10 +98,11 @@ def dump(src_root, out, search_seeds, compress_seeds):
         record["search"][str(seed)] = {
             "proxyless": _search_record(
                 exports, data.dag_task_config(seed),
-                lambda cfg: engine.run_proxyless(graph, dataset, cfg)),
+                lambda cfg, trace: engine.run_proxyless(graph, dataset, cfg, trace)),
             "proxy_cells": _search_record(
                 exports, data.two_cell_task_config(seed),
-                lambda cfg: engine.run_proxy_cells(cgraph, cdata, cfg, groups)),
+                lambda cfg, trace: engine.run_proxy_cells(cgraph, cdata, cfg, groups,
+                                                          trace)),
         }
     for name in COMPRESS_WORKLOADS:
         workload = workloads.WORKLOADS[name]
