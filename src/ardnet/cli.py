@@ -169,7 +169,7 @@ def _cmd_eval(args):
     dataset = data_mod.load_mnist_idx(args.data)
     net = models.build_model(args.net, args.seed)
     models.load_weights(net, args.weights)
-    err = engine.evaluate(net, dataset)
+    err = engine.evaluate(net, dataset, models.mnist_compression_config(args.net).batch_size)
     print(f"test error: {err:.4g}")
     return 0
 

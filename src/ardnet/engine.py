@@ -7,7 +7,10 @@ if the graph fell apart, and repeats until nothing is pruned and no gamma
 moves; then it retrains what survives.  It runs on `_EdgeSlots` (the tied
 architecture scalars of a SuperGraph, its `w` array) or `_WeightSlots` (the
 HyperState weight groups of a layer stack).  The graph's arrays hold the
-search state.  Every SGD pass goes through `_sgd_epoch`.
+search state.  Every SGD pass goes through `_sgd_epoch`.  A layer stack's
+curvature update and test pass run `batch_size` rows at a time, so a
+training batch, not the curvature batch or the test set, sets the peak
+memory of a compression run.
 """
 
 from __future__ import annotations
@@ -61,13 +64,18 @@ class SearchRun:
 # evaluation
 
 
-def evaluate(model, data):
+def evaluate(model, data, batch_size):
     """Test-set error: misclassification rate for labelled data, mean
-    squared error per sample for regression."""
+    squared error per sample for regression.
+
+    A layer stack predicts batch_size rows at a time, so the test pass
+    holds no more samples than a training batch; a graph runs in one pass."""
+    x = data.x_test
     if isinstance(model, sg.SuperGraph):
-        out, _ = sg.graph_forward(model, data.x_test)
+        out, _ = sg.graph_forward(model, x)
     else:
-        out = nn.predict(model, data.x_test)
+        out = np.concatenate([nn.predict(model, x[start : start + batch_size])
+                              for start in range(0, len(x), batch_size)])
     if data.kind == "labels":
         pred = np.argmax(out, axis=1)
         return float(np.mean(pred != data.y_test))
@@ -140,7 +148,8 @@ def _alternate(slots, data, config, run, trace=None):
         values = list(gammas.values())
         run.history_row(
             iteration=t, epoch=config.epochs_per_iteration, loss=loss,
-            test_error=evaluate(slots.model, data), alive_edges=len(values),
+            test_error=evaluate(slots.model, data, config.batch_size),
+            alive_edges=len(values),
             gamma_min=float(min(values)) if values else float("nan"),
             gamma_median=float(np.median(values)) if values else float("nan"),
             entropy_pruned=entropy_pruned, cascade_pruned=cascade_pruned,
@@ -153,7 +162,7 @@ def _alternate(slots, data, config, run, trace=None):
             run.report["early_stop_iteration"] = t
             break
     if slots.finish(data, run) or not run.history:
-        run.report["final_test_error"] = evaluate(slots.model, data)
+        run.report["final_test_error"] = evaluate(slots.model, data, config.batch_size)
     else:  # the model is the one the last history row evaluated
         run.report["final_test_error"] = run.history[-1]["test_error"]
     return run
@@ -176,9 +185,9 @@ def retrain_pruned(model, data, config, run=None):
         loss = _sgd_epoch(slots.retrain_batch, data, config.batch_size, rng)
         if run is not None:
             row = run.history_row(iteration=-1, epoch=ep, loss=loss,
-                                  test_error=evaluate(model, data),
+                                  test_error=evaluate(model, data, config.batch_size),
                                   alive_edges=len(slots.gammas()))
-    return evaluate(model, data) if row is None else row["test_error"]
+    return evaluate(model, data, config.batch_size) if row is None else row["test_error"]
 
 
 # ---------------------------------------------------------------------------
@@ -387,10 +396,11 @@ class _WeightSlots:
             if grads[li] is None:
                 continue
             gw, gb = grads[li]
-            gw = gw + 2.0 * config.weight_decay * layer.masked_weights()
+            masked = layer.masked_weights()
+            gw = gw + 2.0 * config.weight_decay * masked
             state = self.states.get(li)
             if state is not None:
-                pen, pen_grad = slab_l2_penalty(layer.masked_weights(), self.slabs[li],
+                pen, pen_grad = slab_l2_penalty(masked, self.slabs[li],
                                                 state.omega, config.lambda_w)
                 loss += pen
                 gw = gw + pen_grad
@@ -401,16 +411,45 @@ class _WeightSlots:
     retrain_batch = train_batch
 
     def update(self, x, y):
-        """Layer curvature, then the structural rule on every state."""
+        """Layer curvature, summed over `batch_size` slices of (x, y), then
+        the structural rule on every state."""
         net, config = self.model, self.config
+        hess = self.weight_curvature(x, y)
+        for li, state in self.states.items():
+            structural_update(net[li].masked_weights(), state, hess[li],
+                              config.omega_floor, config.s_cap)
+
+    def weight_curvature(self, x, y):
+        """Weight-Hessian diagonal of every compressed layer on the batch
+        (x, y), run batch_size rows at a time so that no more samples are
+        held at once than in a training step.
+
+        Each slice's diagonal carries its own 1/len(slice) energy factor,
+        in the seed and in every grad_out, and the recursion is linear in
+        both; so the slices, weighted by len(slice)/len(x), sum to the
+        one-shot diagonal up to summation order.  A batch that fits in one
+        slice takes the one-shot arithmetic bit for bit."""
+        size, total = self.config.batch_size, {}
+        for start in range(0, len(x), size):
+            rows = slice(start, start + size)
+            part = self._slice_curvature(x[rows], y[rows])
+            share = len(x[rows]) / len(x)
+            for li, diag in part.items():
+                if li in total:
+                    total[li] += diag * share
+                else:
+                    total[li] = diag * share
+        return total
+
+    def _slice_curvature(self, x, y):
+        # its own frame, so one slice's caches are gone before the next runs
+        net = self.model
         out, caches = nn.forward(net, x)
         _, e_grad = nn.energy(out, y, self.kind)
         nn.backward(net, caches, e_grad, input_grad=False)
-        mode = "exact" if config.hessian_mode == "exact" else "diag"
+        mode = "exact" if self.config.hessian_mode == "exact" else "diag"
         curv = network_curvature(net, caches, y, self.kind, mode)
-        for li, state in self.states.items():
-            structural_update(net[li].masked_weights(), state, curv.weight_diag[li],
-                              config.omega_floor, config.s_cap)
+        return {li: curv.weight_diag[li] for li in self.states}
 
     def prune(self):
         net, killed = self.model, 0

@@ -86,8 +86,11 @@ class SearchConfig:
                 raise ValueError(f"config field {name} must be positive")
         if self.t_max < 0:
             raise ValueError("config field t_max must be >= 0")
-        if self.epochs_per_iteration < 1:
-            raise ValueError("config field epochs_per_iteration must be >= 1")
+        for name in ("epochs_per_iteration", "batch_size", "curvature_batch"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"config field {name} must be >= 1")
+        if self.retrain_epochs < 0:
+            raise ValueError("config field retrain_epochs must be >= 0")
         if not 0 <= self.momentum < 1:
             raise ValueError("config field momentum must be in [0, 1)")
         if self.hessian_mode not in ("exact", "approx"):

@@ -1,14 +1,17 @@
 """Search, compression and retrain loops on small synthetic problems."""
 
+import copy
 import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from ardnet import data, engine, exports, nn
 from ardnet import supergraph as sg
-from ardnet.updates import SearchConfig
+from ardnet.curvature import network_curvature
+from ardnet.updates import SearchConfig, structural_update
 
 
 def small_config(**kw):
@@ -256,7 +259,7 @@ def test_retrain_keeps_masked_weights_zero_and_helps():
                        lambda_w=0.01, weight_decay=0.001, learning_rate=0.05,
                        seed=0, hessian_mode="approx", retrain_epochs=0)
     net, run = engine.run_compression(net, ds, cfg, patterns)
-    before = engine.evaluate(net, ds)
+    before = engine.evaluate(net, ds, cfg.batch_size)
     cfg.retrain_epochs = 8
     after = engine.retrain_pruned(net, ds, cfg)
     assert after <= before + 0.05
@@ -295,21 +298,88 @@ def test_compression_runs_one_test_pass_per_model_state(monkeypatch, retrain_epo
     cfg = SearchConfig(t_max=4, epochs_per_iteration=1, batch_size=50,
                        lambda_w=0.01, weight_decay=0.001, learning_rate=0.05,
                        seed=0, hessian_mode="approx", retrain_epochs=retrain_epochs)
-    predict, test_passes = nn.predict, []
+    predict, test_rows = nn.predict, []
 
     def counted(layers, x):
-        if x is ds.x_test:
-            test_passes.append(len(x))
+        if np.shares_memory(x, ds.x_test):
+            test_rows.append(len(x))
         return predict(layers, x)
 
     monkeypatch.setattr(nn, "predict", counted)
     net, run = engine.run_compression(net, ds, cfg, patterns)
-    # one pass per outer iteration and one per retrain epoch, none after
-    assert len(test_passes) == len(run.history)
+    # one pass per outer iteration and one per retrain epoch, none after;
+    # a pass may run in slices, so count the test rows it predicts
+    assert sum(test_rows) == len(run.history) * len(ds.x_test)
     assert len([row for row in run.history if row["iteration"] >= 1]) == cfg.t_max
     assert run.report["final_test_error"] == run.history[-1]["test_error"]
     monkeypatch.undo()
-    assert run.report["final_test_error"] == engine.evaluate(net, ds)
+    assert run.report["final_test_error"] == engine.evaluate(net, ds, cfg.batch_size)
+
+
+def curvature_stack(name, n=50, seed=0):
+    """A layer stack, its compression patterns, energy kind and n rows."""
+    rng = np.random.default_rng(seed)
+    if name == "conv-maxpool-flatten-fc":
+        net = [nn.conv_layer(1, 3, 3, "relu", rng=rng), nn.pool_layer("maxpool2d"),
+               nn.flatten_layer(), nn.fc_layer(3 * 3 * 3, 5, "relu", rng=rng),
+               nn.fc_layer(5, 4, rng=rng)]
+        patterns = {0: ["filter"], 3: ["row_and_column"], 4: ["column"]}
+        return net, patterns, "softmax_ce", rng.normal(size=(n, 1, 8, 8)), \
+            rng.integers(0, 4, n)
+    net, patterns = compression_setup(seed)  # tanh fc stack: the f'' term counts
+    return net, patterns, "mse", rng.normal(size=(n, 10)), rng.normal(size=(n, 4))
+
+
+def one_shot_update(net, patterns, kind, mode, x, y):
+    """network_curvature on every row at once, then the structural rule."""
+    config = SearchConfig()
+    states = engine._WeightSlots(net, patterns, config, kind).states
+    out, caches = nn.forward(net, x)
+    _, e_grad = nn.energy(out, y, kind)
+    nn.backward(net, caches, e_grad, input_grad=False)
+    hess = network_curvature(net, caches, y, kind, mode).weight_diag
+    for li, state in states.items():
+        structural_update(net[li].masked_weights(), state, hess[li],
+                          config.omega_floor, config.s_cap)
+    return hess, states
+
+
+@pytest.mark.parametrize("stack", ["conv-maxpool-flatten-fc", "tanh-fc"])
+@pytest.mark.parametrize("mode", ["diag", "exact"])
+def test_sliced_curvature_equals_one_shot_curvature(stack, mode):
+    net, patterns, kind, x, y = curvature_stack(stack)
+    hess, states = one_shot_update(copy.deepcopy(net), patterns, kind, mode, x, y)
+    hessian_mode = "exact" if mode == "exact" else "approx"
+    # 50 rows in slices of 16 (16, 16, 16, 2), then in one slice
+    for batch_size in (16, 50, 64):
+        config = SearchConfig(batch_size=batch_size, hessian_mode=hessian_mode)
+        slots = engine._WeightSlots(copy.deepcopy(net), patterns, config, kind)
+        sliced = slots.weight_curvature(x, y)
+        slots.update(x, y)
+        assert sorted(sliced) == sorted(states)
+        for li, state in slots.states.items():
+            pairs = [(sliced[li], hess[li]), (state.gamma, states[li].gamma),
+                     (state.omega, states[li].omega)]
+            for got, want in pairs:
+                if batch_size >= len(x):
+                    np.testing.assert_array_equal(got, want)
+                else:
+                    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+
+def test_curvature_update_memory_does_not_grow_with_the_curvature_batch():
+    net, patterns, kind, x, y = curvature_stack("conv-maxpool-flatten-fc", n=256)
+    slots = engine._WeightSlots(net, patterns, SearchConfig(batch_size=64), kind)
+    slots.update(x[:64], y[:64])  # warm up before measuring
+    peaks = {}
+    for n in (64, 256):
+        tracemalloc.start()
+        try:
+            slots.update(x[:n], y[:n])
+            peaks[n] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[256] <= 1.25 * peaks[64]
 
 
 def test_retrain_on_unpruned_net_is_ordinary_training():
@@ -318,7 +388,7 @@ def test_retrain_on_unpruned_net_is_ordinary_training():
     net = [nn.fc_layer(10, 8, "tanh", rng=rng), nn.fc_layer(8, 4, rng=rng)]
     cfg = SearchConfig(t_max=0, retrain_epochs=6, batch_size=50,
                        learning_rate=0.05, seed=0)
-    before = engine.evaluate(net, ds)
+    before = engine.evaluate(net, ds, cfg.batch_size)
     after = engine.retrain_pruned(net, ds, cfg)
     assert after < before
 

@@ -313,12 +313,17 @@ def test_cli_missing_data_exits_two(tmp_path):
     assert res.returncode == 2
 
 
-def test_cli_compress_that_severs_the_network_exits_two(tmp_path):
+def write_idx_set(directory):
+    """A small random 28x28 IDX data set: 64 training and 32 test images."""
     rng = np.random.default_rng(0)
     for name, n in (("train", 64), ("t10k", 32)):
-        data.write_idx(tmp_path / f"{name}-images-idx3-ubyte",
+        data.write_idx(directory / f"{name}-images-idx3-ubyte",
                        rng.integers(0, 256, (n, 28, 28)))
-        data.write_idx(tmp_path / f"{name}-labels-idx1-ubyte", rng.integers(0, 10, n))
+        data.write_idx(directory / f"{name}-labels-idx1-ubyte", rng.integers(0, 10, n))
+
+
+def test_cli_compress_that_severs_the_network_exits_two(tmp_path):
+    write_idx_set(tmp_path)
     cfg = tmp_path / "cfg.json"
     cfg.write_text('{"prune_threshold": 1e9, "t_max": 1}')
     res = run_cli("compress", "--config", str(cfg), "--data", str(tmp_path),
@@ -326,6 +331,24 @@ def test_cli_compress_that_severs_the_network_exits_two(tmp_path):
     assert res.returncode == 2
     assert "error: network severed" in res.stderr
     assert "Traceback" not in res.stderr
+
+
+@pytest.mark.parametrize("payload, name", [
+    ('{"batch_size": -4}', "batch_size"),
+    ('{"batch_size": 0}', "batch_size"),
+    ('{"curvature_batch": 0}', "curvature_batch"),
+    ('{"retrain_epochs": -1}', "retrain_epochs"),
+])
+def test_cli_compress_rejects_impossible_batch_settings(tmp_path, payload, name):
+    write_idx_set(tmp_path)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(payload)
+    res = run_cli("compress", "--config", str(cfg), "--data", str(tmp_path),
+                  "--net", "lenet300-100", "--out", str(tmp_path / "run"))
+    assert res.returncode == 1
+    assert f"error: config field {name} must be" in res.stderr
+    assert "Traceback" not in res.stderr
+    assert not (tmp_path / "run").exists()
 
 
 def test_cli_export_dot(tmp_path):
