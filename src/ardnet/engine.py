@@ -5,10 +5,10 @@ measures curvature on a held-out batch, updates the variance chain in
 closed form, prunes by the entropy criterion and cascades, restores a path
 if the graph fell apart, and repeats until nothing is pruned and no gamma
 moves; then it retrains what survives.  It runs on `_EdgeSlots` (the tied
-architecture scalars of a SuperGraph, its `w` array) or `_WeightSlots` (the
-HyperState weight groups of a layer stack).  The graph's arrays hold the
-search state.  Every SGD pass goes through `_sgd_epoch`.  A layer stack's
-curvature update and test pass run `batch_size` rows at a time, so a
+architecture scalars of a SuperGraph, in flat groups) or `_WeightSlots` (the
+slab groups of a layer stack, one HyperState per layer).  The graph's arrays
+hold the search state.  Every SGD pass goes through `_sgd_epoch`.  A layer
+stack's curvature update and test pass run `batch_size` rows at a time, so a
 training batch, not the curvature batch or the test set, sets the peak
 memory of a compression run.
 """
@@ -23,9 +23,8 @@ from . import nn
 from . import supergraph as sg
 from .curvature import network_curvature
 from .updates import (GroupSpec, HyperState, SearchConfig, flat_groups,
-                      group_l2_penalty, group_update, make_groups, sgd_momentum_step,
-                      slab_axes, slab_l2_penalty, structural_update,
-                      update_posterior_variance)
+                      group_l2_penalty, group_update, sgd_momentum_step,
+                      slab_l2_penalty, structural_update, update_posterior_variance)
 
 __all__ = [
     "SearchRun",
@@ -108,19 +107,19 @@ def _sgd_epoch(step, data, batch_size, rng):
 
 
 def _step_layers(layers, grads, velocity, key, config):
-    """Momentum step on every weighted layer; masked weights stay zero."""
+    """Momentum step on every weighted layer; gw comes masked, the weights are re-masked."""
     for li, item in enumerate(grads):
         if item is None:
             continue
         layer, (gw, gb) = layers[li], item
-        mask = 1.0 if layer.mask is None else layer.mask
-        for name, grad in (("weights", gw * mask), ("bias", gb)):
+        for name, grad in (("weights", gw), ("bias", gb)):
             if grad is not None:
                 value, velocity[key + (li, name)] = sgd_momentum_step(
                     getattr(layer, name), grad, velocity.get(key + (li, name), 0.0),
                     config.learning_rate, config.momentum)
                 setattr(layer, name, value)
-        layer.weights = layer.weights * mask
+        if layer.mask is not None:
+            layer.weights = layer.weights * layer.mask
 
 
 # ---------------------------------------------------------------------------
@@ -363,22 +362,18 @@ def run_proxy_cells(graph, data, config, groups, trace=None):
 
 class _WeightSlots:
     """Compression groups of a layer stack, one HyperState per layer holding
-    all of its patterns' groups; a weight is zero-masked as soon as any of
-    its groups dies, so a dead group's norm is 0.
+    all of its patterns' slab groups; a weight is zero-masked as soon as any
+    of its groups dies, so a dead group's norm is 0.
 
     With no patterns it is plain weight-decayed training of the stack."""
 
     def __init__(self, net, patterns, config, kind):
         self.model, self.config, self.kind = net, config, kind
         self.states = {}  # layer index -> HyperState
-        self.slabs = {}  # layer index -> slab_axes of its groups, in order
         for li, names in patterns.items():
             if net[li].weights is None:
                 raise ValueError(f"layer {li} has no weights to compress")
-            shape = net[li].weights.shape
-            self.states[li] = HyperState.init([grp for name in names
-                                               for grp in make_groups(shape, name)])
-            self.slabs[li] = [axes for name in names for axes in slab_axes(shape, name)]
+            self.states[li] = HyperState.init(net[li].weights.shape, names)
             if net[li].mask is None:
                 net[li].mask = np.ones_like(net[li].weights)
         self.velocity = {}
@@ -400,8 +395,7 @@ class _WeightSlots:
             gw = gw + 2.0 * config.weight_decay * masked
             state = self.states.get(li)
             if state is not None:
-                pen, pen_grad = slab_l2_penalty(masked, self.slabs[li],
-                                                state.omega, config.lambda_w)
+                pen, pen_grad = slab_l2_penalty(masked, state, config.lambda_w)
                 loss += pen
                 gw = gw + pen_grad
             grads[li] = (gw, gb)
@@ -455,7 +449,10 @@ class _WeightSlots:
         net, killed = self.model, 0
         for li, state in self.states.items():
             dead = state.alive & (state.gamma <= self.config.prune_threshold)
-            net[li].mask.ravel()[state.index[dead[state.group]]] = 0.0
+            mask = net[li].mask.reshape(state.view)
+            for _, block, group_shape in state.slabs:
+                mask = np.where(dead[block].reshape(group_shape), 0.0, mask)
+            net[li].mask = mask.reshape(net[li].weights.shape)
             state.alive &= ~dead
             killed += int(np.count_nonzero(dead))
             net[li].weights = net[li].weights * net[li].mask
@@ -477,7 +474,7 @@ class _WeightSlots:
 def run_compression(net, data, config, patterns):
     """Structured-sparsity compression of a layer stack.
 
-    patterns maps layer index -> list of pattern names (see make_groups);
+    patterns maps layer index -> list of pattern names (see slab_axes);
     every group keeps its own variance chain, and a weight is zero-masked as
     soon as any of its groups dies.
     """

@@ -195,7 +195,8 @@ _MASK_FIELDS = {"schema_version": None, "layers": _LIST, "widths": None,
 _MASK_LAYER_FIELDS = {
     "kind": None,
     "shape": (lambda v: isinstance(v, list) and all(map(_is_int, v)), "a list of integers"),
-    "mask": (lambda v: isinstance(v, list) and all(map(_is_number, v)), "a list of numbers"),
+    "mask": (lambda v: isinstance(v, list) and all(_is_number(x) and x in (0, 1) for x in v),
+             "a list of 0s and 1s"),
 }
 
 
@@ -203,8 +204,8 @@ def load_mask_json(path):
     """Load a mask record; returns a list of (shape, mask array) pairs."""
     record = _load_record(path, _MASK_FIELDS, ("layers",), "mask")
     out = []
-    for entry in record["layers"]:
-        _check_fields(entry, _MASK_LAYER_FIELDS, ("shape", "mask"), "mask layer")
+    for i, entry in enumerate(record["layers"]):
+        _check_fields(entry, _MASK_LAYER_FIELDS, ("shape", "mask"), f"mask layer {i}")
         shape = tuple(entry["shape"])
         mask = np.asarray(entry["mask"], dtype=np.float64).reshape(shape)
         out.append((shape, mask))

@@ -114,5 +114,7 @@ def load_weights(net, path):
             if f"b{li}" in arrays:
                 layer.bias = arrays[f"b{li}"]
             if f"m{li}" in arrays:
-                layer.mask = arrays[f"m{li}"]
+                mask = layer.mask = arrays[f"m{li}"]
+                if mask.shape != layer.weights.shape or not np.all((mask == 0) | (mask == 1)):
+                    raise ValueError(f"layer {li} mask is not 0s and 1s of its weights' shape")
     return net

@@ -8,10 +8,11 @@ The scalar chain per parameter and outer iteration t is
 
 with an omega floor and an s cap absorbing the hess = 0 degeneracy.  A group
 shares one (s, omega) across its members, and the reweighted l1 penalty is
-the group lasso on one-member groups.  Groups, overlapping or not, are held
-in the flat form of `flat_groups`, so every per-group sum is one bincount.
-The groups of a weight pattern are also slabs of the weight (`slab_axes`),
-so the per-batch compression penalty sums over axes instead.
+the group lasso on one-member groups.  Edge groups are held in the flat form
+of `flat_groups`, so every per-group sum is one bincount.  Compression groups
+are slabs of a weight (`slab_axes`), held by a `HyperState`: the structural
+update, the prune and the per-batch penalty take every per-group sum as an
+axis sum and broadcast every per-group value back over its slab.
 """
 
 from __future__ import annotations
@@ -226,58 +227,58 @@ def slab_axes(shape, pattern):
     return [table[kind] for kind in _PATTERNS[pattern]]
 
 
-def make_groups(shape, pattern):
-    """Build the index-set groups of one structured-sparsity pattern.
-
-    Conv weights are (N, C, m, k).  2-d fc weights (out, in) use: row =
-    per output unit, column/shape = per input unit, filter = per output
-    unit; the group_* variants need a genuine kernel axis.
-    """
-    slabs, shape4 = slab_axes(shape, pattern), _view4(shape)
-    idx = np.arange(int(np.prod(shape4))).reshape(shape4)
-    members = []
-    for axes in slabs:
-        kept = tuple(a for a in range(4) if a not in axes)
-        span = int(np.prod([shape4[a] for a in axes]))
-        members.extend(idx.transpose(kept + axes).reshape(-1, span))
-    return [GroupSpec(gid, mem, pattern) for gid, mem in enumerate(members)]
-
-
-def slab_l2_penalty(w, slabs, omega, lambda_w):
-    """`group_l2_penalty` over the groups of `slab_axes` kinds `slabs`,
-    with omega in their group order: each kind's norms are one axis sum of
-    w^2, and its gradient broadcasts them back, with no gather or scatter.
-    """
-    w = np.asarray(w, dtype=np.float64)
-    w4 = w.reshape(_view4(w.shape))
-    coef = lambda_w * np.asarray(omega, dtype=np.float64)
-    sq, grad, term, norms = w4 * w4, np.zeros_like(w4), np.empty_like(w4), []
-    for axes in slabs:
-        norm = np.sqrt(np.sum(sq, axis=axes, keepdims=True))
-        start = sum(n.size for n in norms)
-        c = coef[start : start + norm.size].reshape(norm.shape)
-        live = norm > 0  # a zero slab's term is 0 (c * w / ||w|| elsewhere)
-        np.multiply(np.where(live, c, 0.0), w4, out=term)
-        grad += np.divide(term, np.where(live, norm, 1.0), out=term)
-        norms.append(norm.ravel())
-    return float(np.sum(coef * np.concatenate(norms))), grad.reshape(w.shape)
-
-
 @dataclass
 class HyperState:
-    """Per-group hyperparameters of one layer's groups, in flat form."""
+    """Per-group hyperparameters of one layer's groups: slabs of the (n, c, m, k)
+    `view` of its weight, in the group order of `make_groups`.  A kind's group
+    shape is `view` with its spanned axes at 1, so a block broadcasts over slabs."""
 
-    index: np.ndarray  # flat weight index of every member, group by group
-    group: np.ndarray  # group position of every member
+    view: tuple
+    slabs: list  # per slab kind: spanned axes, block of the group order, group shape
     gamma: np.ndarray  # one value per group
     omega: np.ndarray
     alive: np.ndarray
 
     @classmethod
-    def init(cls, groups):
-        g = len(groups)
-        return cls(*flat_groups(groups), gamma=np.ones(g), omega=np.ones(g),
-                   alive=np.ones(g, dtype=bool))
+    def init(cls, shape, patterns):
+        view, slabs, start = _view4(shape), [], 0
+        for axes in [axes for name in patterns for axes in slab_axes(shape, name)]:
+            group_shape = tuple(1 if a in axes else d for a, d in enumerate(view))
+            size = math.prod(group_shape)
+            slabs.append((axes, slice(start, start + size), group_shape))
+            start += size
+        return cls(view, slabs, gamma=np.ones(start), omega=np.ones(start),
+                   alive=np.ones(start, dtype=bool))
+
+
+def make_groups(shape, pattern):
+    """The slabs of `HyperState` as index-set groups of one pattern.
+
+    Conv weights are (N, C, m, k).  2-d fc weights (out, in) use: row =
+    per output unit, column/shape = per input unit, filter = per output
+    unit; the group_* variants need a genuine kernel axis."""
+    state = HyperState.init(shape, [pattern])
+    idx = np.arange(math.prod(state.view)).reshape(state.view)
+    members = [mem for axes, _, group_shape in state.slabs  # spanned axes moved last
+               for mem in np.moveaxis(idx, axes, range(-len(axes), 0))
+               .reshape(math.prod(group_shape), -1)]
+    return [GroupSpec(gid, mem, pattern) for gid, mem in enumerate(members)]
+
+
+def slab_l2_penalty(w, state, lambda_w):
+    """`group_l2_penalty` over the slab groups of `state`, with its omega: each
+    kind's norms are one axis sum of w^2, and its gradient broadcasts them back."""
+    w4 = np.asarray(w, dtype=np.float64).reshape(state.view)
+    coef = lambda_w * state.omega
+    sq, grad, term, norms = w4 * w4, np.zeros_like(w4), np.empty_like(w4), []
+    for axes, block, group_shape in state.slabs:
+        norm = np.sqrt(np.sum(sq, axis=axes, keepdims=True))
+        c = coef[block].reshape(group_shape)
+        live = norm > 0  # a zero slab's term is 0 (c * w / ||w|| elsewhere)
+        np.multiply(np.where(live, c, 0.0), w4, out=term)
+        grad += np.divide(term, np.where(live, norm, 1.0), out=term)
+        norms.append(norm.ravel())
+    return float(np.sum(coef * np.concatenate(norms))), grad.reshape(np.shape(w))
 
 
 def structural_update(weights, state, hess_diag, floor=1e-8, cap=1e6):
@@ -286,18 +287,17 @@ def structural_update(weights, state, hess_diag, floor=1e-8, cap=1e6):
     Per alive group g:  gamma_g = ||W_g||_2 / omega_g(t-1) then, element-wise
     with the clamped Hessian diagonal,  alpha = -c/gamma^2 + 1/gamma =
     h/(1 + gamma h) for c = (1/gamma + h)^-1, and omega_g = sqrt(sum_g |alpha|).
-    Dead groups keep their values.
+    Both sums are axis sums over a slab kind.  Dead groups keep their values.
     """
-    w = np.asarray(weights, dtype=np.float64).ravel()
-    h = np.maximum(np.asarray(hess_diag, dtype=np.float64).ravel(), 0.0)
-    if h.shape != w.shape:
-        raise ValueError(f"hessian diag shape {h.shape} does not match weights {w.shape}")
-    n, wm, hm = state.gamma.size, w[state.index], h[state.index]
-    norm = np.sqrt(np.bincount(state.group, weights=wm * wm, minlength=n))
-    gamma = np.minimum(norm / np.maximum(state.omega, floor), cap)
-    alpha = hm / (1.0 + gamma[state.group] * hm)
-    omega = np.maximum(np.sqrt(np.bincount(state.group, weights=np.abs(alpha), minlength=n)),
-                       floor)
+    w4 = np.asarray(weights, dtype=np.float64).reshape(state.view)
+    h4 = np.maximum(np.asarray(hess_diag, dtype=np.float64).reshape(state.view), 0.0)
+    sq, gamma, omega = w4 * w4, state.gamma.copy(), state.omega.copy()
+    for axes, block, group_shape in state.slabs:
+        norm = np.sqrt(np.sum(sq, axis=axes, keepdims=True))
+        g = np.minimum(norm / np.maximum(state.omega[block].reshape(group_shape), floor), cap)
+        alpha = np.abs(h4 / (1.0 + g * h4))
+        gamma[block] = g.ravel()
+        omega[block] = np.maximum(np.sqrt(np.sum(alpha, axis=axes)), floor).ravel()
     state.gamma = np.where(state.alive, gamma, state.gamma)
     state.omega = np.where(state.alive, omega, state.omega)
     return state

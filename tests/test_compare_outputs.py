@@ -48,6 +48,23 @@ def test_dump_diffs_clean_against_itself_and_names_a_change(tmp_path):
     assert lines[1:] == [f"0 structural difference(s); 1 float difference(s), "
                          f"largest relative {1.0 / abs(loss):.3g}", "1 difference(s)"]
 
+    # a drifted array: a new digest, and a norm that moved in the last bits
+    drifted = json.loads(dump.read_text())
+    weights = drifted["compress"]["compress-lenet5/0"]["layers"][0]["weights"]
+    assert sorted(weights) == ["array", "dtype", "l2", "sha256"]
+    old_l2 = weights["l2"]
+    weights["sha256"], weights["l2"] = "0" * 64, old_l2 * (1.0 + 4e-15)
+    changed.write_text(json.dumps(drifted))
+    differ = run_tool("diff", dump, changed)
+    assert differ.returncode == 1
+    rel = abs(weights["l2"] - old_l2) / max(abs(weights["l2"]), abs(old_l2))
+    assert 0 < rel < 1e-14
+    assert differ.stdout.splitlines() == [
+        f"/compress/compress-lenet5/0/layers/0/weights: array digest differs, "
+        f"l2 {old_l2!r} != {weights['l2']!r}",
+        f"0 structural difference(s); 1 float difference(s), largest relative {rel:.3g}",
+        "1 difference(s)"]
+
     del record["search"]["1"]["proxyless"]["history"][0]["loss"]
     changed.write_text(json.dumps(record))
     differ = run_tool("diff", dump, changed)

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ardnet import data, exports, nn
+from ardnet import data, exports, models, nn
 from ardnet import supergraph as sg
 from ardnet.updates import SearchConfig
 
@@ -349,6 +349,36 @@ def test_cli_compress_rejects_impossible_batch_settings(tmp_path, payload, name)
     assert f"error: config field {name} must be" in res.stderr
     assert "Traceback" not in res.stderr
     assert not (tmp_path / "run").exists()
+
+
+def test_cli_retrain_rejects_a_mask_that_is_not_binary(tmp_path):
+    # a 0.5 mask would shrink every weight once per step, since each
+    # masked step multiplies the weights by it
+    write_idx_set(tmp_path)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text("")
+    record = exports.mask_export(models.build_model("lenet300-100", 0))
+    record["layers"][1]["mask"] = [0.5 * v for v in record["layers"][1]["mask"]]
+    exports.save_json(record, tmp_path / "masks.json")
+    res = run_cli("retrain", "--config", str(cfg), "--data", str(tmp_path),
+                  "--masks", str(tmp_path / "masks.json"), "--out", str(tmp_path / "run"))
+    assert res.returncode == 1
+    assert "error: mask layer 1 field mask must be a list of 0s and 1s" in res.stderr
+    assert "Traceback" not in res.stderr
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("mask", [np.full((100, 300), 0.5), np.ones((100, 1))],
+                         ids=["half", "broadcast-shape"])
+def test_cli_eval_rejects_weights_whose_mask_is_not_binary(tmp_path, mask):
+    write_idx_set(tmp_path)
+    net = models.build_model("lenet300-100", 0)
+    net[2].mask = mask
+    models.save_weights(net, tmp_path / "weights.npz")
+    res = run_cli("eval", "--data", str(tmp_path), "--weights", str(tmp_path / "weights.npz"))
+    assert res.returncode == 1
+    assert "error: layer 2 mask is not 0s and 1s of its weights' shape" in res.stderr
+    assert "Traceback" not in res.stderr
 
 
 def test_cli_export_dot(tmp_path):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ardnet import updates
+from ardnet import engine, nn, updates
 from ardnet.updates import (ENTROPY_PRUNE_THRESHOLD, GroupSpec, SearchConfig,
                             flat_groups, group_l2_penalty, group_update,
                             make_groups, sgd_momentum_step, update_omega,
@@ -234,8 +234,9 @@ def test_axis_penalty_matches_the_flat_group_penalty(shape, pattern):
     w = rng.normal(size=shape)
     for grp in groups[::3]:  # dead slabs: zeroed, as the prune masks them
         w.ravel()[grp.members] = 0.0
-    omega = rng.uniform(0.1, 3.0, len(groups))
-    value, grad = updates.slab_l2_penalty(w, updates.slab_axes(shape, pattern), omega, 0.3)
+    state = updates.HyperState.init(shape, [pattern])
+    state.omega = omega = rng.uniform(0.1, 3.0, len(groups))
+    value, grad = updates.slab_l2_penalty(w, state, 0.3)
     ref_value, ref_grad = group_l2_penalty(w.ravel(), *flat_groups(groups), omega, 0.3)
     assert value == pytest.approx(ref_value, rel=1e-12, abs=0.0)
     assert grad.shape == shape
@@ -245,16 +246,6 @@ def test_axis_penalty_matches_the_flat_group_penalty(shape, pattern):
 def test_slab_axes_rejects_other_ranks():
     with pytest.raises(ValueError, match="2-d or 4-d"):
         updates.slab_axes((2, 3, 4), "row")
-
-
-def test_structural_update_zero_group_collapses():
-    w = np.zeros((2, 3))
-    w[0] = [1.0, 1.0, 1.0]
-    state = updates.HyperState.init(make_groups(w.shape, "row"))
-    h = np.ones(6)
-    updates.structural_update(w, state, h)
-    assert state.gamma[1] <= ENTROPY_PRUNE_THRESHOLD  # all-zero row dies
-    assert state.gamma[0] > ENTROPY_PRUNE_THRESHOLD
 
 
 def test_sgd_step_plain_when_unpenalized():
@@ -349,18 +340,18 @@ def _structural_update_loop(w, groups, gamma, omega, alive, h, floor, cap):
 @st.composite
 def grouped_vectors(draw):
     """A vector, overlapping groups over it (some of one member), some groups
-    zeroed, an alive flag per group and a seeded generator for the rest."""
+    zeroed, and a seeded generator for the rest."""
     n = draw(st.integers(1, 10))
     member_sets = st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True)
     groups = [np.array(m) for m in draw(st.lists(member_sets, min_size=1, max_size=8))]
     flags = st.lists(st.booleans(), min_size=len(groups), max_size=len(groups))
-    zeroed, alive = draw(flags), np.array(draw(flags))
+    zeroed = draw(flags)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     w = rng.normal(size=n)
     for members, zero in zip(groups, zeroed):
         if zero:
             w[members] = 0.0
-    return w, groups, alive, rng
+    return w, groups, rng
 
 
 def _close(value, ref):
@@ -372,7 +363,7 @@ def _close(value, ref):
 @settings(derandomize=True, deadline=None, database=None, max_examples=100)
 @given(case=grouped_vectors())
 def test_flat_penalty_matches_the_group_loop(case):
-    w, groups, _, rng = case
+    w, groups, rng = case
     omega = rng.random(len(groups)) * 3.0
     value, grad = group_l2_penalty(w, *flat_groups([GroupSpec(g, m) for g, m in
                                                     enumerate(groups)]), omega, 0.1)
@@ -384,7 +375,7 @@ def test_flat_penalty_matches_the_group_loop(case):
 @settings(derandomize=True, deadline=None, database=None, max_examples=100)
 @given(case=grouped_vectors())
 def test_flat_group_update_matches_the_group_loop(case):
-    _, groups, _, rng = case
+    _, groups, rng = case
     _, group = flat_groups([GroupSpec(g, m) for g, m in enumerate(groups)])
     w = rng.normal(size=group.size) * (rng.random(group.size) < 0.8)
     gamma = 10.0 ** rng.uniform(-2, 2, group.size)
@@ -399,20 +390,60 @@ def test_flat_group_update_matches_the_group_loop(case):
         assert _close(s[g], ref_s) and _close(omega[g], ref_omega)
 
 
-@settings(derandomize=True, deadline=None, database=None, max_examples=100)
-@given(case=grouped_vectors())
-def test_flat_structural_update_matches_the_group_loop(case):
-    w, groups, alive, rng = case
-    state = updates.HyperState.init([GroupSpec(g, m) for g, m in enumerate(groups)])
-    state.gamma = rng.random(len(groups)) * 2.0
-    state.omega = 10.0 ** rng.uniform(-10, 1, len(groups))
-    state.alive = alive
-    h = rng.normal(size=w.size) * 2.0
-    ref_gamma, ref_omega = _structural_update_loop(w, groups, state.gamma, state.omega,
-                                                   alive, h, 1e-8, 1e6)
+def slab_case(shape, pattern):
+    """A slab state of `pattern` over a weight of `shape` with every third
+    slab zeroed (as the prune masks them), every fourth group dead, a
+    Hessian diagonal with negative entries, and the make_groups members of
+    every group.  Group 0 is alive and zeroed."""
+    rng = np.random.default_rng([len(shape), len(pattern)])
+    members = [grp.members for grp in make_groups(shape, pattern)]
+    state = updates.HyperState.init(shape, [pattern])
+    w = rng.normal(size=shape)
+    for mem in members[::3]:
+        w.ravel()[mem] = 0.0
+    state.gamma = rng.random(len(members)) * 0.2
+    state.omega = 10.0 ** rng.uniform(-10, 1, len(members))
+    state.alive = np.arange(len(members)) % 4 != 3
+    return w, state, members, rng.normal(size=shape) * 2.0
+
+
+@pytest.mark.parametrize("shape", SHAPES, ids=["2d", "4d"])
+@pytest.mark.parametrize("pattern", PATTERNS)
+def test_slab_structural_update_matches_the_group_loop(shape, pattern):
+    w, state, members, h = slab_case(shape, pattern)
+    alive = state.alive
+    ref_gamma, ref_omega = _structural_update_loop(w.ravel(), members, state.gamma,
+                                                   state.omega, alive, h.ravel(), 1e-8, 1e6)
     before = state.gamma.copy(), state.omega.copy()
     updates.structural_update(w, state, h, 1e-8, 1e6)
     assert _close(state.gamma[alive], ref_gamma[alive])
     assert _close(state.omega[alive], ref_omega[alive])
     assert np.array_equal(state.gamma[~alive], before[0][~alive])
     assert np.array_equal(state.omega[~alive], before[1][~alive])
+    # an alive zeroed slab collapses to gamma 0, below the entropy threshold
+    zeroed = np.array([not np.any(w.ravel()[mem]) for mem in members]) & alive
+    assert np.any(zeroed) and np.all(state.gamma[zeroed] == 0.0)
+
+
+@pytest.mark.parametrize("shape", SHAPES, ids=["2d", "4d"])
+@pytest.mark.parametrize("pattern", PATTERNS)
+def test_slab_prune_matches_the_index_scatter(shape, pattern):
+    w, state, members, _ = slab_case(shape, pattern)
+    state.gamma[0] = 0.0  # the zeroed group collapses, as structural_update leaves it
+    config = SearchConfig(prune_threshold=0.1)
+    mask = (w != 0).astype(np.float64)
+    layer = nn.Layer("fc" if len(shape) == 2 else "conv2d", weights=w, mask=mask.copy())
+    slots = engine._WeightSlots([layer], {0: [pattern]}, config, "mse")
+    slots.states[0] = state
+    dead = state.alive & (state.gamma <= config.prune_threshold)
+    for g in np.flatnonzero(dead):
+        mask.ravel()[members[g]] = 0.0
+    if np.any(mask):
+        assert slots.prune() == (int(np.count_nonzero(dead)), 0, False)
+    else:
+        with pytest.raises(RuntimeError, match="layer 0 is fully pruned"):
+            slots.prune()
+    assert dead[0] and not np.any(state.alive & dead)
+    assert layer.mask.shape == shape
+    assert layer.mask.tobytes() == mask.tobytes()
+    assert np.array_equal(layer.weights, w * mask)

@@ -13,15 +13,18 @@ workloads from ``SRC_ROOT/perfbench``, then records as JSON in ``OUT``:
   (w, s, omega, gamma, alive) of every edge;
 - ``run_compression`` on the inputs of both compress workloads of the
   benchmark at seeds 0..N-1 (default 5): history, report, mask export, and
-  the digest of every weight, bias and mask array.
+  the digest and float64 l2 norm of every weight, bias and mask array.
 
 Floats are written with ``repr``, so a record compares bit for bit.
 ``diff`` prints every difference between two records and exits 1 if there
 is one, 0 if there is none.  When there are differences, a summary line
 counts the structural ones (a key or length, or a value that is not a
 float) apart from the float-only ones, with the largest relative float
-difference.  A tree is dumped in its own process, so to
-compare a change against its parent, dump each tree and diff the two files.
+difference.  An array whose digest changed but whose shape and dtype did
+not is one float difference, of its l2 norm, so a last-bit drift reads as
+its relative size (0 when the norms are equal).  A tree is dumped in its
+own process, so to compare a change against its parent, dump each tree and
+diff the two files.
 """
 
 from __future__ import annotations
@@ -44,7 +47,8 @@ COMPRESS_WORKLOADS = ("compress-lenet5", "compress-fc-exact")
 
 
 def _plain(value):
-    """JSON-ready copy: numpy scalars and tuples to Python, arrays to a digest."""
+    """JSON-ready copy: numpy scalars and tuples to Python, arrays to a digest
+    and a float64 l2 norm."""
     if isinstance(value, dict):
         return {str(k): _plain(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -52,7 +56,8 @@ def _plain(value):
     if isinstance(value, np.ndarray):
         arr = np.ascontiguousarray(value)
         return {"array": list(arr.shape), "dtype": str(arr.dtype),
-                "sha256": hashlib.sha256(arr.tobytes()).hexdigest()}
+                "sha256": hashlib.sha256(arr.tobytes()).hexdigest(),
+                "l2": float(np.linalg.norm(arr.ravel().astype(np.float64)))}
     if isinstance(value, np.generic):
         return value.item()
     return value
@@ -130,9 +135,20 @@ def _relative(a, b):
     return abs(a - b) / max(abs(a), abs(b))
 
 
+def _drifted_array(a, b):
+    """Two array records of one shape and dtype with different digests."""
+    keys = {"array", "dtype", "sha256", "l2"}
+    return (all(isinstance(r, dict) and set(r) == keys for r in (a, b))
+            and (a["array"], a["dtype"]) == (b["array"], b["dtype"])
+            and a["sha256"] != b["sha256"])
+
+
 def differences(a, b, path=""):
     """Every path at which two records differ, as (line naming both values,
     relative difference when both are floats, else None)."""
+    if _drifted_array(a, b):
+        return [(f"{path}: array digest differs, l2 {a['l2']!r} != {b['l2']!r}",
+                 _relative(a["l2"], b["l2"]))]
     if isinstance(a, dict) and isinstance(b, dict):
         found = []
         for key in sorted(set(a) | set(b)):
