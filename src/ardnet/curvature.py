@@ -1,8 +1,11 @@
 """Recursive curvature computation for layer stacks.
 
-Backward pass over a forward/backward cache chain producing per-layer
-weight-Hessian diagonals.  Each layer takes the curvature H at its output to
-its pre-activation as B H B + D (B = f', D = f'' * dE/dout).  The weight
+Reverse walk over a forward cache chain producing per-layer weight-Hessian
+diagonals.  Each layer takes the curvature H at its output to its
+pre-activation as B H B (B = f'), plus D = f'' * dE/dout for a curved
+activation (tanh, softplus).  Relu and identity have f'' = 0 wherever it is
+defined, so only a curved layer reads the grad_out of a backward pass, and
+a relu/identity stack needs none (`curved_layers`).  The weight
 diagonal and the diagonal backmap of its linear map A follow from
 diag(A^T D A) = (A*A)^T diag(D): they are `nn`'s adjoint of the layer kind
 with every coefficient squared.  Two modes:
@@ -30,6 +33,7 @@ __all__ = [
     "CurvatureResult",
     "network_curvature",
     "propagate_curvature",
+    "curved_layers",
     "finite_diff_hessian",
     "fd_weight_hessian_diag",
     "mac_count_exact",
@@ -54,10 +58,13 @@ class CurvatureResult:
     mode: str = "exact"
 
 
-def _require_backward(caches, stop):
-    for idx, cache in enumerate(caches[stop:], stop):
-        if cache.grad_out is None:
-            raise ValueError(f"missing backward pass: layer {idx} has no grad_out")
+def curved_layers(layers):
+    """The layers `network_curvature` visits whose activation is curved
+    (tanh, softplus): only they read grad_out, so with none of them a
+    forward pass is all the recursion needs."""
+    stop = nn._walk_stop(layers, input_grad=False)
+    return [idx for idx in range(stop, len(layers))
+            if layers[idx].activation not in nn.PIECEWISE_LINEAR]
 
 
 def _diag(h, shape):
@@ -66,17 +73,21 @@ def _diag(h, shape):
 
 
 def _activation_step(layer, cache, h_out):
-    """H wrt layer output -> H wrt layer pre-activation (B H B + D)."""
+    """H wrt layer output -> H wrt layer pre-activation: B H B, plus D for a
+    curved activation."""
     _, d1, d2 = nn.activation_funcs(layer.activation)
     bmat = d1(cache.preact)
-    dmat = d2(cache.preact) * cache.grad_out
+    dmat = (None if layer.activation in nn.PIECEWISE_LINEAR
+            else d2(cache.preact) * cache.grad_out)
     if h_out.ndim == 3:
         bf = bmat.reshape(len(h_out), -1)
         h_pre = h_out * bf[:, :, None] * bf[:, None, :]
-        idx = np.arange(bf.shape[1])
-        h_pre[:, idx, idx] += dmat.reshape(bf.shape)
+        if dmat is not None:
+            idx = np.arange(bf.shape[1])
+            h_pre[:, idx, idx] += dmat.reshape(bf.shape)
         return h_pre
-    return bmat**2 * h_out + dmat
+    h_pre = bmat**2 * h_out
+    return h_pre if dmat is None else h_pre + dmat
 
 
 def _sandwich_diag(h, w):
@@ -111,7 +122,8 @@ def _full_backmap(layers, caches, idx, h_pre):
 
 
 def network_curvature(layers, caches, target, energy_kind="mse", mode="exact"):
-    """Run the curvature recursion over a forward/backward cache chain.
+    """Run the curvature recursion over a forward cache chain; the caches
+    of `curved_layers` also need the grad_out of a backward pass.
 
     The recursion is seeded with the analytic Hessian of the energy at the
     network output (identity for mse, diag(p) - p p^T for softmax-ce).  It
@@ -119,7 +131,9 @@ def network_curvature(layers, caches, target, energy_kind="mse", mode="exact"):
     """
     if mode not in ("exact", "diag"):
         raise ValueError(f"unknown curvature mode {mode!r}")
-    _require_backward(caches, nn._walk_stop(layers, input_grad=False))
+    for idx in curved_layers(layers):
+        if caches[idx].grad_out is None:
+            raise ValueError(f"missing backward pass: layer {idx} has no grad_out")
     output = caches[-1].out
     full = mode == "exact"
     if full and _is_one_wide(layers, output):

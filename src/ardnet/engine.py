@@ -21,7 +21,7 @@ import numpy as np
 
 from . import nn
 from . import supergraph as sg
-from .curvature import network_curvature
+from .curvature import curved_layers, network_curvature
 from .updates import (GroupSpec, HyperState, SearchConfig, flat_groups,
                       group_l2_penalty, group_update, sgd_momentum_step,
                       slab_l2_penalty, structural_update, update_posterior_variance)
@@ -436,11 +436,13 @@ class _WeightSlots:
         return total
 
     def _slice_curvature(self, x, y):
-        # its own frame, so one slice's caches are gone before the next runs
+        # its own frame, so one slice's caches are gone before the next runs;
+        # a relu/identity stack has no curved layer and runs no backward pass
         net = self.model
         out, caches = nn.forward(net, x)
-        _, e_grad = nn.energy(out, y, self.kind)
-        nn.backward(net, caches, e_grad, input_grad=False)
+        if curved_layers(net):
+            _, e_grad = nn.energy(out, y, self.kind)
+            nn.backward(net, caches, e_grad, input_grad=False)
         mode = "exact" if self.config.hessian_mode == "exact" else "diag"
         curv = network_curvature(net, caches, y, self.kind, mode)
         return {li: curv.weight_diag[li] for li in self.states}

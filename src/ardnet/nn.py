@@ -74,6 +74,8 @@ ACTIVATIONS = {
     "tanh": (np.tanh, _tanh_d1, _tanh_d2),
     "softplus": (_softplus, _sigmoid, _softplus_d2),
 }
+# f'' is 0 wherever it is defined: no curvature term reads their grad_out
+PIECEWISE_LINEAR = frozenset({"identity", "relu"})
 
 
 def activation_funcs(name: str):
@@ -208,19 +210,20 @@ def im2col(x, kernel, stride=1, padding=0):
 
 
 def col2im(cols, x_shape, kernel, stride=1, padding=0):
-    """Adjoint of im2col: scatter-add patch rows back onto the input grid."""
+    """Adjoint of im2col: scatter-add patch rows back onto the input grid.
+
+    Accumulates channel-last, so each kernel offset adds one (b, H_out,
+    W_out, C) slab, and returns the NCHW transpose of that buffer."""
     b, c, h, w = x_shape
     m, k = kernel
     h_out, w_out = conv_output_shape(h, w, kernel, stride, padding)
-    patches = cols.reshape(b, h_out, w_out, c, m, k).transpose(0, 3, 1, 2, 4, 5)
-    xp = np.zeros((b, c, h + 2 * padding, w + 2 * padding))
+    patches = cols.reshape(b, h_out, w_out, c, m, k)
+    xp = np.zeros((b, h + 2 * padding, w + 2 * padding, c))
     for u in range(m):
         for v in range(k):
-            xp[:, :, u : u + stride * h_out : stride,
-               v : v + stride * w_out : stride] += patches[:, :, :, :, u, v]
-    if padding:
-        xp = xp[:, :, padding:-padding, padding:-padding]
-    return xp
+            xp[:, u : u + stride * h_out : stride,
+               v : v + stride * w_out : stride] += patches[..., u, v]
+    return xp[:, padding : padding + h, padding : padding + w].transpose(0, 3, 1, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +245,7 @@ def _layer_forward(layer, x, idx):
             )
         pre = x @ w.T
         if layer.bias is not None:
-            pre = pre + layer.bias
+            pre += layer.bias
         return LayerCache(x=x, preact=pre, out=act(pre))
     if layer.kind == "conv2d":
         w = layer.masked_weights()
@@ -259,7 +262,7 @@ def _layer_forward(layer, x, idx):
                                          layer.stride, layer.padding)
         pre = cols @ w.reshape(c_out, -1).T  # (b*H_out*W_out, C_out)
         if layer.bias is not None:
-            pre = pre + layer.bias
+            pre += layer.bias
         pre = pre.reshape(x.shape[0], h_out, w_out, c_out).transpose(0, 3, 1, 2)
         return LayerCache(x=x, preact=pre, out=act(pre), cols=cols)
     if layer.kind == "activation":

@@ -80,6 +80,9 @@ class SearchConfig:
                 setattr(self, f.name, float(getattr(self, f.name)))
 
     def validate(self):
+        for f in fields(self):  # json reads NaN and Infinity as floats
+            if f.type == "float" and not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"config field {f.name} must be finite")
         positive = ["lambda_w", "weight_decay", "learning_rate",
                     "omega_floor", "s_cap", "prune_threshold"]
         for name in positive:

@@ -360,3 +360,48 @@ def test_no_input_term_leaves_weight_gradients_and_diagonals_bitwise(conv):
             if layer.weights is not None:
                 assert res.weight_diag[li].tobytes() == ref.weight_diag[li].tobytes()
                 assert net_res.weight_diag[li].tobytes() == ref.weight_diag[li].tobytes()
+
+
+# ---------------------------------------------------------------------------
+# piecewise-linear stacks need no backward pass
+
+
+def conv_stack(act, rng):
+    """conv -> maxpool -> flatten -> fc -> fc, every weighted layer but the
+    last with activation act, and an input batch."""
+    net = [nn.conv_layer(1, 3, 3, act, rng=rng), nn.pool_layer("maxpool2d", 2),
+           nn.flatten_layer(), nn.fc_layer(27, 5, act, rng=rng),
+           nn.fc_layer(5, 3, rng=rng)]
+    return net, rng.normal(size=(6, 1, 8, 8))
+
+
+@pytest.mark.parametrize("mode", ["diag", "exact"])
+@pytest.mark.parametrize("act", ["relu", "identity"])
+def test_piecewise_linear_curvature_needs_only_a_forward_pass(act, mode):
+    rng = np.random.default_rng(41)
+    net, x = conv_stack(act, rng)
+    labels = rng.integers(0, 3, len(x))
+    assert curvature.curved_layers(net) == []
+    out, walked = nn.forward(net, x)
+    _, e_grad = nn.energy(out, labels, "softmax_ce")
+    nn.backward(net, walked, e_grad, input_grad=False)
+    _, forward_only = nn.forward(net, x)
+    ref = curvature.network_curvature(net, walked, labels, "softmax_ce", mode)
+    got = curvature.network_curvature(net, forward_only, labels, "softmax_ce", mode)
+    assert all(cache.grad_out is None for cache in forward_only)
+    for li, layer in enumerate(net):
+        if layer.weights is not None:
+            assert got.weight_diag[li].tobytes() == ref.weight_diag[li].tobytes()
+
+
+@pytest.mark.parametrize("act", ["tanh", "softplus"])
+def test_curved_stack_without_a_backward_pass_is_rejected(act):
+    rng = np.random.default_rng(42)
+    net, x = conv_stack(act, rng)
+    assert curvature.curved_layers(net) == [0, 3]
+    _, caches = nn.forward(net, x)
+    for mode in ("diag", "exact"):
+        with pytest.raises(ValueError,
+                           match="missing backward pass: layer 0 has no grad_out"):
+            curvature.network_curvature(net, caches, np.zeros(len(x), int),
+                                        "softmax_ce", mode)

@@ -367,6 +367,24 @@ def test_sliced_curvature_equals_one_shot_curvature(stack, mode):
                     np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
 
 
+@pytest.mark.parametrize("stack, backward_calls", [
+    ("conv-maxpool-flatten-fc", 0), ("tanh-fc", 4)])
+def test_sliced_curvature_runs_a_backward_pass_only_for_curved_stacks(
+        monkeypatch, stack, backward_calls):
+    # relu/identity layers have no f'' term, so their slices need no grad_out
+    net, patterns, kind, x, y = curvature_stack(stack)
+    slots = engine._WeightSlots(net, patterns, SearchConfig(batch_size=16), kind)
+    calls, backward = [], nn.backward
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return backward(*args, **kwargs)
+
+    monkeypatch.setattr(nn, "backward", counted)
+    slots.weight_curvature(x, y)
+    assert len(calls) == backward_calls
+
+
 def test_curvature_update_memory_does_not_grow_with_the_curvature_batch():
     net, patterns, kind, x, y = curvature_stack("conv-maxpool-flatten-fc", n=256)
     slots = engine._WeightSlots(net, patterns, SearchConfig(batch_size=64), kind)

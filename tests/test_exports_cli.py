@@ -1,5 +1,6 @@
 """Artifact serialization and the command-line interface."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -68,6 +69,25 @@ def test_config_wrong_type_names_field(tmp_path, payload, name):
         exports.parse_config(path)
 
 
+FLOAT_FIELDS = ["lambda_w", "weight_decay", "learning_rate", "momentum",
+                "omega_floor", "s_cap", "prune_threshold"]
+
+
+def test_every_float_field_is_checked_for_finiteness():
+    assert sorted(f.name for f in dataclasses.fields(SearchConfig)
+                  if f.type == "float") == sorted(FLOAT_FIELDS)
+
+
+@pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+@pytest.mark.parametrize("name", FLOAT_FIELDS)
+def test_config_rejects_a_non_finite_float(tmp_path, name, value):
+    # Python's json reads these spellings as floats
+    path = tmp_path / "c.json"
+    path.write_text(f'{{"{name}": {value}}}')
+    with pytest.raises(ValueError, match=f"^config field {name} must be finite$"):
+        exports.parse_config(path)
+
+
 def test_config_accepts_an_integer_for_a_float_field(tmp_path):
     path = tmp_path / "c.json"
     path.write_text('{"lambda_w": 1}')
@@ -85,6 +105,8 @@ def test_int_and_float_spellings_share_one_config_hash(tmp_path):
     # configurations written with floats keep their hashes
     assert SearchConfig().config_hash() == "3e5bebc4c415873f"
     assert data.dag_task_config(0).config_hash() == "13058cff8eb1379e"
+    assert data.two_cell_task_config(0).config_hash() == "aaa84c0c7846d34c"
+    assert models.mnist_compression_config("lenet5", 0).config_hash() == "56d8a36654d357a5"
 
 
 # ---------------------------------------------------------------------------
@@ -304,6 +326,17 @@ def test_cli_bad_config_exits_one(tmp_path):
     res = run_cli("search", "--config", str(cfg), "--out", str(tmp_path / "x"))
     assert res.returncode == 1
     assert "t_max" in res.stderr
+
+
+def test_cli_non_finite_config_exits_one(tmp_path):
+    # a NaN prune threshold used to run, prune nothing and exit 0
+    cfg = tmp_path / "nan.json"
+    cfg.write_text('{"prune_threshold": NaN}')
+    res = run_cli("search", "--config", str(cfg), "--out", str(tmp_path / "x"))
+    assert res.returncode == 1
+    assert "error: config field prune_threshold must be finite" in res.stderr
+    assert "Traceback" not in res.stderr
+    assert not (tmp_path / "x").exists()
 
 
 def test_cli_missing_data_exits_two(tmp_path):

@@ -314,3 +314,67 @@ def test_squared_adjoint_is_the_curvature_diagonal_of_the_map(make, shape):
     for g, w in zip(got, want):
         if g is not None:
             np.testing.assert_allclose(g, w, rtol=1e-12, atol=1e-15)
+
+
+# ---------------------------------------------------------------------------
+# the conv input adjoint
+
+
+def col2im_nchw(cols, x_shape, kernel, stride=1, padding=0):
+    """The NCHW scatter that col2im ran before it accumulated channel-last:
+    the reference that the channel-last buffer must reproduce bit for bit."""
+    b, c, h, w = x_shape
+    m, k = kernel
+    h_out, w_out = nn.conv_output_shape(h, w, kernel, stride, padding)
+    patches = cols.reshape(b, h_out, w_out, c, m, k).transpose(0, 3, 1, 2, 4, 5)
+    xp = np.zeros((b, c, h + 2 * padding, w + 2 * padding))
+    for u in range(m):
+        for v in range(k):
+            xp[:, :, u : u + stride * h_out : stride,
+               v : v + stride * w_out : stride] += patches[:, :, :, :, u, v]
+    if padding:
+        xp = xp[:, :, padding:-padding, padding:-padding]
+    return xp
+
+
+def conv_geometries(n, seed):
+    """n conv layers with inputs and output gradients, drawn as in
+    acceptance criterion 3 but with padding up to 2."""
+    rng = np.random.default_rng(seed)
+    for _ in range(n):
+        b, c_in, c_out = (int(v) for v in rng.integers(1, 4, size=3))
+        k, stride, pad = int(rng.integers(1, 4)), int(rng.integers(1, 3)), int(rng.integers(0, 3))
+        size = int(rng.integers(k + stride, k + stride + 4))
+        layer = nn.Layer("conv2d", weights=rng.normal(size=(c_out, c_in, k, k)),
+                         stride=stride, padding=pad)
+        x = rng.normal(size=(b, c_in, size, size))
+        ho, wo = nn.conv_output_shape(size, size, (k, k), stride, pad)
+        yield layer, x, rng.normal(size=(b, c_out, ho, wo))
+
+
+# each input sums at most 27 products of standard normals; any summation
+# order keeps float64 rounding far below this
+ADJOINT_ATOL = 1e-12
+
+
+def test_conv_input_adjoint_matches_the_nchw_col2im_reference():
+    for layer, x, g in conv_geometries(60, seed=5):
+        _, caches = nn.forward([layer], x)
+        _, gx = nn.backward([layer], caches, g)
+        c_out = layer.weights.shape[0]
+        gp = g.transpose(0, 2, 3, 1).reshape(-1, c_out)
+        cols = gp @ layer.weights.reshape(c_out, -1)
+        args = (x.shape, layer.weights.shape[2:], layer.stride, layer.padding)
+        ref = col2im_nchw(cols, *args)
+        assert bitwise(nn.col2im(cols, *args), ref)
+        assert gx.shape == x.shape
+        assert np.max(np.abs(gx - ref)) <= ADJOINT_ATOL
+
+
+def test_conv_input_adjoint_satisfies_the_dot_product_identity():
+    # <conv(x), g> = <x, conv^T(g)> for the bias-free, identity-activation map
+    for layer, x, g in conv_geometries(60, seed=6):
+        y, caches = nn.forward([layer], x)
+        _, gx = nn.backward([layer], caches, g)
+        lhs, rhs = float(np.sum(y * g)), float(np.sum(x * gx))
+        assert abs(lhs - rhs) <= 1e-12 * max(1.0, np.sum(np.abs(y * g)))
