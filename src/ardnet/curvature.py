@@ -55,7 +55,6 @@ class CurvatureResult:
 
     weight_diag: list = field(default_factory=list)
     preact: list = field(default_factory=list)
-    mode: str = "exact"
 
 
 def curved_layers(layers):
@@ -135,16 +134,12 @@ def network_curvature(layers, caches, target, energy_kind="mse", mode="exact"):
         if caches[idx].grad_out is None:
             raise ValueError(f"missing backward pass: layer {idx} has no grad_out")
     output = caches[-1].out
-    full = mode == "exact"
-    if full and _is_one_wide(layers, output):
+    if mode == "exact" and _is_one_wide(layers, output):
         # every per-sample matrix is 1x1, so the diagonal recursion IS the
         # exact recursion; sharing the code path keeps the two modes bitwise
         # identical instead of merely equal up to multiplication order
-        h = nn.energy_hessian(output, target, energy_kind, "diag")
-        result, _ = propagate_curvature(layers, caches, h, "diag", input_grad=False)
-        result.mode = "exact"
-        return result
-    h = nn.energy_hessian(output, target, energy_kind, "exact" if full else "diag")
+        mode = "diag"
+    h = nn.energy_hessian(output, target, energy_kind, mode)
     result, _ = propagate_curvature(layers, caches, h, mode, input_grad=False)
     return result
 
@@ -170,7 +165,7 @@ def propagate_curvature(layers, caches, h_seed, mode="exact", input_grad=True):
     """
     h = h_seed
     result = CurvatureResult(weight_diag=[None] * len(layers),
-                             preact=[None] * len(layers), mode=mode)
+                             preact=[None] * len(layers))
     stop = nn._walk_stop(layers, input_grad)
     for idx in range(len(layers) - 1, stop - 1, -1):
         layer, cache = layers[idx], caches[idx]

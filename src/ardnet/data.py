@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import gzip
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
 from . import supergraph as sg
+from .updates import GroupSpec, SearchConfig
 
 __all__ = [
     "Dataset",
@@ -23,15 +25,13 @@ __all__ = [
 
 @dataclass
 class Dataset:
-    """Train/test split with shared normalization metadata."""
+    """Train/test split."""
 
     x_train: np.ndarray
     y_train: np.ndarray
     x_test: np.ndarray
     y_test: np.ndarray
     kind: str = "labels"  # "labels" (int targets) or "regression"
-    mean: float = 0.0
-    std: float = 1.0
 
     def __post_init__(self):
         if len(self.x_train) != len(self.y_train):
@@ -105,7 +105,6 @@ _MNIST_FILES = {
 
 
 def _find_idx_file(data_dir, stem):
-    from pathlib import Path
     for name in (stem, stem + ".gz", stem.replace("-idx", ".idx"),
                  stem.replace("-idx", ".idx") + ".gz"):
         candidate = Path(data_dir) / name
@@ -130,6 +129,8 @@ def load_mnist_idx(data_dir):
             raise ValueError(f"{split} labels must be 1-d, got {ys.shape}")
         if len(xs) != len(ys):
             raise ValueError(f"{split} count mismatch: {len(xs)} images vs {len(ys)} labels")
+        if not len(xs):
+            raise ValueError(f"{split} split has no images")
         if ys.size and ys.max() > 9:
             raise ValueError(f"{split} labels contain value {ys.max()} outside 0-9")
     x_train = raw["x_train"].astype(np.float64)[:, None] / 255.0
@@ -139,8 +140,7 @@ def load_mnist_idx(data_dir):
     x_train = (x_train - mean) / std
     x_test = (x_test - mean) / std
     return Dataset(x_train, raw["y_train"].astype(np.int64),
-                   x_test, raw["y_test"].astype(np.int64),
-                   kind="labels", mean=mean, std=std)
+                   x_test, raw["y_test"].astype(np.int64))
 
 
 # ---------------------------------------------------------------------------
@@ -149,7 +149,6 @@ def load_mnist_idx(data_dir):
 
 def dag_task_config(seed=0):
     """Search hyperparameters tuned for gen_synthetic_dag_task."""
-    from .updates import SearchConfig
     return SearchConfig(t_max=20, epochs_per_iteration=20, batch_size=32,
                         lambda_w=0.01, learning_rate=0.01,
                         hessian_mode="exact", retrain_epochs=0, seed=seed)
@@ -157,7 +156,6 @@ def dag_task_config(seed=0):
 
 def two_cell_task_config(seed=0):
     """Search hyperparameters tuned for gen_two_cell_task."""
-    from .updates import SearchConfig
     return SearchConfig(t_max=20, epochs_per_iteration=20, batch_size=32,
                         lambda_w=0.02, learning_rate=0.005,
                         hessian_mode="exact", retrain_epochs=0, seed=seed)
@@ -181,24 +179,11 @@ def _regression_data(rng, truth, dim, n_train, n_test, sigma2):
 
 def _planted_is_functional(n_nodes, edges, planted):
     """Every planted edge must lie on an input->output path inside the
-    planted subgraph."""
-    sub = [edges[i] for i in planted]
-    fwd = {0}
-    changed = True
-    while changed:
-        changed = False
-        for (i, j) in sub:
-            if i in fwd and j not in fwd:
-                fwd.add(j)
-                changed = True
-    bwd = {n_nodes - 1}
-    changed = True
-    while changed:
-        changed = False
-        for (i, j) in sub:
-            if j in bwd and i not in bwd:
-                bwd.add(i)
-                changed = True
+    planted subgraph.  Each edge (i, j) has i < j, so ascending node id is
+    a topological order."""
+    sub = sorted(edges[i] for i in planted)
+    fwd = sg.reach_along(sub, 0)
+    bwd = sg.reach_along(sorted(((j, i) for i, j in sub), reverse=True), n_nodes - 1)
     return all(i in fwd and j in bwd for (i, j) in sub)
 
 
@@ -254,8 +239,6 @@ def gen_two_cell_task(seed, dim=6, n_cells=2, n_train=512, n_test=256, sigma2=0.
     Returns (graph, data, groups, planted slot set) with groups covering
     every edge (gate edges included) for the grouped search mode.
     """
-    from .updates import GroupSpec
-
     rng = np.random.default_rng(seed)
     slot_ops = [sg.make_op("fc", matrix=_orthogonal(rng, dim)) for _ in range(3)]
     # the chain through a generates the targets; the skip is the distractor.

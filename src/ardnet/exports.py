@@ -16,6 +16,7 @@ import reprlib
 import numpy as np
 
 from . import supergraph as sg
+from .engine import surviving_widths
 from .updates import SearchConfig
 
 __all__ = [
@@ -24,7 +25,6 @@ __all__ = [
     "arch_export",
     "save_json",
     "load_arch_record",
-    "load_arch_json",
     "mask_export",
     "load_mask_json",
     "to_dot",
@@ -51,7 +51,7 @@ def parse_config(path, base=None):
     payload = json.loads(text) if text else {}
     if not isinstance(payload, dict):
         raise ValueError("config file must contain a JSON object")
-    known = set(SearchConfig.field_names())
+    known = {f.name for f in dataclasses.fields(SearchConfig)}
     unknown = sorted(set(payload) - known)
     if unknown:
         raise ValueError(f"unknown config keys: {', '.join(unknown)}")
@@ -97,12 +97,12 @@ _EDGE_FIELDS = {"id": None, "src": _INT, "dst": _INT,
 _EDGE_REQUIRED = ("src", "dst", "op", "w", "gamma", "s", "alive", "is_gate")
 
 
-def arch_export(graph, config=None, seed=None):
+def arch_export(graph, config=None):
     """Architecture record plus run provenance (config hash and seed)."""
     record = sg.export_architecture(graph)
     record["provenance"] = {
         "config_hash": config.config_hash() if config is not None else None,
-        "seed": seed if seed is not None else (config.seed if config else None),
+        "seed": config.seed if config is not None else None,
     }
     return record
 
@@ -157,18 +157,12 @@ def load_arch_record(path):
     return record
 
 
-def load_arch_json(path):
-    """Load and validate an architecture record; returns a SuperGraph."""
-    return sg.import_architecture(load_arch_record(path))
-
-
 # ---------------------------------------------------------------------------
 # mask export
 
 
 def mask_export(net, config=None, widths=None):
     """Per-layer zero-mask record for a compressed layer stack."""
-    from .engine import surviving_widths
     layers = []
     for layer in net:
         if layer.weights is None:

@@ -18,10 +18,8 @@ __all__ = [
 ]
 
 
-def lenet300_100(rng=None):
+def lenet300_100(rng):
     """784-300-100-10 fully connected classifier (relu hidden units)."""
-    if rng is None:
-        rng = np.random.default_rng(0)
     return [
         nn.flatten_layer(),
         nn.fc_layer(784, 300, activation="relu", rng=rng),
@@ -30,10 +28,8 @@ def lenet300_100(rng=None):
     ]
 
 
-def lenet5(rng=None):
+def lenet5(rng):
     """Conv 20/50 (5x5) + fc 500 classifier for 28x28 single-channel input."""
-    if rng is None:
-        rng = np.random.default_rng(0)
     return [
         nn.conv_layer(1, 20, 5, activation="relu", rng=rng),
         nn.pool_layer("maxpool2d", 2),
@@ -112,7 +108,11 @@ def load_weights(net, path):
                 )
             layer.weights = arrays[key]
             if f"b{li}" in arrays:
-                layer.bias = arrays[f"b{li}"]
+                bias = arrays[f"b{li}"]
+                if bias.shape != layer.bias.shape:
+                    raise ValueError(f"layer {li} bias shape mismatch: file has "
+                                     f"{bias.shape}, model has {layer.bias.shape}")
+                layer.bias = bias
             if f"m{li}" in arrays:
                 mask = layer.mask = arrays[f"m{li}"]
                 if mask.shape != layer.weights.shape or not np.all((mask == 0) | (mask == 1)):

@@ -128,26 +128,21 @@ class LayerCache:
     grad_out: np.ndarray | None = None
 
 
-def fc_layer(n_in, n_out, activation="identity", rng=None, scale=None, bias=True):
+def fc_layer(n_in, n_out, activation="identity", rng=None):
     if rng is None:
         w = np.zeros((n_out, n_in))
     else:
-        if scale is None:
-            scale = 1.0 / np.sqrt(n_in)
-        w = rng.normal(0.0, scale, size=(n_out, n_in))
-    b = np.zeros(n_out) if bias else None
-    return Layer("fc", weights=w, bias=b, activation=activation)
+        w = rng.normal(0.0, 1.0 / np.sqrt(n_in), size=(n_out, n_in))
+    return Layer("fc", weights=w, bias=np.zeros(n_out), activation=activation)
 
 
 def conv_layer(c_in, c_out, kernel, activation="identity", stride=1, padding=0,
-               rng=None, scale=None, bias=True):
+               rng=None, bias=True):
     m, k = (kernel, kernel) if np.isscalar(kernel) else kernel
     if rng is None:
         w = np.zeros((c_out, c_in, m, k))
     else:
-        if scale is None:
-            scale = 1.0 / np.sqrt(c_in * m * k)
-        w = rng.normal(0.0, scale, size=(c_out, c_in, m, k))
+        w = rng.normal(0.0, 1.0 / np.sqrt(c_in * m * k), size=(c_out, c_in, m, k))
     b = np.zeros(c_out) if bias else None
     return Layer("conv2d", weights=w, bias=b, activation=activation,
                  stride=stride, padding=padding)

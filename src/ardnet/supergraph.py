@@ -43,6 +43,7 @@ __all__ = [
     "entropy_prune_mask",
     "apply_prune_mask",
     "reachable_nodes",
+    "reach_along",
     "propagate_dependency_prune",
     "restore_widest_path",
     "insert_zero_gates",
@@ -50,7 +51,7 @@ __all__ = [
     "import_architecture",
 ]
 
-OP_TAGS = ("identity", "fc", "conv3x3", "conv5x5", "maxpool", "avgpool", "zero_gate")
+OP_TAGS = ("identity", "fc", "conv3x3", "maxpool", "avgpool", "zero_gate")
 
 
 # ---------------------------------------------------------------------------
@@ -88,29 +89,23 @@ class Op:
         return gx
 
 
-def make_op(tag, rng=None, dims=None, channels=None, matrix=None):
+def make_op(tag, rng=None, channels=None, matrix=None):
     """Build an op from its tag.
 
-    fc needs matrix=(d_out, d_in) or dims=(d_in, d_out) with an rng;
-    conv3x3/conv5x5 need channels=(c_in, c_out) and an rng (same-padding,
-    spatial shape preserved); pools are 2x2 stride-1 windows.
+    fc needs matrix=(d_out, d_in); conv3x3 needs channels=(c_in, c_out) and
+    an rng (same-padding, spatial shape preserved); pools are 2x2 stride-1
+    windows.
     """
     if tag in ("identity", "zero_gate"):
         return Op(tag)
     if tag == "fc":
-        if matrix is not None:
-            layer = nn.Layer("fc", weights=np.asarray(matrix, dtype=np.float64))
-        elif dims is not None and rng is not None:
-            layer = nn.fc_layer(dims[0], dims[1], rng=rng, bias=False)
-        else:
-            raise ValueError("fc op needs matrix= or (dims=, rng=)")
-        return Op(tag, [layer])
-    if tag in ("conv3x3", "conv5x5"):
-        k = 3 if tag == "conv3x3" else 5
+        if matrix is None:
+            raise ValueError("fc op needs matrix=")
+        return Op(tag, [nn.Layer("fc", weights=np.asarray(matrix, dtype=np.float64))])
+    if tag == "conv3x3":
         if channels is None or rng is None:
-            raise ValueError(f"{tag} op needs channels=(c_in, c_out) and rng=")
-        layer = nn.conv_layer(channels[0], channels[1], k, padding=k // 2,
-                              rng=rng, bias=False)
+            raise ValueError("conv3x3 op needs channels=(c_in, c_out) and rng=")
+        layer = nn.conv_layer(channels[0], channels[1], 3, padding=1, rng=rng, bias=False)
         return Op(tag, [layer])
     if tag == "maxpool":
         return Op(tag, [nn.pool_layer("maxpool2d", 2, 1)])
@@ -463,11 +458,10 @@ def refresh_gammas(graph):
     return graph
 
 
-def entropy_prune_mask(graph, threshold=None):
-    """Alive edges whose dependency variance has nonpositive Gaussian entropy."""
-    from .updates import ENTROPY_PRUNE_THRESHOLD
-    thr = ENTROPY_PRUNE_THRESHOLD if threshold is None else threshold
-    return set(np.flatnonzero(graph.alive & (graph.gamma <= thr)).tolist())
+def entropy_prune_mask(graph, threshold):
+    """Alive edges whose dependency variance is at most `threshold`: with
+    updates.ENTROPY_PRUNE_THRESHOLD, those of nonpositive Gaussian entropy."""
+    return set(np.flatnonzero(graph.alive & (graph.gamma <= threshold)).tolist())
 
 
 def apply_prune_mask(graph, mask):
@@ -483,21 +477,28 @@ class PruneReport:
 
 def reachable_nodes(graph, reverse=False):
     """Nodes joined to the input node by a path of alive edges or, with
-    reverse=True, nodes with such a path to the output node.
-
-    One sweep: alive edges taken in topological order of their tail (the
-    source going forward, the target going back) reach every head whose
-    tail is already reached.
+    reverse=True, nodes with such a path to the output node: the alive
+    edges are hops from source to target going forward, from target to
+    source going back.
     """
     pos = {node: i for i, node in enumerate(graph.order)}
     ids = np.flatnonzero(graph.alive)
     src, dst = graph.src[ids].tolist(), graph.dst[ids].tolist()
     if reverse:
-        hops = sorted(zip(dst, src), key=lambda hop: -pos[hop[0]])
-        seen = {graph.output_node}
-    else:
-        hops = sorted(zip(src, dst), key=lambda hop: pos[hop[0]])
-        seen = {graph.input_node}
+        return reach_along(sorted(zip(dst, src), key=lambda hop: -pos[hop[0]]),
+                           graph.output_node)
+    return reach_along(sorted(zip(src, dst), key=lambda hop: pos[hop[0]]),
+                       graph.input_node)
+
+
+def reach_along(hops, start):
+    """Nodes joined to `start` by a chain of (tail, head) hops.
+
+    One sweep: with the hops listed in topological order of their tails,
+    every hop into a tail comes before the hops out of it, so a hop reaches
+    its head iff its tail is already reached.
+    """
+    seen = {start}
     for tail, head in hops:
         if tail in seen:
             seen.add(head)

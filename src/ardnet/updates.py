@@ -105,10 +105,6 @@ class SearchConfig:
         payload = json.dumps(asdict(self), sort_keys=True)
         return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
-    @classmethod
-    def field_names(cls):
-        return [f.name for f in fields(cls)]
-
 
 # ---------------------------------------------------------------------------
 # scalar update rules

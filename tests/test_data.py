@@ -104,8 +104,10 @@ def test_synthetic_planted_subgraph_reproduces_noiseless_targets():
 def test_synthetic_planted_edges_are_functional():
     for seed in range(5):
         graph, _, planted = data.gen_synthetic_dag_task(seed, n_train=8, n_test=4)
-        pairs = [(e.src, e.dst) for e in graph.edges]
-        assert data._planted_is_functional(graph.n_nodes, pairs, sorted(planted))
+        graph.alive[:] = False
+        graph.alive[sorted(planted)] = True
+        fwd, bwd = sg.reachable_nodes(graph), sg.reachable_nodes(graph, reverse=True)
+        assert all(graph.src[eid] in fwd and graph.dst[eid] in bwd for eid in planted)
 
 
 def test_two_cell_task_groups_partition_edges():

@@ -1,4 +1,5 @@
-"""numpy stays the package's only runtime dependency."""
+"""numpy stays the package's only runtime dependency, imported at module
+level like every other import of the package."""
 
 import ast
 import sys
@@ -24,3 +25,11 @@ def test_package_imports_only_the_standard_library_numpy_and_itself():
     outside = [f"{path.name}: {root}" for path in files
                for root in imported_roots(path) if root not in allowed]
     assert not outside
+
+
+def test_package_imports_are_at_module_level():
+    nested = [f"{path.name}:{node.lineno}" for path in sorted(PACKAGE.glob("*.py"))
+              for top in ast.parse(path.read_text(encoding="utf-8")).body
+              for node in ast.walk(top)
+              if node is not top and isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert not nested

@@ -125,7 +125,7 @@ def test_arch_json_round_trip(tmp_path):
     record = exports.arch_export(g, SearchConfig())
     path = tmp_path / "arch.json"
     exports.save_json(record, path)
-    g2 = exports.load_arch_json(path)
+    g2 = sg.import_architecture(exports.load_arch_record(path))
     assert sg.export_architecture(g2) == sg.export_architecture(g)
 
 
@@ -135,7 +135,7 @@ def test_arch_json_empty_graph(tmp_path):
     assert record["edges"] == []
     path = tmp_path / "arch.json"
     exports.save_json(record, path)
-    exports.load_arch_json(path)
+    sg.import_architecture(exports.load_arch_record(path))
 
 
 def test_arch_json_unknown_field_rejected(tmp_path):
@@ -144,7 +144,7 @@ def test_arch_json_unknown_field_rejected(tmp_path):
     path = tmp_path / "arch.json"
     exports.save_json(record, path)
     with pytest.raises(ValueError, match="surprise"):
-        exports.load_arch_json(path)
+        sg.import_architecture(exports.load_arch_record(path))
 
 
 def test_arch_json_wrong_schema_version_rejected(tmp_path):
@@ -153,7 +153,7 @@ def test_arch_json_wrong_schema_version_rejected(tmp_path):
     path = tmp_path / "arch.json"
     exports.save_json(record, path)
     with pytest.raises(ValueError, match="schema version"):
-        exports.load_arch_json(path)
+        sg.import_architecture(exports.load_arch_record(path))
 
 
 def test_records_name_a_missing_field(tmp_path):
@@ -162,7 +162,7 @@ def test_records_name_a_missing_field(tmp_path):
     del record["edges"][0]["dst"]
     exports.save_json(record, path)
     with pytest.raises(ValueError, match="dst"):
-        exports.load_arch_json(path)
+        sg.import_architecture(exports.load_arch_record(path))
     record = exports.mask_export([nn.fc_layer(2, 3)])
     del record["layers"][0]["shape"]
     exports.save_json(record, path)
@@ -346,10 +346,11 @@ def test_cli_missing_data_exits_two(tmp_path):
     assert res.returncode == 2
 
 
-def write_idx_set(directory):
-    """A small random 28x28 IDX data set: 64 training and 32 test images."""
+def write_idx_set(directory, n_train=64, n_test=32):
+    """A small random 28x28 IDX data set: by default 64 training and 32 test
+    images."""
     rng = np.random.default_rng(0)
-    for name, n in (("train", 64), ("t10k", 32)):
+    for name, n in (("train", n_train), ("t10k", n_test)):
         data.write_idx(directory / f"{name}-images-idx3-ubyte",
                        rng.integers(0, 256, (n, 28, 28)))
         data.write_idx(directory / f"{name}-labels-idx1-ubyte", rng.integers(0, 10, n))
@@ -411,6 +412,39 @@ def test_cli_eval_rejects_weights_whose_mask_is_not_binary(tmp_path, mask):
     res = run_cli("eval", "--data", str(tmp_path), "--weights", str(tmp_path / "weights.npz"))
     assert res.returncode == 1
     assert "error: layer 2 mask is not 0s and 1s of its weights' shape" in res.stderr
+    assert "Traceback" not in res.stderr
+
+
+@pytest.mark.parametrize("split", ["train", "test"])
+@pytest.mark.parametrize("command", ["compress", "retrain", "eval"])
+def test_cli_split_without_images_exits_one(tmp_path, command, split):
+    write_idx_set(tmp_path, **{f"n_{split}": 0})
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text("")
+    net = models.build_model("lenet300-100", 0)
+    models.save_weights(net, tmp_path / "weights.npz")
+    exports.save_json(exports.mask_export(net), tmp_path / "masks.json")
+    extra = {"compress": ("--config", str(cfg), "--out", str(tmp_path / "run")),
+             "retrain": ("--config", str(cfg), "--out", str(tmp_path / "run"),
+                         "--masks", str(tmp_path / "masks.json")),
+             "eval": ("--weights", str(tmp_path / "weights.npz"))}[command]
+    res = run_cli(command, "--data", str(tmp_path), *extra)
+    assert res.returncode == 1
+    assert f"error: {split} split has no images" in res.stderr
+    assert "Traceback" not in res.stderr
+
+
+@pytest.mark.parametrize("bias", [np.zeros(1), np.zeros((300, 300))],
+                         ids=["broadcast-shape", "matrix"])
+def test_cli_eval_rejects_a_bias_of_the_wrong_shape(tmp_path, bias):
+    write_idx_set(tmp_path)
+    net = models.build_model("lenet300-100", 0)
+    net[1].bias = bias
+    models.save_weights(net, tmp_path / "weights.npz")
+    res = run_cli("eval", "--data", str(tmp_path), "--weights", str(tmp_path / "weights.npz"))
+    assert res.returncode == 1
+    assert (f"error: layer 1 bias shape mismatch: file has {bias.shape}, model has (300,)"
+            in res.stderr)
     assert "Traceback" not in res.stderr
 
 

@@ -610,7 +610,7 @@ def test_entropy_threshold_boundaries():
     g.gamma[0] = 0.05          # below: pruned
     g.gamma[1] = 0.10          # above: kept
     g.gamma[2] = ENTROPY_PRUNE_THRESHOLD  # boundary: pruned (inclusive)
-    mask = sg.entropy_prune_mask(g)
+    mask = sg.entropy_prune_mask(g, ENTROPY_PRUNE_THRESHOLD)
     assert mask == {0, 2}
 
 
