@@ -154,7 +154,6 @@ def _cmd_retrain(args):
                 f"{layer.weights.shape}"
             )
         layer.mask = mask
-        layer.weights = layer.weights * mask
     run = engine.SearchRun(mode="retrain", config=config)
     err = engine.retrain_pruned(net, dataset, config, run)
     out_dir = Path(args.out)

@@ -109,14 +109,14 @@ def _full_backmap(layers, caches, idx, h_pre):
         # each position's (C_out, C_out) block, in im2col row order
         blocks = np.diagonal(h_pre.reshape(b, c_out, n // c_out, c_out, n // c_out), 0, 2, 4)
         blocks = blocks.transpose(0, 3, 1, 2).reshape(-1, c_out, c_out)
-        hcols = _sandwich_diag(blocks, layer.masked_weights().reshape(c_out, -1))
+        hcols = _sandwich_diag(blocks, layer.weights.reshape(c_out, -1))
         return nn.col2im(hcols, cache.x.shape, layer.weights.shape[2:],
                          layer.stride, layer.padding)
     below = [lower.kind for lower in layers[:idx] if lower.kind != "activation"]
     keep_full = bool(below) and below[-1] in ("fc", "conv2d")
     if layer.kind == "activation":
         return h_pre if keep_full else _diag(h_pre, cache.x.shape)
-    w = layer.masked_weights()
+    w = layer.weights
     return w.T @ h_pre @ w if keep_full else _sandwich_diag(h_pre, w)
 
 

@@ -24,7 +24,8 @@ from . import supergraph as sg
 from .curvature import curved_layers, network_curvature
 from .updates import (GroupSpec, HyperState, SearchConfig, flat_groups,
                       group_l2_penalty, group_update, sgd_momentum_step,
-                      slab_l2_penalty, structural_update, update_posterior_variance)
+                      slab_l2_penalty, slab_penalty_terms, structural_update,
+                      update_posterior_variance)
 
 __all__ = [
     "SearchRun",
@@ -107,19 +108,22 @@ def _sgd_epoch(step, data, batch_size, rng):
 
 
 def _step_layers(layers, grads, velocity, key, config):
-    """Momentum step on every weighted layer; gw comes masked, the weights are re-masked."""
+    """Momentum step on every weighted layer, `sgd_momentum_step` in place:
+    each gradient is a fresh array that the step consumes, each velocity
+    starts at zero, and assigning the weights masks them."""
+    lr, momentum = config.learning_rate, config.momentum
     for li, item in enumerate(grads):
         if item is None:
             continue
-        layer, (gw, gb) = layers[li], item
-        for name, grad in (("weights", gw), ("bias", gb)):
-            if grad is not None:
-                value, velocity[key + (li, name)] = sgd_momentum_step(
-                    getattr(layer, name), grad, velocity.get(key + (li, name), 0.0),
-                    config.learning_rate, config.momentum)
-                setattr(layer, name, value)
-        if layer.mask is not None:
-            layer.weights = layer.weights * layer.mask
+        for name, grad in zip(("weights", "bias"), item):
+            if grad is None:
+                continue
+            vel = velocity.get(key + (li, name))
+            if vel is None:
+                vel = velocity[key + (li, name)] = np.zeros(grad.shape)
+            vel *= momentum
+            vel -= np.multiply(grad, lr, out=grad)
+            setattr(layers[li], name, getattr(layers[li], name) + vel)
 
 
 # ---------------------------------------------------------------------------
@@ -377,28 +381,34 @@ class _WeightSlots:
             if net[li].mask is None:
                 net[li].mask = np.ones_like(net[li].weights)
         self.velocity = {}
+        self._penalty_terms()
+
+    def _penalty_terms(self):
+        # formed whenever omega changes, read by every training batch
+        self.terms = {li: slab_penalty_terms(state, self.config.lambda_w)
+                      for li, state in self.states.items()}
 
     def gammas(self):
-        return {(li, g): state.gamma[g] for li, state in self.states.items()
-                for g in np.flatnonzero(state.alive)}
+        return {(li, g): gamma for li, state in self.states.items()
+                for g, gamma in zip(np.flatnonzero(state.alive).tolist(),
+                                    state.gamma[state.alive].tolist())}
 
     def train_batch(self, x, y):
         net, config = self.model, self.config
         out, caches = nn.forward(net, x)
         loss, e_grad = nn.energy(out, y, self.kind)
         grads, _ = nn.backward(net, caches, e_grad, input_grad=False)
-        for li, layer in enumerate(net):
-            if grads[li] is None:
+        del out, caches  # the forward state is dead before the weight-side update
+        decay = 2.0 * config.weight_decay
+        for li, item in enumerate(grads):
+            if item is None:
                 continue
-            gw, gb = grads[li]
-            masked = layer.masked_weights()
-            gw = gw + 2.0 * config.weight_decay * masked
-            state = self.states.get(li)
-            if state is not None:
-                pen, pen_grad = slab_l2_penalty(masked, state, config.lambda_w)
+            gw, w = item[0], net[li].weights  # gw is fresh from nn.backward
+            gw += decay * w
+            if li in self.terms:
+                pen, pen_grad = slab_l2_penalty(w, self.states[li], self.terms[li])
                 loss += pen
-                gw = gw + pen_grad
-            grads[li] = (gw, gb)
+                gw += pen_grad
         _step_layers(net, grads, self.velocity, (), config)
         return loss
 
@@ -410,8 +420,9 @@ class _WeightSlots:
         net, config = self.model, self.config
         hess = self.weight_curvature(x, y)
         for li, state in self.states.items():
-            structural_update(net[li].masked_weights(), state, hess[li],
+            structural_update(net[li].weights, state, hess[li],
                               config.omega_floor, config.s_cap)
+        self._penalty_terms()
 
     def weight_curvature(self, x, y):
         """Weight-Hessian diagonal of every compressed layer on the batch
@@ -457,7 +468,6 @@ class _WeightSlots:
             net[li].mask = mask.reshape(net[li].weights.shape)
             state.alive &= ~dead
             killed += int(np.count_nonzero(dead))
-            net[li].weights = net[li].weights * net[li].mask
             if not np.any(net[li].mask):
                 raise RuntimeError(f"network severed: layer {li} is fully pruned")
         return killed, 0, False

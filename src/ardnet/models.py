@@ -93,28 +93,44 @@ def save_weights(net, path):
 
 
 def load_weights(net, path):
-    """Restore weights saved by save_weights into a matching stack."""
+    """Restore weights saved by save_weights into a matching stack.
+
+    The file must hold every weighted layer's weights and, where the layer
+    has one, its bias; masks are optional.  Any other key is an error."""
     with np.load(path) as arrays:
+        known = set()
         for li, layer in enumerate(net):
             if layer.weights is None:
                 continue
-            key = f"w{li}"
-            if key not in arrays:
-                raise ValueError(f"weight file is missing layer {li}")
-            if arrays[key].shape != layer.weights.shape:
+            required = {f"w{li}": "weights"}
+            if layer.bias is not None:
+                required[f"b{li}"] = "bias"
+            for key, what in required.items():
+                if key not in arrays:
+                    raise ValueError(f"weight file is missing the {what} of layer {li}")
+            known |= set(required) | {f"m{li}"}
+        unknown = sorted(set(arrays.files) - known)
+        if unknown:
+            raise ValueError(f"weight file key {unknown[0]!r} matches no layer of the model")
+        for li, layer in enumerate(net):
+            if layer.weights is None:
+                continue
+            weights = arrays[f"w{li}"]
+            if weights.shape != layer.weights.shape:
                 raise ValueError(
-                    f"layer {li} shape mismatch: file has {arrays[key].shape}, "
+                    f"layer {li} shape mismatch: file has {weights.shape}, "
                     f"model has {layer.weights.shape}"
                 )
-            layer.weights = arrays[key]
-            if f"b{li}" in arrays:
+            if layer.bias is not None:
                 bias = arrays[f"b{li}"]
                 if bias.shape != layer.bias.shape:
                     raise ValueError(f"layer {li} bias shape mismatch: file has "
                                      f"{bias.shape}, model has {layer.bias.shape}")
                 layer.bias = bias
             if f"m{li}" in arrays:
-                mask = layer.mask = arrays[f"m{li}"]
-                if mask.shape != layer.weights.shape or not np.all((mask == 0) | (mask == 1)):
+                mask = arrays[f"m{li}"]
+                if mask.shape != weights.shape or not np.all((mask == 0) | (mask == 1)):
                     raise ValueError(f"layer {li} mask is not 0s and 1s of its weights' shape")
+                layer.mask = mask  # before the weights, which it then masks
+            layer.weights = weights
     return net

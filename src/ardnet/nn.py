@@ -96,7 +96,10 @@ class Layer:
 
     kind is one of "fc", "conv2d", "activation", "maxpool2d", "avgpool2d",
     "flatten".  FC weights are (out, in); conv weights are (C_out, C_in, m, k).
-    Bias is optional and never enters any sparsity prior.
+    Bias is optional and never enters any sparsity prior.  The weights are
+    kept masked at rest: assigning `weights` or `mask` (the constructor
+    included) stores weights * mask as a new array, so every reader takes
+    `weights` as it is and a caller's array is never masked in place.
     """
 
     kind: str
@@ -108,12 +111,18 @@ class Layer:
     pool: int = 2
     mask: np.ndarray | None = None  # persistent zero-mask set by compression
 
+    def __setattr__(self, name, value):
+        if value is not None and name in ("weights", "mask"):
+            other = self.__dict__.get("mask" if name == "weights" else "weights")
+            if other is not None:
+                # formed before any store, so a mask that does not fit changes nothing
+                super().__setattr__("weights", value * other)
+                if name == "weights":
+                    return
+        super().__setattr__(name, value)
+
     def masked_weights(self) -> np.ndarray | None:
-        if self.weights is None:
-            return None
-        if self.mask is None:
-            return self.weights
-        return self.weights * self.mask
+        return self.weights  # masked at rest; kept for callers outside the package
 
 
 @dataclass
@@ -233,7 +242,7 @@ def _check_finite(arr, what, idx):
 def _layer_forward(layer, x, idx):
     act, _, _ = activation_funcs(layer.activation)
     if layer.kind == "fc":
-        w = layer.masked_weights()
+        w = layer.weights
         if x.ndim != 2 or x.shape[1] != w.shape[1]:
             raise ValueError(
                 f"layer {idx} (fc) expects input (b, {w.shape[1]}), got {x.shape}"
@@ -243,7 +252,7 @@ def _layer_forward(layer, x, idx):
             pre += layer.bias
         return LayerCache(x=x, preact=pre, out=act(pre))
     if layer.kind == "conv2d":
-        w = layer.masked_weights()
+        w = layer.weights
         c_out, c_in, m, k = w.shape
         if x.ndim != 4 or x.shape[1] != c_in:
             raise ValueError(
@@ -328,7 +337,7 @@ def predict(layers, x):
 
 
 def _fc_adjoint(layer, cache, g_pre, squared=False, input_term=True):
-    x, w = cache.x, layer.masked_weights()
+    x, w = cache.x, layer.weights
     if squared:
         x, w = x**2, w**2
     gb = g_pre.sum(axis=0) if layer.bias is not None else None
@@ -337,16 +346,18 @@ def _fc_adjoint(layer, cache, g_pre, squared=False, input_term=True):
 
 def _conv_adjoint(layer, cache, g_pre, squared=False, input_term=True):
     c_out = layer.weights.shape[0]
-    cols, wmat = cache.cols, layer.masked_weights().reshape(c_out, -1)
+    cols, wmat = cache.cols, layer.weights.reshape(c_out, -1)
     if squared:
         cols, wmat = cols**2, wmat**2
     gp = g_pre.transpose(0, 2, 3, 1).reshape(-1, c_out)  # rows ordered like cols
     gb = gp.sum(axis=0) if layer.bias is not None else None
+    gw = (gp.T @ cols).reshape(layer.weights.shape)
+    del cols  # cols**2 is as large as the input term's product: never both at once
     gx = None
     if input_term:
         gx = col2im(gp @ wmat, cache.x.shape, layer.weights.shape[2:],
                     layer.stride, layer.padding)
-    return (gp.T @ cols).reshape(layer.weights.shape), gb, gx
+    return gw, gb, gx
 
 
 def _pool_views(layer, x, h_out, w_out):

@@ -37,6 +37,7 @@ __all__ = [
     "group_update",
     "make_groups",
     "slab_axes",
+    "slab_penalty_terms",
     "slab_l2_penalty",
     "structural_update",
     "sgd_momentum_step",
@@ -264,17 +265,25 @@ def make_groups(shape, pattern):
     return [GroupSpec(gid, mem, pattern) for gid, mem in enumerate(members)]
 
 
-def slab_l2_penalty(w, state, lambda_w):
-    """`group_l2_penalty` over the slab groups of `state`, with its omega: each
-    kind's norms are one axis sum of w^2, and its gradient broadcasts them back."""
-    w4 = np.asarray(w, dtype=np.float64).reshape(state.view)
+def slab_penalty_terms(state, lambda_w):
+    """What `slab_l2_penalty` reads of `state` besides its slabs: lambda_w *
+    omega, whole and as each slab kind's group-shaped block.  They change
+    only with omega, so a trainer forms them once per update."""
     coef = lambda_w * state.omega
-    sq, grad, term, norms = w4 * w4, np.zeros_like(w4), np.empty_like(w4), []
-    for axes, block, group_shape in state.slabs:
-        norm = np.sqrt(np.sum(sq, axis=axes, keepdims=True))
-        c = coef[block].reshape(group_shape)
+    return coef, [coef[block].reshape(group_shape) for _, block, group_shape in state.slabs]
+
+
+def slab_l2_penalty(w, state, terms):
+    """`group_l2_penalty` over the slab groups of `state`, with the
+    `slab_penalty_terms` of its omega: each kind's norms are one axis sum of
+    w^2, and its gradient broadcasts them back."""
+    coef, blocks = terms
+    w4 = np.asarray(w, dtype=np.float64).reshape(state.view)
+    sq, grad, norms = w4 * w4, np.zeros(state.view), []
+    for (axes, _, _), c in zip(state.slabs, blocks):
+        norm = np.sqrt(sq.sum(axis=axes, keepdims=True))
         live = norm > 0  # a zero slab's term is 0 (c * w / ||w|| elsewhere)
-        np.multiply(np.where(live, c, 0.0), w4, out=term)
+        term = np.where(live, c, 0.0) * w4
         grad += np.divide(term, np.where(live, norm, 1.0), out=term)
         norms.append(norm.ravel())
     return float(np.sum(coef * np.concatenate(norms))), grad.reshape(np.shape(w))

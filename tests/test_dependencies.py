@@ -1,5 +1,6 @@
 """numpy stays the package's only runtime dependency, imported at module
-level like every other import of the package."""
+level like every other import of the package; and the package reads a
+layer's weights as stored, which are masked at rest."""
 
 import ast
 import sys
@@ -33,3 +34,12 @@ def test_package_imports_are_at_module_level():
               for node in ast.walk(top)
               if node is not top and isinstance(node, (ast.Import, ast.ImportFrom))]
     assert not nested
+
+
+def test_package_never_calls_masked_weights():
+    # nn.Layer keeps its weights masked, so a call would only copy them
+    calls = [f"{path.name}:{node.lineno}" for path in sorted(PACKAGE.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+             and node.func.attr == "masked_weights"]
+    assert not calls

@@ -11,7 +11,7 @@ import pytest
 from ardnet import data, engine, exports, nn
 from ardnet import supergraph as sg
 from ardnet.curvature import network_curvature
-from ardnet.updates import SearchConfig, structural_update
+from ardnet.updates import SearchConfig, sgd_momentum_step, structural_update
 
 
 def small_config(**kw):
@@ -339,7 +339,7 @@ def one_shot_update(net, patterns, kind, mode, x, y):
     nn.backward(net, caches, e_grad, input_grad=False)
     hess = network_curvature(net, caches, y, kind, mode).weight_diag
     for li, state in states.items():
-        structural_update(net[li].masked_weights(), state, hess[li],
+        structural_update(net[li].weights, state, hess[li],
                           config.omega_floor, config.s_cap)
     return hess, states
 
@@ -398,6 +398,78 @@ def test_curvature_update_memory_does_not_grow_with_the_curvature_batch():
         finally:
             tracemalloc.stop()
     assert peaks[256] <= 1.25 * peaks[64]
+
+
+def reference_slab_l2_penalty(w, state, lambda_w):
+    """The per-batch slab penalty as it read omega on every call."""
+    w4 = np.asarray(w, dtype=np.float64).reshape(state.view)
+    coef = lambda_w * state.omega
+    sq, grad, term, norms = w4 * w4, np.zeros_like(w4), np.empty_like(w4), []
+    for axes, block, group_shape in state.slabs:
+        norm = np.sqrt(np.sum(sq, axis=axes, keepdims=True))
+        c = coef[block].reshape(group_shape)
+        live = norm > 0
+        np.multiply(np.where(live, c, 0.0), w4, out=term)
+        grad += np.divide(term, np.where(live, norm, 1.0), out=term)
+        norms.append(norm.ravel())
+    return float(np.sum(coef * np.concatenate(norms))), grad.reshape(np.shape(w))
+
+
+def reference_train_batch(slots, x, y):
+    """A compression step composed as it was before the weights stayed
+    masked at rest: mask the weights for the decay and the penalty, add
+    each into a new gradient, take `sgd_momentum_step`, then re-mask."""
+    net, config, velocity = slots.model, slots.config, slots.velocity
+    out, caches = nn.forward(net, x)
+    loss, e_grad = nn.energy(out, y, slots.kind)
+    grads, _ = nn.backward(net, caches, e_grad, input_grad=False)
+    for li, item in enumerate(grads):
+        if item is None:
+            continue
+        layer, (gw, gb) = net[li], item
+        masked = layer.weights * layer.mask
+        gw = gw + 2.0 * config.weight_decay * masked
+        if li in slots.states:
+            pen, pen_grad = reference_slab_l2_penalty(masked, slots.states[li],
+                                                      config.lambda_w)
+            loss += pen
+            gw = gw + pen_grad
+        for name, grad in (("weights", gw), ("bias", gb)):
+            value, velocity[(li, name)] = sgd_momentum_step(
+                getattr(layer, name), grad, velocity.get((li, name), 0.0),
+                config.learning_rate, config.momentum)
+            setattr(layer, name, value)
+        layer.weights = layer.weights * layer.mask
+    return loss
+
+
+@pytest.mark.parametrize("stack", ["conv-maxpool-flatten-fc", "tanh-fc"])
+def test_lean_compression_step_matches_the_reference_composition(stack):
+    # two iterations, so the second trains on penalty terms that an update
+    # refreshed and under masks that a prune cut
+    net, patterns, kind, x, y = curvature_stack(stack, n=64)
+    config = SearchConfig(batch_size=16, prune_threshold=0.5, learning_rate=0.05)
+    lean = engine._WeightSlots(copy.deepcopy(net), patterns, config, kind)
+    ref = engine._WeightSlots(copy.deepcopy(net), patterns, config, kind)
+    killed = []
+    for _ in range(2):
+        for start in range(0, len(x), config.batch_size):
+            rows = slice(start, start + config.batch_size)
+            assert lean.train_batch(x[rows], y[rows]) == reference_train_batch(ref, x[rows],
+                                                                               y[rows])
+        for slots in (lean, ref):
+            slots.update(x, y)
+        killed.append(lean.prune()[0])
+        assert ref.prune()[0] == killed[-1]
+        for a, b in zip(lean.model, ref.model):
+            for name in ("weights", "bias", "mask"):
+                va, vb = getattr(a, name), getattr(b, name)
+                assert (va is None) == (vb is None)
+                assert va is None or va.tobytes() == vb.tobytes()
+        for li, state in lean.states.items():
+            assert state.gamma.tobytes() == ref.states[li].gamma.tobytes()
+            assert state.omega.tobytes() == ref.states[li].omega.tobytes()
+    assert killed[0] > 0
 
 
 def test_retrain_on_unpruned_net_is_ordinary_training():

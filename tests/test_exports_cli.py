@@ -448,6 +448,38 @@ def test_cli_eval_rejects_a_bias_of_the_wrong_shape(tmp_path, bias):
     assert "Traceback" not in res.stderr
 
 
+@pytest.mark.parametrize("defect, message", [
+    ("drop b1", "error: weight file is missing the bias of layer 1"),
+    ("add w9", "error: weight file key 'w9' matches no layer of the model"),
+    ("add b0", "error: weight file key 'b0' matches no layer of the model"),
+], ids=["missing-bias", "unknown-layer", "flatten-bias"])
+@pytest.mark.parametrize("command", ["eval", "retrain"])
+def test_cli_rejects_a_weight_file_of_another_network(tmp_path, command, defect, message):
+    write_idx_set(tmp_path)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text("")
+    net = models.build_model("lenet300-100", 0)
+    models.save_weights(net, tmp_path / "full.npz")
+    exports.save_json(exports.mask_export(net), tmp_path / "masks.json")
+    with np.load(tmp_path / "full.npz") as full:
+        arrays = dict(full)
+    action, key = defect.split()
+    if action == "drop":
+        del arrays[key]
+    else:
+        arrays[key] = np.zeros(3)
+    np.savez(tmp_path / "weights.npz", **arrays)
+    extra = {"eval": (),
+             "retrain": ("--config", str(cfg), "--out", str(tmp_path / "run"),
+                         "--masks", str(tmp_path / "masks.json"))}[command]
+    res = run_cli(command, "--data", str(tmp_path),
+                  "--weights", str(tmp_path / "weights.npz"), *extra)
+    assert res.returncode == 1
+    assert message in res.stderr
+    assert "Traceback" not in res.stderr
+    assert not (tmp_path / "run").exists()
+
+
 def test_cli_export_dot(tmp_path):
     cfg = write_search_config(tmp_path)
     out = tmp_path / "run"

@@ -1,5 +1,7 @@
 """Layer stack: forward/backward, energies, im2col."""
 
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from ardnet import models, nn
+from ardnet.curvature import fd_weight_hessian_diag
 
 
 def fd_grad(fn, theta, step=1e-5):
@@ -182,8 +185,10 @@ def test_predict_equals_forward_and_raises_its_errors(name):
 def test_mask_zeroes_forward_and_gradients():
     rng = np.random.default_rng(9)
     layer = nn.fc_layer(3, 3, "identity", rng=rng)
-    layer.mask = np.zeros_like(layer.weights)
-    layer.mask[0, 0] = 1.0
+    mask = np.zeros_like(layer.weights)
+    mask[0, 0] = 1.0  # before the assignment, which masks the weights
+    layer.mask = mask
+    assert layer.weights[0, 0] != 0.0
     x = rng.normal(size=(4, 3))
     out, caches = nn.forward([layer], x)
     assert np.allclose(out[:, 1:], layer.bias[1:])
@@ -191,6 +196,42 @@ def test_mask_zeroes_forward_and_gradients():
     grads, _ = nn.backward([layer], caches, e_grad)
     gw = grads[0][0]
     assert np.all(gw[layer.mask == 0] == 0.0)
+
+
+def test_layer_keeps_its_weights_masked_at_rest():
+    rng = np.random.default_rng(4)
+    mask = (rng.random((3, 4)) < 0.5).astype(float)
+    w = rng.normal(size=(3, 4))
+    given_w, given_mask = w.copy(), mask.copy()
+
+    def assert_masked(layer, raw):
+        assert layer.weights.tobytes() == (raw * layer.mask).tobytes()
+        assert layer.masked_weights() is layer.weights
+
+    layer = nn.Layer("fc", weights=w, bias=np.zeros(3), mask=mask)
+    assert_masked(layer, w)
+    layer.weights = w + 1.0
+    assert_masked(layer, w + 1.0)
+    layer.mask = np.ones((3, 4))  # a wider mask brings nothing back
+    assert layer.weights.tobytes() == ((w + 1.0) * mask).tobytes()
+    layer.mask = mask
+    copied = copy.deepcopy(layer)
+    assert_masked(copied, layer.weights)
+    copied.weights = w
+    assert_masked(copied, w)
+    # a caller's arrays are never masked or stored in place
+    assert w.tobytes() == given_w.tobytes() and mask.tobytes() == given_mask.tobytes()
+    assert not np.shares_memory(copied.weights, w)
+    # a mask that does not fit changes neither the weights nor the mask
+    before = layer.weights
+    with pytest.raises(ValueError):
+        layer.mask = np.ones((2, 4))
+    assert layer.weights is before and layer.mask is mask
+    # the finite-difference oracle assigns probe weights and restores them
+    x, t = rng.normal(size=(5, 4)), rng.normal(size=(5, 3))
+    diag = fd_weight_hessian_diag([layer], x, t, "mse", 0)
+    assert layer.weights.tobytes() == before.tobytes()
+    assert np.all(diag[mask == 0] == 0.0)
 
 
 def test_maxpool_and_avgpool_forward():

@@ -236,7 +236,7 @@ def test_axis_penalty_matches_the_flat_group_penalty(shape, pattern):
         w.ravel()[grp.members] = 0.0
     state = updates.HyperState.init(shape, [pattern])
     state.omega = omega = rng.uniform(0.1, 3.0, len(groups))
-    value, grad = updates.slab_l2_penalty(w, state, 0.3)
+    value, grad = updates.slab_l2_penalty(w, state, updates.slab_penalty_terms(state, 0.3))
     ref_value, ref_grad = group_l2_penalty(w.ravel(), *flat_groups(groups), omega, 0.3)
     assert value == pytest.approx(ref_value, rel=1e-12, abs=0.0)
     assert grad.shape == shape
