@@ -109,7 +109,7 @@ def _full_backmap(layers, caches, idx, h_pre):
         # each position's (C_out, C_out) block, in im2col row order
         blocks = np.diagonal(h_pre.reshape(b, c_out, n // c_out, c_out, n // c_out), 0, 2, 4)
         blocks = blocks.transpose(0, 3, 1, 2).reshape(-1, c_out, c_out)
-        hcols = _sandwich_diag(blocks, layer.weights.reshape(c_out, -1))
+        hcols = _sandwich_diag(blocks, nn.kernel_matrix(layer.weights))
         return nn.col2im(hcols, cache.x.shape, layer.weights.shape[2:],
                          layer.stride, layer.padding)
     below = [lower.kind for lower in layers[:idx] if lower.kind != "activation"]

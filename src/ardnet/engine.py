@@ -171,15 +171,18 @@ def _alternate(slots, data, config, run, trace=None):
     return run
 
 
-def retrain_pruned(model, data, config, run=None):
+def retrain_pruned(model, data, config, run=None, alive_groups=0):
     """Standard SGD on the surviving parameters.
 
     Graphs keep every architecture scalar frozen and train only the
     layer-backed op weights of alive edges; layer stacks train under their
-    persistent masks.  Appends per-epoch rows to the run history when given.
+    persistent masks.  Appends per-epoch rows to the run history when given;
+    their `alive_edges` counts a graph's alive edges, or for a stack the
+    alive_groups that its compression left (retraining kills none).
     """
     if isinstance(model, sg.SuperGraph):
         slots = _EdgeSlots(model, _singleton_groups(model), config, _energy_kind(data))
+        alive_groups = len(slots.gammas())
     else:
         slots = _WeightSlots(model, {}, config, _energy_kind(data))
     rng = np.random.default_rng(config.seed + 1)
@@ -189,7 +192,7 @@ def retrain_pruned(model, data, config, run=None):
         if run is not None:
             row = run.history_row(iteration=-1, epoch=ep, loss=loss,
                                   test_error=evaluate(model, data, config.batch_size),
-                                  alive_edges=len(slots.gammas()))
+                                  alive_edges=alive_groups)
     return evaluate(model, data, config.batch_size) if row is None else row["test_error"]
 
 
@@ -367,7 +370,9 @@ def run_proxy_cells(graph, data, config, groups, trace=None):
 class _WeightSlots:
     """Compression groups of a layer stack, one HyperState per layer holding
     all of its patterns' slab groups; a weight is zero-masked as soon as any
-    of its groups dies, so a dead group's norm is 0.
+    of its groups dies, so a dead group's norm is 0.  A compressed layer
+    without a mask gets one at its first prune: until then every weight is
+    alive, and no step multiplies by ones.
 
     With no patterns it is plain weight-decayed training of the stack."""
 
@@ -378,8 +383,6 @@ class _WeightSlots:
             if net[li].weights is None:
                 raise ValueError(f"layer {li} has no weights to compress")
             self.states[li] = HyperState.init(net[li].weights.shape, names)
-            if net[li].mask is None:
-                net[li].mask = np.ones_like(net[li].weights)
         self.velocity = {}
         self._penalty_terms()
 
@@ -462,7 +465,7 @@ class _WeightSlots:
         net, killed = self.model, 0
         for li, state in self.states.items():
             dead = state.alive & (state.gamma <= self.config.prune_threshold)
-            mask = net[li].mask.reshape(state.view)
+            mask = self._mask(li).reshape(state.view)
             for _, block, group_shape in state.slabs:
                 mask = np.where(dead[block].reshape(group_shape), 0.0, mask)
             net[li].mask = mask.reshape(net[li].weights.shape)
@@ -472,12 +475,18 @@ class _WeightSlots:
                 raise RuntimeError(f"network severed: layer {li} is fully pruned")
         return killed, 0, False
 
+    def _mask(self, li):
+        mask = self.model[li].mask
+        return np.ones(self.model[li].weights.shape) if mask is None else mask
+
     def finish(self, data, run):
         """Retrain the survivors, each epoch with a history row.  False:
         the model is the one that the last history row evaluated."""
         net = self.model
         if self.config.retrain_epochs > 0:
-            retrain_pruned(net, data, self.config, run)
+            retrain_pruned(net, data, self.config, run, alive_groups=len(self.gammas()))
+        for li in self.states:  # every compressed layer leaves with a mask
+            net[li].mask = self._mask(li)
         run.report["widths"] = surviving_widths(net)
         run.report["param_ratio"] = _surviving_param_ratio(net)
         return False

@@ -5,6 +5,11 @@ All arithmetic is float64 numpy. A Layer couples one linear/structural map
 activation.  Each map kind has one adjoint: `backward` calls it for
 gradients, and the curvature recursion calls it with every coefficient
 squared for Hessian diagonals.  The batch axis is always leading.
+
+Image arrays are NCHW-shaped; conv and pool layers hand them on as views
+of channel-last memory, so each conv reads its `im2col` columns as
+contiguous channel vectors.  Only `flatten` copies into NCHW order, so fc
+weights index the (C, H, W) flattening.
 """
 
 from __future__ import annotations
@@ -26,6 +31,7 @@ __all__ = [
     "backward",
     "im2col",
     "col2im",
+    "kernel_matrix",
     "conv_output_shape",
     "energy",
     "energy_hessian",
@@ -193,10 +199,11 @@ def conv_output_shape(h, w, kernel, stride=1, padding=0):
 def im2col(x, kernel, stride=1, padding=0):
     """Rearrange conv input patches into a matrix.
 
-    x is (b, C, H, W); returns (b*H_out*W_out, C*m*k).  Row n holds the
+    x is (b, C, H, W); returns (b*H_out*W_out, m*k*C).  Row n holds the
     receptive field of output position n (batch-major, then row-major over
-    output positions); columns are channel-major then row-major within the
-    kernel, so a kernel reshaped to (C_out, C*m*k) multiplies it directly.
+    output positions); columns run over kernel rows, then kernel columns,
+    then channels, so `kernel_matrix(w)` multiplies it directly and a
+    channel-last x is copied one contiguous channel vector at a time.
     """
     b, c, h, w = x.shape
     m, k = kernel
@@ -206,28 +213,40 @@ def im2col(x, kernel, stride=1, padding=0):
             f"kernel {kernel} with stride {stride}, padding {padding} "
             f"does not fit input of spatial size {h}x{w}"
         )
-    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    win = np.lib.stride_tricks.sliding_window_view(xp, (m, k), axis=(2, 3))
-    win = win[:, :, ::stride, ::stride]  # (b, C, H_out, W_out, m, k)
-    cols = win.transpose(0, 2, 3, 1, 4, 5).reshape(b * h_out * w_out, c * m * k)
+    xl = x.transpose(0, 2, 3, 1)  # (b, H, W, C), contiguous when x is channel-last
+    if padding:
+        xl = np.pad(xl, ((0, 0), (padding, padding), (padding, padding), (0, 0)))
+    win = np.lib.stride_tricks.sliding_window_view(xl, (m, k), axis=(1, 2))
+    win = win[:, ::stride, ::stride]  # (b, H_out, W_out, C, m, k)
+    cols = win.transpose(0, 1, 2, 4, 5, 3).reshape(b * h_out * w_out, m * k * c)
     return np.ascontiguousarray(cols)
 
 
+def kernel_matrix(w):
+    """A conv kernel (C_out, C, m, k) as the (C_out, m*k*C) matrix whose
+    columns are in `im2col`'s order; the one place a kernel is flattened."""
+    return w.transpose(0, 2, 3, 1).reshape(w.shape[0], -1)
+
+
 def col2im(cols, x_shape, kernel, stride=1, padding=0):
-    """Adjoint of im2col: scatter-add patch rows back onto the input grid.
+    """Adjoint of im2col: scatter-add patch rows, read as (..., m, k, C),
+    back onto the input grid.
 
     Accumulates channel-last, so each kernel offset adds one (b, H_out,
-    W_out, C) slab, and returns the NCHW transpose of that buffer."""
+    W_out, C) slab, and returns the NCHW transpose of that buffer, cut out
+    of its padding into contiguous memory."""
     b, c, h, w = x_shape
     m, k = kernel
     h_out, w_out = conv_output_shape(h, w, kernel, stride, padding)
-    patches = cols.reshape(b, h_out, w_out, c, m, k)
+    patches = cols.reshape(b, h_out, w_out, m, k, c)
     xp = np.zeros((b, h + 2 * padding, w + 2 * padding, c))
     for u in range(m):
         for v in range(k):
             xp[:, u : u + stride * h_out : stride,
-               v : v + stride * w_out : stride] += patches[..., u, v]
-    return xp[:, padding : padding + h, padding : padding + w].transpose(0, 3, 1, 2)
+               v : v + stride * w_out : stride] += patches[:, :, :, u, v]
+    if padding:
+        xp = np.ascontiguousarray(xp[:, padding:-padding, padding:-padding])
+    return xp.transpose(0, 3, 1, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +283,7 @@ def _layer_forward(layer, x, idx):
             raise ValueError(f"layer {idx} (conv2d): {err}") from None
         h_out, w_out = conv_output_shape(x.shape[2], x.shape[3], (m, k),
                                          layer.stride, layer.padding)
-        pre = cols @ w.reshape(c_out, -1).T  # (b*H_out*W_out, C_out)
+        pre = cols @ kernel_matrix(w).T  # (b*H_out*W_out, C_out)
         if layer.bias is not None:
             pre += layer.bias
         pre = pre.reshape(x.shape[0], h_out, w_out, c_out).transpose(0, 3, 1, 2)
@@ -284,12 +303,12 @@ def _layer_forward(layer, x, idx):
             # moves to j (above every earlier winner) only on a strict >,
             # np.argmax's first-max rule on ties, and np.maximum returns its
             # second argument on a tie such as (-0.0, 0.0)
-            pre, amax = views[0].copy(), np.zeros(views[0].shape, dtype=np.intp)
+            pre, amax = views[0].copy(order="K"), np.zeros_like(views[0], dtype=np.intp)
             for j, view in enumerate(views[1:], 1):
                 np.maximum(amax, (view > pre) * j, out=amax)
                 np.maximum(view, pre, out=pre)
             return LayerCache(x=x, preact=pre, out=act(pre), argmax=amax)
-        pre = np.zeros(views[0].shape)  # from +0.0, as a numpy sum starts
+        pre = np.zeros_like(views[0])  # from +0.0, as a numpy sum starts
         for view in views:
             pre += view
         pre /= p * p
@@ -345,18 +364,17 @@ def _fc_adjoint(layer, cache, g_pre, squared=False, input_term=True):
 
 
 def _conv_adjoint(layer, cache, g_pre, squared=False, input_term=True):
-    c_out = layer.weights.shape[0]
-    cols, wmat = cache.cols, layer.weights.reshape(c_out, -1)
+    c_out, c_in, m, k = layer.weights.shape
+    cols, wmat = cache.cols, kernel_matrix(layer.weights)
     if squared:
         cols, wmat = cols**2, wmat**2
     gp = g_pre.transpose(0, 2, 3, 1).reshape(-1, c_out)  # rows ordered like cols
     gb = gp.sum(axis=0) if layer.bias is not None else None
-    gw = (gp.T @ cols).reshape(layer.weights.shape)
+    gw = (gp.T @ cols).reshape(c_out, m, k, c_in).transpose(0, 3, 1, 2)
     del cols  # cols**2 is as large as the input term's product: never both at once
     gx = None
     if input_term:
-        gx = col2im(gp @ wmat, cache.x.shape, layer.weights.shape[2:],
-                    layer.stride, layer.padding)
+        gx = col2im(gp @ wmat, cache.x.shape, (m, k), layer.stride, layer.padding)
     return gw, gb, gx
 
 
@@ -369,7 +387,7 @@ def _pool_views(layer, x, h_out, w_out):
 
 
 def _pool_adjoint(layer, cache, g_pre, squared=False, input_term=True):
-    gx = np.zeros(cache.x.shape)
+    gx = np.zeros_like(cache.x)
     views = _pool_views(layer, gx, *g_pre.shape[2:])
     if layer.kind == "avgpool2d":
         area = layer.pool**2  # every window input enters with weight 1/area

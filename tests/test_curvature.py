@@ -123,6 +123,28 @@ def test_conv_position_block_maps_back_like_fc():
         assert rel_err(got, ref) < 1e-12
 
 
+@pytest.mark.parametrize("stride, padding", [(1, 0), (2, 1)])
+def test_conv_position_blocks_map_back_through_the_dense_conv_matrix(stride, padding):
+    # exact mode keeps each output position's channel block of the seed and
+    # maps it back as diag(A^T H_blocks A), A the conv's dense input map;
+    # several input channels and a 3x2 kernel tell the column orders apart
+    rng = np.random.default_rng(37)
+    layer = nn.Layer("conv2d", weights=rng.normal(size=(3, 2, 3, 2)),
+                     stride=stride, padding=padding)
+    x = rng.normal(size=(2, 2, 5, 4))
+    y, caches = nn.forward([layer], x)
+    n_in, (b, n) = x[0].size, (len(y), y[0].size)
+    a = rng.normal(size=(b, n, n))
+    seed = a @ a.transpose(0, 2, 1)
+    _, h_in = curvature.propagate_curvature([layer], caches, seed, "exact")
+    dense = np.stack([nn.forward([layer], unit.reshape(1, *x.shape[1:]))[0].ravel()
+                      for unit in np.eye(n_in)], axis=1)  # (n, n_in)
+    position = np.arange(n) % (n // 3)
+    blocks = seed * (position[:, None] == position[None, :])
+    ref = np.einsum("ji,bjk,ki->bi", dense, blocks, dense).reshape(x.shape)
+    assert rel_err(h_in, ref) < 1e-12
+
+
 def test_conv_exact_matches_finite_differences():
     rng = np.random.default_rng(8)
     net = [nn.conv_layer(2, 2, 2, "tanh", rng=rng)]

@@ -1,6 +1,7 @@
 """numpy stays the package's only runtime dependency, imported at module
-level like every other import of the package; and the package reads a
-layer's weights as stored, which are masked at rest."""
+level like every other import of the package; the package reads a
+layer's weights as stored, which are masked at rest; and one function
+flattens a conv kernel into im2col's column order."""
 
 import ast
 import sys
@@ -43,3 +44,15 @@ def test_package_never_calls_masked_weights():
              if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
              and node.func.attr == "masked_weights"]
     assert not calls
+
+
+def test_one_function_flattens_a_conv_kernel():
+    # nn.kernel_matrix holds im2col's (m, k, C) column order; a kernel
+    # reshaped in place would read the columns in (C, m, k) order
+    sources = {path.name: path.read_text(encoding="utf-8")
+               for path in sorted(PACKAGE.glob("*.py"))}
+    assert not [name for name, text in sources.items() if "reshape(c_out, -1)" in text]
+    defined = [name for name, text in sources.items()
+               for node in ast.walk(ast.parse(text))
+               if isinstance(node, ast.FunctionDef) and node.name == "kernel_matrix"]
+    assert defined == ["nn.py"]

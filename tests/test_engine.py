@@ -268,6 +268,53 @@ def test_retrain_keeps_masked_weights_zero_and_helps():
             assert np.all(layer.weights[layer.mask == 0] == 0.0)
 
 
+def test_compression_retrain_rows_count_the_surviving_groups():
+    ds = make_blob_task()
+    net, patterns = compression_setup()
+    cfg = SearchConfig(t_max=2, epochs_per_iteration=2, batch_size=50,
+                       lambda_w=0.01, weight_decay=0.001, learning_rate=0.05,
+                       seed=0, hessian_mode="approx", retrain_epochs=2)
+    _, run = engine.run_compression(net, ds, cfg, patterns)
+    rows = [row["alive_edges"] for row in run.history]
+    assert len(rows) == 4 and rows[1] > 0
+    # retraining kills no group: its rows repeat the last iteration's count
+    assert rows[2:] == [rows[1]] * 2
+
+
+def test_search_retrain_rows_count_the_alive_edges():
+    graph, ds, _ = data.gen_synthetic_dag_task(0, n_train=64, n_test=16)
+    graph, run = engine.run_proxyless(graph, ds, small_config(retrain_epochs=2))
+    retrain = [row["alive_edges"] for row in run.history if row["iteration"] == -1]
+    assert retrain == [len(run.report["alive_edges"])] * 2
+    assert retrain[0] > 0
+
+
+def test_compression_forms_masks_at_the_first_prune_with_the_same_bits():
+    # an all-ones mask changes no bit, so a layer goes without one until a
+    # prune forms it, and still leaves compression with one
+    ds = make_blob_task()
+    for t_max in (0, 2):
+        cfg = SearchConfig(t_max=t_max, epochs_per_iteration=2, batch_size=50,
+                           lambda_w=0.01, weight_decay=0.001, learning_rate=0.05,
+                           seed=0, hessian_mode="approx", retrain_epochs=2)
+        runs = []
+        for preset in (False, True):
+            net, patterns = compression_setup()
+            for layer in net:
+                layer.mask = np.ones(layer.weights.shape) if preset else None
+            slots = engine._WeightSlots(net, patterns, cfg, "softmax_ce")
+            assert all((net[li].mask is None) != preset for li in patterns)
+            run = engine._alternate(slots, ds, cfg,
+                                    engine.SearchRun(mode="compress", config=cfg))
+            runs.append((net, json.dumps(run.history), json.dumps(run.report)))
+        (lean, *lean_run), (ones, *ones_run) = runs
+        assert lean_run == ones_run
+        for a, b in zip(lean, ones):
+            assert a.weights.tobytes() == b.weights.tobytes()
+            assert a.mask.tobytes() == b.mask.tobytes()
+            assert t_max or np.all(a.mask == 1.0)
+
+
 def test_two_patterns_of_a_layer_equal_their_combined_pattern():
     # row then column is the group list of row_and_column, in the same order,
     # so one layer with both patterns compresses bitwise like the combined one
@@ -418,7 +465,8 @@ def reference_slab_l2_penalty(w, state, lambda_w):
 def reference_train_batch(slots, x, y):
     """A compression step composed as it was before the weights stayed
     masked at rest: mask the weights for the decay and the penalty, add
-    each into a new gradient, take `sgd_momentum_step`, then re-mask."""
+    each into a new gradient, take `sgd_momentum_step`, then re-mask.
+    Before the first prune the mask was all ones."""
     net, config, velocity = slots.model, slots.config, slots.velocity
     out, caches = nn.forward(net, x)
     loss, e_grad = nn.energy(out, y, slots.kind)
@@ -427,7 +475,8 @@ def reference_train_batch(slots, x, y):
         if item is None:
             continue
         layer, (gw, gb) = net[li], item
-        masked = layer.weights * layer.mask
+        mask = np.ones(layer.weights.shape) if layer.mask is None else layer.mask
+        masked = layer.weights * mask
         gw = gw + 2.0 * config.weight_decay * masked
         if li in slots.states:
             pen, pen_grad = reference_slab_l2_penalty(masked, slots.states[li],
@@ -439,7 +488,7 @@ def reference_train_batch(slots, x, y):
                 getattr(layer, name), grad, velocity.get((li, name), 0.0),
                 config.learning_rate, config.momentum)
             setattr(layer, name, value)
-        layer.weights = layer.weights * layer.mask
+        layer.weights = layer.weights * mask
     return loss
 
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from ardnet import models, nn
-from ardnet.curvature import fd_weight_hessian_diag
+from ardnet.curvature import fd_weight_hessian_diag, network_curvature
 
 
 def fd_grad(fn, theta, step=1e-5):
@@ -362,12 +362,13 @@ def test_squared_adjoint_is_the_curvature_diagonal_of_the_map(make, shape):
 
 
 def col2im_nchw(cols, x_shape, kernel, stride=1, padding=0):
-    """The NCHW scatter that col2im ran before it accumulated channel-last:
-    the reference that the channel-last buffer must reproduce bit for bit."""
+    """The NCHW scatter that col2im ran before it accumulated channel-last,
+    reading patches in im2col's (m, k, C) column order: the reference that
+    the channel-last buffer must reproduce bit for bit."""
     b, c, h, w = x_shape
     m, k = kernel
     h_out, w_out = nn.conv_output_shape(h, w, kernel, stride, padding)
-    patches = cols.reshape(b, h_out, w_out, c, m, k).transpose(0, 3, 1, 2, 4, 5)
+    patches = cols.reshape(b, h_out, w_out, m, k, c).transpose(0, 5, 1, 2, 3, 4)
     xp = np.zeros((b, c, h + 2 * padding, w + 2 * padding))
     for u in range(m):
         for v in range(k):
@@ -404,7 +405,7 @@ def test_conv_input_adjoint_matches_the_nchw_col2im_reference():
         _, gx = nn.backward([layer], caches, g)
         c_out = layer.weights.shape[0]
         gp = g.transpose(0, 2, 3, 1).reshape(-1, c_out)
-        cols = gp @ layer.weights.reshape(c_out, -1)
+        cols = gp @ nn.kernel_matrix(layer.weights)
         args = (x.shape, layer.weights.shape[2:], layer.stride, layer.padding)
         ref = col2im_nchw(cols, *args)
         assert bitwise(nn.col2im(cols, *args), ref)
@@ -419,3 +420,93 @@ def test_conv_input_adjoint_satisfies_the_dot_product_identity():
         _, gx = nn.backward([layer], caches, g)
         lhs, rhs = float(np.sum(y * g)), float(np.sum(x * gx))
         assert abs(lhs - rhs) <= 1e-12 * max(1.0, np.sum(np.abs(y * g)))
+
+
+# ---------------------------------------------------------------------------
+# channel-last memory under NCHW shapes
+
+
+def channel_last(a):
+    """An NCHW array's (b, H, W, C) transpose is contiguous."""
+    return a.transpose(0, 2, 3, 1).flags.c_contiguous
+
+
+def image_stack(padding, rng):
+    """conv -> maxpool -> conv -> avgpool -> flatten -> fc on 12x12 inputs;
+    the second conv is tanh, so the curvature reads a backward pass."""
+    side = 3 if padding else 1  # 12 -> conv -> pool -> conv -> pool
+    return [nn.conv_layer(2, 4, 3, "relu", padding=padding, rng=rng),
+            nn.pool_layer("maxpool2d", 2),
+            nn.conv_layer(4, 5, 3, "tanh", padding=padding, rng=rng),
+            nn.pool_layer("avgpool2d", 2),
+            nn.flatten_layer(),
+            nn.fc_layer(5 * side * side, 3, rng=rng)]
+
+
+def run_stack(net, x, y):
+    out, caches = nn.forward(net, x)
+    _, e_grad = nn.energy(out, y, "softmax_ce")
+    grads, gx = nn.backward(net, caches, e_grad)
+    curv = {mode: network_curvature(net, caches, y, "softmax_ce", mode)
+            for mode in ("diag", "exact")}
+    return out, caches, grads, gx, curv
+
+
+@pytest.mark.parametrize("padding", [0, 1])
+def test_image_stack_gives_the_same_bits_for_either_input_layout(padding):
+    rng = np.random.default_rng(11 + padding)
+    net = image_stack(padding, rng)
+    x, y = rng.normal(size=(3, 2, 12, 12)), rng.integers(0, 3, 3)
+    x_last = np.ascontiguousarray(x.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
+    assert channel_last(x_last) and not channel_last(x)
+    out, caches, grads, gx, curv = run_stack(net, x, y)
+    out2, caches2, grads2, gx2, curv2 = run_stack(net, x_last, y)
+    assert bitwise(out, out2) and bitwise(gx, gx2)
+    for a, b in zip(caches, caches2):
+        for name in ("preact", "out", "grad_out"):
+            assert bitwise(getattr(a, name), getattr(b, name))
+    pairs = [(a[i], b[i]) for a, b in zip(grads, grads2) if a is not None for i in (0, 1)]
+    pairs += [(a, b) for mode in ("diag", "exact")
+              for a, b in zip(curv[mode].weight_diag, curv2[mode].weight_diag)
+              if a is not None]
+    assert len(pairs) == 12
+    assert all(bitwise(a, b) for a, b in pairs)
+
+
+@pytest.mark.parametrize("padding", [0, 1])
+def test_conv_and_pool_activations_and_input_gradients_stay_channel_last(padding):
+    # only flatten copies into NCHW order; its gradient comes back NCHW
+    rng = np.random.default_rng(13 + padding)
+    net = image_stack(padding, rng)
+    x, y = rng.normal(size=(3, 2, 12, 12)), rng.integers(0, 3, 3)
+    _, caches, _, gx, _ = run_stack(net, x, y)
+    input_grads = [gx] + [cache.grad_out for cache in caches[:-1]]
+    for layer, cache, g_in in zip(net, caches, input_grads):
+        if layer.kind in ("conv2d", "maxpool2d", "avgpool2d"):
+            assert channel_last(cache.out), layer.kind
+            assert channel_last(g_in), layer.kind
+    assert caches[4].out.flags.c_contiguous
+    assert caches[4].out.tobytes() == np.ascontiguousarray(caches[4].x).tobytes()
+
+
+def test_im2col_times_the_kernel_matrix_is_a_direct_convolution():
+    rng = np.random.default_rng(17)
+    for case in range(40):
+        b, c_in, c_out = (int(v) for v in rng.integers(1, 4, size=3))
+        m, k = (int(v) for v in rng.integers(1, 4, size=2))
+        stride, pad = int(rng.integers(1, 3)), int(rng.integers(0, 3))
+        h, w = int(rng.integers(m + stride, m + stride + 4)), int(rng.integers(k, k + 5))
+        x = rng.normal(size=(b, c_in, h, w))
+        if case % 2:
+            x = np.ascontiguousarray(x.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
+        kern = rng.normal(size=(c_out, c_in, m, k))
+        ho, wo = nn.conv_output_shape(h, w, (m, k), stride, pad)
+        got = (nn.im2col(x, (m, k), stride, pad) @ nn.kernel_matrix(kern).T)
+        got = got.reshape(b, ho, wo, c_out).transpose(0, 3, 1, 2)
+        xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+        ref = np.zeros((b, c_out, ho, wo))
+        for i in range(ho):
+            for j in range(wo):
+                patch = xp[:, :, i * stride : i * stride + m, j * stride : j * stride + k]
+                ref[:, :, i, j] = np.einsum("bcuv,ocuv->bo", patch, kern)
+        assert np.max(np.abs(got - ref)) <= 1e-12
