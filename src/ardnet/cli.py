@@ -50,28 +50,25 @@ def _build_parser():
     p = sub.add_parser("proxy-search", help="tied-cell search on a stacked-cell task")
     common(p)
 
+    def classifier(p):
+        p.add_argument("--data", required=True, help="directory with IDX files")
+        p.add_argument("--net", default="lenet300-100", choices=list(models.MODELS))
+
     p = sub.add_parser("compress", help="structured compression on IDX data")
     common(p)
     p.add_argument("--mode", choices=["exact", "approx-hessian"],
                    help="layer curvature mode override")
-    p.add_argument("--data", required=True, help="directory with IDX files")
-    p.add_argument("--net", default="lenet300-100",
-                   choices=["lenet300-100", "lenet5"])
+    classifier(p)
 
     p = sub.add_parser("retrain", help="retrain under a saved mask record")
     common(p)
-    p.add_argument("--data", required=True, help="directory with IDX files")
-    p.add_argument("--net", default="lenet300-100",
-                   choices=["lenet300-100", "lenet5"])
+    classifier(p)
     p.add_argument("--masks", required=True, help="mask record (masks.json)")
     p.add_argument("--weights", help="optional starting weights (weights.npz)")
 
     p = sub.add_parser("eval", help="evaluate saved weights on IDX data")
-    p.add_argument("--data", required=True, help="directory with IDX files")
-    p.add_argument("--net", default="lenet300-100",
-                   choices=["lenet300-100", "lenet5"])
+    classifier(p)
     p.add_argument("--weights", required=True, help="weights.npz to evaluate")
-    p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("export", help="convert an architecture record")
     p.add_argument("--arch", required=True, help="architecture JSON to read")
@@ -166,8 +163,7 @@ def _cmd_retrain(args):
 
 def _cmd_eval(args):
     dataset = data_mod.load_mnist_idx(args.data)
-    net = models.build_model(args.net, args.seed)
-    models.load_weights(net, args.weights)
+    net = models.load_weights(models.build_model(args.net), args.weights)
     err = engine.evaluate(net, dataset, models.mnist_compression_config(args.net).batch_size)
     print(f"test error: {err:.4g}")
     return 0

@@ -4,7 +4,8 @@
 measures curvature on a held-out batch, updates the variance chain in
 closed form, prunes by the entropy criterion and cascades, restores a path
 if the graph fell apart, and repeats until nothing is pruned and no gamma
-moves; then it retrains what survives.  It runs on `_EdgeSlots` (the tied
+moves; then it retrains what survives if `retrain_epochs` > 0, and reports
+the last history row's test error.  It runs on `_EdgeSlots` (the tied
 architecture scalars of a SuperGraph, in flat groups) or `_WeightSlots` (the
 slab groups of a layer stack, one HyperState per layer).  The graph's arrays
 hold the search state.  Every SGD pass goes through `_sgd_epoch`.  A layer
@@ -47,15 +48,16 @@ class SearchRun:
     # dict rows: one per outer iteration, then one per retrain epoch
     history: list = field(default_factory=list)
     report: dict = field(default_factory=dict)
+    # every history field, in metrics.csv column order, with its default
+    ROW_DEFAULTS = {
+        "iteration": 0, "epoch": 0, "loss": float("nan"),
+        "test_error": float("nan"), "alive_edges": 0,
+        "gamma_min": float("nan"), "gamma_median": float("nan"),
+        "entropy_pruned": 0, "cascade_pruned": 0,
+    }
 
     def history_row(self, **kw):
-        row = {
-            "iteration": 0, "epoch": 0, "loss": float("nan"),
-            "test_error": float("nan"), "alive_edges": 0,
-            "gamma_min": float("nan"), "gamma_median": float("nan"),
-            "entropy_pruned": 0, "cascade_pruned": 0,
-        }
-        row.update(kw)
+        row = dict(self.ROW_DEFAULTS, **kw)
         self.history.append(row)
         return row
 
@@ -164,27 +166,17 @@ def _alternate(slots, data, config, run, trace=None):
         if not entropy_pruned and not cascade_pruned and moved < 1e-6:
             run.report["early_stop_iteration"] = t
             break
-    if slots.finish(data, run) or not run.history:
-        run.report["final_test_error"] = evaluate(slots.model, data, config.batch_size)
-    else:  # the model is the one the last history row evaluated
-        run.report["final_test_error"] = run.history[-1]["test_error"]
+    slots.finish(data, run)
+    # the report describes the model that the last history row evaluated
+    run.report["final_test_error"] = (run.history[-1]["test_error"] if run.history
+                                      else evaluate(slots.model, data, config.batch_size))
     return run
 
 
-def retrain_pruned(model, data, config, run=None, alive_groups=0):
-    """Standard SGD on the surviving parameters.
-
-    Graphs keep every architecture scalar frozen and train only the
-    layer-backed op weights of alive edges; layer stacks train under their
-    persistent masks.  Appends per-epoch rows to the run history when given;
-    their `alive_edges` counts a graph's alive edges, or for a stack the
-    alive_groups that its compression left (retraining kills none).
-    """
-    if isinstance(model, sg.SuperGraph):
-        slots = _EdgeSlots(model, _singleton_groups(model), config, _energy_kind(data))
-        alive_groups = len(slots.gammas())
-    else:
-        slots = _WeightSlots(model, {}, config, _energy_kind(data))
+def _retrain(slots, data, run, alive_groups):
+    """`retrain_epochs` epochs of slots.retrain_batch, each with a history
+    row when run is given; returns the final test error."""
+    config, model = slots.config, slots.model
     rng = np.random.default_rng(config.seed + 1)
     row = None
     for ep in range(1, config.retrain_epochs + 1):
@@ -196,12 +188,17 @@ def retrain_pruned(model, data, config, run=None, alive_groups=0):
     return evaluate(model, data, config.batch_size) if row is None else row["test_error"]
 
 
+def retrain_pruned(net, data, config, run=None, alive_groups=0):
+    """Standard SGD on a layer stack under its persistent masks.
+
+    Appends per-epoch rows to the run history when given; their
+    `alive_edges` is the alive_groups that its compression left (retraining
+    kills none)."""
+    return _retrain(_WeightSlots(net, {}, config, _energy_kind(data)), data, run, alive_groups)
+
+
 # ---------------------------------------------------------------------------
 # graph search (proxyless and grouped proxy-cell modes)
-
-
-def _singleton_groups(graph):
-    return [GroupSpec(eid, [eid]) for eid in range(len(graph.ops))]
 
 
 def _validate_groups(graph, groups):
@@ -270,10 +267,12 @@ class _EdgeSlots:
         return loss + pen
 
     def retrain_batch(self, x, y):
+        # edge-id order: tied edges share one op's layers, so the order of
+        # their steps sets the bits
         graph = self.model
         out, gcache = sg.graph_forward(graph, x)
         loss, e_grad = nn.energy(out, y, self.kind)
-        trainable = [eid for eid in self.alive.tolist() if graph.ops[eid].layers]
+        trainable = [eid for eid in graph.alive_edge_ids() if graph.ops[eid].layers]
         if trainable:
             _, node_g = sg.graph_backward(graph, gcache, e_grad)
             for eid in trainable:
@@ -326,18 +325,16 @@ class _EdgeSlots:
         return len(mask), cascade, report.degenerate
 
     def finish(self, data, run):
-        """Freeze the alive scalars at 1 and retrain the op weights.  True:
-        the frozen graph is a model that no history row evaluated."""
-        graph, config = self.model, self.config
-        if config.t_max > 0:
-            graph.w[graph.alive] = 1.0  # freeze before retraining
-            if config.retrain_epochs > 0:
-                retrain_pruned(graph, data, config, run)
+        """With retrain epochs, freeze the alive scalars at 1 and retrain the
+        op weights; without, the graph keeps the scalars it searched."""
+        graph = self.model
+        if self.config.retrain_epochs > 0:
+            graph.w[graph.alive] = 1.0
+            _retrain(self, data, run, len(self.gammas()))
         if self.restored is not None:
             run.report["restored_path"] = self.restored
         run.report["degenerate"] = graph.degenerate
         run.report["alive_edges"] = graph.alive_edge_ids()
-        return True
 
 
 def _search(graph, data, config, groups, mode, trace):
@@ -345,7 +342,7 @@ def _search(graph, data, config, groups, mode, trace):
     if not graph.gate_map:
         sg.insert_zero_gates(graph)
     if groups is None:
-        groups = _singleton_groups(graph)
+        groups = [GroupSpec(eid, [eid]) for eid in range(len(graph.ops))]
     _validate_groups(graph, groups)
     slots = _EdgeSlots(graph, groups, config, _energy_kind(data))
     run = SearchRun(mode=mode, config=config)
@@ -480,8 +477,7 @@ class _WeightSlots:
         return np.ones(self.model[li].weights.shape) if mask is None else mask
 
     def finish(self, data, run):
-        """Retrain the survivors, each epoch with a history row.  False:
-        the model is the one that the last history row evaluated."""
+        """Retrain the survivors, each epoch with a history row."""
         net = self.model
         if self.config.retrain_epochs > 0:
             retrain_pruned(net, data, self.config, run, alive_groups=len(self.gammas()))
@@ -489,7 +485,6 @@ class _WeightSlots:
             net[li].mask = self._mask(li)
         run.report["widths"] = surviving_widths(net)
         run.report["param_ratio"] = _surviving_param_ratio(net)
-        return False
 
 
 def run_compression(net, data, config, patterns):

@@ -16,7 +16,7 @@ import reprlib
 import numpy as np
 
 from . import supergraph as sg
-from .engine import surviving_widths
+from .engine import SearchRun, surviving_widths
 from .updates import SearchConfig
 
 __all__ = [
@@ -231,8 +231,7 @@ def to_dot(record):
 # metrics CSV
 
 
-METRICS_HEADER = ["iteration", "epoch", "loss", "test_error", "alive_edges",
-                  "gamma_min", "gamma_median", "entropy_pruned", "cascade_pruned"]
+METRICS_HEADER = list(SearchRun.ROW_DEFAULTS)
 
 
 def write_metrics_csv(history, path):

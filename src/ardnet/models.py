@@ -8,6 +8,7 @@ from . import nn
 from .updates import SearchConfig
 
 __all__ = [
+    "MODELS",
     "lenet300_100",
     "lenet5",
     "default_patterns",
@@ -41,41 +42,39 @@ def lenet5(rng):
     ]
 
 
-def default_patterns(name):
-    """Per-layer sparsity patterns for the reference models.
+# name -> (build function, compression patterns, lambda_w).  Pattern keys
+# are layer indices within the stack; conv layers prune whole filters, fc
+# layers prune input and output units (the final classifier layer only
+# prunes inputs so all ten classes survive).
+MODELS = {
+    "lenet300-100": (lenet300_100, {1: ["row_and_column"], 2: ["row_and_column"],
+                                    3: ["column"]}, 0.02),
+    "lenet5": (lenet5, {0: ["filter"], 2: ["filter"], 5: ["row_and_column"],
+                        6: ["column"]}, 0.01),
+}
 
-    Keys are layer indices within the stack; conv layers prune whole
-    filters, fc layers prune input and output units (the final classifier
-    layer only prunes inputs so all ten classes survive).
-    """
-    if name == "lenet300-100":
-        return {1: ["row_and_column"], 2: ["row_and_column"], 3: ["column"]}
-    if name == "lenet5":
-        return {0: ["filter"], 2: ["filter"], 5: ["row_and_column"],
-                6: ["column"]}
-    raise ValueError(f"unknown model {name!r} (expected lenet300-100 or lenet5)")
+
+def _entry(name):
+    if name not in MODELS:
+        raise ValueError(f"unknown model {name!r} (expected {' or '.join(MODELS)})")
+    return MODELS[name]
+
+
+def default_patterns(name):
+    """A fresh copy of the reference model's per-layer sparsity patterns."""
+    return {li: list(names) for li, names in _entry(name)[1].items()}
 
 
 def mnist_compression_config(name, seed=0):
     """Compression hyperparameters tuned for the reference classifiers."""
-    base = dict(t_max=10, epochs_per_iteration=1, retrain_epochs=5,
-                batch_size=64, curvature_batch=256, learning_rate=0.05,
-                momentum=0.9, weight_decay=1e-4, hessian_mode="approx",
-                seed=seed)
-    if name == "lenet300-100":
-        return SearchConfig(lambda_w=0.02, **base)
-    if name == "lenet5":
-        return SearchConfig(lambda_w=0.01, **base)
-    raise ValueError(f"unknown model {name!r} (expected lenet300-100 or lenet5)")
+    return SearchConfig(lambda_w=_entry(name)[2], t_max=10, epochs_per_iteration=1,
+                        retrain_epochs=5, batch_size=64, curvature_batch=256,
+                        learning_rate=0.05, momentum=0.9, weight_decay=1e-4,
+                        hessian_mode="approx", seed=seed)
 
 
 def build_model(name, seed=0):
-    rng = np.random.default_rng(seed)
-    if name == "lenet300-100":
-        return lenet300_100(rng)
-    if name == "lenet5":
-        return lenet5(rng)
-    raise ValueError(f"unknown model {name!r} (expected lenet300-100 or lenet5)")
+    return _entry(name)[0](np.random.default_rng(seed))
 
 
 def save_weights(net, path):

@@ -47,6 +47,9 @@ __all__ = [
 
 # entropy of N(0, gamma) is nonpositive iff gamma <= 1/(2*pi*e)
 ENTROPY_PRUNE_THRESHOLD = 1.0 / (2.0 * math.pi * math.e)
+# guards of the hess = 0 degeneracy: the omega floor and the s cap
+OMEGA_FLOOR = 1e-8
+S_CAP = 1e6
 
 
 # ---------------------------------------------------------------------------
@@ -67,8 +70,8 @@ class SearchConfig:
     learning_rate: float = 0.1
     momentum: float = 0.9
     seed: int = 0
-    omega_floor: float = 1e-8
-    s_cap: float = 1e6
+    omega_floor: float = OMEGA_FLOOR
+    s_cap: float = S_CAP
     prune_threshold: float = ENTROPY_PRUNE_THRESHOLD
     # compress's layer curvature: "exact" full matrices or "approx" diagonal
     # (graph searches always take the Gauss-Newton edge rule)
@@ -121,7 +124,7 @@ def update_posterior_variance(gamma, hess):
     return gamma / (1.0 + gamma * hess)
 
 
-def update_omega(gamma_prev, c, floor=1e-8):
+def update_omega(gamma_prev, c, floor=OMEGA_FLOOR):
     """omega = sqrt(gamma_prev - c) / gamma_prev, floored at `floor`."""
     gamma_prev = np.asarray(gamma_prev, dtype=np.float64)
     c = np.asarray(c, dtype=np.float64)
@@ -131,7 +134,7 @@ def update_omega(gamma_prev, c, floor=1e-8):
     return np.maximum(omega, floor)
 
 
-def update_switch(w, omega, cap=1e6):
+def update_switch(w, omega, cap=S_CAP):
     """s = |w / omega|, capped at `cap` (omega is already floored)."""
     s = np.abs(np.asarray(w, dtype=np.float64) / np.asarray(omega, dtype=np.float64))
     return np.minimum(s, cap)
@@ -181,7 +184,7 @@ def flat_groups(groups):
     return index, np.repeat(np.arange(len(groups)), [grp.members.size for grp in groups])
 
 
-def group_update(w, gamma_prev, c, group, floor=1e-8, cap=1e6):
+def group_update(w, gamma_prev, c, group, floor=OMEGA_FLOOR, cap=S_CAP):
     """Shared (s, omega) of every group, one entry per group position.
 
     omega_g is the root-sum of the members' `update_omega`s and s_g =
@@ -289,7 +292,7 @@ def slab_l2_penalty(w, state, terms):
     return float(np.sum(coef * np.concatenate(norms))), grad.reshape(np.shape(w))
 
 
-def structural_update(weights, state, hess_diag, floor=1e-8, cap=1e6):
+def structural_update(weights, state, hess_diag, floor=OMEGA_FLOOR, cap=S_CAP):
     """One compression-rule update of a HyperState.
 
     Per alive group g:  gamma_g = ||W_g||_2 / omega_g(t-1) then, element-wise

@@ -2,6 +2,7 @@
 
 import copy
 import dataclasses
+import functools
 import json
 import tracemalloc
 
@@ -338,29 +339,78 @@ def test_two_patterns_of_a_layer_equal_their_combined_pattern():
     assert json.dumps(run1.history) == json.dumps(run2.history)
 
 
-@pytest.mark.parametrize("retrain_epochs", [0, 2])
-def test_compression_runs_one_test_pass_per_model_state(monkeypatch, retrain_epochs):
-    ds = make_blob_task()
-    net, patterns = compression_setup()
-    cfg = SearchConfig(t_max=4, epochs_per_iteration=1, batch_size=50,
-                       lambda_w=0.01, weight_decay=0.001, learning_rate=0.05,
-                       seed=0, hessian_mode="approx", retrain_epochs=retrain_epochs)
-    predict, test_rows = nn.predict, []
+@pytest.mark.parametrize("task, retrain_epochs", [
+    ("compress", 0), ("compress", 2), ("proxyless", 0), ("proxyless", 2),
+    ("proxy_cells", 0), ("proxy_cells", 2),
+], ids=["0", "2", "proxyless-0", "proxyless-2", "proxy_cells-0", "proxy_cells-2"])
+def test_compression_runs_one_test_pass_per_model_state(monkeypatch, task, retrain_epochs):
+    if task == "compress":
+        ds = make_blob_task()
+        net, patterns = compression_setup()
+        cfg = SearchConfig(t_max=4, epochs_per_iteration=1, batch_size=50,
+                           lambda_w=0.01, weight_decay=0.001, learning_rate=0.05,
+                           seed=0, hessian_mode="approx", retrain_epochs=retrain_epochs)
+        module, name = nn, "predict"
+        search = functools.partial(engine.run_compression, net, ds, cfg, patterns)
+    else:
+        cfg = small_config(retrain_epochs=retrain_epochs)
+        module, name = sg, "graph_forward"
+        if task == "proxyless":
+            graph, ds, _ = data.gen_synthetic_dag_task(0, n_train=64, n_test=16)
+            search = functools.partial(engine.run_proxyless, graph, ds, cfg)
+        else:
+            graph, ds, groups, _ = data.gen_two_cell_task(0, n_train=64, n_test=16)
+            search = functools.partial(engine.run_proxy_cells, graph, ds, cfg, groups)
+    forward, test_rows = getattr(module, name), []
 
-    def counted(layers, x):
+    def counted(model, x):
         if np.shares_memory(x, ds.x_test):
             test_rows.append(len(x))
-        return predict(layers, x)
+        return forward(model, x)
 
-    monkeypatch.setattr(nn, "predict", counted)
-    net, run = engine.run_compression(net, ds, cfg, patterns)
+    monkeypatch.setattr(module, name, counted)
+    model, run = search()
     # one pass per outer iteration and one per retrain epoch, none after;
     # a pass may run in slices, so count the test rows it predicts
     assert sum(test_rows) == len(run.history) * len(ds.x_test)
     assert len([row for row in run.history if row["iteration"] >= 1]) == cfg.t_max
     assert run.report["final_test_error"] == run.history[-1]["test_error"]
     monkeypatch.undo()
-    assert run.report["final_test_error"] == engine.evaluate(net, ds, cfg.batch_size)
+    assert run.report["final_test_error"] == engine.evaluate(model, ds, cfg.batch_size)
+
+
+@pytest.mark.parametrize("task, seed", [("proxyless", 31), ("proxy_cells", 10)])
+def test_search_without_retrain_exports_the_model_it_searched(task, seed):
+    # the graph keeps the scalars of its last iteration, a restored path
+    # (cells seed 10) included, and the report scores that model
+    trace = []
+    if task == "proxyless":
+        graph, ds, _ = data.gen_synthetic_dag_task(seed)
+        cfg = data.dag_task_config(seed)
+        graph, run = engine.run_proxyless(graph, ds, cfg, trace=trace)
+    else:
+        graph, ds, groups, _ = data.gen_two_cell_task(seed)
+        cfg = data.two_cell_task_config(seed)
+        graph, run = engine.run_proxy_cells(graph, ds, cfg, groups, trace=trace)
+    assert cfg.retrain_epochs == 0
+    edges, last = exports.arch_export(graph, cfg)["edges"], trace[-1]["edges"]
+    assert run.report["alive_edges"]
+    for eid in run.report["alive_edges"]:
+        assert edges[eid]["w"] == last[eid][0]
+    assert run.report["final_test_error"] == run.history[-1]["test_error"]
+    assert run.report["final_test_error"] == engine.evaluate(graph, ds, cfg.batch_size)
+
+
+def test_graph_at_t_max_zero_retrains_like_a_stack():
+    graph, ds, groups, _ = data.gen_two_cell_task(0, n_train=64, n_test=16)
+    before = [layer.weights.copy() for op in graph.ops if op.layers for layer in op.layers]
+    graph, run = engine.run_proxy_cells(graph, ds, small_config(t_max=0, retrain_epochs=2),
+                                        groups)
+    assert [(row["iteration"], row["epoch"]) for row in run.history] == [(-1, 1), (-1, 2)]
+    assert np.all(graph.w[graph.alive] == 1.0)
+    after = [layer.weights for op in graph.ops if op.layers for layer in op.layers]
+    assert any(not np.array_equal(a, b) for a, b in zip(before, after))
+    assert run.report["final_test_error"] == run.history[-1]["test_error"]
 
 
 def curvature_stack(name, n=50, seed=0):

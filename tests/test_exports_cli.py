@@ -448,6 +448,18 @@ def test_cli_eval_rejects_a_bias_of_the_wrong_shape(tmp_path, bias):
     assert "Traceback" not in res.stderr
 
 
+def test_cli_eval_takes_no_seed(tmp_path):
+    # the file holds every weight and bias, so a model seed would set nothing
+    write_idx_set(tmp_path)
+    models.save_weights(models.build_model("lenet300-100", 3), tmp_path / "weights.npz")
+    args = ("eval", "--data", str(tmp_path), "--weights", str(tmp_path / "weights.npz"))
+    assert run_cli(*args).returncode == 0
+    res = run_cli(*args, "--seed", "3")
+    assert res.returncode == 1
+    assert "unrecognized arguments: --seed 3" in res.stderr
+    assert "Traceback" not in res.stderr
+
+
 @pytest.mark.parametrize("defect, message", [
     ("drop b1", "error: weight file is missing the bias of layer 1"),
     ("add w9", "error: weight file key 'w9' matches no layer of the model"),

@@ -7,7 +7,8 @@ with ``dag_task_config`` and ``run_proxy_cells`` on ``gen_two_cell_task``
 with ``two_cell_task_config``, using the ``ardnet`` of this source tree.  One
 line per seed and search: whether the alive non-gate edges are exactly the
 planted ones (a graph that fell apart and had its widest path restored does
-not count), those edges and the final test error; or the name of the
+not count), those edges and the test error of the model the search returns
+(its ``final_test_error``, the last history row's); or the name of the
 exception the search raised.  The last two lines give the total per search.
 """
 
