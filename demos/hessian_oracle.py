@@ -1,10 +1,8 @@
-"""Recursive curvature vs finite differences, and what the shortcut costs.
+"""Recursive curvature vs finite differences.
 
 The exact recursion propagates full pre-activation Hessian matrices; the
 diagonal recursion keeps only element-wise vectors.  Both are compared to
-central finite differences of the batch energy on a 4-6-3 tanh network,
-and the multiply-accumulate counts show why the diagonal path is the one
-that scales.
+central finite differences of the batch energy on a 4-6-3 tanh network.
 
 Usage: python3 demos/hessian_oracle.py
 """
@@ -33,13 +31,6 @@ def main():
             got = res.weight_diag[li]
             rel = np.max(np.abs(got - ref) / np.maximum(np.abs(ref), 1e-3))
             print(f"  layer {li} [{name}]: max rel err {rel:.2e}")
-
-    print("\nMAC counts for one n x m fully connected layer:")
-    for n, m in ((6, 4), (100, 100), (300, 784)):
-        ex = curvature.mac_count_exact(n, m)
-        ap = curvature.mac_count_approx(n, m)
-        print(f"  {n:>4} x {m:<4}  exact {ex:>14,}   diagonal {ap:>10,}   "
-              f"ratio {ex / ap:,.0f}x")
 
     print("\n1-wide chain: the diagonal recursion is the exact one (bitwise):")
     chain = [nn.fc_layer(1, 1, "tanh", rng=rng) for _ in range(3)]

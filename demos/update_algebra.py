@@ -14,15 +14,15 @@ from ardnet import updates
 
 
 def main():
-    print("-- scalar update chain --")
+    print("-- scalar update chain (a one-member group) --")
     gamma, hess, w = 1.0, 2.0, 0.8
     c = float(updates.update_posterior_variance(gamma, hess))
-    omega = float(updates.update_omega(gamma, c))
-    s = float(updates.update_switch(w, omega))
+    s, omega = (float(v[0]) for v in updates.group_update(
+        np.array([w]), np.array([gamma]), np.array([hess]), np.array([0])))
     print(f"gamma={gamma}  H={hess}  w={w}")
     print(f"  c     = gamma/(1+gamma*H)      = {c:.6f}")
-    print(f"  omega = sqrt(gamma-c)/gamma    = {omega:.6f}")
-    print(f"  s     = |w/omega|              = {s:.6f}")
+    print(f"  omega = sqrt(H/(1+gamma*H))    = {omega:.6f}")
+    print(f"  s     = |w|/omega              = {s:.6f}")
     print(f"  identity omega^2 gamma^2 + c - gamma = "
           f"{omega**2 * gamma**2 + c - gamma:+.2e}")
 

@@ -11,11 +11,11 @@ diag(A^T D A) = (A*A)^T diag(D): they are `nn`'s adjoint of the layer kind
 with every coefficient squared.  Two modes:
 
   diag   -- diagonal vectors end to end.
-  exact  -- full per-sample pre-activation matrices through fc (W^T H W) and
-            activation layers; a conv layer keeps each output position's
-            channel block and passes a diagonal upstream (positions never
-            mix), and pool and flatten read diagonals.  An fc layer with no
-            fc layer below it forms only diag(W^T H W).
+  exact  -- full per-sample pre-activation matrices along fc layers
+            (W^T H W) and the activation layers between them; conv, pool
+            and flatten read diagonals, so a conv layer has one rule in
+            both modes.  An fc layer with no fc layer below it forms only
+            diag(W^T H W).
 
 Both carry the 1/batch factor of the energy, so results are directly
 comparable to finite differences of the batch-mean energy.
@@ -36,8 +36,6 @@ __all__ = [
     "curved_layers",
     "finite_diff_hessian",
     "fd_weight_hessian_diag",
-    "mac_count_exact",
-    "mac_count_approx",
 ]
 
 
@@ -47,10 +45,10 @@ class CurvatureResult:
 
     weight_diag[i] is shaped like layer i's weights (None for weightless
     layers).  preact[i] is the pre-activation Hessian: in exact mode a
-    (b, n, n) stack wherever full matrices reach (fc and conv layers, and
-    activation layers above the lowest of them), otherwise a diagonal array
-    shaped like the pre-activation; None below the lowest layer the
-    recursion visits.
+    (b, n, n) stack wherever full matrices reach (fc layers, and activation
+    layers above the lowest of them), otherwise a diagonal array shaped
+    like the pre-activation; None below the lowest layer the recursion
+    visits.
     """
 
     weight_diag: list = field(default_factory=list)
@@ -98,22 +96,13 @@ def _sandwich_diag(h, w):
 
 
 def _full_backmap(layers, caches, idx, h_pre):
-    """Exact-mode input curvature of layer idx from its full pre-activation
-    matrices.  They pass on in full only to an fc or conv layer below
-    (through activation layers only); else only their diagonal is formed.
-    A conv layer keeps each output position's channel block."""
+    """Exact-mode input curvature of an fc or activation layer idx from its
+    full pre-activation matrices.  They pass on in full only to an fc layer
+    below (through activation layers only); else only their diagonal is
+    formed."""
     layer, cache = layers[idx], caches[idx]
-    if layer.kind == "conv2d":
-        c_out = layer.weights.shape[0]
-        b, n, _ = h_pre.shape
-        # each position's (C_out, C_out) block, in im2col row order
-        blocks = np.diagonal(h_pre.reshape(b, c_out, n // c_out, c_out, n // c_out), 0, 2, 4)
-        blocks = blocks.transpose(0, 3, 1, 2).reshape(-1, c_out, c_out)
-        hcols = _sandwich_diag(blocks, nn.kernel_matrix(layer.weights))
-        return nn.col2im(hcols, cache.x.shape, layer.weights.shape[2:],
-                         layer.stride, layer.padding)
     below = [lower.kind for lower in layers[:idx] if lower.kind != "activation"]
-    keep_full = bool(below) and below[-1] in ("fc", "conv2d")
+    keep_full = bool(below) and below[-1] == "fc"
     if layer.kind == "activation":
         return h_pre if keep_full else _diag(h_pre, cache.x.shape)
     w = layer.weights
@@ -169,8 +158,8 @@ def propagate_curvature(layers, caches, h_seed, mode="exact", input_grad=True):
     stop = nn._walk_stop(layers, input_grad)
     for idx in range(len(layers) - 1, stop - 1, -1):
         layer, cache = layers[idx], caches[idx]
-        if h.ndim == 3 and layer.kind not in ("fc", "conv2d", "activation"):
-            h = _diag(h, cache.out.shape)  # pool and flatten read diagonals only
+        if h.ndim == 3 and layer.kind not in ("fc", "activation"):
+            h = _diag(h, cache.out.shape)  # conv, pool and flatten read diagonals only
         h_pre = result.preact[idx] = _activation_step(layer, cache, h)
         full = h_pre.ndim == 3
         d_pre = _diag(h_pre, cache.preact.shape) if full else h_pre
@@ -227,19 +216,3 @@ def fd_weight_hessian_diag(layers, x, target, energy_kind, layer_idx, step=1e-4)
         return value
 
     return finite_diff_hessian(energy_of, layer.weights.copy(), step)
-
-
-# ---------------------------------------------------------------------------
-# cost bookkeeping
-
-
-def mac_count_exact(n, m):
-    """Multiply-accumulate count of the exact fc recursion for an n x m
-    weight: the full Kronecker-product weight Hessian plus the matrix
-    pre-activation recursion."""
-    return n * n * m * m + n * (2 * m * m + 2 * n * n + 4 * m * n + 3 * m - 1)
-
-
-def mac_count_approx(n, m):
-    """MAC count of the diagonal fc recursion (vector arithmetic only)."""
-    return n * (2 + 4 * m)

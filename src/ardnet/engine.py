@@ -25,8 +25,7 @@ from . import supergraph as sg
 from .curvature import curved_layers, network_curvature
 from .updates import (GroupSpec, HyperState, SearchConfig, flat_groups,
                       group_l2_penalty, group_update, sgd_momentum_step,
-                      slab_l2_penalty, slab_penalty_terms, structural_update,
-                      update_posterior_variance)
+                      slab_l2_penalty, slab_penalty_terms, structural_update)
 
 __all__ = [
     "SearchRun",
@@ -286,15 +285,12 @@ class _EdgeSlots:
         return loss
 
     def update(self, x, y):
-        """Per-edge curvature, closed-form (c, omega, s) per group, then gamma."""
+        """Per-edge curvature, closed-form (omega, s) per group, then gamma."""
         graph, config, alive, group = self.model, self.config, self.alive, self.group_of
         out, gcache = sg.graph_forward(graph, x)
         hess = sg.arch_scalar_hessian(graph, gcache,
                                       nn.energy_hessian(out, y, self.kind, "exact"))[alive]
-        hess[hess < 0.0] = 0.0
-        gamma_prev = graph.gamma[alive]
-        c = update_posterior_variance(gamma_prev, hess)
-        s, omega = group_update(graph.w[alive], gamma_prev, c, group,
+        s, omega = group_update(graph.w[alive], graph.gamma[alive], hess, group,
                                 config.omega_floor, config.s_cap)
         self.omega[alive] = omega[group]
         graph.s[alive] = np.maximum(s[group], 1e-300)  # s = 0 (w = 0) still needs a valid gamma

@@ -2,17 +2,25 @@
 
 The scalar chain per parameter and outer iteration t is
 
-    c     = (1/gamma_prev + hess)^-1              (posterior variance)
-    omega = sqrt(gamma_prev - c) / gamma_prev     (reweighting coefficient)
-    s     = |w / omega|                           (switch variance)
+    c       = (1/gamma + h)^-1                    (posterior variance)
+    omega^2 = 1/gamma - c/gamma^2 = h/(1 + gamma h)   (reweighting coefficient)
+    s       = |w| / omega                         (switch variance)
 
-with an omega floor and an s cap absorbing the hess = 0 degeneracy.  A group
-shares one (s, omega) across its members, and the reweighted l1 penalty is
-the group lasso on one-member groups.  Edge groups are held in the flat form
-of `flat_groups`, so every per-group sum is one bincount.  Compression groups
-are slabs of a weight (`slab_axes`), held by a `HyperState`: the structural
-update, the prune and the per-batch penalty take every per-group sum as an
-axis sum and broadcast every per-group value back over its slab.
+with the curvature h clamped at 0, and an omega floor and an s cap absorbing
+the h = 0 degeneracy.  omega^2 is formed in one place (`_omega_sq`), as the
+quotient, which has no cancellation; the difference form loses every digit
+where gamma h is below the rounding unit.  A group shares one (s, omega)
+across its members, omega_g^2 the sum of the members' shares, and the
+reweighted l1 penalty is the group lasso on one-member groups.  The two
+update paths take the steps in their own orders: edges (`group_update`) form
+omega at the previous gamma, then s; slabs (`structural_update`) form
+gamma = ||w_g|| / omega at the previous omega, then omega at the new gamma.
+
+Edge groups are held in the flat form of `flat_groups`, so every per-group
+sum is one bincount.  Compression groups are slabs of a weight
+(`slab_axes`), held by a `HyperState`: the structural update, the prune and
+the per-batch penalty take every per-group sum as an axis sum and broadcast
+every per-group value back over its slab.
 """
 
 from __future__ import annotations
@@ -30,8 +38,6 @@ __all__ = [
     "GroupSpec",
     "HyperState",
     "update_posterior_variance",
-    "update_omega",
-    "update_switch",
     "group_l2_penalty",
     "flat_groups",
     "group_update",
@@ -115,7 +121,8 @@ class SearchConfig:
 
 
 def update_posterior_variance(gamma, hess):
-    """c = (1/gamma + hess)^-1; requires gamma > 0 and clamped hess >= 0."""
+    """c = (1/gamma + hess)^-1; requires gamma > 0 and clamped hess >= 0.
+    The updates never form c: omega^2 = 1/gamma - c/gamma^2 is `_omega_sq`."""
     gamma = np.asarray(gamma, dtype=np.float64)
     hess = np.asarray(hess, dtype=np.float64)
     if np.any(gamma <= 0):
@@ -124,20 +131,11 @@ def update_posterior_variance(gamma, hess):
     return gamma / (1.0 + gamma * hess)
 
 
-def update_omega(gamma_prev, c, floor=OMEGA_FLOOR):
-    """omega = sqrt(gamma_prev - c) / gamma_prev, floored at `floor`."""
-    gamma_prev = np.asarray(gamma_prev, dtype=np.float64)
-    c = np.asarray(c, dtype=np.float64)
-    if np.any(c > gamma_prev + 1e-12):
-        raise ValueError("posterior variance exceeds prior variance: clamp hess first")
-    omega = np.sqrt(np.maximum(gamma_prev - c, 0.0)) / gamma_prev
-    return np.maximum(omega, floor)
-
-
-def update_switch(w, omega, cap=S_CAP):
-    """s = |w / omega|, capped at `cap` (omega is already floored)."""
-    s = np.abs(np.asarray(w, dtype=np.float64) / np.asarray(omega, dtype=np.float64))
-    return np.minimum(s, cap)
+def _omega_sq(gamma, hess):
+    """Each member's share of omega^2, h/(1 + gamma h) with h the curvature
+    clamped at 0: the one omega rule of edges and slabs."""
+    h = np.maximum(hess, 0.0)
+    return h / (1.0 + gamma * h)
 
 
 # ---------------------------------------------------------------------------
@@ -184,15 +182,15 @@ def flat_groups(groups):
     return index, np.repeat(np.arange(len(groups)), [grp.members.size for grp in groups])
 
 
-def group_update(w, gamma_prev, c, group, floor=OMEGA_FLOOR, cap=S_CAP):
+def group_update(w, gamma_prev, hess, group, floor=OMEGA_FLOOR, cap=S_CAP):
     """Shared (s, omega) of every group, one entry per group position.
 
-    omega_g is the root-sum of the members' `update_omega`s and s_g =
-    ||w_g||_2 / omega_g; sqrt(x^2) = |x| in floating point, so a one-member
-    group equals update_omega/update_switch bitwise.
+    The edge order: omega_g = sqrt(sum of the members' `_omega_sq` at the
+    previous gamma) from the raw per-member curvature `hess`, floored, then
+    s_g = ||w_g||_2 / omega_g from the new omega, capped.
     """
     w = np.asarray(w, dtype=np.float64)
-    omega_sq = update_omega(gamma_prev, c, 0.0) ** 2
+    omega_sq = _omega_sq(np.asarray(gamma_prev, dtype=np.float64), hess)
     omega = np.maximum(np.sqrt(np.bincount(group, weights=omega_sq)), floor)
     s = np.minimum(np.sqrt(np.bincount(group, weights=w * w)) / omega, cap)
     return s, omega
@@ -295,20 +293,19 @@ def slab_l2_penalty(w, state, terms):
 def structural_update(weights, state, hess_diag, floor=OMEGA_FLOOR, cap=S_CAP):
     """One compression-rule update of a HyperState.
 
-    Per alive group g:  gamma_g = ||W_g||_2 / omega_g(t-1) then, element-wise
-    with the clamped Hessian diagonal,  alpha = -c/gamma^2 + 1/gamma =
-    h/(1 + gamma h) for c = (1/gamma + h)^-1, and omega_g = sqrt(sum_g |alpha|).
+    The slab order: per alive group g, gamma_g = ||W_g||_2 / omega_g(t-1)
+    from the previous omega, then omega_g = sqrt(sum of the members'
+    `_omega_sq` at the new gamma) from the raw Hessian diagonal, floored.
     Both sums are axis sums over a slab kind.  Dead groups keep their values.
     """
     w4 = np.asarray(weights, dtype=np.float64).reshape(state.view)
-    h4 = np.maximum(np.asarray(hess_diag, dtype=np.float64).reshape(state.view), 0.0)
+    h4 = np.asarray(hess_diag, dtype=np.float64).reshape(state.view)
     sq, gamma, omega = w4 * w4, state.gamma.copy(), state.omega.copy()
     for axes, block, group_shape in state.slabs:
         norm = np.sqrt(np.sum(sq, axis=axes, keepdims=True))
         g = np.minimum(norm / np.maximum(state.omega[block].reshape(group_shape), floor), cap)
-        alpha = np.abs(h4 / (1.0 + g * h4))
         gamma[block] = g.ravel()
-        omega[block] = np.maximum(np.sqrt(np.sum(alpha, axis=axes)), floor).ravel()
+        omega[block] = np.maximum(np.sqrt(np.sum(_omega_sq(g, h4), axis=axes)), floor).ravel()
     state.gamma = np.where(state.alive, gamma, state.gamma)
     state.omega = np.where(state.alive, omega, state.omega)
     return state

@@ -142,9 +142,9 @@ def test_criterion_04_update_rule_algebra_sweep():
     hess = 10.0 ** rng.uniform(-8, 8, n)
     w = rng.normal(size=n) * 10.0 ** rng.uniform(-4, 4, n)
     c = updates.update_posterior_variance(gamma, hess)
-    omega = updates.update_omega(gamma, c, floor=1e-8)
-    omega_raw = updates.update_omega(gamma, c, floor=0.0)
-    s = updates.update_switch(w, omega, cap=1e6)
+    one_member = np.arange(n)  # the scalar chain: every triple its own group
+    s, omega = updates.group_update(w, gamma, hess, one_member, 1e-8, 1e6)
+    _, omega_raw = updates.group_update(w, gamma, hess, one_member, 0.0, 1e6)
     checks = [
         np.all(c > 0) and np.all(c <= gamma),
         np.all(np.isreal(omega)) and np.all(omega >= 0),

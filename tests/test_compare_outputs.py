@@ -30,10 +30,10 @@ def test_dump_diffs_clean_against_itself_and_names_a_change(tmp_path):
         assert len(trace) == len(result["history"]) > 0
         last = trace[-1]["edges"]
         assert sorted(last, key=int) == [str(e["id"]) for e in edges]
-        for e in edges:  # the search ends by freezing w, so w is not compared
+        for e in edges:
             w, s, omega, gamma, alive = last[str(e["id"])]
-            assert (s, gamma, alive) == (e["s"], e["gamma"], e["alive"])
-            assert isinstance(w, float) and isinstance(omega, float)
+            assert (w, s, gamma, alive) == (e["w"], e["s"], e["gamma"], e["alive"])
+            assert isinstance(omega, float)
     same = run_tool("diff", dump, dump)
     assert same.returncode == 0 and same.stdout.strip() == "0 difference(s)"
 

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from ardnet import engine, nn, updates
 from ardnet.updates import (ENTROPY_PRUNE_THRESHOLD, GroupSpec, SearchConfig,
                             flat_groups, group_l2_penalty, group_update,
-                            make_groups, sgd_momentum_step, update_omega,
-                            update_posterior_variance, update_switch)
+                            make_groups, sgd_momentum_step,
+                            update_posterior_variance)
 
 
 def reweighted_l1_penalty(w, omega, lambda_w):
@@ -44,9 +44,24 @@ def test_posterior_variance_rejects_nonpositive_gamma():
         update_posterior_variance(0.0, 1.0)
 
 
+def one_member(w, gamma, hess, floor=updates.OMEGA_FLOOR, cap=updates.S_CAP):
+    """(s, omega) of one-member groups, one per entry: the scalar chain."""
+    w, gamma, hess = np.broadcast_arrays(*map(np.atleast_1d, (w, gamma, hess)))
+    return group_update(w, gamma, hess, np.arange(w.size), floor, cap)
+
+
 def test_omega_hand_value_and_floor():
-    assert update_omega(1.0, 0.5) == pytest.approx(math.sqrt(0.5))
-    assert update_omega(1.0, 1.0, floor=1e-8) == 1e-8
+    # c = 0.5 at gamma = 1 is h = 1: omega^2 = 1/gamma - c/gamma^2 = 0.5
+    assert one_member(0.0, 1.0, 1.0)[1][0] == pytest.approx(math.sqrt(0.5))
+    assert one_member(0.0, 1.0, 0.0, floor=1e-8)[1][0] == 1e-8
+    # negative curvature is clamped to 0
+    assert one_member(0.0, 1.0, -3.0, floor=1e-8)[1][0] == 1e-8
+
+
+def test_omega_has_no_cancellation_at_tiny_gamma_h():
+    # gamma h = 1e-17 is below the rounding unit, so gamma - c is 0 in floats
+    _, omega = one_member(0.0, 1e3, 1e-20, floor=0.0)
+    assert omega[0] ** 2 == pytest.approx(1e-20, rel=1e-12)
 
 
 def test_omega_identity_sweep():
@@ -54,23 +69,22 @@ def test_omega_identity_sweep():
     gamma = 10.0 ** rng.uniform(-3, 3, 2000)
     hess = 10.0 ** rng.uniform(-3, 3, 2000)
     c = update_posterior_variance(gamma, hess)
-    omega = update_omega(gamma, c, floor=0.0)
+    _, omega = one_member(0.0, gamma, hess, floor=0.0)
     assert np.max(np.abs(omega**2 * gamma**2 + c - gamma)) < 1e-10
 
 
 def test_switch_hand_values_and_cap():
-    assert update_switch(0.0, 1.0) == 0.0
-    assert update_switch(0.7071, 0.7071) == pytest.approx(1.0)
-    assert update_switch(5.0, 1e-9, cap=1e6) == 1e6
+    omega = math.sqrt(0.5)  # gamma = 1, h = 1
+    assert one_member(0.0, 1.0, 1.0)[0][0] == 0.0
+    assert one_member(omega, 1.0, 1.0)[0][0] == pytest.approx(1.0)
+    assert one_member(5.0, 1.0, 0.0, floor=1e-9, cap=1e6)[0][0] == 1e6
 
 
 def test_switch_monotone():
-    omega = 0.3
-    s = update_switch(np.linspace(0, 5, 50), omega)
+    s, _ = one_member(np.linspace(0, 5, 50), 1.0, 0.3)
     assert np.all(np.diff(s) > 0)
-    w = 1.0
-    s = update_switch(w, np.linspace(0.1, 5, 50))
-    assert np.all(np.diff(s) < 0)
+    s, omega = one_member(1.0, 1.0, np.linspace(0.1, 5, 50))
+    assert np.all(np.diff(omega) > 0) and np.all(np.diff(s) < 0)
 
 
 def test_reweighted_l1_hand_value():
@@ -99,26 +113,12 @@ def test_penalty_gradient_matches_finite_differences():
         assert abs(g[i] - ref) / max(abs(ref), 1e-8) < 1e-6
 
 
-def test_group_update_singleton_reduces_bitwise():
-    rng = np.random.default_rng(3)
-    for _ in range(50):
-        w = rng.normal()
-        gamma = float(10.0 ** rng.uniform(-3, 3))
-        hess = float(10.0 ** rng.uniform(-3, 3))
-        c = float(update_posterior_variance(gamma, hess))
-        s_g, o_g = group_update(np.array([w]), np.array([gamma]), np.array([c]), [0])
-        omega = update_omega(gamma, c)
-        assert o_g[0] == float(omega)
-        assert s_g[0] == float(update_switch(w, omega))
-
-
 def test_group_update_identical_members():
     # k identical members: s_g = |w| sqrt(k) / (sqrt(k) omega_i) = |w| / omega_i
     w, gamma, hess = 0.8, 2.0, 1.5
-    c = float(update_posterior_variance(gamma, hess))
     k = 4
-    s_g, _ = group_update(np.full(k, w), np.full(k, gamma), np.full(k, c), np.zeros(k, int))
-    omega_i = float(update_omega(gamma, c))
+    s_g, _ = group_update(np.full(k, w), np.full(k, gamma), np.full(k, hess), np.zeros(k, int))
+    omega_i = one_member(w, gamma, hess)[1][0]
     assert s_g[0] == pytest.approx(abs(w) / omega_i, rel=1e-12)
 
 
@@ -316,12 +316,9 @@ def _penalty_loop(w, groups, omega, lambda_w):
     return value, grad
 
 
-def _group_update_loop(w, gamma_prev, c, floor, cap):
-    if w.size == 1:
-        omega = update_omega(gamma_prev, c, floor)
-        return float(update_switch(w, omega, cap)[0]), float(omega[0])
-    omega_sq = np.maximum(gamma_prev - c, 0.0) / gamma_prev**2
-    omega_g = max(float(np.sqrt(np.sum(omega_sq))), floor)
+def _group_update_loop(w, gamma_prev, h, floor, cap):
+    h = np.maximum(h, 0.0)
+    omega_g = max(float(np.sqrt(np.sum(h / (1.0 + gamma_prev * h)))), floor)
     return min(float(np.linalg.norm(w)) / omega_g, cap), omega_g
 
 
@@ -379,12 +376,11 @@ def test_flat_group_update_matches_the_group_loop(case):
     _, group = flat_groups([GroupSpec(g, m) for g, m in enumerate(groups)])
     w = rng.normal(size=group.size) * (rng.random(group.size) < 0.8)
     gamma = 10.0 ** rng.uniform(-2, 2, group.size)
-    c = update_posterior_variance(gamma, 10.0 ** rng.uniform(-3, 3, group.size)
-                                  * (rng.random(group.size) < 0.8))
-    s, omega = group_update(w, gamma, c, group, 1e-8, 1e6)
+    hess = 10.0 ** rng.uniform(-3, 3, group.size) * (rng.random(group.size) < 0.8)
+    s, omega = group_update(w, gamma, hess, group, 1e-8, 1e6)
     for g, members in enumerate(groups):
         at = group == g
-        ref_s, ref_omega = _group_update_loop(w[at], gamma[at], c[at], 1e-8, 1e6)
+        ref_s, ref_omega = _group_update_loop(w[at], gamma[at], hess[at], 1e-8, 1e6)
         if members.size == 1:
             assert (s[g], omega[g]) == (ref_s, ref_omega)
         assert _close(s[g], ref_s) and _close(omega[g], ref_omega)
