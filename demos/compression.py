@@ -35,7 +35,7 @@ def main():
     cfg = SearchConfig(t_max=15, epochs_per_iteration=3, batch_size=50,
                        lambda_w=0.01, weight_decay=0.001, learning_rate=0.05,
                        seed=0, hessian_mode="approx", retrain_epochs=10)
-    baseline = nn.num_params(net)
+    baseline = sum(layer.weights.size for layer in net)
     net, run = engine.run_compression(net, ds, cfg, patterns)
 
     print(f"{'iter':>4} {'loss':>10} {'test err':>10} {'alive groups':>13} "

@@ -7,9 +7,15 @@ central finite differences of the batch energy on a 4-6-3 tanh network.
 Usage: python3 demos/hessian_oracle.py
 """
 
+import sys
+from pathlib import Path
+
 import numpy as np
 
 from ardnet import curvature, nn
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+from oracles import fd_weight_hessian_diag  # noqa: E402
 
 
 def main():
@@ -26,7 +32,7 @@ def main():
 
     print("per-layer weight-Hessian diagonals vs finite differences:")
     for li in range(2):
-        ref = curvature.fd_weight_hessian_diag(net, x, t, "mse", li, 1e-4)
+        ref = fd_weight_hessian_diag(net, x, t, "mse", li, 1e-4)
         for name, res in (("exact", exact), ("diag ", diag)):
             got = res.weight_diag[li]
             rel = np.max(np.abs(got - ref) / np.maximum(np.abs(ref), 1e-3))

@@ -8,9 +8,15 @@ solves and prints the surrogate cost per outer iteration: it never goes up.
 Usage: python3 demos/update_algebra.py
 """
 
+import sys
+from pathlib import Path
+
 import numpy as np
 
 from ardnet import updates
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+from oracles import cccp_quadratic_reference  # noqa: E402
 
 
 def main():
@@ -31,7 +37,7 @@ def main():
     q = rng.normal(size=(10, 10))
     a = q @ q.T / 10.0 + 5.0 * np.eye(10)
     b = np.sign(rng.normal(size=10)) * rng.uniform(0.5, 1.5, 10) * 50.0
-    costs = updates.cccp_quadratic_reference(a, b, n_iters=10)
+    costs = cccp_quadratic_reference(a, b, n_iters=10)
     for i, cost in enumerate(costs, 1):
         drop = "" if i == 1 else f"  (change {costs[i-1] - costs[i-2]:+.3e})"
         print(f"  iter {i:2d}: surrogate cost {cost:.6f}{drop}")

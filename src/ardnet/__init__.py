@@ -3,13 +3,13 @@ variance estimation.
 
 Modules:
   nn          layer stacks: forward/backward, energies, im2col
-  curvature   recursive weight-Hessian diagonals and finite-difference oracles
+  curvature   recursive weight-Hessian diagonals
   updates     variance-chain algebra, grouping patterns, solver configs
-  supergraph  candidate DAGs, gating, pruning, architecture import/export
+  supergraph  candidate DAGs, gating, pruning
   data        IDX ingestion and synthetic search tasks
   engine      search/compression/retrain loops
   models      reference classifier builders
-  exports     JSON/DOT/CSV artifact serialization
+  exports     architecture record (export, check, rebuild), masks, DOT, CSV
   cli         command-line interface
 """
 

@@ -23,7 +23,6 @@ import numpy as np
 
 from . import data as data_mod
 from . import engine, exports, models
-from . import supergraph as sg
 
 
 class _Parser(argparse.ArgumentParser):
@@ -152,7 +151,8 @@ def _cmd_retrain(args):
             )
         layer.mask = mask
     run = engine.SearchRun(mode="retrain", config=config)
-    err = engine.retrain_pruned(net, dataset, config, run)
+    live = engine.live_group_count(net, models.default_patterns(args.net))
+    err = engine.retrain_pruned(net, dataset, config, run, alive_groups=live)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     exports.write_metrics_csv(run.history, out_dir / "metrics.csv")
@@ -171,7 +171,6 @@ def _cmd_eval(args):
 
 def _cmd_export(args):
     record = exports.load_arch_record(args.arch)
-    sg.import_architecture(record)  # rejects a broken topology
     if args.format == "dot":
         text = exports.to_dot(record)
     else:

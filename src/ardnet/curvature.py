@@ -12,10 +12,9 @@ with every coefficient squared.  Two modes:
 
   diag   -- diagonal vectors end to end.
   exact  -- full per-sample pre-activation matrices along fc layers
-            (W^T H W) and the activation layers between them; conv, pool
-            and flatten read diagonals, so a conv layer has one rule in
-            both modes.  An fc layer with no fc layer below it forms only
-            diag(W^T H W).
+            (W^T H W); conv, pool and flatten read diagonals, so a conv
+            layer has one rule in both modes.  An fc layer with no fc layer
+            directly below it forms only diag(W^T H W).
 
 Both carry the 1/batch factor of the energy, so results are directly
 comparable to finite differences of the batch-mean energy.
@@ -34,8 +33,6 @@ __all__ = [
     "network_curvature",
     "propagate_curvature",
     "curved_layers",
-    "finite_diff_hessian",
-    "fd_weight_hessian_diag",
 ]
 
 
@@ -45,10 +42,9 @@ class CurvatureResult:
 
     weight_diag[i] is shaped like layer i's weights (None for weightless
     layers).  preact[i] is the pre-activation Hessian: in exact mode a
-    (b, n, n) stack wherever full matrices reach (fc layers, and activation
-    layers above the lowest of them), otherwise a diagonal array shaped
-    like the pre-activation; None below the lowest layer the recursion
-    visits.
+    (b, n, n) stack wherever full matrices reach (fc layers), otherwise a
+    diagonal array shaped like the pre-activation; None below the lowest
+    layer the recursion visits.
     """
 
     weight_diag: list = field(default_factory=list)
@@ -95,18 +91,14 @@ def _sandwich_diag(h, w):
     return hw.sum(axis=1)
 
 
-def _full_backmap(layers, caches, idx, h_pre):
-    """Exact-mode input curvature of an fc or activation layer idx from its
-    full pre-activation matrices.  They pass on in full only to an fc layer
-    below (through activation layers only); else only their diagonal is
-    formed."""
-    layer, cache = layers[idx], caches[idx]
-    below = [lower.kind for lower in layers[:idx] if lower.kind != "activation"]
-    keep_full = bool(below) and below[-1] == "fc"
-    if layer.kind == "activation":
-        return h_pre if keep_full else _diag(h_pre, cache.x.shape)
-    w = layer.weights
-    return w.T @ h_pre @ w if keep_full else _sandwich_diag(h_pre, w)
+def _full_backmap(layers, idx, h_pre):
+    """Exact-mode input curvature of fc layer idx from its full
+    pre-activation matrices: in full into an fc layer directly below, else
+    only their diagonal."""
+    w = layers[idx].weights
+    if idx > 0 and layers[idx - 1].kind == "fc":
+        return w.T @ h_pre @ w
+    return _sandwich_diag(h_pre, w)
 
 
 def network_curvature(layers, caches, target, energy_kind="mse", mode="exact"):
@@ -136,11 +128,7 @@ def network_curvature(layers, caches, target, energy_kind="mse", mode="exact"):
 def _is_one_wide(layers, output):
     if output.ndim != 2 or output.shape[1] != 1:
         return False
-    return all(
-        layer.kind in ("fc", "activation")
-        and (layer.weights is None or layer.weights.shape == (1, 1))
-        for layer in layers
-    )
+    return all(layer.kind == "fc" and layer.weights.shape == (1, 1) for layer in layers)
 
 
 def propagate_curvature(layers, caches, h_seed, mode="exact", input_grad=True):
@@ -158,7 +146,7 @@ def propagate_curvature(layers, caches, h_seed, mode="exact", input_grad=True):
     stop = nn._walk_stop(layers, input_grad)
     for idx in range(len(layers) - 1, stop - 1, -1):
         layer, cache = layers[idx], caches[idx]
-        if h.ndim == 3 and layer.kind not in ("fc", "activation"):
+        if h.ndim == 3 and layer.kind != "fc":
             h = _diag(h, cache.out.shape)  # conv, pool and flatten read diagonals only
         h_pre = result.preact[idx] = _activation_step(layer, cache, h)
         full = h_pre.ndim == 3
@@ -167,52 +155,6 @@ def propagate_curvature(layers, caches, h_seed, mode="exact", input_grad=True):
         result.weight_diag[idx], _, h = nn._ADJOINTS[layer.kind](
             layer, cache, d_pre, squared=True, input_term=input_term)
         if full and input_term:
-            h = _full_backmap(layers, caches, idx, h_pre)
+            h = _full_backmap(layers, idx, h_pre)
     return result, h if input_grad else None
 
-
-# ---------------------------------------------------------------------------
-# finite-difference oracle
-
-
-def finite_diff_hessian(energy_fn, theta, step=1e-4):
-    """Central second differences of a scalar function, one coordinate at a
-    time: (E(t+h) - 2 E(t) + E(t-h)) / h^2.  Independent of any recursion."""
-    if not 1e-6 <= step <= 1e-3:
-        raise ValueError(f"step {step} outside [1e-6, 1e-3]")
-    theta = np.asarray(theta, dtype=np.float64)
-    e0 = energy_fn(theta)
-    if not np.isfinite(e0):
-        raise FloatingPointError("non-finite energy at the base point")
-    out = np.empty_like(theta)
-    flat = theta.ravel()
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + step
-        ep = energy_fn(theta)
-        flat[i] = orig - step
-        em = energy_fn(theta)
-        flat[i] = orig
-        if not (np.isfinite(ep) and np.isfinite(em)):
-            raise FloatingPointError(f"non-finite energy while probing coordinate {i}")
-        out.ravel()[i] = (ep - 2.0 * e0 + em) / step**2
-    return out
-
-
-def fd_weight_hessian_diag(layers, x, target, energy_kind, layer_idx, step=1e-4):
-    """Finite-difference diagonal of the energy w.r.t. one layer's weights."""
-    layer = layers[layer_idx]
-    if layer.weights is None:
-        raise ValueError(f"layer {layer_idx} has no weights")
-
-    def energy_of(w):
-        saved = layer.weights
-        layer.weights = w
-        try:
-            out, _ = nn.forward(layers, x)
-            value, _ = nn.energy(out, target, energy_kind)
-        finally:
-            layer.weights = saved
-        return value
-
-    return finite_diff_hessian(energy_of, layer.weights.copy(), step)

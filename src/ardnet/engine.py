@@ -34,6 +34,7 @@ __all__ = [
     "run_proxy_cells",
     "run_compression",
     "retrain_pruned",
+    "live_group_count",
     "surviving_widths",
 ]
 
@@ -503,6 +504,20 @@ def _surviving_param_ratio(net):
     alive = sum(layer.weights.size if layer.mask is None
                 else int(np.count_nonzero(layer.mask)) for layer in weighted)
     return alive / total if total else 1.0
+
+
+def live_group_count(net, patterns):
+    """Groups of `patterns` (layer index -> pattern names) whose slab keeps
+    an unmasked weight: for unit patterns (row, column, filter) the alive
+    groups that a compression left, read back from the masks alone."""
+    count = 0
+    for li, names in patterns.items():
+        layer = net[li]
+        state = HyperState.init(layer.weights.shape, names)
+        kept = (layer.mask != 0 if layer.mask is not None
+                else np.ones(layer.weights.shape, bool)).reshape(state.view)
+        count += sum(int(np.count_nonzero(kept.any(axis=axes))) for axes, _, _ in state.slabs)
+    return count
 
 
 def surviving_widths(net):

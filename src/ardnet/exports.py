@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import json
+import math
 import reprlib
 
 import numpy as np
@@ -23,6 +24,7 @@ __all__ = [
     "SCHEMA_VERSION",
     "parse_config",
     "arch_export",
+    "import_architecture",
     "save_json",
     "load_arch_record",
     "mask_export",
@@ -82,7 +84,8 @@ def _is_number(value):
 # every field of a record schema -> (JSON type check, its name), or None
 # for a field the loaders do not read
 _INT = (_is_int, "an integer")
-_NUMBER = (_is_number, "a number")
+_FINITE = (lambda v: _is_int(v) or isinstance(v, float) and math.isfinite(v),
+           "a finite number")
 _BOOL = (lambda v: isinstance(v, bool), "a boolean")
 _LIST = (lambda v: isinstance(v, list), "a list")
 _INT_MAP = (lambda v: isinstance(v, dict) and all(map(_is_int, v.values())),
@@ -91,20 +94,52 @@ _ARCH_FIELDS = {"schema_version": None, "n_nodes": _INT, "input_node": _INT,
                 "output_node": _INT, "degenerate": _BOOL, "gate_map": _INT_MAP,
                 "gate_node_of": _INT_MAP, "edges": _LIST, "provenance": None}
 _ARCH_REQUIRED = ("n_nodes", "input_node", "output_node", "edges")
-_EDGE_FIELDS = {"id": None, "src": _INT, "dst": _INT,
-                "op": (lambda v: isinstance(v, str), "a string"), "w": _NUMBER,
-                "gamma": _NUMBER, "s": _NUMBER, "alive": _BOOL, "is_gate": _BOOL}
-_EDGE_REQUIRED = ("src", "dst", "op", "w", "gamma", "s", "alive", "is_gate")
+# one table serves the export, the field check (every field is required)
+# and the rebuild
+_EDGE_FIELDS = {"id": _INT, "src": _INT, "dst": _INT,
+                "op": (lambda v: isinstance(v, str), "a string"), "w": _FINITE,
+                "gamma": _FINITE, "s": _FINITE, "alive": _BOOL, "is_gate": _BOOL}
+
+
+def _provenance(config):
+    """The config hash and seed a record was written under (None without one)."""
+    return {"config_hash": config.config_hash() if config is not None else None,
+            "seed": config.seed if config is not None else None}
 
 
 def arch_export(graph, config=None):
-    """Architecture record plus run provenance (config hash and seed)."""
-    record = sg.export_architecture(graph)
-    record["provenance"] = {
-        "config_hash": config.config_hash() if config is not None else None,
-        "seed": config.seed if config is not None else None,
+    """Record of a graph's topology, op tags and (w, gamma, s), plus run
+    provenance (config hash and seed)."""
+    columns = {"id": range(len(graph.ops)), "op": [op.tag for op in graph.ops]}
+    rows = zip(*(columns[name] if name in columns else getattr(graph, name).tolist()
+                 for name in _EDGE_FIELDS))
+    return {
+        "schema_version": SCHEMA_VERSION,
+        "n_nodes": graph.n_nodes,
+        "input_node": graph.input_node,
+        "output_node": graph.output_node,
+        "degenerate": bool(graph.degenerate or not graph.alive.any()),
+        "gate_map": {str(k): v for k, v in graph.gate_map.items()},
+        "gate_node_of": {str(k): v for k, v in graph.gate_node_of.items()},
+        "edges": [dict(zip(_EDGE_FIELDS, row)) for row in rows],
+        "provenance": _provenance(config),
     }
-    return record
+
+
+def import_architecture(record):
+    """Rebuild a SuperGraph (topology + op tags) from an architecture record.
+
+    Layer-backed ops come back as topology stubs: the frozen weights are
+    not serialized, so the imported graph reproduces structure, not
+    numerics.
+    """
+    edges = [sg.Edge(**{name: sg.Op(rec[name]) if name == "op" else rec[name]
+                        for name in _EDGE_FIELDS if name != "id"})
+             for rec in record["edges"]]
+    gate_map, gate_node_of = ({int(k): v for k, v in record.get(name, {}).items()}
+                              for name in ("gate_map", "gate_node_of"))
+    return sg.SuperGraph(record["n_nodes"], edges, record["input_node"], record["output_node"],
+                         gate_map, gate_node_of, record.get("degenerate", False))
 
 
 def save_json(record, path):
@@ -150,10 +185,18 @@ def _load_record(path, fields, required, what):
 
 
 def load_arch_record(path):
-    """Load and validate an architecture record; returns the record dict."""
+    """Load and validate an architecture record; returns the record dict.
+
+    The last check rebuilds its graph, so a broken topology (a cycle, a
+    node or gate the graph does not have) is rejected here too.
+    """
     record = _load_record(path, _ARCH_FIELDS, _ARCH_REQUIRED, "architecture")
-    for edge in record["edges"]:
-        _check_fields(edge, _EDGE_FIELDS, _EDGE_REQUIRED, "edge")
+    for pos, edge in enumerate(record["edges"]):
+        _check_fields(edge, _EDGE_FIELDS, _EDGE_FIELDS, "edge")
+        if edge["id"] != pos:
+            raise ValueError(f"edge field id must be the edge's position {pos}, "
+                             f"got {edge['id']}")
+    import_architecture(record)
     return record
 
 
@@ -177,10 +220,7 @@ def mask_export(net, config=None, widths=None):
         "schema_version": SCHEMA_VERSION,
         "layers": layers,
         "widths": widths if widths is not None else surviving_widths(net),
-        "provenance": {
-            "config_hash": config.config_hash() if config is not None else None,
-            "seed": config.seed if config is not None else None,
-        },
+        "provenance": _provenance(config),
     }
 
 

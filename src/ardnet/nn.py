@@ -23,7 +23,6 @@ __all__ = [
     "LayerCache",
     "fc_layer",
     "conv_layer",
-    "activation_layer",
     "pool_layer",
     "flatten_layer",
     "forward",
@@ -35,7 +34,6 @@ __all__ = [
     "conv_output_shape",
     "energy",
     "energy_hessian",
-    "num_params",
 ]
 
 
@@ -100,10 +98,10 @@ def activation_funcs(name: str):
 class Layer:
     """One network layer: a structural map followed by an activation.
 
-    kind is one of "fc", "conv2d", "activation", "maxpool2d", "avgpool2d",
-    "flatten".  FC weights are (out, in); conv weights are (C_out, C_in, m, k).
-    Bias is optional and never enters any sparsity prior.  The weights are
-    kept masked at rest: assigning `weights` or `mask` (the constructor
+    kind is one of "fc", "conv2d", "maxpool2d", "avgpool2d", "flatten".
+    FC weights are (out, in); conv weights are (C_out, C_in, m, k).  Bias
+    is optional and never enters any sparsity prior.  The weights are kept
+    masked at rest: assigning `weights` or `mask` (the constructor
     included) stores weights * mask as a new array, so every reader takes
     `weights` as it is and a caller's array is never masked in place.
     """
@@ -163,10 +161,6 @@ def conv_layer(c_in, c_out, kernel, activation="identity", stride=1, padding=0,
                  stride=stride, padding=padding)
 
 
-def activation_layer(activation):
-    return Layer("activation", activation=activation)
-
-
 def pool_layer(kind, size=2, stride=None):
     if kind not in ("maxpool2d", "avgpool2d"):
         raise ValueError(f"unknown pool kind {kind!r}")
@@ -175,14 +169,6 @@ def pool_layer(kind, size=2, stride=None):
 
 def flatten_layer():
     return Layer("flatten")
-
-
-def num_params(layers) -> int:
-    n = 0
-    for layer in layers:
-        if layer.weights is not None:
-            n += layer.weights.size
-    return n
 
 
 # ---------------------------------------------------------------------------
@@ -288,8 +274,6 @@ def _layer_forward(layer, x, idx):
             pre += layer.bias
         pre = pre.reshape(x.shape[0], h_out, w_out, c_out).transpose(0, 3, 1, 2)
         return LayerCache(x=x, preact=pre, out=act(pre), cols=cols)
-    if layer.kind == "activation":
-        return LayerCache(x=x, preact=x, out=act(x))
     if layer.kind in ("maxpool2d", "avgpool2d"):
         if x.ndim != 4:
             raise ValueError(f"layer {idx} ({layer.kind}) expects 4-d input, got {x.shape}")
@@ -403,14 +387,13 @@ def _pool_adjoint(layer, cache, g_pre, squared=False, input_term=True):
 
 
 def _reshape_adjoint(layer, cache, g_pre, squared=False, input_term=True):
-    # flatten, and activation layers, whose map is the identity (the
-    # activation's derivative is already in g_pre)
+    # flatten: the map is a reshape, so its coefficients are all 1
     return None, None, g_pre.reshape(cache.x.shape)
 
 
 _ADJOINTS = {"fc": _fc_adjoint, "conv2d": _conv_adjoint,
              "maxpool2d": _pool_adjoint, "avgpool2d": _pool_adjoint,
-             "activation": _reshape_adjoint, "flatten": _reshape_adjoint}
+             "flatten": _reshape_adjoint}
 
 
 def _walk_stop(layers, input_grad=True):

@@ -47,8 +47,6 @@ __all__ = [
     "propagate_dependency_prune",
     "restore_widest_path",
     "insert_zero_gates",
-    "export_architecture",
-    "import_architecture",
 ]
 
 OP_TAGS = ("identity", "fc", "conv3x3", "maxpool", "avgpool", "zero_gate")
@@ -157,11 +155,21 @@ class SuperGraph:
         self.gate_node_of = dict(gate_node_of or {})  # auxiliary node -> guarded node
         self.degenerate = degenerate
         self._set_edges(edges)
+        for name in ("input_node", "output_node"):
+            if not 0 <= getattr(self, name) < n_nodes:
+                raise ValueError(f"{name} {getattr(self, name)} is not a node of the graph")
         for eid, (src, dst) in enumerate(zip(self.src.tolist(), self.dst.tolist())):
             if not (0 <= src < n_nodes and 0 <= dst < n_nodes):
                 raise ValueError(f"edge {eid} references a node outside the graph")
             if src == dst:
                 raise ValueError(f"edge {eid} is a self-loop")
+        for node, eid in self.gate_map.items():
+            if not (0 <= eid < len(self.ops) and self.is_gate[eid] and self.src[eid] == node
+                    and self.gate_node_of.get(int(self.dst[eid])) == node):
+                raise ValueError(f"gate_map entry {node}: {eid} is not a gate edge from "
+                                 f"node {node} into its auxiliary node")
+        if not len(self.gate_map) == len(self.gate_node_of) == self.is_gate.sum():
+            raise ValueError("gate_map and gate_node_of need one entry per is_gate edge")
         self.order = topo_order(self)  # raises on cycles
 
     def _set_edges(self, edges):
@@ -579,47 +587,3 @@ def insert_zero_gates(graph):
     graph.order = topo_order(graph)
     return graph
 
-
-# ---------------------------------------------------------------------------
-# export
-
-
-_EXPORT_FIELDS = ("src", "dst", "op", "w", "gamma", "s", "alive", "is_gate")
-
-
-def export_architecture(graph):
-    """Plain-dict record of the final topology, ops and (w, gamma, s)."""
-    columns = [[op.tag for op in graph.ops] if name == "op" else getattr(graph, name).tolist()
-               for name in _EXPORT_FIELDS]
-    return {
-        "schema_version": "1",
-        "n_nodes": graph.n_nodes,
-        "input_node": graph.input_node,
-        "output_node": graph.output_node,
-        "degenerate": bool(graph.degenerate or not graph.alive.any()),
-        "gate_map": {str(k): v for k, v in graph.gate_map.items()},
-        "gate_node_of": {str(k): v for k, v in graph.gate_node_of.items()},
-        "edges": [dict(zip(("id",) + _EXPORT_FIELDS, (eid,) + row))
-                  for eid, row in enumerate(zip(*columns))],
-    }
-
-
-def import_architecture(record):
-    """Rebuild a SuperGraph (topology + op tags) from export_architecture.
-
-    Layer-backed ops come back as topology stubs: the frozen weights are
-    not serialized, so the imported graph reproduces structure, not
-    numerics.
-    """
-    edges = [Edge(rec["src"], rec["dst"], Op(rec["op"]), w=rec["w"], s=rec["s"],
-                  gamma=rec["gamma"], alive=rec["alive"], is_gate=rec["is_gate"])
-             for rec in record["edges"]]
-    return SuperGraph(
-        n_nodes=record["n_nodes"],
-        edges=edges,
-        input_node=record["input_node"],
-        output_node=record["output_node"],
-        gate_map={int(k): v for k, v in record.get("gate_map", {}).items()},
-        gate_node_of={int(k): v for k, v in record.get("gate_node_of", {}).items()},
-        degenerate=record.get("degenerate", False),
-    )

@@ -47,8 +47,6 @@ __all__ = [
     "slab_l2_penalty",
     "structural_update",
     "sgd_momentum_step",
-    "cccp_surrogate_cost",
-    "cccp_quadratic_reference",
 ]
 
 # entropy of N(0, gamma) is nonpositive iff gamma <= 1/(2*pi*e)
@@ -320,67 +318,3 @@ def sgd_momentum_step(value, grad, velocity, lr, momentum):
     velocity = momentum * velocity - lr * grad
     return value + velocity, velocity
 
-
-# ---------------------------------------------------------------------------
-# convex-concave reference on a fixed quadratic energy
-
-
-def cccp_surrogate_cost(w, s, a_mat, b_vec):
-    """E_D(w) + sum w^2/s + log|diag(s)| + log|diag(s)^-1 + A| for
-    E_D(w) = 0.5 w^T A w - b^T w.  The quantity the alternation descends."""
-    w = np.asarray(w, dtype=np.float64)
-    s = np.asarray(s, dtype=np.float64)
-    if np.any(s <= 0):
-        raise ValueError("all switch variances must be positive")
-    e_d = 0.5 * w @ a_mat @ w - b_vec @ w
-    quad = float(np.sum(w**2 / s))
-    logdet = float(np.sum(np.log(s)))
-    sign, ld2 = np.linalg.slogdet(np.diag(1.0 / s) + a_mat)
-    if sign <= 0:
-        raise ValueError("diag(1/s) + A must be positive definite")
-    return e_d + quad + logdet + ld2
-
-
-def _lasso_quadratic(a_mat, b_vec, weight, w0, iters=4000, tol=1e-12):
-    """FISTA for min 0.5 w^T A w - b^T w + sum weight_i |w_i|."""
-    lip = float(np.linalg.eigvalsh(a_mat)[-1])
-    w = w0.copy()
-    y = w0.copy()
-    t_k = 1.0
-    for _ in range(iters):
-        grad = a_mat @ y - b_vec
-        z = y - grad / lip
-        w_next = np.sign(z) * np.maximum(np.abs(z) - weight / lip, 0.0)
-        t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_k**2))
-        y = w_next + (t_k - 1.0) / t_next * (w_next - w)
-        if np.max(np.abs(w_next - w)) < tol:
-            w = w_next
-            break
-        w, t_k = w_next, t_next
-    return w
-
-
-def cccp_quadratic_reference(a_mat, b_vec, n_iters=10, s0=None):
-    """Run the full alternation on a convex quadratic with exact inner solves.
-
-    Returns the per-iteration surrogate costs (evaluated after each outer
-    step); monotone non-increase is the descent property under test.
-    """
-    a_mat = np.asarray(a_mat, dtype=np.float64)
-    b_vec = np.asarray(b_vec, dtype=np.float64)
-    n = b_vec.size
-    s = np.ones(n) if s0 is None else np.asarray(s0, dtype=np.float64).copy()
-    w = np.zeros(n)
-    costs = []
-    for _ in range(n_iters):
-        c_diag = np.diag(np.linalg.inv(np.diag(1.0 / s) + a_mat))
-        omega = np.sqrt(np.maximum(s - c_diag, 0.0)) / s
-        # joint exact minimisation of the convexified surrogate:
-        # min_w E_D(w) + 2 sum omega_i |w_i|, then s_i = |w_i| / omega_i
-        w = _lasso_quadratic(a_mat, b_vec, 2.0 * omega, w)
-        s = np.abs(w) / omega
-        if np.any(s <= 0):
-            raise FloatingPointError("a coordinate collapsed to zero; pick a "
-                                     "quadratic with stronger signal")
-        costs.append(cccp_surrogate_cost(w, s, a_mat, b_vec))
-    return np.asarray(costs)

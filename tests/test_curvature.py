@@ -6,6 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ardnet import curvature, nn
+from oracles import fd_weight_hessian_diag, finite_diff_hessian
 
 
 def rel_err(got, ref, floor=1e-6):
@@ -57,7 +58,7 @@ def test_tanh_mlp_matches_finite_differences():
     t = rng.normal(size=(8, 3))
     res = run_net(net, x, t)
     for li in (0, 1):
-        ref = curvature.fd_weight_hessian_diag(net, x, t, "mse", li, step=1e-4)
+        ref = fd_weight_hessian_diag(net, x, t, "mse", li, step=1e-4)
         assert rel_err(res.weight_diag[li], ref, floor=1e-4) < 1e-4
 
 
@@ -148,20 +149,20 @@ def test_conv_exact_matches_finite_differences():
     t = rng.normal(size=(1, 2, 3, 3))
     _, caches = net_forward_backward(net, x, t)
     res = curvature.network_curvature(net, caches, t, "mse", "exact")
-    ref = curvature.fd_weight_hessian_diag(net, x, t, "mse", 0, step=1e-4)
+    ref = fd_weight_hessian_diag(net, x, t, "mse", 0, step=1e-4)
     assert rel_err(res.weight_diag[0], ref, floor=1e-4) < 1e-4
 
 
 def test_finite_diff_quadratic_and_linear():
-    assert curvature.finite_diff_hessian(lambda t: float(t[0] ** 2),
-                                         np.array([0.7]))[0] == pytest.approx(2.0)
-    assert abs(curvature.finite_diff_hessian(lambda t: float(3.0 * t[0]),
-                                             np.array([0.2]))[0]) < 1e-8
+    assert finite_diff_hessian(lambda t: float(t[0] ** 2),
+                               np.array([0.7]))[0] == pytest.approx(2.0)
+    assert abs(finite_diff_hessian(lambda t: float(3.0 * t[0]),
+                                   np.array([0.2]))[0]) < 1e-8
 
 
 def test_finite_diff_step_bounds():
     with pytest.raises(ValueError, match="outside"):
-        curvature.finite_diff_hessian(lambda t: 0.0, np.array([0.0]), step=1e-2)
+        finite_diff_hessian(lambda t: 0.0, np.array([0.0]), step=1e-2)
 
 
 def test_fd_cross_validates_recursive_path_on_mlp():
@@ -171,7 +172,7 @@ def test_fd_cross_validates_recursive_path_on_mlp():
     t = rng.normal(size=(5, 3))
     _, caches = net_forward_backward(net, x, t)
     res = curvature.network_curvature(net, caches, t, "mse", "exact")
-    ref = curvature.fd_weight_hessian_diag(net, x, t, "mse", 1, step=1e-4)
+    ref = fd_weight_hessian_diag(net, x, t, "mse", 1, step=1e-4)
     assert rel_err(res.weight_diag[1], ref, floor=1e-4) < 1e-4
 
 
@@ -194,34 +195,8 @@ def test_curvature_runs_through_flatten_into_conv(mode, pool):
         if layer.weights is not None:
             assert np.all(np.isfinite(res.weight_diag[li]))
     fc = len(net) - 1
-    ref = curvature.fd_weight_hessian_diag(net, x, t, "mse", fc, step=1e-4)
+    ref = fd_weight_hessian_diag(net, x, t, "mse", fc, step=1e-4)
     assert rel_err(res.weight_diag[fc], ref, floor=1e-4) < 1e-4
-
-
-@pytest.mark.parametrize("mode", ["exact", "diag"])
-def test_activation_layer_matches_the_activation_inside_a_layer(mode):
-    # for any output seed, an activation layer above a conv layer passes on
-    # the same curvature as the activation built into that conv layer
-    rng = np.random.default_rng(30)
-    fused = nn.conv_layer(2, 3, 2, "tanh", rng=rng)
-    split = [nn.Layer("conv2d", weights=fused.weights, bias=fused.bias),
-             nn.activation_layer("tanh")]
-    x = rng.normal(size=(2, 2, 4, 4))
-    out, _ = nn.forward([fused], x)
-    g = rng.normal(size=out.shape)
-    if mode == "exact":
-        a = rng.normal(size=(2, out[0].size, out[0].size))
-        seed = a @ a.transpose(0, 2, 1)  # dense: conv reads its diagonal
-    else:
-        seed = rng.uniform(size=out.shape)
-    results = []
-    for net in ([fused], split):
-        _, caches = nn.forward(net, x)
-        nn.backward(net, caches, g)
-        results.append(curvature.propagate_curvature(net, caches, seed, mode))
-    (r1, h1), (r2, h2) = results
-    np.testing.assert_allclose(r2.weight_diag[0], r1.weight_diag[0], rtol=1e-12)
-    np.testing.assert_allclose(h2, h1, rtol=1e-12)
 
 
 @pytest.mark.parametrize("kind", ["flatten", "maxpool2d", "avgpool2d"])
@@ -232,7 +207,7 @@ def test_activation_of_a_pool_or_flatten_layer_enters_the_curvature(kind):
     x = rng.normal(size=(2, 2, 4, 4))
     t = 0.5 * rng.normal(size=(2, 3))
     _, caches = net_forward_backward(net, x, t)
-    ref = curvature.finite_diff_hessian(
+    ref = finite_diff_hessian(
         lambda z: nn.energy(nn.forward(net, z)[0], t)[0], x.copy(), 4e-4)
     for mode in ("exact", "diag"):
         seed = nn.energy_hessian(caches[-1].out, t, "mse", mode)
@@ -253,21 +228,16 @@ FD_STEP = 4e-4
 
 @st.composite
 def tail_layers(draw, max_layers=3):
-    """1-3 fc or activation layers as (kind, width or None, activation)."""
-    return [draw(st.one_of(
-        st.tuples(st.just("fc"), st.integers(1, 4), st.sampled_from(SMOOTH)),
-        st.tuples(st.just("activation"), st.none(), st.sampled_from(SMOOTH)),
-    )) for _ in range(draw(st.integers(1, max_layers)))]
+    """1-3 fc layers as (width, activation)."""
+    return [draw(st.tuples(st.integers(1, 4), st.sampled_from(SMOOTH)))
+            for _ in range(draw(st.integers(1, max_layers)))]
 
 
 def build_tail(spec, width, rng):
     layers = []
-    for kind, n_out, act in spec:
-        if kind == "fc":
-            layers.append(nn.fc_layer(width, n_out, act, rng=rng))
-            width = n_out
-        else:
-            layers.append(nn.activation_layer(act))
+    for n_out, act in spec:
+        layers.append(nn.fc_layer(width, n_out, act, rng=rng))
+        width = n_out
     return layers, width
 
 
@@ -290,13 +260,13 @@ def check_stack(net, x, energy_kind, rng, input_diag=False):
             if layer.weights is not None:
                 assert np.all(np.isfinite(res.weight_diag[li]))
             if mode == "exact" and layer.kind == "fc":
-                ref = curvature.fd_weight_hessian_diag(net, x, t, energy_kind, li, FD_STEP)
+                ref = fd_weight_hessian_diag(net, x, t, energy_kind, li, FD_STEP)
                 assert rel_err(res.weight_diag[li], ref, floor=1e-4) < 1e-4
     if input_diag:
         _, caches = net_forward_backward(net, x, t, energy_kind)
         seed = nn.energy_hessian(caches[-1].out, t, energy_kind, "exact")
         _, h_in = curvature.propagate_curvature(net, caches, seed, "exact")
-        ref = curvature.finite_diff_hessian(
+        ref = finite_diff_hessian(
             lambda z: batch_energy(net, z, t, energy_kind), x.copy(), FD_STEP)
         assert rel_err(h_in, ref, floor=1e-4) < 1e-4
 

@@ -125,8 +125,8 @@ def test_arch_json_round_trip(tmp_path):
     record = exports.arch_export(g, SearchConfig())
     path = tmp_path / "arch.json"
     exports.save_json(record, path)
-    g2 = sg.import_architecture(exports.load_arch_record(path))
-    assert sg.export_architecture(g2) == sg.export_architecture(g)
+    g2 = exports.import_architecture(exports.load_arch_record(path))
+    assert exports.arch_export(g2) == exports.arch_export(g)
 
 
 def test_arch_json_empty_graph(tmp_path):
@@ -135,7 +135,7 @@ def test_arch_json_empty_graph(tmp_path):
     assert record["edges"] == []
     path = tmp_path / "arch.json"
     exports.save_json(record, path)
-    sg.import_architecture(exports.load_arch_record(path))
+    exports.load_arch_record(path)
 
 
 def test_arch_json_unknown_field_rejected(tmp_path):
@@ -144,7 +144,7 @@ def test_arch_json_unknown_field_rejected(tmp_path):
     path = tmp_path / "arch.json"
     exports.save_json(record, path)
     with pytest.raises(ValueError, match="surprise"):
-        sg.import_architecture(exports.load_arch_record(path))
+        exports.load_arch_record(path)
 
 
 def test_arch_json_wrong_schema_version_rejected(tmp_path):
@@ -153,7 +153,7 @@ def test_arch_json_wrong_schema_version_rejected(tmp_path):
     path = tmp_path / "arch.json"
     exports.save_json(record, path)
     with pytest.raises(ValueError, match="schema version"):
-        sg.import_architecture(exports.load_arch_record(path))
+        exports.load_arch_record(path)
 
 
 def test_records_name_a_missing_field(tmp_path):
@@ -162,7 +162,7 @@ def test_records_name_a_missing_field(tmp_path):
     del record["edges"][0]["dst"]
     exports.save_json(record, path)
     with pytest.raises(ValueError, match="dst"):
-        sg.import_architecture(exports.load_arch_record(path))
+        exports.load_arch_record(path)
     record = exports.mask_export([nn.fc_layer(2, 3)])
     del record["layers"][0]["shape"]
     exports.save_json(record, path)
@@ -203,6 +203,38 @@ def test_wrong_typed_record_field_is_named_without_traceback(tmp_path, kind, pat
     assert "Traceback" not in res.stderr
 
 
+@pytest.mark.parametrize("path, value, message", [
+    (("output_node",), 99, "error: output_node 99 is not a node"),
+    (("input_node",), -5, "error: input_node -5 is not a node"),
+    (("gate_map",), {"1": 999}, "error: gate_map entry 1: 999 is not a gate edge"),
+    (("edges", 0, "id"), 7, "error: edge field id must be the edge's position 0"),
+    (("edges", 1, "w"), float("nan"), "error: edge field w must be a finite number"),
+    (("edges", 0, "is_gate"), True, "entry per is_gate edge"),
+], ids=["output-node", "input-node", "gate-edge", "edge-id", "nan-w", "extra-gate"])
+def test_cli_export_rejects_a_record_naming_what_its_graph_lacks(tmp_path, path, value, message):
+    record = exports.arch_export(make_graph())
+    *keys, field = path
+    target = record
+    for key in keys:
+        target = target[key]
+    target[field] = value
+    rec_path = tmp_path / "arch.json"
+    exports.save_json(record, rec_path)
+    res = run_cli("export", "--arch", str(rec_path))
+    assert res.returncode == 1
+    assert message in res.stderr
+    assert "Traceback" not in res.stderr and res.stdout == ""
+
+
+def test_load_arch_record_rejects_a_cycle_on_its_own(tmp_path):
+    record = exports.arch_export(make_graph())
+    record["edges"][1]["dst"] = 1  # aux node 3 -> 1 closes 1 -> 3 -> 1
+    path = tmp_path / "arch.json"
+    exports.save_json(record, path)
+    with pytest.raises(ValueError, match="cycle"):
+        exports.load_arch_record(path)
+
+
 def test_arch_provenance_carries_config_hash():
     cfg = SearchConfig(seed=5)
     record = exports.arch_export(make_graph(), cfg)
@@ -230,7 +262,7 @@ def test_mask_export_round_trip(tmp_path):
 def test_dot_styles_alive_and_pruned_edges():
     g = make_graph()
     g.alive[1] = False
-    text = exports.to_dot(sg.export_architecture(g))
+    text = exports.to_dot(exports.arch_export(g))
     assert text.startswith("digraph")
     assert "style=solid" in text and "style=dashed" in text
 
@@ -365,6 +397,25 @@ def test_cli_compress_that_severs_the_network_exits_two(tmp_path):
     assert res.returncode == 2
     assert "error: network severed" in res.stderr
     assert "Traceback" not in res.stderr
+
+
+def test_cli_retrain_reports_the_groups_its_compression_left(tmp_path):
+    write_idx_set(tmp_path)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"t_max": 3, "retrain_epochs": 1, "prune_threshold": 0.3}')
+    common = ("--config", str(cfg), "--data", str(tmp_path))
+    res = run_cli("compress", *common, "--out", str(tmp_path / "c"))
+    assert res.returncode == 0, res.stderr
+    res = run_cli("retrain", *common, "--masks", str(tmp_path / "c" / "masks.json"),
+                  "--out", str(tmp_path / "r"))
+    assert res.returncode == 0, res.stderr
+    alive = []
+    for name in ("c", "r"):
+        lines = (tmp_path / name / "metrics.csv").read_text().splitlines()
+        column = lines[0].split(",").index("alive_edges")
+        alive.append(lines[-1].split(",")[column])  # the last retrain row
+    total = (300 + 784) + (100 + 300) + 100  # the row and column groups, pruned or not
+    assert alive[0] == alive[1] and 0 < int(alive[1]) < total
 
 
 @pytest.mark.parametrize("payload, name", [

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ardnet import nn
+from ardnet import exports, nn
 from ardnet import supergraph as sg
 from ardnet.updates import ENTROPY_PRUNE_THRESHOLD
 
@@ -733,7 +733,7 @@ def test_fully_pruned_graph_flagged_degenerate():
     sg.apply_prune_mask(g, {0, 1})
     report = sg.propagate_dependency_prune(g)
     assert report.degenerate
-    record = sg.export_architecture(g)
+    record = exports.arch_export(g)
     assert record["degenerate"]
     assert all(not e["alive"] for e in record["edges"])
 
@@ -754,14 +754,14 @@ def test_export_import_round_trip_topology():
                           identity_edge(0, 2), identity_edge(2, 3)])
     sg.insert_zero_gates(g)
     g.alive[1] = False
-    record = sg.export_architecture(g)
-    g2 = sg.import_architecture(record)
+    record = exports.arch_export(g)
+    g2 = exports.import_architecture(record)
     assert g2.n_nodes == g.n_nodes
     assert g2.gate_map == g.gate_map
     for e1, e2 in zip(g.edges, g2.edges):
         assert (e1.src, e1.dst, e1.op.tag, e1.w, e1.s, e1.alive, e1.is_gate) == \
                (e2.src, e2.dst, e2.op.tag, e2.w, e2.s, e2.alive, e2.is_gate)
-    assert sg.export_architecture(g2) == record
+    assert exports.arch_export(g2) == record
 
 
 def test_edge_records_reflect_array_writes():
@@ -785,7 +785,7 @@ def test_edge_fields_are_the_exported_edge_fields():
     g = sg.SuperGraph(3, [identity_edge(0, 1, w=0.5, s=2.0, gamma=0.25),
                           identity_edge(1, 2, alive=False)])
     sg.insert_zero_gates(g)
-    record = sg.export_architecture(g)
+    record = exports.arch_export(g)
     for eid, (e, exported) in enumerate(zip(g.edges, record["edges"], strict=True)):
         fields = {f.name: getattr(e, f.name) for f in dataclasses.fields(e)}
         assert exported == {"id": eid, **fields, "op": e.op.tag}
@@ -793,7 +793,7 @@ def test_edge_fields_are_the_exported_edge_fields():
 
 def test_intact_graph_export_preserves_edge_count():
     g = chain_graph(5)
-    assert len(sg.export_architecture(g)["edges"]) == 4
+    assert len(exports.arch_export(g)["edges"]) == 4
 
 
 @settings(derandomize=True, deadline=None, database=None, max_examples=100)
