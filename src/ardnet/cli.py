@@ -200,7 +200,9 @@ def main(argv=None):
         print("error: a command is required", file=sys.stderr)
         return 1
     try:
-        return _COMMANDS[args.command](args)
+        # a diverging run prints its one error line, not numpy's warnings first
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return _COMMANDS[args.command](args)
     except (ValueError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

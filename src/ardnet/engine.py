@@ -221,8 +221,8 @@ class _EdgeSlots:
 
     Training steps the graph's `w` array in place.  `omega` is an array
     over edge ids.  The alive members of each group change only at a
-    prune, so they are gathered once per iteration, in flat form, with
-    their group's omega.
+    prune, which follows every omega update, so they are gathered once per
+    iteration, in flat form, with the penalty terms of their group's omega.
     """
 
     def __init__(self, graph, groups, config, kind):
@@ -240,7 +240,8 @@ class _EdgeSlots:
         # every alive member of a group shares its omega; take the first's
         _, first, self.group_of = np.unique(self.group[live], return_index=True,
                                             return_inverse=True)
-        self.group_omega = self.omega[self.alive[first]]
+        coef = self.config.lambda_w * self.omega[self.alive[first]]
+        self.terms = coef, coef[self.group_of]  # what group_l2_penalty reads
 
     def gammas(self):
         ids = self.model.alive_edge_ids()
@@ -255,15 +256,15 @@ class _EdgeSlots:
         config, w, alive = self.config, self.model.w, self.alive
         out, gcache = sg.graph_forward(self.model, x)
         loss, e_grad = nn.energy(out, y, self.kind)
-        pen, pen_grad = group_l2_penalty(w, alive, self.group_of, self.group_omega,
-                                         config.lambda_w)
+        wm = w[alive]
+        pen, pen_grad = group_l2_penalty(wm, self.group_of, self.terms)
         w_grads, _ = sg.graph_backward(self.model, gcache, e_grad)
-        grad = w_grads[alive] + pen_grad[alive]
+        grad = w_grads[alive] + pen_grad
         # tied slots are one shared scalar: sum member gradients and move
         # every member by the same step, so repeated cells stay bitwise equal
         grad = np.bincount(self.group_of, weights=grad)[self.group_of]
         w[alive], self.w_velocity[alive] = sgd_momentum_step(
-            w[alive], grad, self.w_velocity[alive], config.learning_rate, config.momentum)
+            wm, grad, self.w_velocity[alive], config.learning_rate, config.momentum)
         return loss + pen
 
     def retrain_batch(self, x, y):
@@ -401,11 +402,13 @@ class _WeightSlots:
             if item is None:
                 continue
             gw, w = item[0], net[li].weights  # gw is fresh from nn.backward
-            gw += decay * w
             if li in self.terms:
-                pen, pen_grad = slab_l2_penalty(w, self.states[li], self.terms[li])
+                state = self.states[li]
+                pen, factor = slab_l2_penalty(w, state, self.terms[li], decay)
                 loss += pen
-                gw += pen_grad
+                gw += (w.reshape(state.view) * factor).reshape(gw.shape)
+            else:
+                gw += decay * w
         _step_layers(net, grads, self.velocity, (), config)
         return loss
 

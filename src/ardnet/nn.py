@@ -14,6 +14,7 @@ weights index the (C, H, W) flattening.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,6 +28,7 @@ __all__ = [
     "flatten_layer",
     "forward",
     "predict",
+    "all_finite",
     "backward",
     "im2col",
     "col2im",
@@ -239,8 +241,16 @@ def col2im(cols, x_shape, kernel, stride=1, padding=0):
 # forward / backward
 
 
+def all_finite(arr):
+    """Whether every entry of arr is finite: their sum of squares, read in
+    memory order so that no view is copied, is finite only then (entries
+    above 1e154 overflow it, so a non-finite sum gets a closer look)."""
+    v = arr.ravel(order="K")
+    return math.isfinite(np.vdot(v, v)) or bool(np.isfinite(arr).all())
+
+
 def _check_finite(arr, what, idx):
-    if not np.all(np.isfinite(arr)):
+    if not all_finite(arr):
         raise FloatingPointError(f"non-finite values in {what} of layer {idx}")
 
 
@@ -431,8 +441,8 @@ def backward(layers, caches, loss_grad, input_grad=True):
         cache.grad_out = g
         gw, gb, g = _ADJOINTS[layer.kind](layer, cache, g * d1(cache.preact),
                                           input_term=input_grad or idx > stop)
-        if gw is not None:
-            grads[idx] = (gw if layer.mask is None else gw * layer.mask, gb)
+        if gw is not None:  # gw is fresh from the adjoint: mask it in place
+            grads[idx] = (gw if layer.mask is None else np.multiply(gw, layer.mask, out=gw), gb)
     return grads, g if input_grad else None
 
 

@@ -18,7 +18,6 @@ Hessian, on every op kind.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from operator import attrgetter
 
@@ -330,9 +329,7 @@ def graph_forward(graph, x):
             edge_out[eid] = out
             term = w[eid] * out
             total = term if total is None else total + term
-        # the sum of squares is finite only if every entry is (it also
-        # overflows on entries above 1e154, which the closer look clears)
-        if matrix and not math.isfinite(np.vdot(total, total)):
+        if matrix and not nn.all_finite(total):
             err = _first_non_finite(steps, edge_out)
             if err is not None:
                 raise err

@@ -140,19 +140,18 @@ def _omega_sq(gamma, hess):
 # penalties
 
 
-def group_l2_penalty(w, index, group, omega, lambda_w):
+def group_l2_penalty(wm, group, terms):
     """Reweighted group lasso: lambda_w * sum_g omega_g * ||w_g||_2 over the
-    flat groups (index, group); one-member groups give the reweighted l1.
+    members wm of the flat groups `group`, with terms (lambda_w * omega per
+    group, the same per member); one-member groups give the reweighted l1.
 
-    Subgradient is lambda_w * omega_g * w / ||w_g|| (0 for a zero group).
+    Subgradient, per member: lambda_w * omega_g * w / ||w_g|| (0 for a zero group).
     """
-    w = np.asarray(w, dtype=np.float64)
-    coef = lambda_w * np.asarray(omega, dtype=np.float64)
-    wm = w[index]
+    coef, coef_m = terms
     norm = np.sqrt(np.bincount(group, weights=wm * wm, minlength=coef.size))
     norm_m = norm[group]
-    term = np.divide(coef[group] * wm, norm_m, out=np.zeros_like(wm), where=norm_m > 0)
-    return float(np.sum(coef * norm)), np.bincount(index, weights=term, minlength=w.size)
+    grad = np.divide(coef_m * wm, norm_m, out=np.zeros_like(wm), where=norm_m > 0)
+    return float(np.sum(coef * norm)), grad
 
 
 # ---------------------------------------------------------------------------
@@ -272,20 +271,19 @@ def slab_penalty_terms(state, lambda_w):
     return coef, [coef[block].reshape(group_shape) for _, block, group_shape in state.slabs]
 
 
-def slab_l2_penalty(w, state, terms):
+def slab_l2_penalty(w, state, terms, decay):
     """`group_l2_penalty` over the slab groups of `state`, with the
-    `slab_penalty_terms` of its omega: each kind's norms are one axis sum of
-    w^2, and its gradient broadcasts them back."""
+    `slab_penalty_terms` of its omega, and the l2 decay: the value, and the
+    factor that the gradient is w times, decay + each kind's lambda_w *
+    omega_g / ||w_g|| (0 for a zero slab), group-shaped on the view."""
     coef, blocks = terms
     w4 = np.asarray(w, dtype=np.float64).reshape(state.view)
-    sq, grad, norms = w4 * w4, np.zeros(state.view), []
+    sq, factor, norms = w4 * w4, decay, []
     for (axes, _, _), c in zip(state.slabs, blocks):
         norm = np.sqrt(sq.sum(axis=axes, keepdims=True))
-        live = norm > 0  # a zero slab's term is 0 (c * w / ||w|| elsewhere)
-        term = np.where(live, c, 0.0) * w4
-        grad += np.divide(term, np.where(live, norm, 1.0), out=term)
+        factor = factor + np.divide(c, norm, out=np.zeros(norm.shape), where=norm > 0)
         norms.append(norm.ravel())
-    return float(np.sum(coef * np.concatenate(norms))), grad.reshape(np.shape(w))
+    return float(np.sum(coef * np.concatenate(norms))), factor
 
 
 def structural_update(weights, state, hess_diag, floor=OMEGA_FLOOR, cap=S_CAP):

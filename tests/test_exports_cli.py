@@ -378,6 +378,15 @@ def test_cli_missing_data_exits_two(tmp_path):
     assert res.returncode == 2
 
 
+def test_cli_diverging_search_prints_its_one_error_line_and_no_warning(tmp_path):
+    # seed 20 with the default config overflows in the graph's forward walk
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text("")
+    res = run_cli("search", "--config", str(cfg), "--seed", "20", "--out", str(tmp_path / "x"))
+    assert res.returncode == 2
+    assert res.stderr == "error: non-finite output of edge 6 (fc)\n"
+
+
 def write_idx_set(directory, n_train=64, n_test=32):
     """A small random 28x28 IDX data set: by default 64 training and 32 test
     images."""

@@ -1,6 +1,7 @@
 """Layer stack: forward/backward, energies, im2col."""
 
 import copy
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -181,6 +182,35 @@ def test_predict_equals_forward_and_raises_its_errors(name):
         assert str(got.value) == str(ref.value)
         if case == "last layer":
             assert str(got.value) == f"non-finite values in output of layer {len(net) - 1}"
+
+
+@pytest.mark.parametrize("run", [nn.forward, nn.predict], ids=["forward", "predict"])
+def test_finite_check_passes_huge_entries_and_names_the_layer_of_a_non_finite_one(run):
+    net = [nn.Layer("fc", weights=np.eye(4), bias=np.zeros(4)) for _ in range(3)]
+    x = np.full((2, 4), 1e200)  # its sum of squares overflows; every entry is finite
+    out = run(net, x)
+    out = out[0] if run is nn.forward else out
+    assert out.tobytes() == x.tobytes()
+    for idx in range(len(net)):
+        for bad in (np.nan, np.inf, -np.inf):
+            broken = copy.deepcopy(net)
+            broken[idx].bias[1] = bad
+            with pytest.raises(FloatingPointError,
+                               match=f"^non-finite values in output of layer {idx}$"):
+                run(broken, np.ones((2, 4)))
+
+
+def test_finite_check_of_a_channel_last_conv_output_copies_nothing():
+    net = models.build_model("lenet5", seed=0)[:1]
+    out = nn.predict(net, np.random.default_rng(0).normal(size=(8, 1, 28, 28)))
+    assert not out.flags.c_contiguous  # NCHW-shaped view of channel-last memory
+    tracemalloc.start()
+    try:
+        assert nn.all_finite(out)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < out.size  # neither a copy nor a one-byte-per-entry mask
 
 
 def test_mask_zeroes_forward_and_gradients():

@@ -15,10 +15,23 @@ from ardnet.updates import (ENTROPY_PRUNE_THRESHOLD, GroupSpec, SearchConfig,
 from oracles import cccp_quadratic_reference, cccp_surrogate_cost
 
 
+def penalty_terms(omega, group, lambda_w):
+    """lambda_w * omega per group and per member: what group_l2_penalty reads."""
+    coef = lambda_w * np.asarray(omega, dtype=np.float64)
+    return coef, coef[group]
+
+
+def flat_group_l2_penalty(w, index, group, omega, lambda_w):
+    """group_l2_penalty over the members w[index] of the flat groups
+    (index, group), its member gradients summed back onto w."""
+    value, grad = group_l2_penalty(w[index], group, penalty_terms(omega, group, lambda_w))
+    return value, np.bincount(index, weights=grad, minlength=w.size)
+
+
 def reweighted_l1_penalty(w, omega, lambda_w):
     """The reweighted l1: group_l2_penalty with one-member groups."""
     members = np.arange(len(w))
-    return group_l2_penalty(w, members, members, omega, lambda_w)
+    return flat_group_l2_penalty(w, members, members, omega, lambda_w)
 
 
 def test_threshold_constant():
@@ -131,7 +144,7 @@ def test_group_update_rejects_empty():
 def test_group_l2_penalty_and_gradient():
     w = np.array([3.0, 4.0, 1.0])
     groups = [GroupSpec(0, [0, 1]), GroupSpec(1, [2])]
-    v, g = group_l2_penalty(w, *flat_groups(groups), [1.0, 2.0], 0.1)
+    v, g = flat_group_l2_penalty(w, *flat_groups(groups), [1.0, 2.0], 0.1)
     assert v == pytest.approx(0.1 * (5.0 + 2.0))
     assert g[0] == pytest.approx(0.1 * 3.0 / 5.0)
     assert g[2] == pytest.approx(0.2)
@@ -237,11 +250,21 @@ def test_axis_penalty_matches_the_flat_group_penalty(shape, pattern):
         w.ravel()[grp.members] = 0.0
     state = updates.HyperState.init(shape, [pattern])
     state.omega = omega = rng.uniform(0.1, 3.0, len(groups))
-    value, grad = updates.slab_l2_penalty(w, state, updates.slab_penalty_terms(state, 0.3))
-    ref_value, ref_grad = group_l2_penalty(w.ravel(), *flat_groups(groups), omega, 0.3)
-    assert value == pytest.approx(ref_value, rel=1e-12, abs=0.0)
-    assert grad.shape == shape
-    np.testing.assert_allclose(grad.ravel(), ref_grad, rtol=1e-12, atol=0.0)
+    ref_value, ref_grad = flat_group_l2_penalty(w.ravel(), *flat_groups(groups), omega, 0.3)
+    w4 = w.reshape(state.view)
+    # where every slab through an entry is zero, the factor is the decay alone
+    dead = np.ones(state.view, bool)
+    for axes in updates.slab_axes(shape, pattern):
+        dead &= np.sum(w4 * w4, axis=axes, keepdims=True) == 0
+    assert dead.any()
+    for decay in (0.0, 0.3):
+        value, factor = updates.slab_l2_penalty(w, state, updates.slab_penalty_terms(state, 0.3),
+                                                decay)
+        assert value == pytest.approx(ref_value, rel=1e-12, abs=0.0)
+        assert np.broadcast_shapes(np.shape(factor), state.view) == state.view
+        np.testing.assert_allclose((w4 * factor).ravel(), ref_grad + decay * w.ravel(),
+                                   rtol=1e-12, atol=0.0)
+        assert np.all(np.broadcast_to(factor, state.view)[dead] == decay)
 
 
 def test_slab_axes_rejects_other_ranks():
@@ -362,8 +385,8 @@ def _close(value, ref):
 def test_flat_penalty_matches_the_group_loop(case):
     w, groups, rng = case
     omega = rng.random(len(groups)) * 3.0
-    value, grad = group_l2_penalty(w, *flat_groups([GroupSpec(g, m) for g, m in
-                                                    enumerate(groups)]), omega, 0.1)
+    value, grad = flat_group_l2_penalty(w, *flat_groups([GroupSpec(g, m) for g, m in
+                                                         enumerate(groups)]), omega, 0.1)
     ref_value, ref_grad = _penalty_loop(w, groups, omega, 0.1)
     assert _close(value, ref_value)
     assert _close(grad, ref_grad)
