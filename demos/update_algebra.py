@@ -23,8 +23,11 @@ def main():
     print("-- scalar update chain (a one-member group) --")
     gamma, hess, w = 1.0, 2.0, 0.8
     c = float(updates.update_posterior_variance(gamma, hess))
-    s, omega = (float(v[0]) for v in updates.group_update(
-        np.array([w]), np.array([gamma]), np.array([hess]), np.array([0])))
+    def one_member(a):
+        return a
+
+    omega = float(updates.group_omega(gamma, hess, one_member))
+    s = float(updates.group_switch(w, omega, one_member))
     print(f"gamma={gamma}  H={hess}  w={w}")
     print(f"  c     = gamma/(1+gamma*H)      = {c:.6f}")
     print(f"  omega = sqrt(H/(1+gamma*H))    = {omega:.6f}")

@@ -2,16 +2,16 @@
 
 `_alternate` trains for a few epochs under the reweighted group penalty,
 measures curvature on a held-out batch, updates the variance chain in
-closed form, prunes by the entropy criterion and cascades, restores a path
-if the graph fell apart, and repeats until nothing is pruned and no gamma
-moves; then it retrains what survives if `retrain_epochs` > 0, and reports
-the last history row's test error.  It runs on `_EdgeSlots` (the tied
-architecture scalars of a SuperGraph, in flat groups) or `_WeightSlots` (the
-slab groups of a layer stack, one HyperState per layer).  The graph's arrays
-hold the search state.  Every SGD pass goes through `_sgd_epoch`.  A layer
-stack's curvature update and test pass run `batch_size` rows at a time, so a
-training batch, not the curvature batch or the test set, sets the peak
-memory of a compression run.
+closed form, prunes by the entropy criterion and cascades, and repeats
+until nothing is pruned and no gamma moves, or until a prune would sever
+the graph, which it rolls back; then it retrains what survives if
+`retrain_epochs` > 0, and reports the last history row's test error.  It
+runs on `_EdgeSlots` (the tied architecture scalars of a SuperGraph, in
+flat groups) or `_WeightSlots` (the slab groups of a layer stack, one
+HyperState per layer).  The graph's arrays hold the search state.  Every
+SGD pass goes through `_sgd_epoch`.  A layer stack's curvature update and
+test pass run `batch_size` rows at a time, so a training batch, not the
+curvature batch or the test set, sets the peak memory of a compression run.
 """
 
 from __future__ import annotations
@@ -140,29 +140,28 @@ def _alternate(slots, data, config, run, trace=None):
     rng = np.random.default_rng(config.seed)
     n_curv = min(config.curvature_batch, len(data.x_train))
     for t in range(1, config.t_max + 1):
-        before = slots.gammas()
+        before, _ = slots.gammas()
         for _ in range(config.epochs_per_iteration):
             loss = _sgd_epoch(slots.train_batch, data, config.batch_size, rng)
         # curvature on a fresh held-out batch, once per iteration
         idx = rng.choice(len(data.x_train), size=n_curv, replace=False)
         slots.update(data.x_train[idx], data.y_train[idx])
         entropy_pruned, cascade_pruned, degenerate = slots.prune()
-        gammas = slots.gammas()
+        gamma, alive = slots.gammas()
         if trace is not None:
             trace.append({"iteration": t, "edges": slots.snapshot()})
-        values = list(gammas.values())
+        values = gamma[alive]  # a prune only kills, so every one was alive before
         run.history_row(
             iteration=t, epoch=config.epochs_per_iteration, loss=loss,
             test_error=evaluate(slots.model, data, config.batch_size),
-            alive_edges=len(values),
-            gamma_min=float(min(values)) if values else float("nan"),
-            gamma_median=float(np.median(values)) if values else float("nan"),
+            alive_edges=values.size,
+            gamma_min=float(values.min()) if values.size else float("nan"),
+            gamma_median=float(np.median(values)) if values.size else float("nan"),
             entropy_pruned=entropy_pruned, cascade_pruned=cascade_pruned,
         )
         if degenerate:
             break
-        moved = max((abs(g - before[key]) for key, g in gammas.items() if key in before),
-                    default=0.0)
+        moved = np.max(np.abs(values - before[alive]), initial=0.0)
         if not entropy_pruned and not cascade_pruned and moved < 1e-6:
             run.report["early_stop_iteration"] = t
             break
@@ -220,9 +219,10 @@ class _EdgeSlots:
     """Architecture scalars of a SuperGraph, one shared scalar per group.
 
     Training steps the graph's `w` array in place.  `omega` is an array
-    over edge ids.  The alive members of each group change only at a
-    prune, which follows every omega update, so they are gathered once per
-    iteration, in flat form, with the penalty terms of their group's omega.
+    over edge ids, starting at 1 as a HyperState's does.  The alive members
+    of each group change only at a prune, which follows every omega update,
+    so they are gathered once per iteration, in flat form, with their
+    group's omega and its penalty terms.
     """
 
     def __init__(self, graph, groups, config, kind):
@@ -230,8 +230,7 @@ class _EdgeSlots:
         self.index, self.group = flat_groups(groups)
         self.velocity = {}
         self.w_velocity = np.zeros(len(graph.ops))
-        self.omega = np.zeros(len(graph.ops))
-        self.restored = None
+        self.omega = np.ones(len(graph.ops))
         self._gather()
 
     def _gather(self):
@@ -240,12 +239,13 @@ class _EdgeSlots:
         # every alive member of a group shares its omega; take the first's
         _, first, self.group_of = np.unique(self.group[live], return_index=True,
                                             return_inverse=True)
-        coef = self.config.lambda_w * self.omega[self.alive[first]]
+        self.group_omega = self.omega[self.alive[first]]
+        coef = self.config.lambda_w * self.group_omega
         self.terms = coef, coef[self.group_of]  # what group_l2_penalty reads
 
     def gammas(self):
-        ids = self.model.alive_edge_ids()
-        return dict(zip(ids, self.model.gamma[ids].tolist()))
+        """Every edge's gamma and alive flag, as arrays over edge ids."""
+        return self.model.gamma.copy(), self.model.alive.copy()
 
     def snapshot(self):
         graph = self.model
@@ -287,40 +287,49 @@ class _EdgeSlots:
         return loss
 
     def update(self, x, y):
-        """Per-edge curvature, closed-form (omega, s) per group, then gamma."""
+        """Per-edge curvature, then every group's variance chain, whose
+        gammas are the HARD map of the switches (`refresh_gammas`)."""
         graph, config, alive, group = self.model, self.config, self.alive, self.group_of
         out, gcache = sg.graph_forward(graph, x)
         hess = sg.arch_scalar_hessian(graph, gcache,
                                       nn.energy_hessian(out, y, self.kind, "exact"))[alive]
-        s, omega = group_update(graph.w[alive], graph.gamma[alive], hess, group,
+
+        def hard_gammas(s):
+            graph.s[alive] = np.maximum(s[group], 1e-300)  # s = 0 (w = 0) still needs a valid gamma
+            sg.refresh_gammas(graph)
+            # tied groups prune as one unit: every member adopts the group minimum
+            gmin = np.full(s.size, np.inf)
+            np.minimum.at(gmin, group, graph.gamma[alive])
+            graph.gamma[alive] = gmin[group]
+            return graph.gamma[alive]
+
+        _, omega = group_update(graph.w[alive], self.group_omega, hess, group, hard_gammas,
                                 config.omega_floor, config.s_cap)
         self.omega[alive] = omega[group]
-        graph.s[alive] = np.maximum(s[group], 1e-300)  # s = 0 (w = 0) still needs a valid gamma
-        sg.refresh_gammas(graph)
-        # tied groups prune as one unit: every member adopts the group minimum
-        gmin = np.full(omega.size, np.inf)
-        np.minimum.at(gmin, group, graph.gamma[alive])
-        graph.gamma[alive] = gmin[group]
 
     def prune(self):
         """Entropy prune, then the cascade: edges without in-flow die, and
         after an entropy kill so do edges on no path to the output (their
         curvature is zero, so the entropy rule alone never removes them).
-        A disconnected result revives the widest input->output path."""
+        A prune that leaves the output unreachable is rolled back and marks
+        the graph degenerate, which stops the run."""
         graph = self.model
+        before = graph.alive.copy()
         mask = sg.entropy_prune_mask(graph, self.config.prune_threshold)
         sg.apply_prune_mask(graph, mask)
         report = sg.propagate_dependency_prune(graph)
+        if report.degenerate:
+            graph.alive[:] = before
+            graph.degenerate = True
+            return 0, 0, True
         cascade = len(report.cascade_killed)
         if mask:
             live = sg.reachable_nodes(graph, reverse=True)
             dead_end = [eid for eid in graph.alive_edge_ids() if graph.dst[eid] not in live]
             sg.apply_prune_mask(graph, dead_end)
             cascade += len(dead_end)
-        if report.degenerate:
-            self.restored = sg.restore_widest_path(graph)
         self._gather()
-        return len(mask), cascade, report.degenerate
+        return len(mask), cascade, False
 
     def finish(self, data, run):
         """With retrain epochs, freeze the alive scalars at 1 and retrain the
@@ -328,9 +337,7 @@ class _EdgeSlots:
         graph = self.model
         if self.config.retrain_epochs > 0:
             graph.w[graph.alive] = 1.0
-            _retrain(self, data, run, len(self.gammas()))
-        if self.restored is not None:
-            run.report["restored_path"] = self.restored
+            _retrain(self, data, run, int(np.count_nonzero(graph.alive)))
         run.report["degenerate"] = graph.degenerate
         run.report["alive_edges"] = graph.alive_edge_ids()
 
@@ -387,9 +394,10 @@ class _WeightSlots:
                       for li, state in self.states.items()}
 
     def gammas(self):
-        return {(li, g): gamma for li, state in self.states.items()
-                for g, gamma in zip(np.flatnonzero(state.alive).tolist(),
-                                    state.gamma[state.alive].tolist())}
+        """Every group's gamma and alive flag, layer by layer."""
+        states = self.states.values()
+        return (np.concatenate([np.zeros(0)] + [state.gamma for state in states]),
+                np.concatenate([np.zeros(0, bool)] + [state.alive for state in states]))
 
     def train_batch(self, x, y):
         net, config = self.model, self.config
@@ -480,7 +488,7 @@ class _WeightSlots:
         """Retrain the survivors, each epoch with a history row."""
         net = self.model
         if self.config.retrain_epochs > 0:
-            retrain_pruned(net, data, self.config, run, alive_groups=len(self.gammas()))
+            retrain_pruned(net, data, self.config, run, int(np.count_nonzero(self.gammas()[1])))
         for li in self.states:  # every compressed layer leaves with a mask
             net[li].mask = self._mask(li)
         run.report["widths"] = surviving_widths(net)

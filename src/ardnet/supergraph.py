@@ -44,7 +44,6 @@ __all__ = [
     "reachable_nodes",
     "reach_along",
     "propagate_dependency_prune",
-    "restore_widest_path",
     "insert_zero_gates",
 ]
 
@@ -152,7 +151,7 @@ class SuperGraph:
         self.output_node = n_nodes - 1 if output_node is None else output_node
         self.gate_map = dict(gate_map or {})          # guarded node -> gate edge id
         self.gate_node_of = dict(gate_node_of or {})  # auxiliary node -> guarded node
-        self.degenerate = degenerate
+        self.degenerate = degenerate  # a search stopped on a prune that severed it
         self._set_edges(edges)
         for name in ("input_node", "output_node"):
             if not 0 <= getattr(self, name) < n_nodes:
@@ -522,38 +521,6 @@ def propagate_dependency_prune(graph):
     cascade = [eid for eid in graph.alive_edge_ids() if src[eid] not in reach]
     apply_prune_mask(graph, cascade)
     return PruneReport(cascade, graph.output_node not in reach)
-
-
-def restore_widest_path(graph):
-    """Revive the input->output path with the largest bottleneck gamma.
-
-    Fallback for a fully disconnected prune; marks the graph degenerate.
-    Returns the list of revived edge ids.
-    """
-    fan_out = _plan(graph).fan_out
-    src, dst, gamma = graph.src.tolist(), graph.dst.tolist(), graph.gamma.tolist()
-    best = {graph.input_node: np.inf}
-    back = {}
-    for node in graph.order:
-        if node not in best:
-            continue
-        for eid in fan_out[node]:
-            cand = min(best[node], gamma[eid])
-            if cand > best.get(dst[eid], -np.inf):
-                best[dst[eid]] = cand
-                back[dst[eid]] = eid
-    if graph.output_node not in back:
-        raise ValueError("no input->output path exists in the graph at all")
-    path = []
-    node = graph.output_node
-    while node != graph.input_node:
-        eid = back[node]
-        path.append(eid)
-        node = src[eid]
-    path.reverse()
-    graph.alive[path] = True
-    graph.degenerate = True
-    return path
 
 
 # ---------------------------------------------------------------------------

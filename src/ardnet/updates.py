@@ -1,20 +1,19 @@
 """Closed-form hyperparameter updates and sparsity penalties.
 
-The scalar chain per parameter and outer iteration t is
+Edge groups and weight slabs run one variance chain.  omega starts at 1,
+and each outer iteration, after the fit under the previous omega, forms
 
-    c       = (1/gamma + h)^-1                    (posterior variance)
-    omega^2 = 1/gamma - c/gamma^2 = h/(1 + gamma h)   (reweighting coefficient)
-    s       = |w| / omega                         (switch variance)
+    s       = ||w_g|| / omega_prev        (switch variance, `group_switch`)
+    gamma   = s for slabs, the HARD map of the switches for edges
+    omega^2 = 1/gamma - c/gamma^2 = h/(1 + gamma h)   (`group_omega`)
 
-with the curvature h clamped at 0, and an omega floor and an s cap absorbing
-the h = 0 degeneracy.  omega^2 is formed in one place (`_omega_sq`), as the
+with c = (1/gamma + h)^-1 the posterior variance, h the curvature clamped at
+0, omega_g^2 the sum of the members' shares, and an omega floor and an s cap
+absorbing the h = 0 degeneracy: the order in which the convex-concave
+procedure descends.  omega^2 is formed in one place (`_omega_sq`), as the
 quotient, which has no cancellation; the difference form loses every digit
-where gamma h is below the rounding unit.  A group shares one (s, omega)
-across its members, omega_g^2 the sum of the members' shares, and the
-reweighted l1 penalty is the group lasso on one-member groups.  The two
-update paths take the steps in their own orders: edges (`group_update`) form
-omega at the previous gamma, then s; slabs (`structural_update`) form
-gamma = ||w_g|| / omega at the previous omega, then omega at the new gamma.
+where gamma h is below the rounding unit.  The reweighted l1 penalty is the
+group lasso on one-member groups.
 
 Edge groups are held in the flat form of `flat_groups`, so every per-group
 sum is one bincount.  Compression groups are slabs of a weight
@@ -25,6 +24,7 @@ every per-group value back over its slab.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -40,6 +40,8 @@ __all__ = [
     "update_posterior_variance",
     "group_l2_penalty",
     "flat_groups",
+    "group_switch",
+    "group_omega",
     "group_update",
     "make_groups",
     "slab_axes",
@@ -131,9 +133,22 @@ def update_posterior_variance(gamma, hess):
 
 def _omega_sq(gamma, hess):
     """Each member's share of omega^2, h/(1 + gamma h) with h the curvature
-    clamped at 0: the one omega rule of edges and slabs."""
+    clamped at 0."""
     h = np.maximum(hess, 0.0)
     return h / (1.0 + gamma * h)
+
+
+def group_switch(w, omega_prev, total, floor=OMEGA_FLOOR, cap=S_CAP):
+    """s_g = ||w_g||_2 / omega_prev_g, capped, with omega_prev the omega
+    that the fit ran under, floored; total(a) sums a member array over
+    each group."""
+    return np.minimum(np.sqrt(total(w * w)) / np.maximum(omega_prev, floor), cap)
+
+
+def group_omega(gamma, hess, total, floor=OMEGA_FLOOR):
+    """omega_g = sqrt(sum of the members' `_omega_sq` at gamma), floored,
+    from the raw per-member curvature; total as in `group_switch`."""
+    return np.maximum(np.sqrt(total(_omega_sq(gamma, hess))), floor)
 
 
 # ---------------------------------------------------------------------------
@@ -179,18 +194,16 @@ def flat_groups(groups):
     return index, np.repeat(np.arange(len(groups)), [grp.members.size for grp in groups])
 
 
-def group_update(w, gamma_prev, hess, group, floor=OMEGA_FLOOR, cap=S_CAP):
-    """Shared (s, omega) of every group, one entry per group position.
+def group_update(w, omega_prev, hess, group, gamma_of, floor=OMEGA_FLOOR, cap=S_CAP):
+    """The variance chain of flat groups: (s, omega), one entry per group.
 
-    The edge order: omega_g = sqrt(sum of the members' `_omega_sq` at the
-    previous gamma) from the raw per-member curvature `hess`, floored, then
-    s_g = ||w_g||_2 / omega_g from the new omega, capped.
+    s from the per-group omega_prev that the fit ran under, then the
+    members' gamma = gamma_of(s), then omega at that gamma.  Every sum is
+    one bincount over the group positions `group`.
     """
-    w = np.asarray(w, dtype=np.float64)
-    omega_sq = _omega_sq(np.asarray(gamma_prev, dtype=np.float64), hess)
-    omega = np.maximum(np.sqrt(np.bincount(group, weights=omega_sq)), floor)
-    s = np.minimum(np.sqrt(np.bincount(group, weights=w * w)) / omega, cap)
-    return s, omega
+    total = functools.partial(np.bincount, group)  # weights a member array
+    s = group_switch(np.asarray(w, dtype=np.float64), omega_prev, total, floor, cap)
+    return s, group_omega(gamma_of(s), hess, total, floor)
 
 
 # Every pattern is a set of slabs of the (n, c, m, k) view of a weight (a
@@ -287,21 +300,17 @@ def slab_l2_penalty(w, state, terms, decay):
 
 
 def structural_update(weights, state, hess_diag, floor=OMEGA_FLOOR, cap=S_CAP):
-    """One compression-rule update of a HyperState.
-
-    The slab order: per alive group g, gamma_g = ||W_g||_2 / omega_g(t-1)
-    from the previous omega, then omega_g = sqrt(sum of the members'
-    `_omega_sq` at the new gamma) from the raw Hessian diagonal, floored.
-    Both sums are axis sums over a slab kind.  Dead groups keep their values.
-    """
+    """One update of a HyperState: per alive group g, the variance chain
+    with gamma_g = s_g, every sum an axis sum over a slab kind.  Dead
+    groups keep their values."""
     w4 = np.asarray(weights, dtype=np.float64).reshape(state.view)
     h4 = np.asarray(hess_diag, dtype=np.float64).reshape(state.view)
-    sq, gamma, omega = w4 * w4, state.gamma.copy(), state.omega.copy()
+    gamma, omega = state.gamma.copy(), state.omega.copy()
     for axes, block, group_shape in state.slabs:
-        norm = np.sqrt(np.sum(sq, axis=axes, keepdims=True))
-        g = np.minimum(norm / np.maximum(state.omega[block].reshape(group_shape), floor), cap)
+        total = functools.partial(np.sum, axis=axes, keepdims=True)
+        g = group_switch(w4, state.omega[block].reshape(group_shape), total, floor, cap)
         gamma[block] = g.ravel()
-        omega[block] = np.maximum(np.sqrt(np.sum(_omega_sq(g, h4), axis=axes)), floor).ravel()
+        omega[block] = group_omega(g, h4, total, floor).ravel()
     state.gamma = np.where(state.alive, gamma, state.gamma)
     state.omega = np.where(state.alive, omega, state.omega)
     return state

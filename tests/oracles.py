@@ -100,11 +100,26 @@ def _lasso_quadratic(a_mat, b_vec, weight, w0, iters=4000, tol=1e-12):
     return w
 
 
-def cccp_quadratic_reference(a_mat, b_vec, n_iters=10, s0=None):
+def oracle_omega(s, a_mat):
+    """omega = sqrt(1/s - c/s^2) with c the diagonal of (diag(1/s) + A)^-1."""
+    c_diag = np.diag(np.linalg.inv(np.diag(1.0 / s) + a_mat))
+    return np.sqrt(np.maximum(s - c_diag, 0.0)) / s
+
+
+def oracle_switch(w, omega):
+    """s = |w| / omega."""
+    return np.abs(w) / omega
+
+
+def cccp_quadratic_reference(a_mat, b_vec, n_iters=10, s0=None, omega_of=oracle_omega,
+                             switch_of=oracle_switch):
     """Run the full alternation on a convex quadratic with exact inner solves.
 
-    Returns the per-iteration surrogate costs (evaluated after each outer
-    step); monotone non-increase is the descent property under test.
+    Each outer step forms omega_of(s, A), solves under that omega, then
+    forms s = switch_of(w, omega); a caller may put other rules in place of
+    the oracle's own.  Returns the per-iteration surrogate
+    costs (evaluated after each outer step); monotone non-increase is the
+    descent property under test.
     """
     a_mat = np.asarray(a_mat, dtype=np.float64)
     b_vec = np.asarray(b_vec, dtype=np.float64)
@@ -113,12 +128,11 @@ def cccp_quadratic_reference(a_mat, b_vec, n_iters=10, s0=None):
     w = np.zeros(n)
     costs = []
     for _ in range(n_iters):
-        c_diag = np.diag(np.linalg.inv(np.diag(1.0 / s) + a_mat))
-        omega = np.sqrt(np.maximum(s - c_diag, 0.0)) / s
+        omega = omega_of(s, a_mat)
         # joint exact minimisation of the convexified surrogate:
         # min_w E_D(w) + 2 sum omega_i |w_i|, then s_i = |w_i| / omega_i
         w = _lasso_quadratic(a_mat, b_vec, 2.0 * omega, w)
-        s = np.abs(w) / omega
+        s = switch_of(w, omega)
         if np.any(s <= 0):
             raise FloatingPointError("a coordinate collapsed to zero; pick a "
                                      "quadratic with stronger signal")

@@ -143,9 +143,12 @@ def test_criterion_04_update_rule_algebra_sweep():
     hess = 10.0 ** rng.uniform(-8, 8, n)
     w = rng.normal(size=n) * 10.0 ** rng.uniform(-4, 4, n)
     c = updates.update_posterior_variance(gamma, hess)
-    one_member = np.arange(n)  # the scalar chain: every triple its own group
-    s, omega = updates.group_update(w, gamma, hess, one_member, 1e-8, 1e6)
-    _, omega_raw = updates.group_update(w, gamma, hess, one_member, 0.0, 1e6)
+    def one_member(a):  # the scalar chain: every triple its own group
+        return a
+
+    omega = updates.group_omega(gamma, hess, one_member, 1e-8)
+    omega_raw = updates.group_omega(gamma, hess, one_member, 0.0)
+    s = updates.group_switch(w, omega, one_member, 1e-8, 1e6)
     checks = [
         np.all(c > 0) and np.all(c <= gamma),
         np.all(np.isreal(omega)) and np.all(omega >= 0),

@@ -128,25 +128,38 @@ def test_singleton_groups_reproduce_proxyless_trace():
         assert s1["edges"] == s2["edges"]
 
 
-def test_degenerate_prune_restores_widest_path():
-    # huge sparsity pressure kills everything; the engine must revive a path
+def test_severing_prune_rolls_back_and_stops():
+    # gamma 0 on every edge would prune the output off the graph: the prune
+    # is undone, and the slots report it so that the run stops
+    from ardnet.updates import GroupSpec
     graph, ds, _ = data.gen_synthetic_dag_task(0, n_train=64, n_test=16)
-    cfg = small_config(t_max=8, lambda_w=50.0, learning_rate=0.005)
-    graph, run = engine.run_proxyless(graph, ds, cfg)
-    if run.report.get("degenerate"):
-        assert run.report["alive_edges"]
-        out, _ = sg.graph_forward(graph, ds.x_test)
-        assert np.all(np.isfinite(out))
+    sg.insert_zero_gates(graph)
+    groups = [GroupSpec(eid, [eid]) for eid in range(len(graph.ops))]
+    slots = engine._EdgeSlots(graph, groups, small_config(), "mse")
+    graph.alive[1] = False
+    slots._gather()
+    before, members = graph.alive.copy(), slots.alive.copy()
+    graph.gamma[:] = 0.0
+    assert slots.prune() == (0, 0, True)
+    assert graph.degenerate
+    assert np.array_equal(graph.alive, before) and np.array_equal(slots.alive, members)
+    out, _ = sg.graph_forward(graph, ds.x_test)
+    assert np.all(np.isfinite(out))
 
 
-def test_degenerate_cell_search_restores_before_evaluating():
-    # on this task the first prune kills every slot; the widest path must be
-    # revived before the iteration's test error is measured
+def test_severing_cell_prune_rolls_back_before_evaluating():
+    # on this task the first prune would kill every slot; it is rolled back
+    # before the iteration's test error is measured, and the run stops there
     graph, ds, groups, _ = data.gen_two_cell_task(10)
-    graph, run = engine.run_proxy_cells(graph, ds, data.two_cell_task_config(10), groups)
-    assert run.report["degenerate"]
-    assert run.report["alive_edges"]
+    cfg = data.two_cell_task_config(10)
+    graph, run = engine.run_proxy_cells(graph, ds, cfg, groups)
+    assert run.report["degenerate"] and "restored_path" not in run.report
+    assert len(run.history) == 1
+    row = run.history[0]
+    assert (row["entropy_pruned"], row["cascade_pruned"]) == (0, 0)
+    assert run.report["alive_edges"] == list(range(len(graph.ops)))  # alive before the prune
     assert np.isfinite(run.report["final_test_error"])
+    assert run.report["final_test_error"] == engine.evaluate(graph, ds, cfg.batch_size)
 
 
 def test_one_penalty_call_equals_per_group_calls():
@@ -381,7 +394,7 @@ def test_compression_runs_one_test_pass_per_model_state(monkeypatch, task, retra
 
 @pytest.mark.parametrize("task, seed", [("proxyless", 31), ("proxy_cells", 10)])
 def test_search_without_retrain_exports_the_model_it_searched(task, seed):
-    # the graph keeps the scalars of its last iteration, a restored path
+    # the graph keeps the scalars of its last iteration, a rolled-back prune
     # (cells seed 10) included, and the report scores that model
     trace = []
     if task == "proxyless":

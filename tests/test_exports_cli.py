@@ -384,7 +384,7 @@ def test_cli_diverging_search_prints_its_one_error_line_and_no_warning(tmp_path)
     cfg.write_text("")
     res = run_cli("search", "--config", str(cfg), "--seed", "20", "--out", str(tmp_path / "x"))
     assert res.returncode == 2
-    assert res.stderr == "error: non-finite output of edge 6 (fc)\n"
+    assert res.stderr == "error: non-finite output of edge 3 (fc)\n"
 
 
 def write_idx_set(directory, n_train=64, n_test=32):

@@ -738,17 +738,6 @@ def test_fully_pruned_graph_flagged_degenerate():
     assert all(not e["alive"] for e in record["edges"])
 
 
-def test_restore_widest_path_by_bottleneck_gamma():
-    g = sg.SuperGraph(3, [identity_edge(0, 1), identity_edge(1, 2), identity_edge(0, 2)])
-    g.gamma[0] = 0.9
-    g.gamma[1] = 0.8
-    g.gamma[2] = 0.5
-    sg.apply_prune_mask(g, {0, 1, 2})
-    path = sg.restore_widest_path(g)
-    assert path == [0, 1]  # bottleneck 0.8 beats the direct edge's 0.5
-    assert g.degenerate
-
-
 def test_export_import_round_trip_topology():
     g = sg.SuperGraph(4, [identity_edge(0, 1, w=0.5, s=2.0), identity_edge(1, 3, w=-1.0),
                           identity_edge(0, 2), identity_edge(2, 3)])

@@ -67,8 +67,9 @@ def _search_record(exports, config, search):
     """Outputs of search(config, trace), which returns (graph, run) and
     appends one snapshot per iteration to trace."""
     trace = []
-    try:
-        graph, run = search(config, trace)
+    try:  # a diverging search leaves its error, as in the CLI, and no numpy warning
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            graph, run = search(config, trace)
     except Exception as exc:  # the record keeps what the search raised
         return {"error": f"{type(exc).__name__}: {exc}", "trace": _plain(trace)}
     return {"history": _plain(run.history), "report": _plain(run.report),

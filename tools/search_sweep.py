@@ -5,11 +5,13 @@
 For task seeds LO..HI-1, runs ``run_proxyless`` on ``gen_synthetic_dag_task``
 with ``dag_task_config`` and ``run_proxy_cells`` on ``gen_two_cell_task``
 with ``two_cell_task_config``, using the ``ardnet`` of this source tree.  One
-line per seed and search: whether the alive non-gate edges are exactly the
-planted ones (a graph that fell apart and had its widest path restored does
-not count), those edges and the test error of the model the search returns
-(its ``final_test_error``, the last history row's); or the name of the
-exception the search raised.  The last two lines give the total per search.
+line per seed and search: ``recovered`` when the alive non-gate edges are
+exactly the planted ones, ``stopped`` when the search stopped on a prune
+that would have severed the graph, else ``missed``; then those edges and the
+test error of the model the search returns (its ``final_test_error``, the
+last history row's).  A search that raised gets the name of its exception
+instead, and, as in the CLI, no numpy warning lines.  The last two lines
+give the total per search.
 """
 
 from __future__ import annotations
@@ -23,6 +25,8 @@ from pathlib import Path
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+import numpy as np  # noqa: E402
 
 from ardnet import data, engine  # noqa: E402
 
@@ -47,12 +51,13 @@ def sweep_line(name, seed):
     """(line for one search at one task seed, whether it recovered the plant)."""
     planted, search = SEARCHES[name](seed)
     try:
-        graph, run = search()
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            graph, run = search()
     except Exception as exc:  # a failed search is a tally, not a crash
         return f"{name:<12} seed {seed:>3}  {type(exc).__name__}", False
     alive = sorted(eid for eid in run.report["alive_edges"] if not graph.edges[eid].is_gate)
     ok = set(alive) == planted and not graph.degenerate
-    status = "recovered" if ok else "restored" if graph.degenerate else "missed"
+    status = "recovered" if ok else "stopped" if graph.degenerate else "missed"
     return (f"{name:<12} seed {seed:>3}  {status:<9}  edges {alive}  "
             f"test error {run.report['final_test_error']:.4g}"), ok
 
