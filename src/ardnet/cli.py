@@ -105,8 +105,9 @@ def _cmd_search(args):
     record = exports.arch_export(graph, config)
     exports.save_json(record, out_dir / "arch.json")
     (out_dir / "graph.dot").write_text(exports.to_dot(record))
+    stopped = "  stopped: a prune would have severed the graph" if run.report["degenerate"] else ""
     print(f"alive edges: {len(run.report['alive_edges'])}  "
-          f"test error: {run.report['final_test_error']:.4g}")
+          f"test error: {run.report['final_test_error']:.4g}{stopped}")
     return 0
 
 

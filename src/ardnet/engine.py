@@ -9,7 +9,8 @@ the graph, which it rolls back; then it retrains what survives if
 runs on `_EdgeSlots` (the tied architecture scalars of a SuperGraph, in
 flat groups) or `_WeightSlots` (the slab groups of a layer stack, one
 HyperState per layer).  The graph's arrays hold the search state.  Every
-SGD pass goes through `_sgd_epoch`.  A layer stack's curvature update and
+SGD pass goes through `_sgd_epoch`, and every step through `_momentum_step`,
+in place.  A layer stack's curvature update and
 test pass run `batch_size` rows at a time, so a training batch, not the
 curvature batch or the test set, sets the peak memory of a compression run.
 """
@@ -24,8 +25,8 @@ from . import nn
 from . import supergraph as sg
 from .curvature import curved_layers, network_curvature
 from .updates import (GroupSpec, HyperState, SearchConfig, flat_groups,
-                      group_l2_penalty, group_update, sgd_momentum_step,
-                      slab_l2_penalty, slab_penalty_terms, structural_update)
+                      group_l2_penalty, group_update, slab_l2_penalty,
+                      slab_penalty_terms, structural_update)
 
 __all__ = [
     "SearchRun",
@@ -93,39 +94,49 @@ def _energy_kind(data):
 # the shared SGD batch loop
 
 
-def _batches(n, batch_size, rng):
-    perm = rng.permutation(n)
-    for start in range(0, n, batch_size):
-        yield perm[start : start + batch_size]
-
-
 def _sgd_epoch(step, data, batch_size, rng):
     """One epoch over shuffled minibatches; step(x, y) updates the
-    parameters and returns the batch loss.  Returns the mean loss."""
-    losses = [step(data.x_train[idx], data.y_train[idx])
-              for idx in _batches(len(data.x_train), batch_size, rng)]
+    parameters and returns the batch loss.  The epoch's permutation is
+    gathered once, and each batch is a contiguous slice of it.  Returns the
+    mean loss."""
+    perm = rng.permutation(len(data.x_train))
+    x, y = data.x_train[perm], data.y_train[perm]
+    losses = [step(x[start : start + batch_size], y[start : start + batch_size])
+              for start in range(0, len(x), batch_size)]
     if not np.all(np.isfinite(losses)):
         raise FloatingPointError("non-finite training loss; reduce the learning rate")
     return float(np.mean(losses))
 
 
+def _momentum_step(value, grad, velocity, lr, momentum, mask=None):
+    """The one momentum rule, in place: velocity = momentum * velocity -
+    lr * grad, value += velocity, then value *= mask for a masked weight.
+    grad is scaled in place, so the caller hands over a fresh array."""
+    velocity *= momentum
+    velocity -= np.multiply(grad, lr, out=grad)
+    value += velocity
+    if mask is not None:
+        value *= mask
+
+
 def _step_layers(layers, grads, velocity, key, config):
-    """Momentum step on every weighted layer, `sgd_momentum_step` in place:
-    each gradient is a fresh array that the step consumes, each velocity
-    starts at zero, and assigning the weights masks them."""
-    lr, momentum = config.learning_rate, config.momentum
+    """`_momentum_step` on every weighted layer.  Each gradient is a fresh
+    array that the step consumes, and each velocity starts at zero.  A
+    parameter's first step stores a copy of its array, which later steps
+    write into, so an array that the caller passed in is never written."""
     for li, item in enumerate(grads):
         if item is None:
             continue
+        layer = layers[li]
         for name, grad in zip(("weights", "bias"), item):
             if grad is None:
                 continue
             vel = velocity.get(key + (li, name))
             if vel is None:
                 vel = velocity[key + (li, name)] = np.zeros(grad.shape)
-            vel *= momentum
-            vel -= np.multiply(grad, lr, out=grad)
-            setattr(layers[li], name, getattr(layers[li], name) + vel)
+                setattr(layer, name, getattr(layer, name).copy())
+            _momentum_step(getattr(layer, name), grad, vel, config.learning_rate,
+                           config.momentum, layer.mask if name == "weights" else None)
 
 
 # ---------------------------------------------------------------------------
@@ -218,26 +229,33 @@ def _validate_groups(graph, groups):
 class _EdgeSlots:
     """Architecture scalars of a SuperGraph, one shared scalar per group.
 
-    Training steps the graph's `w` array in place.  `omega` is an array
-    over edge ids, starting at 1 as a HyperState's does.  The alive members
-    of each group change only at a prune, which follows every omega update,
-    so they are gathered once per iteration, in flat form, with their
-    group's omega and its penalty terms.
+    `omega` is an array over edge ids, starting at 1 as a HyperState's does.
+    The alive members of each group change only at a prune, which follows
+    every omega update, so they are gathered once per iteration, in flat
+    form, with their group's omega and its penalty terms.  Their w and
+    velocity are compact arrays over those members, cut to the survivors at
+    each prune and stepped in place; each batch writes w to the graph's
+    array once.
     """
 
     def __init__(self, graph, groups, config, kind):
         self.model, self.config, self.kind = graph, config, kind
         self.index, self.group = flat_groups(groups)
-        self.velocity = {}
-        self.w_velocity = np.zeros(len(graph.ops))
+        self.velocity = {}  # of the op weights, when retraining
+        self.pos, self.v = np.zeros(0, dtype=np.intp), np.zeros(0)
         self.omega = np.ones(len(graph.ops))
         self._gather()
 
     def _gather(self):
-        live = self.model.alive[self.index]
-        self.alive = self.index[live]
+        # positions of the alive members in the flat index; the survivors
+        # keep their velocity, and a member alive again starts at rest
+        pos = np.flatnonzero(self.model.alive[self.index])
+        v = np.zeros(pos.size)
+        v[np.isin(pos, self.pos)] = self.v[np.isin(self.pos, pos)]
+        self.pos, self.v, self.alive = pos, v, self.index[pos]
+        self.w = self.model.w[self.alive]
         # every alive member of a group shares its omega; take the first's
-        _, first, self.group_of = np.unique(self.group[live], return_index=True,
+        _, first, self.group_of = np.unique(self.group[pos], return_index=True,
                                             return_inverse=True)
         self.group_omega = self.omega[self.alive[first]]
         coef = self.config.lambda_w * self.group_omega
@@ -253,18 +271,17 @@ class _EdgeSlots:
                                   graph.gamma.tolist(), graph.alive.tolist())))
 
     def train_batch(self, x, y):
-        config, w, alive = self.config, self.model.w, self.alive
-        out, gcache = sg.graph_forward(self.model, x)
+        config, graph, w = self.config, self.model, self.w
+        out, gcache = sg.graph_forward(graph, x)
         loss, e_grad = nn.energy(out, y, self.kind)
-        wm = w[alive]
-        pen, pen_grad = group_l2_penalty(wm, self.group_of, self.terms)
-        w_grads, _ = sg.graph_backward(self.model, gcache, e_grad)
-        grad = w_grads[alive] + pen_grad
+        pen, grad = group_l2_penalty(w, self.group_of, self.terms)
+        w_grads, _ = sg.graph_backward(graph, gcache, e_grad)
+        grad += w_grads[self.alive]
         # tied slots are one shared scalar: sum member gradients and move
         # every member by the same step, so repeated cells stay bitwise equal
         grad = np.bincount(self.group_of, weights=grad)[self.group_of]
-        w[alive], self.w_velocity[alive] = sgd_momentum_step(
-            wm, grad, self.w_velocity[alive], config.learning_rate, config.momentum)
+        _momentum_step(w, grad, self.v, config.learning_rate, config.momentum)
+        graph.w[self.alive] = w
         return loss + pen
 
     def retrain_batch(self, x, y):
@@ -303,7 +320,7 @@ class _EdgeSlots:
             graph.gamma[alive] = gmin[group]
             return graph.gamma[alive]
 
-        _, omega = group_update(graph.w[alive], self.group_omega, hess, group, hard_gammas,
+        _, omega = group_update(self.w, self.group_omega, hess, group, hard_gammas,
                                 config.omega_floor, config.s_cap)
         self.omega[alive] = omega[group]
 

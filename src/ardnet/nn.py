@@ -470,7 +470,7 @@ def energy(output, target, kind="mse"):
         if target.shape != output.shape:
             raise ValueError(f"target shape {target.shape} != output shape {output.shape}")
         diff = output - target
-        return 0.5 * np.sum(diff**2) / b, diff / b
+        return 0.5 * (diff**2).sum() / b, diff / b
     if kind == "softmax_ce":
         labels = np.asarray(target)
         if labels.shape != (b,):
@@ -478,7 +478,7 @@ def energy(output, target, kind="mse"):
         if labels.min() < 0 or labels.max() >= output.shape[1]:
             raise ValueError("label index out of range for cross-entropy")
         p = _softmax(output)
-        value = -np.mean(np.log(p[np.arange(b), labels] + 1e-300))
+        value = -np.log(p[np.arange(b), labels] + 1e-300).mean()
         grad = p.copy()
         grad[np.arange(b), labels] -= 1.0
         return value, grad / b

@@ -224,13 +224,16 @@ class _Plan:
     topological order, (node, [(edge id, op, source node, layer), ...])
     over its alive in-edges; layer is the op's fc layer when the op is one
     plain matrix, else None.  The layer, not its weights, is kept, because
-    retraining replaces `layer.weights`.
+    retraining replaces `layer.weights`.  `walked` lists the edge ids of
+    `steps` in their order, and `row` maps each of them to its position.
     """
 
     key: bytes
     ins: list      # node -> alive in-edge ids
     fan_out: list  # node -> every out-edge id, alive or not
     steps: list
+    walked: np.ndarray
+    row: dict
 
 
 def _matrix_layer(op):
@@ -257,7 +260,9 @@ def _plan(graph):
             ins[b].append(eid)
     steps = [(node, [(eid, ops[eid], src[eid], _matrix_layer(ops[eid])) for eid in ins[node]])
              for node in graph.order if node != graph.input_node]
-    graph._plan = _Plan(key, ins, fan_out, steps)
+    walked = [eid for _, edges in steps for eid, _, _, _ in edges]
+    graph._plan = _Plan(key, ins, fan_out, steps, np.array(walked, dtype=np.intp),
+                        {eid: pos for pos, eid in enumerate(walked)})
     return graph._plan
 
 
@@ -338,40 +343,61 @@ def graph_forward(graph, x):
     return node_z[graph.output_node], GraphCache(plan, node_z, edge_out, edge_cache)
 
 
-def graph_backward(graph, gcache, grad_output):
-    """Reverse accumulation over the edges the forward pass ran.
+def _backward_walk(graph, gcache, g_out, prods=None):
+    """Reverse accumulation over the edges the forward pass ran: the list
+    node id -> dE/dz_node, None where nothing flowed back and at the input
+    node, whose gradient nothing reads (no edge into it ever runs).
 
-    Returns (array over edge ids of dE/dw, 0.0 where the edge did not run;
-    list node id -> dE/dz_node or None), and keeps the node gradients in
-    the cache.  The products g * op output that are C-ordered and shaped
-    like the output gradient are reduced in one sum, which equals their own
-    sums bit for bit; any other product keeps its own sum.
+    With prods, an array with one row per plan edge (`_Plan.walked`), each
+    edge's product g * op output is kept as well: in its row when it is
+    C-ordered and shaped like g_out, else summed into the returned dict
+    edge id -> sum.
     """
     plan, w, edge_out, edge_cache = gcache.plan, graph.w, gcache.edge_out, gcache.edge_cache
     node_g = [None] * len(gcache.node_z)
-    g_out = node_g[graph.output_node] = np.asarray(grad_output, dtype=np.float64)
-    prods = np.zeros((len(edge_out),) + g_out.shape)
-    own = {}  # edge id -> its own product sum
+    node_g[graph.output_node] = g_out
+    own, row, inp = {}, plan.row, graph.input_node
     for node, steps in reversed(plan.steps):
         g = node_g[node]
         if g is None:
             continue
-        batched = g.shape == g_out.shape and g.flags.c_contiguous
+        batched = prods is not None and g.shape == g_out.shape and g.flags.c_contiguous
         for eid, op, src, layer in steps:
             out = edge_out[eid]
             if out is None:  # its source carried no information flow
                 continue
             if batched and out.flags.c_contiguous:
-                np.multiply(g, out, out=prods[eid])
-            else:
+                np.multiply(g, out, out=prods[row[eid]])
+            elif prods is not None:
                 own[eid] = (g * out).sum()
+            if src == inp:
+                continue
             if layer is None:
                 gx = w[eid] * op.vjp(edge_cache[eid], g)
             else:
                 gx = w[eid] * (g @ layer.weights)
             prev = node_g[src]
             node_g[src] = gx if prev is None else prev + gx
-    w_grads = prods.sum(axis=tuple(range(1, prods.ndim)))
+    return node_g, own
+
+
+def graph_backward(graph, gcache, grad_output):
+    """Reverse accumulation over the edges the forward pass ran.
+
+    Returns (array over edge ids of dE/dw, 0.0 where the edge did not run;
+    list node id -> dE/dz_node or None, None at the input node), and keeps
+    the node gradients in the cache.  An op out of the input node runs no
+    vjp, so its op cache keeps no grad_out.  The products g * op output that
+    are C-ordered and shaped like the output gradient are reduced in one
+    sum over the plan's edges, which equals their own sums bit for bit; any
+    other product keeps its own sum.
+    """
+    plan = gcache.plan
+    g_out = np.asarray(grad_output, dtype=np.float64)
+    prods = np.zeros((len(plan.walked),) + g_out.shape)
+    node_g, own = _backward_walk(graph, gcache, g_out, prods)
+    w_grads = np.zeros(len(graph.ops))
+    w_grads[plan.walked] = prods.sum(axis=tuple(range(1, prods.ndim)))
     for eid, value in own.items():
         w_grads[eid] = value
     gcache.node_g = node_g
@@ -398,18 +424,19 @@ def arch_scalar_hessian(graph, gcache, h_seed):
     The Gauss-Newton rule sum_b J_b^T H_b J_b against the full energy
     Hessian seed (b, n, n), which carries the 1/batch factor.
     J_e[b, k] = d out[b, k] / d w_e is the sum over sample b's features of
-    node_g[dst] * (op output of e), with node_g from one graph_backward
-    seeded with the one-hot e_k per output dimension k; those passes
-    overwrite the cache's backward state.  It runs on every op kind and is
-    the exact second derivative wherever the output is linear in w_e along
-    the downstream ops (relu and maxpool almost everywhere).
+    node_g[dst] * (op output of e), with node_g from one backward walk
+    seeded with the one-hot e_k per output dimension k; those walks form
+    no w-gradient products and leave the cache's backward state as it was.
+    It runs on every op kind and is the exact second derivative wherever
+    the output is linear in w_e along the downstream ops (relu and maxpool
+    almost everywhere).
     """
     if h_seed.ndim != 3:
         raise ValueError("edge curvature needs per-sample full Hessian seeds (b, n, n)")
     edge_out = gcache.edge_out
     out = gcache.node_z[graph.output_node]
     b, n = h_seed.shape[:2]
-    grads = [graph_backward(graph, gcache, np.tile(e_k, (b, 1)).reshape(out.shape))[1]
+    grads = [_backward_walk(graph, gcache, np.tile(e_k, (b, 1)).reshape(out.shape))[0]
              for e_k in np.eye(n)]
     jac = np.zeros((b, len(graph.ops), n))  # [b, e, k] = d out[b, k] / d w_e
     for node, ins in enumerate(gcache.plan.ins):

@@ -48,7 +48,6 @@ __all__ = [
     "slab_penalty_terms",
     "slab_l2_penalty",
     "structural_update",
-    "sgd_momentum_step",
 ]
 
 # entropy of N(0, gamma) is nonpositive iff gamma <= 1/(2*pi*e)
@@ -165,8 +164,8 @@ def group_l2_penalty(wm, group, terms):
     coef, coef_m = terms
     norm = np.sqrt(np.bincount(group, weights=wm * wm, minlength=coef.size))
     norm_m = norm[group]
-    grad = np.divide(coef_m * wm, norm_m, out=np.zeros_like(wm), where=norm_m > 0)
-    return float(np.sum(coef * norm)), grad
+    grad = np.divide(coef_m * wm, norm_m, out=np.zeros(wm.shape), where=norm_m > 0)
+    return float((coef * norm).sum()), grad
 
 
 # ---------------------------------------------------------------------------
@@ -314,14 +313,4 @@ def structural_update(weights, state, hess_diag, floor=OMEGA_FLOOR, cap=S_CAP):
     state.gamma = np.where(state.alive, gamma, state.gamma)
     state.omega = np.where(state.alive, omega, state.omega)
     return state
-
-
-# ---------------------------------------------------------------------------
-# optimizer
-
-
-def sgd_momentum_step(value, grad, velocity, lr, momentum):
-    """Classic momentum update; returns (new_value, new_velocity)."""
-    velocity = momentum * velocity - lr * grad
-    return value + velocity, velocity
 

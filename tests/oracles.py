@@ -5,6 +5,7 @@ recursion and the closed-form updates that they check.
   differences of a scalar energy, one coordinate at a time.
 - `cccp_surrogate_cost` and `cccp_quadratic_reference`: the reweighted-l1
   alternation on a fixed convex quadratic energy, with exact inner solves.
+- `momentum_step`: the classic momentum formula, forming fresh arrays.
 
 The demos put this directory on ``sys.path`` to import it.
 """
@@ -138,3 +139,13 @@ def cccp_quadratic_reference(a_mat, b_vec, n_iters=10, s0=None, omega_of=oracle_
                                      "quadratic with stronger signal")
         costs.append(cccp_surrogate_cost(w, s, a_mat, b_vec))
     return np.asarray(costs)
+
+
+# ---------------------------------------------------------------------------
+# momentum oracle
+
+
+def momentum_step(value, grad, velocity, lr, momentum):
+    """Classic momentum update on fresh arrays; returns (new value, new velocity)."""
+    velocity = momentum * velocity - lr * grad
+    return value + velocity, velocity

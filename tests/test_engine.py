@@ -12,8 +12,9 @@ import pytest
 from ardnet import data, engine, exports, nn
 from ardnet import supergraph as sg
 from ardnet.curvature import network_curvature
-from ardnet.updates import (SearchConfig, sgd_momentum_step, slab_l2_penalty,
+from ardnet.updates import (GroupSpec, SearchConfig, group_l2_penalty, slab_l2_penalty,
                             slab_penalty_terms, structural_update)
+from oracles import momentum_step
 
 
 def small_config(**kw):
@@ -202,6 +203,61 @@ def test_search_trains_the_graph_w_in_place():
         slots.train_batch(ds.x_train[idx], ds.y_train[idx])
     assert graph.w is w and not np.array_equal(w, before)
     assert [e.w for e in graph.edges] == w.tolist()
+
+
+def reference_search_batch(slots, velocity, x, y):
+    """The search step composed over edge ids: gather w[alive], call
+    `group_l2_penalty`, tie the gradient with a bincount, take
+    `momentum_step` on an edge-id velocity and scatter both back."""
+    graph, config, alive, group = slots.model, slots.config, slots.alive, slots.group_of
+    w = graph.w
+    out, gcache = sg.graph_forward(graph, x)
+    loss, e_grad = nn.energy(out, y, slots.kind)
+    wm = w[alive]
+    pen, pen_grad = group_l2_penalty(wm, group, slots.terms)
+    w_grads, _ = sg.graph_backward(graph, gcache, e_grad)
+    grad = np.bincount(group, weights=w_grads[alive] + pen_grad)[group]
+    w[alive], velocity[alive] = momentum_step(wm, grad, velocity[alive],
+                                              config.learning_rate, config.momentum)
+    return loss + pen
+
+
+@pytest.mark.parametrize("task", ["proxyless", "tied cells"])
+def test_lean_search_step_matches_the_edge_id_composition(task):
+    # two iterations, so the second trains on the compact state that an
+    # update refreshed and a prune cut; every batch loss and graph.w after
+    # every batch are compared, and the prunes must agree
+    if task == "proxyless":
+        graph, ds, _ = data.gen_synthetic_dag_task(0)
+        cfg, groups = data.dag_task_config(0), None
+    else:
+        graph, ds, groups, _ = data.gen_two_cell_task(0)
+        cfg = data.two_cell_task_config(0)
+    cfg = dataclasses.replace(cfg, epochs_per_iteration=10)
+    if not graph.gate_map:
+        sg.insert_zero_gates(graph)
+    groups = groups or [GroupSpec(eid, [eid]) for eid in range(len(graph.ops))]
+    lean, ref = (engine._EdgeSlots(copy.deepcopy(graph), groups, cfg, "mse") for _ in range(2))
+    velocity = np.zeros(len(graph.ops))
+    rng, n, kills = np.random.default_rng(0), len(ds.x_train), []
+    for _ in range(2):
+        for _ in range(cfg.epochs_per_iteration):
+            perm = rng.permutation(n)
+            for start in range(0, n, cfg.batch_size):
+                idx = perm[start : start + cfg.batch_size]
+                x, y = ds.x_train[idx], ds.y_train[idx]
+                assert lean.train_batch(x, y) == reference_search_batch(ref, velocity, x, y)
+                assert lean.model.w.tobytes() == ref.model.w.tobytes()
+        idx = rng.choice(n, size=cfg.curvature_batch, replace=False)
+        ref._gather()  # the reference stepped graph.w alone: re-read the members' w
+        for slots in (lean, ref):
+            slots.update(ds.x_train[idx], ds.y_train[idx])
+        kills.append(lean.prune())
+        assert ref.prune() == kills[-1]
+        for name in ("w", "s", "gamma", "alive"):
+            assert getattr(lean.model, name).tobytes() == getattr(ref.model, name).tobytes()
+        assert lean.omega.tobytes() == ref.omega.tobytes()
+    assert sum(kills[0][:2]) > 0 and not kills[0][2]
 
 
 def test_train_batch_builds_no_edge_record(monkeypatch):
@@ -550,7 +606,7 @@ def summed_weight_grad(slots, li, gw, masked):
 def reference_train_batch(slots, x, y, weight_grad):
     """A compression step composed as it was before the weights stayed
     masked at rest: mask the weights for the decay and the penalty, add
-    them into a new gradient by weight_grad, take `sgd_momentum_step`, then
+    them into a new gradient by weight_grad, take `momentum_step`, then
     re-mask.  Before the first prune the mask was all ones."""
     net, config, velocity = slots.model, slots.config, slots.velocity
     out, caches = nn.forward(net, x)
@@ -565,7 +621,7 @@ def reference_train_batch(slots, x, y, weight_grad):
         pen, gw = weight_grad(slots, li, gw, masked)
         loss += pen
         for name, grad in (("weights", gw), ("bias", gb)):
-            value, velocity[(li, name)] = sgd_momentum_step(
+            value, velocity[(li, name)] = momentum_step(
                 getattr(layer, name), grad, velocity.get((li, name), 0.0),
                 config.learning_rate, config.momentum)
             setattr(layer, name, value)
@@ -620,6 +676,31 @@ def test_lean_compression_step_stays_near_the_summed_penalty_gradient(stack):
                 <= 1e-12 * np.max(np.abs(b), initial=0.0))
 
     lean_against_reference(stack, summed_weight_grad, close, close)
+
+
+def test_retraining_never_writes_into_an_array_the_caller_passed_in():
+    # a parameter's first step stores a copy, which its later steps write
+    # into in place; the arrays a graph op and a stack were built from stay
+    rng = np.random.default_rng(0)
+    x = rng.normal(size=(64, 3))
+    y = np.tanh(x @ rng.normal(size=(3, 3)))
+    ds = data.Dataset(x[:48], y[:48], x[48:], y[48:], kind="regression")
+    cfg = SearchConfig(t_max=0, retrain_epochs=2, batch_size=16, learning_rate=0.05)
+    matrices = [rng.normal(size=(3, 3)) for _ in range(2)]
+    graph = sg.SuperGraph(3, [sg.Edge(i, i + 1, sg.make_op("fc", matrix=m))
+                              for i, m in enumerate(matrices)])
+    arrays = [rng.normal(size=(3, 3)), rng.normal(size=3), rng.normal(size=(3, 3))]
+    net = [nn.Layer("fc", weights=arrays[0], bias=arrays[1], activation="tanh"),
+           nn.Layer("fc", weights=arrays[2])]
+    passed = matrices + arrays
+    before = [a.copy() for a in passed]
+    assert graph.ops[0].layers[0].weights is matrices[0] and net[0].weights is arrays[0]
+    engine.run_proxyless(graph, ds, cfg)
+    engine.retrain_pruned(net, ds, cfg)
+    trained = [graph.ops[0].layers[0].weights, graph.ops[1].layers[0].weights,
+               net[0].weights, net[0].bias, net[1].weights]
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(passed, before))
+    assert not any(np.array_equal(a, b) for a, b in zip(trained, before))
 
 
 def test_retrain_on_unpruned_net_is_ordinary_training():

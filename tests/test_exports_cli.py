@@ -387,6 +387,18 @@ def test_cli_diverging_search_prints_its_one_error_line_and_no_warning(tmp_path)
     assert res.stderr == "error: non-finite output of edge 3 (fc)\n"
 
 
+def test_cli_search_stopped_on_a_severing_prune_says_so(tmp_path):
+    # cells seed 10 rolls back a prune that would sever the graph and stops;
+    # the run still exits 0, and its summary line names the stop
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text("{}")
+    out = tmp_path / "x"
+    res = run_cli("proxy-search", "--config", str(cfg), "--seed", "10", "--out", str(out))
+    assert res.returncode == 0
+    assert res.stdout.endswith("  stopped: a prune would have severed the graph\n")
+    assert json.loads((out / "arch.json").read_text())["degenerate"] is True
+
+
 def write_idx_set(directory, n_train=64, n_test=32):
     """A small random 28x28 IDX data set: by default 64 training and 32 test
     images."""

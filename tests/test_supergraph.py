@@ -325,10 +325,20 @@ def test_plan_walk_equals_the_per_edge_loop(spec, seed):
         ref_w_grads = np.zeros(n_edges)
         ref_w_grads[list(ref_grads[0])] = list(ref_grads[0].values())
         assert same_bits(got[0], ref_w_grads)
-        assert same_bits(got[1], listed(ref_grads[1], g.n_nodes))
-        # plain matrix edges build their caches on demand
-        assert same_bits(grad_outs(sg.op_cache(g, gcache, eid) for eid in range(n_edges)),
-                         grad_outs(listed(rcache.edge_cache, n_edges)))
+        # nothing reads the input node's gradient, and the walk forms none
+        inner = [node for node in range(g.n_nodes) if node != g.input_node]
+        assert got[1][g.input_node] is None
+        assert same_bits([got[1][node] for node in inner],
+                         [ref_grads[1].get(node) for node in inner])
+        # plain matrix edges build their caches on demand; any other op out of
+        # the input node runs no vjp, so its cache keeps no grad_out
+        got_outs = grad_outs(sg.op_cache(g, gcache, eid) for eid in range(n_edges))
+        ref_outs = grad_outs(listed(rcache.edge_cache, n_edges))
+        no_vjp = {eid for eid in range(n_edges)
+                  if g.src[eid] == g.input_node and sg._matrix_layer(g.ops[eid]) is None}
+        assert all(out is None for eid in no_vjp for out in got_outs[eid] or [])
+        assert same_bits([outs for eid, outs in enumerate(got_outs) if eid not in no_vjp],
+                         [outs for eid, outs in enumerate(ref_outs) if eid not in no_vjp])
         if linear:
             # the Jacobian reference sums in another order than the VJPs
             h_seed = nn.energy_hessian(out, t, "mse", "exact")

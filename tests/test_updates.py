@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from ardnet import engine, nn, updates
 from ardnet.updates import (ENTROPY_PRUNE_THRESHOLD, GroupSpec, SearchConfig,
                             flat_groups, group_l2_penalty, group_omega,
-                            group_switch, group_update, make_groups, sgd_momentum_step,
+                            group_switch, group_update, make_groups,
                             update_posterior_variance)
 from oracles import cccp_quadratic_reference, cccp_surrogate_cost
 
@@ -282,17 +282,17 @@ def test_slab_axes_rejects_other_ranks():
 
 
 def test_sgd_step_plain_when_unpenalized():
-    v, vel = sgd_momentum_step(1.0, 0.5, 0.0, lr=0.1, momentum=0.9)
-    assert v == pytest.approx(0.95)
-    assert vel == pytest.approx(-0.05)
+    value, vel, grad = np.array([1.0]), np.zeros(1), np.array([0.5])
+    engine._momentum_step(value, grad, vel, lr=0.1, momentum=0.9)
+    assert value[0] == pytest.approx(0.95)
+    assert vel[0] == pytest.approx(-0.05)
 
 
 def test_sgd_step_decreases_quadratic():
-    w = 2.0
-    vel = 0.0
+    w, vel = np.array([2.0]), np.zeros(1)
     for _ in range(5):
-        w, vel = sgd_momentum_step(w, 2 * w, vel, lr=0.05, momentum=0.0)
-    assert w**2 < 4.0
+        engine._momentum_step(w, 2 * w, vel, lr=0.05, momentum=0.0)
+    assert w[0] ** 2 < 4.0
 
 
 def ten_dim_quadratic(seed):
