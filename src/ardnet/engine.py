@@ -96,13 +96,11 @@ def _energy_kind(data):
 
 def _sgd_epoch(step, data, batch_size, rng):
     """One epoch over shuffled minibatches; step(x, y) updates the
-    parameters and returns the batch loss.  The epoch's permutation is
-    gathered once, and each batch is a contiguous slice of it.  Returns the
-    mean loss."""
+    parameters and returns the batch loss.  Each batch gathers its own rows,
+    so no shuffled copy of the training set is held.  Returns the mean loss."""
     perm = rng.permutation(len(data.x_train))
-    x, y = data.x_train[perm], data.y_train[perm]
-    losses = [step(x[start : start + batch_size], y[start : start + batch_size])
-              for start in range(0, len(x), batch_size)]
+    batches = (perm[start : start + batch_size] for start in range(0, len(perm), batch_size))
+    losses = [step(data.x_train[idx], data.y_train[idx]) for idx in batches]
     if not np.all(np.isfinite(losses)):
         raise FloatingPointError("non-finite training loss; reduce the learning rate")
     return float(np.mean(losses))
@@ -122,8 +120,9 @@ def _momentum_step(value, grad, velocity, lr, momentum, mask=None):
 def _step_layers(layers, grads, velocity, key, config):
     """`_momentum_step` on every weighted layer.  Each gradient is a fresh
     array that the step consumes, and each velocity starts at zero.  A
-    parameter's first step stores a copy of its array, which later steps
-    write into, so an array that the caller passed in is never written."""
+    parameter's first step stores a float64 copy of its array, which later
+    steps write into, so an array that the caller passed in is never
+    written, and integer or float32 weights train in float64."""
     for li, item in enumerate(grads):
         if item is None:
             continue
@@ -134,7 +133,7 @@ def _step_layers(layers, grads, velocity, key, config):
             vel = velocity.get(key + (li, name))
             if vel is None:
                 vel = velocity[key + (li, name)] = np.zeros(grad.shape)
-                setattr(layer, name, getattr(layer, name).copy())
+                setattr(layer, name, np.array(getattr(layer, name), dtype=np.float64))
             _momentum_step(getattr(layer, name), grad, vel, config.learning_rate,
                            config.momentum, layer.mask if name == "weights" else None)
 
@@ -242,17 +241,15 @@ class _EdgeSlots:
         self.model, self.config, self.kind = graph, config, kind
         self.index, self.group = flat_groups(groups)
         self.velocity = {}  # of the op weights, when retraining
-        self.pos, self.v = np.zeros(0, dtype=np.intp), np.zeros(0)
+        self.pos, self.v = np.arange(self.index.size), np.zeros(self.index.size)
         self.omega = np.ones(len(graph.ops))
         self._gather()
 
     def _gather(self):
-        # positions of the alive members in the flat index; the survivors
-        # keep their velocity, and a member alive again starts at rest
+        # positions of the alive members in the flat index; a prune only
+        # kills, so the survivors keep their velocity
         pos = np.flatnonzero(self.model.alive[self.index])
-        v = np.zeros(pos.size)
-        v[np.isin(pos, self.pos)] = self.v[np.isin(self.pos, pos)]
-        self.pos, self.v, self.alive = pos, v, self.index[pos]
+        self.pos, self.v, self.alive = pos, self.v[np.isin(self.pos, pos)], self.index[pos]
         self.w = self.model.w[self.alive]
         # every alive member of a group shares its omega; take the first's
         _, first, self.group_of = np.unique(self.group[pos], return_index=True,

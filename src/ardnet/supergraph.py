@@ -225,7 +225,7 @@ class _Plan:
     over its alive in-edges; layer is the op's fc layer when the op is one
     plain matrix, else None.  The layer, not its weights, is kept, because
     retraining replaces `layer.weights`.  `walked` lists the edge ids of
-    `steps` in their order, and `row` maps each of them to its position.
+    `steps` in their order.
     """
 
     key: bytes
@@ -233,7 +233,6 @@ class _Plan:
     fan_out: list  # node -> every out-edge id, alive or not
     steps: list
     walked: np.ndarray
-    row: dict
 
 
 def _matrix_layer(op):
@@ -261,8 +260,7 @@ def _plan(graph):
     steps = [(node, [(eid, ops[eid], src[eid], _matrix_layer(ops[eid])) for eid in ins[node]])
              for node in graph.order if node != graph.input_node]
     walked = [eid for _, edges in steps for eid, _, _, _ in edges]
-    graph._plan = _Plan(key, ins, fan_out, steps, np.array(walked, dtype=np.intp),
-                        {eid: pos for pos, eid in enumerate(walked)})
+    graph._plan = _Plan(key, ins, fan_out, steps, np.array(walked, dtype=np.intp))
     return graph._plan
 
 
@@ -356,18 +354,19 @@ def _backward_walk(graph, gcache, g_out, prods=None):
     plan, w, edge_out, edge_cache = gcache.plan, graph.w, gcache.edge_out, gcache.edge_cache
     node_g = [None] * len(gcache.node_z)
     node_g[graph.output_node] = g_out
-    own, row, inp = {}, plan.row, graph.input_node
+    own, end, inp = {}, len(plan.walked), graph.input_node
     for node, steps in reversed(plan.steps):
+        end -= len(steps)  # the row of the node's first in-edge
         g = node_g[node]
         if g is None:
             continue
         batched = prods is not None and g.shape == g_out.shape and g.flags.c_contiguous
-        for eid, op, src, layer in steps:
+        for row, (eid, op, src, layer) in enumerate(steps, end):
             out = edge_out[eid]
             if out is None:  # its source carried no information flow
                 continue
             if batched and out.flags.c_contiguous:
-                np.multiply(g, out, out=prods[row[eid]])
+                np.multiply(g, out, out=prods[row])
             elif prods is not None:
                 own[eid] = (g * out).sum()
             if src == inp:

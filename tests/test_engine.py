@@ -171,12 +171,14 @@ def test_one_penalty_call_equals_per_group_calls():
     graph, ds, groups, _ = data.gen_two_cell_task(0)
     cfg = data.two_cell_task_config(0)
     rng = np.random.default_rng(0)
-    slots = engine._EdgeSlots(graph, groups, cfg, "mse")
-    w, omega = graph.w, slots.omega
+    w, omega = graph.w, np.zeros(len(graph.ops))
     for _ in range(200):
         for eid in range(len(graph.ops)):
             graph.alive[eid] = rng.random() < 0.6
             w[eid], omega[eid] = rng.normal(), rng.random()
+        # the members of a slots object only shrink, so each draw gets its own
+        slots = engine._EdgeSlots(graph, groups, cfg, "mse")
+        slots.omega[:] = omega
         slots._gather()
         value, grad = group_l2_penalty(w[slots.alive], slots.group_of, slots.terms)
         ref_value, ref_grad = 0.0, {}
@@ -701,6 +703,48 @@ def test_retraining_never_writes_into_an_array_the_caller_passed_in():
                net[0].weights, net[0].bias, net[1].weights]
     assert all(a.tobytes() == b.tobytes() for a, b in zip(passed, before))
     assert not any(np.array_equal(a, b) for a, b in zip(trained, before))
+
+
+def allocating_step_layers(layers, grads, velocity, key, config):
+    """`engine._step_layers` by `momentum_step` on fresh arrays: assigning
+    value + velocity, as a float64 sum, to the layer, which masks it."""
+    for li, item in enumerate(grads):
+        for name, grad in zip(("weights", "bias"), item or ()):
+            if grad is not None:
+                value, velocity[key + (li, name)] = momentum_step(
+                    getattr(layers[li], name), grad, velocity.get(key + (li, name), 0.0),
+                    config.learning_rate, config.momentum)
+                setattr(layers[li], name, value)
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.float32])
+def test_retrain_from_a_weight_file_trains_in_float64(tmp_path, monkeypatch, dtype):
+    # integer or float32 arrays from a weight file train in float64, as a
+    # step that assigns value + velocity makes them; the in-place step gets
+    # there through its float64 copy at the first step
+    from ardnet import models
+    ds = make_blob_task()
+    rng = np.random.default_rng(2)
+    shapes = [(8, 10), (8,), (4, 8), (4,)]
+    arrays = [rng.normal(size=s).astype(np.float32) if dtype == np.float32
+              else rng.integers(-2, 3, size=s) for s in shapes]
+    mask = (rng.random((8, 10)) < 0.7).astype(dtype)
+    np.savez(tmp_path / "w.npz", w0=arrays[0], b0=arrays[1], m0=mask, w1=arrays[2], b1=arrays[3])
+    cfg = SearchConfig(t_max=0, retrain_epochs=2, batch_size=50, learning_rate=0.01, seed=0)
+    runs = []
+    for step in (engine._step_layers, allocating_step_layers):
+        monkeypatch.setattr(engine, "_step_layers", step)
+        net = [nn.fc_layer(10, 8, "tanh", rng=rng), nn.fc_layer(8, 4, rng=rng)]
+        models.load_weights(net, tmp_path / "w.npz")
+        assert net[0].weights.dtype == net[0].bias.dtype == dtype
+        runs.append((engine.retrain_pruned(net, ds, cfg), net))
+    (err, net), (ref_err, ref) = runs
+    assert err == ref_err
+    for layer, ref_layer in zip(net, ref):
+        for name in ("weights", "bias"):
+            value, ref_value = getattr(layer, name), getattr(ref_layer, name)
+            assert value.dtype == ref_value.dtype == np.float64
+            assert value.tobytes() == ref_value.tobytes()
 
 
 def test_retrain_on_unpruned_net_is_ordinary_training():
