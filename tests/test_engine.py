@@ -129,6 +129,28 @@ def test_singleton_groups_reproduce_proxyless_trace():
         assert s1["edges"] == s2["edges"]
 
 
+def test_sgd_epoch_holds_a_batch_not_a_shuffled_training_set():
+    # each batch gathers its own rows, so an epoch over a large training set
+    # holds far less than a second copy of it
+    rng = np.random.default_rng(0)
+    ds = data.Dataset(rng.normal(size=(4096, 64)), rng.normal(size=(4096, 2)),
+                      np.zeros((1, 64)), np.zeros((1, 2)), kind="regression")
+    seen = []
+
+    def step(x, y):
+        seen.append(len(x))
+        return 0.0
+
+    tracemalloc.start()
+    try:
+        engine._sgd_epoch(step, ds, 16, np.random.default_rng(0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert seen == [16] * 256
+    assert peak < ds.x_train.nbytes / 8
+
+
 def test_severing_prune_rolls_back_and_stops():
     # gamma 0 on every edge would prune the output off the graph: the prune
     # is undone, and the slots report it so that the run stops
