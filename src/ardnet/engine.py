@@ -236,7 +236,9 @@ class _EdgeSlots:
     form, with their group's omega and its penalty terms.  Their w and
     velocity are compact arrays over those members, cut to the survivors at
     each prune and stepped in place; each batch writes w to the graph's
-    array once.
+    array once.  A batch runs the compiled step of the graph's plan, taken
+    at each gather and again when the alive flags no longer match it, and
+    reads the members' w-gradients from its product rows.
     """
 
     def __init__(self, graph, groups, config, kind):
@@ -259,6 +261,12 @@ class _EdgeSlots:
         self.group_omega = self.omega[self.alive[first]]
         coef = self.config.lambda_w * self.group_omega
         self.terms = coef, coef[self.group_of]  # what group_l2_penalty reads
+        self._plan_step()
+
+    def _plan_step(self):
+        # the compiled step of the graph's plan and the alive members' rows
+        self.step = sg._compiled_step(self.model)
+        self.rows = self.step.row[self.alive]
 
     def gammas(self):
         """Every edge's gamma and alive flag, as arrays over edge ids."""
@@ -271,11 +279,13 @@ class _EdgeSlots:
 
     def train_batch(self, x, y):
         config, graph, w = self.config, self.model, self.w
-        out, gcache = sg.graph_forward(graph, x)
+        if self.step.key != graph.alive.tobytes():  # code may write graph.alive directly
+            self._plan_step()
+        step, scalars = self.step, graph.w.tolist()
+        out, saved = step.forward(x, scalars)
         loss, e_grad = nn.energy(out, y, self.kind)
         pen, grad = group_l2_penalty(w, self.group_of, self.terms)
-        w_grads, _ = sg.graph_backward(graph, gcache, e_grad)
-        grad += w_grads[self.alive]
+        grad += step.backward(e_grad, saved, scalars)[self.rows]
         # tied slots are one shared scalar: sum member gradients and move
         # every member by the same step, so repeated cells stay bitwise equal
         grad = np.bincount(self.group_of, weights=grad)[self.group_of]

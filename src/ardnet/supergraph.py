@@ -10,15 +10,24 @@ prioritized zero operation: one identity edge guarding each non-input
 node's entire fan-out, whose switch variance enters every downstream
 gamma harmonically.
 
-The curvature of the energy w.r.t. each w comes from the same backward
-walk that trains w: one Gauss-Newton rule contracts per-sample Jacobians
-d out / d w_e, one walk per output dimension, against the full energy
-Hessian, on every op kind.
+The curvature of the energy w.r.t. each w comes from the backward walk:
+one Gauss-Newton rule contracts per-sample Jacobians d out / d w_e, one
+walk per output dimension, against the full energy Hessian, on every op
+kind.
+
+A training step runs the plan compiled (`_compiled_step`): a forward and a
+backward function generated from Python source, one statement per edge and
+per node, which interpolates only integer node ids, edge ids and rows and
+repeats the walks' float operations in their order, checks and errors
+included.  `graph_forward` and `graph_backward` remain the path for one-off
+walks (data generation, evaluation, curvature, retraining), which compile
+nothing.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import partial
 from operator import attrgetter
 
 import numpy as np
@@ -48,6 +57,7 @@ __all__ = [
 ]
 
 OP_TAGS = ("identity", "fc", "conv3x3", "maxpool", "avgpool", "zero_gate")
+_PASS_TAGS = ("identity", "zero_gate")  # ops that pass their input through
 
 
 # ---------------------------------------------------------------------------
@@ -71,7 +81,7 @@ class Op:
 
     def apply(self, z):
         """Returns (output, cache); cache feeds vjp."""
-        if self.tag in ("identity", "zero_gate"):
+        if self.tag in _PASS_TAGS:
             return z, None
         if self.layers is None:
             raise ValueError(f"op {self.tag!r} is a topology stub and cannot run")
@@ -79,7 +89,7 @@ class Op:
         return out, caches
 
     def vjp(self, cache, g):
-        if self.tag in ("identity", "zero_gate"):
+        if self.tag in _PASS_TAGS:
             return g
         _, gx = nn.backward(self.layers, cache, g)
         return gx
@@ -92,7 +102,7 @@ def make_op(tag, rng=None, channels=None, matrix=None):
     an rng (same-padding, spatial shape preserved); pools are 2x2 stride-1
     windows.
     """
-    if tag in ("identity", "zero_gate"):
+    if tag in _PASS_TAGS:
         return Op(tag)
     if tag == "fc":
         if matrix is None:
@@ -225,7 +235,9 @@ class _Plan:
     over its alive in-edges; layer is the op's fc layer when the op is one
     plain matrix, else None.  The layer, not its weights, is kept, because
     retraining replaces `layer.weights`.  `walked` lists the edge ids of
-    `steps` in their order.
+    `steps` in their order.  `step` is the plan compiled for training
+    (`_compiled_step`), built on first request, so a walk that only
+    evaluates compiles nothing.
     """
 
     key: bytes
@@ -233,6 +245,7 @@ class _Plan:
     fan_out: list  # node -> every out-edge id, alive or not
     steps: list
     walked: np.ndarray
+    step: _Step | None = None
 
 
 def _matrix_layer(op):
@@ -284,18 +297,21 @@ class GraphCache:
     node_g: list | None = None  # node id -> dE/dz_node, set by graph_backward
 
 
-def _non_finite(eid, op):
-    return FloatingPointError(f"non-finite output of edge {eid} ({op.tag})")
+def _raise_non_finite(ops, outs, eid=None):
+    """Raises the error naming the first edge of outs, (edge id, op output)
+    pairs with None for an edge that did not run, whose output is
+    non-finite; if every output is finite, the error naming edge eid, or
+    nothing when eid is None."""
+    for e, out in outs:
+        if out is not None and not np.isfinite(out).all():
+            eid = e
+            break
+    if eid is not None:
+        raise FloatingPointError(f"non-finite output of edge {eid} ({ops[eid].tag})") from None
 
 
-def _first_non_finite(steps, edge_out):
-    """The error naming a node's first plain matrix in-edge with a non-finite
-    output, or None when every such output is finite."""
-    for eid, op, _, layer in steps:
-        out = edge_out[eid]
-        if layer is not None and out is not None and not np.isfinite(out).all():
-            return _non_finite(eid, op)
-    return None
+def _no_flow():
+    return ValueError("output node receives no information flow")
 
 
 def graph_forward(graph, x):
@@ -314,6 +330,10 @@ def graph_forward(graph, x):
     node_z[graph.input_node] = np.asarray(x, dtype=np.float64)
     edge_out = [None] * len(graph.ops)
     edge_cache = [None] * len(graph.ops)
+
+    def matrix_outs(steps):
+        return [(eid, edge_out[eid]) for eid, _, _, layer in steps if layer is not None]
+
     for node, steps in plan.steps:
         total, matrix = None, False
         for eid, op, src, layer in steps:
@@ -324,7 +344,7 @@ def graph_forward(graph, x):
                 try:
                     out, edge_cache[eid] = op.apply(z)
                 except FloatingPointError:
-                    raise _first_non_finite(steps, edge_out) or _non_finite(eid, op) from None
+                    _raise_non_finite(graph.ops, matrix_outs(steps), eid)
             else:
                 out = z @ layer.weights.T
                 matrix = True
@@ -332,12 +352,10 @@ def graph_forward(graph, x):
             term = w[eid] * out
             total = term if total is None else total + term
         if matrix and not nn.all_finite(total):
-            err = _first_non_finite(steps, edge_out)
-            if err is not None:
-                raise err
+            _raise_non_finite(graph.ops, matrix_outs(steps))
         node_z[node] = total
     if node_z[graph.output_node] is None:
-        raise ValueError("output node receives no information flow")
+        raise _no_flow()
     return node_z[graph.output_node], GraphCache(plan, node_z, edge_out, edge_cache)
 
 
@@ -401,6 +419,142 @@ def graph_backward(graph, gcache, grad_output):
         w_grads[eid] = value
     gcache.node_g = node_g
     return w_grads, node_g
+
+
+@dataclass
+class _Step:
+    """A plan compiled into one straight-line forward and one backward
+    function, the training step's walk (`_compiled_step`).
+
+    `forward(x, w)`, with w the graph's scalars as a list of Python floats,
+    returns the output and `saved`: the op output of each edge in `edges`,
+    then the op cache of each of them that runs a vjp (not a plain matrix,
+    an identity or a gate, nor out of the input node).  `edges` are the
+    edges that form a w-gradient product, one row each, in the order the
+    backward walk forms them.  `backward(g_out, saved, w)` returns one
+    product sum per row and 0.0 in a last row, which `row` (edge id -> row)
+    gives every edge that forms no product.  Both run `graph_forward`'s and
+    `graph_backward`'s float operations in their order, with the same
+    checks and errors.
+    """
+
+    key: bytes  # the plan's
+    edges: list
+    row: np.ndarray
+    forward: object
+    walk: object  # (g_out, saved, w, prods, own) -> None, the backward walk
+    prods: dict = field(default_factory=dict)  # g_out shape -> product buffer
+
+    def backward(self, g_out, saved, w):
+        """The rows' w-gradient product sums: a product that is C-ordered and
+        shaped like g_out is written to its row of a buffer kept per shape
+        and reduced with the others in one sum; any other keeps its own sum,
+        which replaces its row's.  A row that forms no product, the last one
+        included, is never written, so a kept buffer needs no clearing."""
+        g_out = np.asarray(g_out, dtype=np.float64)
+        prods = self.prods.get(g_out.shape)
+        if prods is None:
+            prods = self.prods[g_out.shape] = np.zeros((len(self.edges) + 1,) + g_out.shape)
+        own = []
+        self.walk(g_out, saved, w, prods, own)
+        sums = prods.sum(axis=tuple(range(1, prods.ndim)))
+        for row, value in own:
+            sums[row] = value
+        return sums
+
+    def __deepcopy__(self, memo):
+        # its functions hold this graph's ops: a copied plan builds its own
+        return None
+
+
+def _compiled_step(graph):
+    """The `_Step` of the graph's current plan, built once per plan."""
+    plan = _plan(graph)
+    if plan.step is None:
+        plan.step = _build_step(graph, plan)
+    return plan.step
+
+
+def _build_step(graph, plan):
+    """Generate and compile the step's source, one statement per edge and
+    per node in plan order.
+
+    The source interpolates integer node ids, edge ids and rows only; ops,
+    layers and helpers are bound by name (`A<edge>`, `L<edge>`), and a plain
+    matrix layer's `weights` is read at call time.  Which nodes carry flow
+    forward, and which gradient back, follows from the plan alone, so it is
+    settled here: a node without flow has no statement.
+    """
+    ops, inp = graph.ops, graph.input_node
+    env = {"asarray": np.asarray, "float64": np.float64, "dot": np.dot,
+           "multiply": np.multiply, "all_finite": nn.all_finite,
+           "non_finite": partial(_raise_non_finite, ops), "no_flow": _no_flow}
+
+    def output(eid, op, src, layer):  # the name of the edge's op output
+        return f"z{src}" if layer is None and op.tag in _PASS_TAGS else f"o{eid}"
+
+    def pairs(matrices):
+        return "(" + "".join(f"({eid}, o{eid}), " for eid in matrices) + ")"
+
+    fwd, ran, flow = [f"z{inp} = asarray(x, dtype=float64)"], [], {inp}
+    for node, steps in plan.steps:
+        steps = [step for step in steps if step[2] in flow]
+        if not steps:
+            continue
+        flow.add(node)
+        ran.append((node, steps))
+        matrices = []
+        for eid, op, src, layer in steps:
+            if layer is not None:
+                env[f"L{eid}"] = layer
+                fwd.append(f"o{eid} = dot(z{src}, L{eid}.weights.T)")
+                matrices.append(eid)
+            elif op.tag not in _PASS_TAGS:
+                env[f"A{eid}"] = op
+                fwd += ["try:", f"    o{eid}, c{eid} = A{eid}.apply(z{src})",
+                        "except FloatingPointError:", f"    non_finite({pairs(matrices)}, {eid})"]
+            term = f"w[{eid}] * {output(eid, op, src, layer)}"
+            fwd.append(f"z{node} = {term}" if eid == steps[0][0] else f"z{node} = z{node} + {term}")
+        if matrices:
+            fwd.append(f"if not all_finite(z{node}): non_finite({pairs(matrices)})")
+
+    bwd, back = ["S = g.shape", f"g{graph.output_node} = g"], {graph.output_node}
+    edges, saved, caches = [], [], []  # saved: the name of each row's op output
+    for node, steps in reversed(ran):
+        if node not in back:  # no path to the output
+            continue
+        bwd.append(f"f = g{node}.shape == S and g{node}.flags.c_contiguous")
+        for eid, op, src, layer in steps:
+            out, row = output(eid, op, src, layer), len(edges)
+            edges.append(eid)
+            saved.append(out)
+            fits = "f" if layer is not None else f"f and {out}.flags.c_contiguous"  # dot is C-ordered
+            bwd += [f"if {fits}: multiply(g{node}, {out}, out=prods[{row}])",
+                    f"else: own.append(({row}, (g{node} * {out}).sum()))"]
+            if src == inp:
+                continue
+            if layer is not None:
+                vjp = f"dot(g{node}, L{eid}.weights)"
+            elif op.tag in _PASS_TAGS:
+                vjp = f"g{node}"
+            else:
+                vjp = f"A{eid}.vjp(c{eid}, g{node})"
+                caches.append(f"c{eid}")
+            bwd.append(f"g{src} = g{src} + w[{eid}] * {vjp}" if src in back
+                       else f"g{src} = w[{eid}] * {vjp}")
+            back.add(src)
+
+    kept = "(" + "".join(name + ", " for name in saved + caches) + ")"
+    if graph.output_node in flow:
+        fwd.append(f"return z{graph.output_node}, {kept}")
+    else:
+        fwd.append("raise no_flow()")
+    source = "\n    ".join(["def forward(x, w):"] + fwd) + "\n\n" + "\n    ".join(
+        ["def walk(g, saved, w, prods, own):", f"{kept} = saved"] + bwd) + "\n"
+    exec(compile(source, "<compiled step>", "exec"), env)
+    row = np.full(len(ops), len(edges), dtype=np.intp)
+    row[edges] = np.arange(len(edges))
+    return _Step(plan.key, edges, row, env["forward"], env["walk"])
 
 
 def op_cache(graph, gcache, eid):

@@ -246,11 +246,16 @@ def reference_search_batch(slots, velocity, x, y):
     return loss + pen
 
 
-@pytest.mark.parametrize("task", ["proxyless", "tied cells"])
-def test_lean_search_step_matches_the_edge_id_composition(task):
+@pytest.mark.parametrize("task, write", [
+    ("proxyless", None), ("tied cells", None), ("proxyless", "alive"), ("proxyless", "weights"),
+], ids=["proxyless", "tied cells", "alive written", "weights replaced"])
+def test_lean_search_step_matches_the_edge_id_composition(task, write):
     # two iterations, so the second trains on the compact state that an
     # update refreshed and a prune cut; every batch loss and graph.w after
-    # every batch are compared, and the prunes must agree
+    # every batch are compared, and the prunes must agree.  With write, both
+    # graphs get a direct write before an epoch: edge 0 killed in the first
+    # iteration (the step must rebuild, as the plan does), or the first
+    # alive fc edge's weights replaced in the second (it must read them)
     if task == "proxyless":
         graph, ds, _ = data.gen_synthetic_dag_task(0)
         cfg, groups = data.dag_task_config(0), None
@@ -264,8 +269,18 @@ def test_lean_search_step_matches_the_edge_id_composition(task):
     lean, ref = (engine._EdgeSlots(copy.deepcopy(graph), groups, cfg, "mse") for _ in range(2))
     velocity = np.zeros(len(graph.ops))
     rng, n, kills = np.random.default_rng(0), len(ds.x_train), []
-    for _ in range(2):
-        for _ in range(cfg.epochs_per_iteration):
+    write_at = {"alive": (0, 5), "weights": (1, 5)}.get(write)
+    for it in range(2):
+        for epoch in range(cfg.epochs_per_iteration):
+            if (it, epoch) == write_at and write == "alive":
+                for slots in (lean, ref):
+                    slots.model.alive[0] = False
+            elif (it, epoch) == write_at:
+                eid = next(eid for eid in lean.model.alive_edge_ids()
+                           if lean.model.ops[eid].tag == "fc")
+                for slots in (lean, ref):
+                    layer = slots.model.ops[eid].layers[0]
+                    layer.weights = 0.9 * layer.weights
             perm = rng.permutation(n)
             for start in range(0, n, cfg.batch_size):
                 idx = perm[start : start + cfg.batch_size]
@@ -273,7 +288,7 @@ def test_lean_search_step_matches_the_edge_id_composition(task):
                 assert lean.train_batch(x, y) == reference_search_batch(ref, velocity, x, y)
                 assert lean.model.w.tobytes() == ref.model.w.tobytes()
         idx = rng.choice(n, size=cfg.curvature_batch, replace=False)
-        ref._gather()  # the reference stepped graph.w alone: re-read the members' w
+        ref.w = ref.model.w[ref.alive]  # the reference stepped graph.w alone
         for slots in (lean, ref):
             slots.update(ds.x_train[idx], ds.y_train[idx])
         kills.append(lean.prune())

@@ -399,6 +399,18 @@ def test_cli_search_stopped_on_a_severing_prune_says_so(tmp_path):
     assert json.loads((out / "arch.json").read_text())["degenerate"] is True
 
 
+@pytest.mark.parametrize("seed, eid", [(20, 3), (26, 8)])
+def test_cli_search_that_overflows_names_the_edge(tmp_path, seed, eid):
+    # these DAG tasks overflow in a training step: the compiled step names
+    # the same edge as the walk that graph_forward runs, and the run exits 2
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text("{}")
+    res = run_cli("search", "--config", str(cfg), "--seed", str(seed),
+                  "--out", str(tmp_path / "x"))
+    assert res.returncode == 2
+    assert res.stderr == f"error: non-finite output of edge {eid} (fc)\n"
+
+
 def write_idx_set(directory, n_train=64, n_test=32):
     """A small random 28x28 IDX data set: by default 64 training and 32 test
     images."""

@@ -1,5 +1,6 @@
 """Search DAG: mixing, variance algebra, pruning, gates, export."""
 
+import copy
 import dataclasses
 import graphlib
 from types import SimpleNamespace
@@ -132,9 +133,19 @@ def relu_fc_op(matrix):
 ], ids=["matrix", "fc-relu", "conv3x3", "sum-overflow", "dead-end",
         "matrix-then-op", "op-then-matrix"])
 def test_overflow_names_the_edge(graph, x, eid, tag):
-    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
-            FloatingPointError, match=rf"^non-finite output of edge {eid} \({tag}\)$"):
-        sg.graph_forward(graph, x)
+    for forward in (sg.graph_forward, compiled_forward):
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+                FloatingPointError, match=rf"^non-finite output of edge {eid} \({tag}\)$"):
+            forward(graph, x)
+
+
+def test_an_output_without_flow_raises_in_both_walks():
+    # edge 1 is dead, so nothing reaches node 2; the dead end at node 3 runs
+    g = sg.SuperGraph(4, [identity_edge(0, 1), identity_edge(1, 2, alive=False),
+                          identity_edge(1, 3)], output_node=2)
+    for forward in (sg.graph_forward, compiled_forward):
+        with pytest.raises(ValueError, match="^output node receives no information flow$"):
+            forward(g, np.ones((1, 2)))
 
 
 def test_backward_skips_edges_whose_source_has_no_flow():
@@ -219,6 +230,11 @@ def loop_arch_hessian(graph, gcache, h_seed):
         ju = gcache.edge_out[eid].reshape(h_seed.shape[0], -1) @ j_dst.T
         hess[eid] = float(np.einsum("bi,bij,bj->", ju, h_seed, ju))
     return hess
+
+
+def compiled_forward(graph, x):
+    """The training step's forward: the plan compiled, on the graph's w."""
+    return sg._compiled_step(graph).forward(x, graph.w.tolist())
 
 
 def same_bits(a, b):
@@ -307,7 +323,7 @@ def test_plan_walk_equals_the_per_edge_loop(spec, seed):
         reach = sg.reachable_nodes(g)
         g.alive &= np.isin(g.src, list(reach))
         if g.output_node not in reach:
-            for forward in (sg.graph_forward, loop_forward):
+            for forward in (sg.graph_forward, loop_forward, compiled_forward):
                 with pytest.raises(ValueError, match="no information flow"):
                     forward(g, x)
             continue
@@ -339,6 +355,20 @@ def test_plan_walk_equals_the_per_edge_loop(spec, seed):
         assert all(out is None for eid in no_vjp for out in got_outs[eid] or [])
         assert same_bits([outs for eid, outs in enumerate(got_outs) if eid not in no_vjp],
                          [outs for eid, outs in enumerate(ref_outs) if eid not in no_vjp])
+        # the compiled step: the output, the op output of each product row,
+        # then the caches its vjps fill, and one w-gradient sum per row
+        step, w = sg._compiled_step(g), g.w.tolist()
+        got_out, saved = step.forward(x, w)
+        sums = step.backward(e_grad, saved, w)
+        n_rows = len(step.edges)
+        assert same_bits(got_out, ref)
+        assert same_bits(list(saved[:n_rows]), [rcache.edge_out[eid] for eid in step.edges])
+        vjp_edges = [eid for eid in step.edges if g.src[eid] != g.input_node
+                     and g.ops[eid].tag not in ("identity", "zero_gate")
+                     and sg._matrix_layer(g.ops[eid]) is None]
+        assert same_bits([[vars(c) for c in cache] for cache in saved[n_rows:]],
+                         [[vars(c) for c in rcache.edge_cache[eid]] for eid in vjp_edges])
+        assert sums[-1] == 0.0 and same_bits(sums[step.row], ref_w_grads)
         if linear:
             # the Jacobian reference sums in another order than the VJPs
             h_seed = nn.energy_hessian(out, t, "mse", "exact")
@@ -346,6 +376,18 @@ def test_plan_walk_equals_the_per_edge_loop(spec, seed):
             ref = loop_arch_hessian(g, rcache, h_seed)
             assert list(ref) == g.alive_edge_ids() and not got[~g.alive].any()
             assert np.allclose(got[g.alive], list(ref.values()), rtol=1e-12, atol=0)
+
+
+def test_a_copied_graph_compiles_its_own_step():
+    # the step reads the layers it was built from; a deep copy must read its own
+    rng = np.random.default_rng(3)
+    g = sg.SuperGraph(3, [fc_edge(0, 1, rng.normal(size=(2, 2))), fc_edge(1, 2, np.eye(2))])
+    x = rng.normal(size=(4, 2))
+    sg._compiled_step(g)
+    copied = copy.deepcopy(g)
+    copied.ops[0].layers[0].weights = 2.0 * copied.ops[0].layers[0].weights
+    assert same_bits(compiled_forward(copied, x)[0], sg.graph_forward(copied, x)[0])
+    assert same_bits(compiled_forward(g, x)[0], sg.graph_forward(g, x)[0])
 
 
 # ---------------------------------------------------------------------------
