@@ -8,15 +8,19 @@ the graph, which it rolls back; then it retrains what survives if
 `retrain_epochs` > 0, and reports the last history row's test error.  It
 runs on `_EdgeSlots` (the tied architecture scalars of a SuperGraph, in
 flat groups) or `_WeightSlots` (the slab groups of a layer stack, one
-HyperState per layer).  The graph's arrays hold the search state.  Every
-SGD pass goes through `_sgd_epoch`, and every step through `_momentum_step`,
-in place.  A layer stack's curvature update and
-test pass run `batch_size` rows at a time, so a training batch, not the
-curvature batch or the test set, sets the peak memory of a compression run.
+HyperState per layer).  The graph's arrays hold the search state.  A graph
+search trains through the loop `_build_loop` generates for its plan, which
+holds the scalar state in Python floats; every other SGD pass goes through
+`_sgd_epoch`, and every layer step through `_momentum_step`, in place.  Both
+gather each batch's rows from one permutation per epoch and end the epoch in
+`_epoch_loss`.  A layer stack's curvature update and test pass run
+`batch_size` rows at a time, so a training batch, not the curvature batch or
+the test set, sets the peak memory of a compression run.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,7 +29,7 @@ from . import nn
 from . import supergraph as sg
 from .curvature import curved_layers, network_curvature
 from .updates import (GroupSpec, HyperState, SearchConfig, flat_groups,
-                      group_l2_penalty, group_update, slab_l2_penalty,
+                      group_update, slab_l2_penalty,
                       slab_penalty_terms, structural_update)
 
 __all__ = [
@@ -101,17 +105,23 @@ def _sgd_epoch(step, data, batch_size, rng):
     rows in a third of the time that indexing does.  Returns the mean loss."""
     perm = rng.permutation(len(data.x_train))
     batches = (perm[start : start + batch_size] for start in range(0, len(perm), batch_size))
-    losses = [step(data.x_train.take(idx, axis=0), data.y_train.take(idx, axis=0))
-              for idx in batches]
+    return _epoch_loss([step(data.x_train.take(idx, axis=0), data.y_train.take(idx, axis=0))
+                        for idx in batches])
+
+
+def _epoch_loss(losses):
+    """An epoch's mean batch loss; a non-finite batch loss raises."""
     if not np.all(np.isfinite(losses)):
         raise FloatingPointError("non-finite training loss; reduce the learning rate")
     return float(np.mean(losses))
 
 
 def _momentum_step(value, grad, velocity, lr, momentum, mask=None):
-    """The one momentum rule, in place: velocity = momentum * velocity -
-    lr * grad, value += velocity, then value *= mask for a masked weight.
-    grad is scaled in place, so the caller hands over a fresh array."""
+    """The momentum rule of a layer step, in place: velocity = momentum *
+    velocity - lr * grad, value += velocity, then value *= mask for a masked
+    weight (the search loop's scalar statements take the same operations
+    on floats).  grad is scaled in place, so the caller hands over a fresh
+    array."""
     velocity *= momentum
     velocity -= np.multiply(grad, lr, out=grad)
     value += velocity
@@ -154,7 +164,7 @@ def _alternate(slots, data, config, run, trace=None):
     for t in range(1, config.t_max + 1):
         before, _ = slots.gammas()
         for _ in range(config.epochs_per_iteration):
-            loss = _sgd_epoch(slots.train_batch, data, config.batch_size, rng)
+            loss = slots.epoch(data, config.batch_size, rng)
         # curvature on a fresh held-out batch, once per iteration
         idx = rng.choice(len(data.x_train), size=n_curv, replace=False)
         slots.update(data.x_train[idx], data.y_train[idx])
@@ -233,12 +243,12 @@ class _EdgeSlots:
     `omega` is an array over edge ids, starting at 1 as a HyperState's does.
     The alive members of each group change only at a prune, which follows
     every omega update, so they are gathered once per iteration, in flat
-    form, with their group's omega and its penalty terms.  Their w and
-    velocity are compact arrays over those members, cut to the survivors at
-    each prune and stepped in place; each batch writes w to the graph's
-    array once.  A batch runs the compiled step of the graph's plan, taken
-    at each gather and again when the alive flags no longer match it, and
-    reads the members' w-gradients from its product rows.
+    form, with their group's lambda_w * omega (`coef`); their velocity is a
+    compact array over them, cut to the survivors at each prune.  Training
+    runs the loop that `_build_loop` generates for the graph's plan and the
+    members' grouping, built at the first epoch after either changed; it
+    holds the scalars as floats and writes them back to the graph's array
+    and the velocity when it returns or raises.
     """
 
     def __init__(self, graph, groups, config, kind):
@@ -247,6 +257,7 @@ class _EdgeSlots:
         self.velocity = {}  # of the op weights, when retraining
         self.pos, self.v = np.arange(self.index.size), np.zeros(self.index.size)
         self.omega = np.ones(len(graph.ops))
+        self.loop_key = self.loop = None
         self._gather()
 
     def _gather(self):
@@ -254,19 +265,33 @@ class _EdgeSlots:
         # kills, so the survivors keep their velocity
         pos = np.flatnonzero(self.model.alive[self.index])
         self.pos, self.v, self.alive = pos, self.v[np.isin(self.pos, pos)], self.index[pos]
-        self.w = self.model.w[self.alive]
         # every alive member of a group shares its omega; take the first's
         _, first, self.group_of = np.unique(self.group[pos], return_index=True,
                                             return_inverse=True)
         self.group_omega = self.omega[self.alive[first]]
-        coef = self.config.lambda_w * self.group_omega
-        self.terms = coef, coef[self.group_of]  # what group_l2_penalty reads
-        self._plan_step()
+        self.coef = self.config.lambda_w * self.group_omega
 
-    def _plan_step(self):
-        # the compiled step of the graph's plan and the alive members' rows
-        self.step = sg._compiled_step(self.model)
-        self.rows = self.step.row[self.alive]
+    def epoch(self, data, batch_size, rng):
+        """One epoch over shuffled minibatches; returns the mean loss."""
+        perm = rng.permutation(len(data.x_train))
+        return _epoch_loss(self._train(data.x_train, data.y_train, perm, batch_size))
+
+    def train_batch(self, x, y):
+        """The same loop over the one batch (x, y); returns its loss."""
+        x, y = np.asarray(x), np.asarray(y)
+        return self._train(x, y, np.arange(len(x)), len(x))[0]
+
+    def _train(self, xs, ys, perm, size):
+        # the batch losses of the rows perm of (xs, ys), size rows a batch;
+        # the loop is rebuilt when the plan or the members changed (code may
+        # write graph.alive directly)
+        graph, config = self.model, self.config
+        key = graph.alive.tobytes() + self.alive.tobytes()
+        if key != self.loop_key:
+            self.loop = _build_loop(graph, self.alive.tolist(), self.group_of.tolist())
+            self.loop_key = key
+        return self.loop(xs, ys, perm, size, graph.w, self.alive, self.v, self.coef.tolist(),
+                         self.kind, config.momentum, config.learning_rate)
 
     def gammas(self):
         """Every edge's gamma and alive flag, as arrays over edge ids."""
@@ -276,22 +301,6 @@ class _EdgeSlots:
         graph = self.model
         return dict(enumerate(zip(graph.w.tolist(), graph.s.tolist(), self.omega.tolist(),
                                   graph.gamma.tolist(), graph.alive.tolist())))
-
-    def train_batch(self, x, y):
-        config, graph, w = self.config, self.model, self.w
-        if self.step.key != graph.alive.tobytes():  # code may write graph.alive directly
-            self._plan_step()
-        step, scalars = self.step, graph.w.tolist()
-        out, saved = step.forward(x, scalars)
-        loss, e_grad = nn.energy(out, y, self.kind)
-        pen, grad = group_l2_penalty(w, self.group_of, self.terms)
-        grad += step.backward(e_grad, saved, scalars)[self.rows]
-        # tied slots are one shared scalar: sum member gradients and move
-        # every member by the same step, so repeated cells stay bitwise equal
-        grad = np.bincount(self.group_of, weights=grad)[self.group_of]
-        _momentum_step(w, grad, self.v, config.learning_rate, config.momentum)
-        graph.w[self.alive] = w
-        return loss + pen
 
     def retrain_batch(self, x, y):
         # edge-id order: tied edges share one op's layers, so the order of
@@ -329,7 +338,7 @@ class _EdgeSlots:
             graph.gamma[alive] = gmin[group]
             return graph.gamma[alive]
 
-        _, omega = group_update(self.w, self.group_omega, hess, group, hard_gammas,
+        _, omega = group_update(graph.w[alive], self.group_omega, hess, group, hard_gammas,
                                 config.omega_floor, config.s_cap)
         self.omega[alive] = omega[group]
 
@@ -366,6 +375,108 @@ class _EdgeSlots:
             _retrain(self, data, run, int(np.count_nonzero(graph.alive)))
         run.report["degenerate"] = graph.degenerate
         run.report["alive_edges"] = graph.alive_edge_ids()
+
+
+def _names(prefix, ids):
+    """The tuple of names prefix<id>, as source ("a1, a2, ")."""
+    return "".join(f"{prefix}{i}, " for i in ids)
+
+
+def _sum_source(terms):
+    """An expression that adds the expressions `terms` as np.sum adds a
+    float64 array of their values, bit for bit: 0.0 plus numpy's pairwise
+    sum, which adds one by one below 8 terms, in 8 interleaved lanes up to
+    128 (the rest one by one), and splits more in halves at a multiple of 8."""
+    def pairwise(terms):
+        n = len(terms)
+        if n < 8:
+            return "(" + " + ".join(terms) + ")"
+        if n <= 128:
+            cut = n - n % 8
+            r = ["(" + " + ".join(terms[j:cut:8]) + ")" for j in range(8)]
+            lanes = (f"((({r[0]} + {r[1]}) + ({r[2]} + {r[3]}))"
+                     f" + (({r[4]} + {r[5]}) + ({r[6]} + {r[7]})))")
+            return "(" + " + ".join([lanes] + terms[cut:]) + ")"
+        half = n // 2 - (n // 2) % 8
+        return f"({pairwise(terms[:half])} + {pairwise(terms[half:])})"
+
+    return f"0.0 + {pairwise(terms)}" if terms else "0.0"
+
+
+def _scalar_source(groups, rows):
+    """One batch's scalar step as statements on floats: `groups` lists each
+    group's member edge ids in member order, and `rows` maps a member that
+    forms a product to its row, whose sum the statements read as `s[row]`.
+
+    They read each member's `w<edge>` and `v<edge>` and each group's lambda_w
+    * omega `k<group>`, and repeat the array step's float operations in its
+    order: the norm `n<group>` sums the squares in member order (bincount
+    starts at 0.0, which changes no square), a member's penalty gradient
+    `p<edge>` is k * w / n and 0.0 at a zero norm, the tie sums from 0.0 the
+    members' penalty gradients plus their product sums (0.0 without a row),
+    then v = v * momentum - tie * lr and w = w + v; `pen` sums k * n over
+    the groups in np.sum's order (`_sum_source`).
+    """
+    lines = []
+    for gi, members in enumerate(groups):
+        lines.append(f"n{gi} = sqrt(" + " + ".join(f"w{e} * w{e}" for e in members) + ")")
+        lines += [f"p{e} = k{gi} * w{e} / n{gi} if n{gi} > 0 else 0.0" for e in members]
+        lines.append("t = 0.0 + " + " + ".join(
+            f"(p{e} + {f's[{rows[e]}]' if e in rows else '0.0'})" for e in members))
+        lines += [f"v{e} = v{e} * m - t * lr; w{e} = w{e} + v{e}" for e in members]
+    lines.append("pen = " + _sum_source([f"k{gi} * n{gi}" for gi in range(len(groups))]))
+    return lines
+
+
+def _build_loop(graph, members, group_of):
+    """Generate and compile the search's training loop for the graph's
+    current plan and the alive members `members` (edge ids in flat order)
+    of the groups `group_of` (their group positions).
+
+    loop(xs, ys, perm, size, w, ids, v, coef, kind, momentum, lr) runs the
+    batches perm[i : i + size] of (xs, ys) in order and returns their
+    losses.  A batch gathers its rows with `take`, runs the plan's
+    statements (`sg._walk_source`), `nn.energy` and one reduction of the
+    product rows, then the scalar step (`_scalar_source`), and adds the
+    penalty to the loss.  The scalars of w, the graph's array, and the
+    members' velocity v are floats inside the loop, written back to w[ids]
+    and v when it returns or raises, so a failure leaves the state of the
+    last completed batch.  A product buffer is kept per output shape: a
+    batch writes every row that it does not replace with its own sum.
+    """
+    walk = sg._walk_source(graph)
+    groups = [[] for _ in range(max(group_of, default=-1) + 1)]
+    for eid, gi in zip(members, group_of):
+        groups[gi].append(eid)
+    prods = {}
+
+    def buffer(shape):
+        # the buffer, the axes its rows sum over, then each row
+        B = np.zeros((len(walk.rows),) + shape)
+        prods[shape] = found = (B, tuple(range(1, len(shape) + 1)), *B)
+        return found
+
+    head = walk.setup + [f"{names} = {value}" for names, value in (
+        (_names("w", range(len(graph.ops))), "w.tolist()"), (_names("v", members), "v.tolist()"),
+        (_names("k", range(len(groups))), "coef")) if names] + ["energy = nn.energy", "losses = []"]
+    views = _names("B", range(len(walk.rows)))
+    batch = (["idx = perm[i : i + size]", "x = xs.take(idx, axis=0)", "y = ys.take(idx, axis=0)"]
+             + walk.forward
+             + [f"loss, g = energy({walk.output}, y, kind)",
+                f"B, axes, {views}= prods.get(g.shape) or buffer(g.shape)", "own = []"]
+             + walk.backward
+             + ["s = B.sum(axis=axes).tolist()", "for row, value in own: s[row] = float(value)"]
+             + _scalar_source(groups, {eid: row for row, eid in enumerate(walk.rows)})
+             + ["losses.append(loss + pen)"])
+    source = "\n    ".join(
+        ["def loop(xs, ys, perm, size, w, ids, v, coef, kind, m, lr):"] + head
+        + ["try:", "    for i in range(0, len(perm), size):"]
+        + ["        " + line for line in batch]
+        + ["finally:", f"    w[ids] = ({_names('w', members)})",
+           f"    v[:] = ({_names('v', members)})", "return losses"]) + "\n"
+    env = dict(walk.env, nn=nn, sqrt=math.sqrt, prods=prods, buffer=buffer)
+    exec(compile(source, "<search loop>", "exec"), env)
+    return env["loop"]
 
 
 def _search(graph, data, config, groups, mode, trace):
@@ -447,6 +558,11 @@ class _WeightSlots:
         return loss
 
     retrain_batch = train_batch
+
+    def epoch(self, data, batch_size, rng):
+        """One epoch of `train_batch` over shuffled minibatches; returns the
+        mean loss."""
+        return _sgd_epoch(self.train_batch, data, batch_size, rng)
 
     def update(self, x, y):
         """Layer curvature, summed over `batch_size` slices of (x, y), then

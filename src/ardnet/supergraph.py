@@ -15,18 +15,17 @@ one Gauss-Newton rule contracts per-sample Jacobians d out / d w_e, one
 walk per output dimension, against the full energy Hessian, on every op
 kind.
 
-A training step runs the plan compiled (`_compiled_step`): a forward and a
-backward function generated from Python source, one statement per edge and
-per node, which interpolates only integer node ids, edge ids and rows and
-repeats the walks' float operations in their order, checks and errors
-included.  `graph_forward` and `graph_backward` remain the path for one-off
-walks (data generation, evaluation, curvature, retraining), which compile
-nothing.
+A search's training loop inlines the plan as Python statements
+(`_walk_source`): one statement per edge and per node, which interpolate
+only integer node ids, edge ids and rows and repeat the walks' float
+operations in their order, checks and errors included.  `graph_forward`
+and `graph_backward` remain the path for every other walk (data
+generation, evaluation, curvature, retraining), which compiles nothing.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from operator import attrgetter
 
@@ -235,9 +234,7 @@ class _Plan:
     over its alive in-edges; layer is the op's fc layer when the op is one
     plain matrix, else None.  The layer, not its weights, is kept, because
     retraining replaces `layer.weights`.  `walked` lists the edge ids of
-    `steps` in their order.  `step` is the plan compiled for training
-    (`_compiled_step`), built on first request, so a walk that only
-    evaluates compiles nothing.
+    `steps` in their order.
     """
 
     key: bytes
@@ -245,7 +242,6 @@ class _Plan:
     fan_out: list  # node -> every out-edge id, alive or not
     steps: list
     walked: np.ndarray
-    step: _Step | None = None
 
 
 def _matrix_layer(op):
@@ -422,73 +418,43 @@ def graph_backward(graph, gcache, grad_output):
 
 
 @dataclass
-class _Step:
-    """A plan compiled into one straight-line forward and one backward
-    function, the training step's walk (`_compiled_step`).
+class _WalkSource:
+    """A plan as Python statements, one per edge and per node, for a
+    generated training loop to inline (`_walk_source`).
 
-    `forward(x, w)`, with w the graph's scalars as a list of Python floats,
-    returns the output and `saved`: the op output of each edge in `edges`,
-    then the op cache of each of them that runs a vjp (not a plain matrix,
-    an identity or a gate, nor out of the input node).  `edges` are the
-    edges that form a w-gradient product, one row each, in the order the
-    backward walk forms them.  `backward(g_out, saved, w)` returns one
-    product sum per row and 0.0 in a last row, which `row` (edge id -> row)
-    gives every edge that forms no product.  Both run `graph_forward`'s and
-    `graph_backward`'s float operations in their order, with the same
-    checks and errors.
+    The statements read the input batch `x`, each edge's scalar as the
+    float `w<edge>`, and each plain matrix layer's weights and transpose as
+    `W<edge>` and `T<edge>`, which `setup` binds once per call of the loop.
+    `forward` leaves the output in `output`, or raises when no flow reaches
+    it.  `backward` reads the output gradient `g`, the rows `B<row>` of a
+    product buffer, one per entry of `rows`, and a list `own`: it writes
+    each edge's product g * op output to its row when the product is
+    C-ordered and shaped like `g`, and else appends (row, its sum) to
+    `own`.  `env` binds the ops, layers and helpers the statements name.
     """
 
-    key: bytes  # the plan's
-    edges: list
-    row: np.ndarray
-    forward: object
-    walk: object  # (g_out, saved, w, prods, own) -> None, the backward walk
-    prods: dict = field(default_factory=dict)  # g_out shape -> product buffer
-
-    def backward(self, g_out, saved, w):
-        """The rows' w-gradient product sums: a product that is C-ordered and
-        shaped like g_out is written to its row of a buffer kept per shape
-        and reduced with the others in one sum; any other keeps its own sum,
-        which replaces its row's.  A row that forms no product, the last one
-        included, is never written, so a kept buffer needs no clearing."""
-        g_out = np.asarray(g_out, dtype=np.float64)
-        prods = self.prods.get(g_out.shape)
-        if prods is None:
-            prods = self.prods[g_out.shape] = np.zeros((len(self.edges) + 1,) + g_out.shape)
-        own = []
-        self.walk(g_out, saved, w, prods, own)
-        sums = prods.sum(axis=tuple(range(1, prods.ndim)))
-        for row, value in own:
-            sums[row] = value
-        return sums
-
-    def __deepcopy__(self, memo):
-        # its functions hold this graph's ops: a copied plan builds its own
-        return None
+    env: dict
+    setup: list
+    forward: list
+    backward: list
+    output: str
+    rows: list  # the edge id of each product row, in the order backward forms them
 
 
-def _compiled_step(graph):
-    """The `_Step` of the graph's current plan, built once per plan."""
-    plan = _plan(graph)
-    if plan.step is None:
-        plan.step = _build_step(graph, plan)
-    return plan.step
+def _walk_source(graph):
+    """The statements of the graph's current plan.
 
-
-def _build_step(graph, plan):
-    """Generate and compile the step's source, one statement per edge and
-    per node in plan order.
-
-    The source interpolates integer node ids, edge ids and rows only; ops,
-    layers and helpers are bound by name (`A<edge>`, `L<edge>`), and a plain
-    matrix layer's `weights` is read at call time.  Which nodes carry flow
-    forward, and which gradient back, follows from the plan alone, so it is
-    settled here: a node without flow has no statement.
+    They repeat `graph_forward`'s and `graph_backward`'s float operations
+    in their order, with the same checks and errors.  The source
+    interpolates integer node ids, edge ids and rows only; ops, layers and
+    helpers are bound by name (`A<edge>`, `L<edge>`).  Which nodes carry
+    flow forward, and which gradient back, follows from the plan alone, so
+    it is settled here: a node without flow has no statement.
     """
-    ops, inp = graph.ops, graph.input_node
-    env = {"asarray": np.asarray, "float64": np.float64, "dot": np.dot,
-           "multiply": np.multiply, "all_finite": nn.all_finite,
-           "non_finite": partial(_raise_non_finite, ops), "no_flow": _no_flow}
+    plan, ops, inp = _plan(graph), graph.ops, graph.input_node
+    env = {"asarray": np.asarray, "float64": np.float64, "multiply": np.multiply,
+           "all_finite": nn.all_finite, "non_finite": partial(_raise_non_finite, ops),
+           "no_flow": _no_flow}
 
     def output(eid, op, src, layer):  # the name of the edge's op output
         return f"z{src}" if layer is None and op.tag in _PASS_TAGS else f"o{eid}"
@@ -496,7 +462,7 @@ def _build_step(graph, plan):
     def pairs(matrices):
         return "(" + "".join(f"({eid}, o{eid}), " for eid in matrices) + ")"
 
-    fwd, ran, flow = [f"z{inp} = asarray(x, dtype=float64)"], [], {inp}
+    setup, fwd, ran, flow = [], [f"z{inp} = asarray(x, dtype=float64)"], [], {inp}
     for node, steps in plan.steps:
         steps = [step for step in steps if step[2] in flow]
         if not steps:
@@ -507,54 +473,44 @@ def _build_step(graph, plan):
         for eid, op, src, layer in steps:
             if layer is not None:
                 env[f"L{eid}"] = layer
-                fwd.append(f"o{eid} = dot(z{src}, L{eid}.weights.T)")
+                setup += [f"W{eid} = L{eid}.weights", f"T{eid} = W{eid}.T"]
+                fwd.append(f"o{eid} = z{src}.dot(T{eid})")
                 matrices.append(eid)
             elif op.tag not in _PASS_TAGS:
                 env[f"A{eid}"] = op
                 fwd += ["try:", f"    o{eid}, c{eid} = A{eid}.apply(z{src})",
                         "except FloatingPointError:", f"    non_finite({pairs(matrices)}, {eid})"]
-            term = f"w[{eid}] * {output(eid, op, src, layer)}"
+            term = f"w{eid} * {output(eid, op, src, layer)}"
             fwd.append(f"z{node} = {term}" if eid == steps[0][0] else f"z{node} = z{node} + {term}")
         if matrices:
             fwd.append(f"if not all_finite(z{node}): non_finite({pairs(matrices)})")
+    if graph.output_node not in flow:
+        fwd.append("raise no_flow()")
 
-    bwd, back = ["S = g.shape", f"g{graph.output_node} = g"], {graph.output_node}
-    edges, saved, caches = [], [], []  # saved: the name of each row's op output
+    bwd, back, rows = ["S = g.shape", f"g{graph.output_node} = g"], {graph.output_node}, []
     for node, steps in reversed(ran):
         if node not in back:  # no path to the output
             continue
         bwd.append(f"f = g{node}.shape == S and g{node}.flags.c_contiguous")
         for eid, op, src, layer in steps:
-            out, row = output(eid, op, src, layer), len(edges)
-            edges.append(eid)
-            saved.append(out)
-            fits = "f" if layer is not None else f"f and {out}.flags.c_contiguous"  # dot is C-ordered
-            bwd += [f"if {fits}: multiply(g{node}, {out}, out=prods[{row}])",
+            out, row = output(eid, op, src, layer), len(rows)
+            rows.append(eid)
+            # a matrix product is C-ordered
+            fits = "f" if layer is not None else f"f and {out}.flags.c_contiguous"
+            bwd += [f"if {fits}: multiply(g{node}, {out}, out=B{row})",
                     f"else: own.append(({row}, (g{node} * {out}).sum()))"]
             if src == inp:
                 continue
             if layer is not None:
-                vjp = f"dot(g{node}, L{eid}.weights)"
+                vjp = f"g{node}.dot(W{eid})"
             elif op.tag in _PASS_TAGS:
                 vjp = f"g{node}"
             else:
                 vjp = f"A{eid}.vjp(c{eid}, g{node})"
-                caches.append(f"c{eid}")
-            bwd.append(f"g{src} = g{src} + w[{eid}] * {vjp}" if src in back
-                       else f"g{src} = w[{eid}] * {vjp}")
+            bwd.append(f"g{src} = g{src} + w{eid} * {vjp}" if src in back
+                       else f"g{src} = w{eid} * {vjp}")
             back.add(src)
-
-    kept = "(" + "".join(name + ", " for name in saved + caches) + ")"
-    if graph.output_node in flow:
-        fwd.append(f"return z{graph.output_node}, {kept}")
-    else:
-        fwd.append("raise no_flow()")
-    source = "\n    ".join(["def forward(x, w):"] + fwd) + "\n\n" + "\n    ".join(
-        ["def walk(g, saved, w, prods, own):", f"{kept} = saved"] + bwd) + "\n"
-    exec(compile(source, "<compiled step>", "exec"), env)
-    row = np.full(len(ops), len(edges), dtype=np.intp)
-    row[edges] = np.arange(len(edges))
-    return _Step(plan.key, edges, row, env["forward"], env["walk"])
+    return _WalkSource(env, setup, fwd, bwd, f"z{graph.output_node}", rows)
 
 
 def op_cache(graph, gcache, eid):

@@ -4,6 +4,7 @@ import copy
 import dataclasses
 import functools
 import json
+import math
 import tracemalloc
 
 import numpy as np
@@ -149,6 +150,22 @@ def test_sgd_epoch_holds_a_batch_not_a_shuffled_training_set():
         tracemalloc.stop()
     assert seen == [16] * 256
     assert peak < ds.x_train.nbytes / 8
+    # the generated graph epoch gathers its batches the same way; its loop
+    # is built before tracing, by a first epoch
+    mats = [rng.normal(size=shape) / 8 for shape in ((8, 64), (2, 8), (2, 64))]
+    graph = sg.SuperGraph(3, [sg.Edge(0, 1, sg.make_op("fc", matrix=mats[0])),
+                              sg.Edge(1, 2, sg.make_op("fc", matrix=mats[1])),
+                              sg.Edge(0, 2, sg.make_op("fc", matrix=mats[2]))])
+    slots = engine._EdgeSlots(graph, [GroupSpec(eid, [eid]) for eid in range(3)],
+                              small_config(learning_rate=1e-4), "mse")
+    slots.epoch(ds, 16, np.random.default_rng(0))
+    tracemalloc.start()
+    try:
+        slots.epoch(ds, 16, np.random.default_rng(1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < ds.x_train.nbytes / 8
 
 
 def test_severing_prune_rolls_back_and_stops():
@@ -185,11 +202,28 @@ def test_severing_cell_prune_rolls_back_before_evaluating():
     assert run.report["final_test_error"] == engine.evaluate(graph, ds, cfg.batch_size)
 
 
+def penalty_terms(slots):
+    """lambda_w * omega per group and per member: what group_l2_penalty reads."""
+    return slots.coef, slots.coef[slots.group_of]
+
+
+def generated_penalty(groups, w, coef):
+    """The value and the member gradients that the search loop's scalar
+    step forms, for the member edge ids `groups` (one list per group), the
+    scalars w (edge id -> value) and lambda_w * omega per group."""
+    scope = {"sqrt": math.sqrt, "m": 0.0, "lr": 0.0}
+    members = [eid for grp in groups for eid in grp]
+    scope.update({f"w{eid}": float(w[eid]) for eid in members})
+    scope.update({f"v{eid}": 0.0 for eid in members})
+    scope.update({f"k{gi}": float(c) for gi, c in enumerate(coef)})
+    exec("\n".join(engine._scalar_source(groups, {})), scope)
+    return scope["pen"], [scope[f"p{eid}"] for eid in members]
+
+
 def test_one_penalty_call_equals_per_group_calls():
     # the search penalty is one group_l2_penalty call over the alive edges,
     # on the terms gathered with them; it must equal, bitwise, one call per
-    # group with alive members
-    from ardnet.updates import group_l2_penalty
+    # group with alive members, and so must the search loop's generated one
     graph, ds, groups, _ = data.gen_two_cell_task(0)
     cfg = data.two_cell_task_config(0)
     rng = np.random.default_rng(0)
@@ -202,7 +236,7 @@ def test_one_penalty_call_equals_per_group_calls():
         slots = engine._EdgeSlots(graph, groups, cfg, "mse")
         slots.omega[:] = omega
         slots._gather()
-        value, grad = group_l2_penalty(w[slots.alive], slots.group_of, slots.terms)
+        value, grad = group_l2_penalty(w[slots.alive], slots.group_of, penalty_terms(slots))
         ref_value, ref_grad = 0.0, {}
         for grp in groups:
             members = [eid for eid in grp.members.tolist() if graph.alive[eid]]
@@ -214,6 +248,39 @@ def test_one_penalty_call_equals_per_group_calls():
             ref_grad.update(zip(members, g))
         assert value == ref_value
         assert grad.tolist() == [ref_grad[eid] for eid in slots.alive.tolist()]
+        members = [[] for _ in slots.coef]
+        for eid, gi in zip(slots.alive.tolist(), slots.group_of.tolist()):
+            members[gi].append(eid)
+        assert generated_penalty(members, w, slots.coef) == (value, grad.tolist())
+
+
+@pytest.mark.parametrize("members, w", [
+    ([[0]], [0.7]), ([[0]], [0.0]), ([[0]], [-0.0]), ([[0, 1]], [0.3, -0.4]),
+    ([[0, 1], [2], [3, 4]], [0.0, 0.0, -1.5, 2.0, 1e-170]),
+    ([[0], [1, 2]], [1e200, 1e200, -1e200]),
+], ids=["one", "zero", "minus-zero", "two", "mixed-zero-norm", "overflowing-norm"])
+def test_generated_penalty_equals_group_l2_penalty(members, w):
+    coef = np.array([0.01, 0.3, 2.5][:len(members)])
+    group = np.repeat(np.arange(len(members)), [len(grp) for grp in members])
+    with np.errstate(over="ignore"):
+        value, grad = group_l2_penalty(np.array(w), group, (coef, coef[group]))
+    got_value, got_grad = generated_penalty(members, w, coef)
+    assert np.float64(got_value).tobytes() == np.float64(value).tobytes()
+    assert np.array(got_grad).tobytes() == grad.tobytes()
+
+
+def test_sum_source_adds_as_np_sum():
+    # across the 8-lane and the 128-term boundaries, with magnitudes that
+    # make every order of additions give other bits
+    rng = np.random.default_rng(0)
+    for n in range(1, 301):
+        terms = [f"a[{i}]" for i in range(n)]
+        for _ in range(3):
+            a = rng.normal(size=n) * 10.0 ** rng.integers(-8, 9, size=n)
+            got = eval(engine._sum_source(terms), {"a": a.tolist()})
+            assert np.float64(got).tobytes() == np.sum(a).tobytes(), n
+        assert eval(engine._sum_source(terms), {"a": [-0.0] * n}) == 0.0
+    assert eval(engine._sum_source([])) == 0.0
 
 
 def test_search_trains_the_graph_w_in_place():
@@ -238,7 +305,7 @@ def reference_search_batch(slots, velocity, x, y):
     out, gcache = sg.graph_forward(graph, x)
     loss, e_grad = nn.energy(out, y, slots.kind)
     wm = w[alive]
-    pen, pen_grad = group_l2_penalty(wm, group, slots.terms)
+    pen, pen_grad = group_l2_penalty(wm, group, penalty_terms(slots))
     w_grads, _ = sg.graph_backward(graph, gcache, e_grad)
     grad = np.bincount(group, weights=w_grads[alive] + pen_grad)[group]
     w[alive], velocity[alive] = momentum_step(wm, grad, velocity[alive],
@@ -250,12 +317,14 @@ def reference_search_batch(slots, velocity, x, y):
     ("proxyless", None), ("tied cells", None), ("proxyless", "alive"), ("proxyless", "weights"),
 ], ids=["proxyless", "tied cells", "alive written", "weights replaced"])
 def test_lean_search_step_matches_the_edge_id_composition(task, write):
-    # two iterations, so the second trains on the compact state that an
-    # update refreshed and a prune cut; every batch loss and graph.w after
-    # every batch are compared, and the prunes must agree.  With write, both
-    # graphs get a direct write before an epoch: edge 0 killed in the first
-    # iteration (the step must rebuild, as the plan does), or the first
-    # alive fc edge's weights replaced in the second (it must read them)
+    # two iterations of the epochs that _alternate runs, so the second
+    # trains on the compact state that an update refreshed and a prune cut;
+    # every epoch's loss, graph.w and the velocity after it are compared
+    # with the reference batch by batch, and the prunes must agree.  With
+    # write, both graphs get a direct write before an epoch: edge 0 killed
+    # in the first iteration (the loop must rebuild, as the plan does), or
+    # the first alive fc edge's weights replaced in the second (it must
+    # read them)
     if task == "proxyless":
         graph, ds, _ = data.gen_synthetic_dag_task(0)
         cfg, groups = data.dag_task_config(0), None
@@ -281,14 +350,14 @@ def test_lean_search_step_matches_the_edge_id_composition(task, write):
                 for slots in (lean, ref):
                     layer = slots.model.ops[eid].layers[0]
                     layer.weights = 0.9 * layer.weights
-            perm = rng.permutation(n)
-            for start in range(0, n, cfg.batch_size):
-                idx = perm[start : start + cfg.batch_size]
-                x, y = ds.x_train[idx], ds.y_train[idx]
-                assert lean.train_batch(x, y) == reference_search_batch(ref, velocity, x, y)
-                assert lean.model.w.tobytes() == ref.model.w.tobytes()
+            perm = copy.deepcopy(rng).permutation(n)
+            loss = lean.epoch(ds, cfg.batch_size, rng)
+            losses = [reference_search_batch(ref, velocity, ds.x_train[idx], ds.y_train[idx])
+                      for idx in np.split(perm, range(cfg.batch_size, n, cfg.batch_size))]
+            assert loss == engine._epoch_loss(losses)
+            assert lean.model.w.tobytes() == ref.model.w.tobytes()
+            assert lean.v.tobytes() == velocity[lean.alive].tobytes()
         idx = rng.choice(n, size=cfg.curvature_batch, replace=False)
-        ref.w = ref.model.w[ref.alive]  # the reference stepped graph.w alone
         for slots in (lean, ref):
             slots.update(ds.x_train[idx], ds.y_train[idx])
         kills.append(lean.prune())
@@ -297,6 +366,71 @@ def test_lean_search_step_matches_the_edge_id_composition(task, write):
             assert getattr(lean.model, name).tobytes() == getattr(ref.model, name).tobytes()
         assert lean.omega.tobytes() == ref.omega.tobytes()
     assert sum(kills[0][:2]) > 0 and not kills[0][2]
+
+
+def labelled(ds):
+    """The task's inputs, labelled by the argmax of their regression targets."""
+    return data.Dataset(ds.x_train, np.argmax(ds.y_train, axis=1), ds.x_test,
+                        np.argmax(ds.y_test, axis=1), kind="labels")
+
+
+@pytest.mark.parametrize("task", ["proxyless", "tied cells", "labels", "500 rows"])
+def test_generated_epoch_matches_the_reference_batch_by_batch(task):
+    # one epoch of the generated loop against reference_search_batch: every
+    # batch loss, graph.w and the velocity, bit for bit.  500 rows end in a
+    # partial batch, which takes a product buffer of its own
+    groups = None
+    if task == "tied cells":
+        graph, ds, groups, _ = data.gen_two_cell_task(0)
+        cfg = data.two_cell_task_config(0)
+    else:
+        graph, ds, _ = data.gen_synthetic_dag_task(0)
+        # a smaller step than the search's, whose first epochs can overflow
+        # on other batch orders
+        cfg = dataclasses.replace(data.dag_task_config(0), learning_rate=0.005)
+        sg.insert_zero_gates(graph)
+    if task == "labels":
+        ds = labelled(ds)
+    elif task == "500 rows":
+        ds = dataclasses.replace(ds, x_train=ds.x_train[:500], y_train=ds.y_train[:500])
+    kind = engine._energy_kind(ds)
+    groups = groups or [GroupSpec(eid, [eid]) for eid in range(len(graph.ops))]
+    lean, ref = (engine._EdgeSlots(copy.deepcopy(graph), groups, cfg, kind) for _ in range(2))
+    velocity = np.zeros(len(graph.ops))
+    for seed in range(2):  # the second epoch starts from a nonzero velocity
+        perm = np.random.default_rng(seed).permutation(len(ds.x_train))
+        losses = lean._train(ds.x_train, ds.y_train, perm, cfg.batch_size)
+        batches = np.split(perm, range(cfg.batch_size, len(perm), cfg.batch_size))
+        assert len(losses) == len(batches)
+        for got, idx in zip(losses, batches):
+            assert got == reference_search_batch(ref, velocity, ds.x_train[idx], ds.y_train[idx])
+        assert lean.model.w.tobytes() == ref.model.w.tobytes()
+        assert lean.v.tobytes() == velocity[lean.alive].tobytes()
+    if task == "500 rows":
+        assert sorted(lean.loop.__globals__["prods"]) == [(20, 6), (32, 6)]
+
+
+def test_an_overflow_leaves_the_state_of_the_last_completed_batch():
+    # batch 3 of 5 holds rows that overflow an fc edge: the loop raises the
+    # walk's error and leaves graph.w and the velocity as after batch 2
+    graph, ds, _ = data.gen_synthetic_dag_task(0, n_train=160)
+    sg.insert_zero_gates(graph)
+    groups = [GroupSpec(eid, [eid]) for eid in range(len(graph.ops))]
+    cfg = data.dag_task_config(0)
+    x = ds.x_train.copy()
+    x[64:96] = 1e308
+    failing, done = (engine._EdgeSlots(copy.deepcopy(graph), groups, cfg, "mse")
+                     for _ in range(2))
+    perm = np.arange(len(x))
+    done._train(x, ds.y_train, perm[:64], cfg.batch_size)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            FloatingPointError, match=r"^non-finite output of edge \d+ \(fc\)$") as raised:
+        failing._train(x, ds.y_train, perm, cfg.batch_size)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(FloatingPointError) as walk:
+        sg.graph_forward(failing.model, x[64:96])
+    assert str(raised.value) == str(walk.value)
+    assert failing.model.w.tobytes() == done.model.w.tobytes()
+    assert failing.v.tobytes() == done.v.tobytes() and failing.v.any()
 
 
 def test_train_batch_builds_no_edge_record(monkeypatch):

@@ -10,9 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ardnet import exports, nn
+from ardnet import engine, exports, nn
 from ardnet import supergraph as sg
-from ardnet.updates import ENTROPY_PRUNE_THRESHOLD
+from ardnet.updates import ENTROPY_PRUNE_THRESHOLD, GroupSpec, SearchConfig, group_l2_penalty
 
 
 def identity_edge(src, dst, **kw):
@@ -133,7 +133,7 @@ def relu_fc_op(matrix):
 ], ids=["matrix", "fc-relu", "conv3x3", "sum-overflow", "dead-end",
         "matrix-then-op", "op-then-matrix"])
 def test_overflow_names_the_edge(graph, x, eid, tag):
-    for forward in (sg.graph_forward, compiled_forward):
+    for forward in (sg.graph_forward, search_batch):
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
                 FloatingPointError, match=rf"^non-finite output of edge {eid} \({tag}\)$"):
             forward(graph, x)
@@ -143,7 +143,7 @@ def test_an_output_without_flow_raises_in_both_walks():
     # edge 1 is dead, so nothing reaches node 2; the dead end at node 3 runs
     g = sg.SuperGraph(4, [identity_edge(0, 1), identity_edge(1, 2, alive=False),
                           identity_edge(1, 3)], output_node=2)
-    for forward in (sg.graph_forward, compiled_forward):
+    for forward in (sg.graph_forward, search_batch):
         with pytest.raises(ValueError, match="^output node receives no information flow$"):
             forward(g, np.ones((1, 2)))
 
@@ -232,9 +232,16 @@ def loop_arch_hessian(graph, gcache, h_seed):
     return hess
 
 
-def compiled_forward(graph, x):
-    """The training step's forward: the plan compiled, on the graph's w."""
-    return sg._compiled_step(graph).forward(x, graph.w.tolist())
+STEP = SearchConfig(learning_rate=1.0, momentum=0.0)
+
+
+def search_batch(graph, x, target=None):
+    """One batch of the search's generated loop, each edge its own group,
+    at momentum 0 and learning rate 1, so that the velocity it leaves is
+    minus each edge's gradient; returns the batch loss and the slots."""
+    groups = [GroupSpec(eid, [eid]) for eid in range(len(graph.ops))]
+    slots = engine._EdgeSlots(graph, groups, STEP, "mse")
+    return slots.train_batch(x, np.zeros(len(x)) if target is None else target), slots
 
 
 def same_bits(a, b):
@@ -323,7 +330,7 @@ def test_plan_walk_equals_the_per_edge_loop(spec, seed):
         reach = sg.reachable_nodes(g)
         g.alive &= np.isin(g.src, list(reach))
         if g.output_node not in reach:
-            for forward in (sg.graph_forward, loop_forward, compiled_forward):
+            for forward in (sg.graph_forward, loop_forward, search_batch):
                 with pytest.raises(ValueError, match="no information flow"):
                     forward(g, x)
             continue
@@ -355,20 +362,6 @@ def test_plan_walk_equals_the_per_edge_loop(spec, seed):
         assert all(out is None for eid in no_vjp for out in got_outs[eid] or [])
         assert same_bits([outs for eid, outs in enumerate(got_outs) if eid not in no_vjp],
                          [outs for eid, outs in enumerate(ref_outs) if eid not in no_vjp])
-        # the compiled step: the output, the op output of each product row,
-        # then the caches its vjps fill, and one w-gradient sum per row
-        step, w = sg._compiled_step(g), g.w.tolist()
-        got_out, saved = step.forward(x, w)
-        sums = step.backward(e_grad, saved, w)
-        n_rows = len(step.edges)
-        assert same_bits(got_out, ref)
-        assert same_bits(list(saved[:n_rows]), [rcache.edge_out[eid] for eid in step.edges])
-        vjp_edges = [eid for eid in step.edges if g.src[eid] != g.input_node
-                     and g.ops[eid].tag not in ("identity", "zero_gate")
-                     and sg._matrix_layer(g.ops[eid]) is None]
-        assert same_bits([[vars(c) for c in cache] for cache in saved[n_rows:]],
-                         [[vars(c) for c in rcache.edge_cache[eid]] for eid in vjp_edges])
-        assert sums[-1] == 0.0 and same_bits(sums[step.row], ref_w_grads)
         if linear:
             # the Jacobian reference sums in another order than the VJPs
             h_seed = nn.energy_hessian(out, t, "mse", "exact")
@@ -376,18 +369,32 @@ def test_plan_walk_equals_the_per_edge_loop(spec, seed):
             ref = loop_arch_hessian(g, rcache, h_seed)
             assert list(ref) == g.alive_edge_ids() and not got[~g.alive].any()
             assert np.allclose(got[g.alive], list(ref.values()), rtol=1e-12, atol=0)
+        # the search loop's batch: the loss from the walk's output, and each
+        # alive edge's velocity minus its penalty gradient plus its product
+        # sum, 0.0 for an edge that forms none (the search's tie and step)
+        alive, w0 = g.alive.copy(), g.w.copy()
+        pen, pen_grad = group_l2_penalty(w0[alive], np.arange(alive.sum()),
+                                         (np.full(alive.sum(), STEP.lambda_w),) * 2)
+        loss, slots = search_batch(g, x, t)
+        assert loss == nn.energy(out, t, "mse")[0] + pen
+        tied = 0.0 + (pen_grad + ref_w_grads[alive])
+        assert same_bits(slots.v, 0.0 * 0.0 - tied * 1.0)
+        assert same_bits(g.w[alive], w0[alive] + slots.v)
 
 
 def test_a_copied_graph_compiles_its_own_step():
-    # the step reads the layers it was built from; a deep copy must read its own
+    # the loop reads the layers it was built from; a deep copy must read its own
     rng = np.random.default_rng(3)
     g = sg.SuperGraph(3, [fc_edge(0, 1, rng.normal(size=(2, 2))), fc_edge(1, 2, np.eye(2))])
-    x = rng.normal(size=(4, 2))
-    sg._compiled_step(g)
+    x, t = rng.normal(size=(4, 2)), np.zeros((4, 2))
+    search_batch(g, x, t)
     copied = copy.deepcopy(g)
     copied.ops[0].layers[0].weights = 2.0 * copied.ops[0].layers[0].weights
-    assert same_bits(compiled_forward(copied, x)[0], sg.graph_forward(copied, x)[0])
-    assert same_bits(compiled_forward(g, x)[0], sg.graph_forward(g, x)[0])
+    for graph in (copied, g):
+        w = graph.w.copy()
+        pen, _ = group_l2_penalty(w, np.arange(w.size), (np.full(w.size, STEP.lambda_w),) * 2)
+        expected = nn.energy(sg.graph_forward(graph, x)[0], t, "mse")[0] + pen
+        assert search_batch(graph, x, t)[0] == expected
 
 
 # ---------------------------------------------------------------------------
