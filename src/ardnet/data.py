@@ -18,8 +18,10 @@ __all__ = [
     "load_mnist_idx",
     "gen_synthetic_dag_task",
     "gen_two_cell_task",
+    "gen_twin_dag_task",
     "dag_task_config",
     "two_cell_task_config",
+    "twin_dag_task_config",
 ]
 
 
@@ -161,6 +163,15 @@ def two_cell_task_config(seed=0):
                         hessian_mode="exact", retrain_epochs=0, seed=seed)
 
 
+def twin_dag_task_config(seed=0):
+    """Search hyperparameters for gen_twin_dag_task: dag_task_config at half
+    its learning rate, since a planted edge and its twin double the step of
+    their path."""
+    return SearchConfig(t_max=20, epochs_per_iteration=20, batch_size=32,
+                        lambda_w=0.01, learning_rate=0.005,
+                        hessian_mode="exact", retrain_epochs=0, seed=seed)
+
+
 def _orthogonal(rng, d):
     q, r = np.linalg.qr(rng.normal(size=(d, d)))
     return q * np.sign(np.diag(r))  # sign fix keeps the draw unique
@@ -275,3 +286,26 @@ def gen_two_cell_task(seed, dim=6, n_cells=2, n_train=512, n_test=256, sigma2=0.
 
     data = _regression_data(rng, truth, dim, n_train, n_test, sigma2)
     return graph, data, groups, planted
+
+
+def gen_twin_dag_task(seed):
+    """gen_synthetic_dag_task(seed) with a near-duplicate of each planted
+    edge: an fc edge on the same two nodes whose matrix is the orthogonal
+    polar factor U Vᵀ of the planted matrix plus 0.1 * N(0, 1), drawn from
+    default_rng(10000 + seed) in planted order.  The targets are unchanged.
+
+    A twin fits almost as well as its planted edge, so one fit splits the
+    weight between the two and magnitude alone cannot tell them apart; the
+    curvature of later iterations must.  Returns (SuperGraph, Dataset,
+    planted edge-id set, {planted edge id: its twin's edge id}); the twins
+    follow the task's own edges.
+    """
+    graph, data, planted = gen_synthetic_dag_task(seed)
+    rng = np.random.default_rng(10000 + seed)
+    edges, twins = list(graph.edges), {}
+    for eid in sorted(planted):
+        q = graph.ops[eid].layers[0].weights
+        u, _, vt = np.linalg.svd(q + 0.1 * rng.normal(size=q.shape))
+        twins[eid] = len(edges)
+        edges.append(sg.Edge(edges[eid].src, edges[eid].dst, sg.make_op("fc", matrix=u @ vt)))
+    return sg.SuperGraph(graph.n_nodes, edges), data, planted, twins

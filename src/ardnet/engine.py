@@ -9,13 +9,16 @@ the graph, which it rolls back; then it retrains what survives if
 runs on `_EdgeSlots` (the tied architecture scalars of a SuperGraph, in
 flat groups) or `_WeightSlots` (the slab groups of a layer stack, one
 HyperState per layer).  The graph's arrays hold the search state.  A graph
-search trains through the loop `_build_loop` generates for its plan, which
-holds the scalar state in Python floats; every other SGD pass goes through
-`_sgd_epoch`, and every layer step through `_momentum_step`, in place.  Both
-gather each batch's rows from one permutation per epoch and end the epoch in
-`_epoch_loss`.  A layer stack's curvature update and test pass run
-`batch_size` rows at a time, so a training batch, not the curvature batch or
-the test set, sets the peak memory of a compression run.
+search ends an iteration's epochs once the fit stops improving (EPOCH_TOL)
+and trains through the loop `_build_loop` generates for its plan, which
+holds the scalar state in Python floats and restarts the momentum of a
+group whose velocity points uphill; every other SGD pass goes through
+`_sgd_epoch`, and every layer step through `_momentum_step`, in place, with
+plain momentum and every configured epoch.  Both gather each batch's rows
+from one permutation per epoch and end the epoch in `_epoch_loss`.  A layer
+stack's curvature update and test pass run `batch_size` rows at a time, so a
+training batch, not the curvature batch or the test set, sets the peak
+memory of a compression run.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ import numpy as np
 from . import nn
 from . import supergraph as sg
 from .curvature import curved_layers, network_curvature
-from .updates import (GroupSpec, HyperState, SearchConfig, flat_groups,
+from .updates import (EPOCH_TOL, GroupSpec, HyperState, SearchConfig, flat_groups,
                       group_update, slab_l2_penalty,
                       slab_penalty_terms, structural_update)
 
@@ -119,9 +122,10 @@ def _epoch_loss(losses):
 def _momentum_step(value, grad, velocity, lr, momentum, mask=None):
     """The momentum rule of a layer step, in place: velocity = momentum *
     velocity - lr * grad, value += velocity, then value *= mask for a masked
-    weight (the search loop's scalar statements take the same operations
-    on floats).  grad is scaled in place, so the caller hands over a fresh
-    array."""
+    weight.  It never restarts a velocity: restarting each weight's velocity
+    that points uphill keeps far more of a compressed layer alive, so only
+    the search loop's scalar statements restart (`_scalar_source`).  grad is
+    scaled in place, so the caller hands over a fresh array."""
     velocity *= momentum
     velocity -= np.multiply(grad, lr, out=grad)
     value += velocity
@@ -157,14 +161,22 @@ def _step_layers(layers, grads, velocity, key, config):
 def _alternate(slots, data, config, run, trace=None):
     """Train, curvature, closed-form update, prune; then retrain survivors.
 
+    An iteration trains for at most epochs_per_iteration epochs.  Edge slots
+    stop after the first epoch whose mean loss fell by less than EPOCH_TOL
+    relative to the epoch before it (a rise counts as such a fall), since
+    the fit between updates is all that the next one reads; weight slots run
+    every epoch.  Each iteration's history row records the epochs it ran.
     trace, for edge slots, receives a snapshot of every edge per iteration.
     """
     rng = np.random.default_rng(config.seed)
     n_curv = min(config.curvature_batch, len(data.x_train))
     for t in range(1, config.t_max + 1):
         before, _ = slots.gammas()
-        for _ in range(config.epochs_per_iteration):
+        for epochs in range(1, config.epochs_per_iteration + 1):
             loss = slots.epoch(data, config.batch_size, rng)
+            if slots.stops_on_plateau and epochs > 1 and prev - loss < EPOCH_TOL * prev:
+                break
+            prev = loss
         # curvature on a fresh held-out batch, once per iteration
         idx = rng.choice(len(data.x_train), size=n_curv, replace=False)
         slots.update(data.x_train[idx], data.y_train[idx])
@@ -174,7 +186,7 @@ def _alternate(slots, data, config, run, trace=None):
             trace.append({"iteration": t, "edges": slots.snapshot()})
         values = gamma[alive]  # a prune only kills, so every one was alive before
         run.history_row(
-            iteration=t, epoch=config.epochs_per_iteration, loss=loss,
+            iteration=t, epoch=epochs, loss=loss,
             test_error=evaluate(slots.model, data, config.batch_size),
             alive_edges=values.size,
             gamma_min=float(values.min()) if values.size else float("nan"),
@@ -250,6 +262,8 @@ class _EdgeSlots:
     holds the scalars as floats and writes them back to the graph's array
     and the velocity when it returns or raises.
     """
+
+    stops_on_plateau = True  # `_alternate` ends an iteration's epochs at EPOCH_TOL
 
     def __init__(self, graph, groups, config, kind):
         self.model, self.config, self.kind = graph, config, kind
@@ -414,8 +428,13 @@ def _scalar_source(groups, rows):
     starts at 0.0, which changes no square), a member's penalty gradient
     `p<edge>` is k * w / n and 0.0 at a zero norm, the tie sums from 0.0 the
     members' penalty gradients plus their product sums (0.0 without a row),
-    then v = v * momentum - tie * lr and w = w + v; `pen` sums k * n over
-    the groups in np.sum's order (`_sum_source`).
+    a member whose velocity points uphill (tie * v > 0) restarts from v =
+    0.0, then v = v * momentum - tie * lr and w = w + v; `pen` sums k * n
+    over the groups in np.sum's order (`_sum_source`).  Tied members share
+    the tie and the velocity, so a group restarts as one and its members
+    stay bitwise equal.  The restart is a per-coordinate form of the
+    gradient restart of O'Donoghue and Candes (2015): momentum that carries
+    a scalar past its fit is dropped at the first batch that pulls it back.
     """
     lines = []
     for gi, members in enumerate(groups):
@@ -423,6 +442,7 @@ def _scalar_source(groups, rows):
         lines += [f"p{e} = k{gi} * w{e} / n{gi} if n{gi} > 0 else 0.0" for e in members]
         lines.append("t = 0.0 + " + " + ".join(
             f"(p{e} + {f's[{rows[e]}]' if e in rows else '0.0'})" for e in members))
+        lines += [f"if t * v{e} > 0: v{e} = 0.0" for e in members]
         lines += [f"v{e} = v{e} * m - t * lr; w{e} = w{e} + v{e}" for e in members]
     lines.append("pen = " + _sum_source([f"k{gi} * n{gi}" for gi in range(len(groups))]))
     return lines
@@ -514,6 +534,8 @@ class _WeightSlots:
     alive, and no step multiplies by ones.
 
     With no patterns it is plain weight-decayed training of the stack."""
+
+    stops_on_plateau = False  # a compression iteration runs every epoch
 
     def __init__(self, net, patterns, config, kind):
         self.model, self.config, self.kind = net, config, kind

@@ -55,6 +55,9 @@ ENTROPY_PRUNE_THRESHOLD = 1.0 / (2.0 * math.pi * math.e)
 # guards of the hess = 0 degeneracy: the omega floor and the s cap
 OMEGA_FLOOR = 1e-8
 S_CAP = 1e6
+# a graph search ends an iteration's epochs after the first epoch whose mean
+# loss fell by less than this fraction of the epoch's before it
+EPOCH_TOL = 1e-4
 
 
 # ---------------------------------------------------------------------------
@@ -68,7 +71,7 @@ class SearchConfig:
     lambda_w: float = 0.01        # sparsity intensity on architecture scalars
     weight_decay: float = 0.01    # l2 coefficient on network weights
     t_max: int = 10               # outer iterations
-    epochs_per_iteration: int = 1
+    epochs_per_iteration: int = 1  # a graph search's cap (EPOCH_TOL)
     retrain_epochs: int = 5
     batch_size: int = 32
     curvature_batch: int = 256

@@ -119,3 +119,28 @@ def test_two_cell_task_groups_partition_edges():
     slot_groups = [grp for grp in groups if grp.pattern == "cell_tied"
                    and len(grp.members) == 2]
     assert len(slot_groups) >= 3
+
+
+def test_twin_task_adds_a_near_orthogonal_twin_beside_each_planted_edge():
+    for seed in range(3):
+        base, base_ds, base_planted = data.gen_synthetic_dag_task(seed)
+        graph, ds, planted, twins = data.gen_twin_dag_task(seed)
+        n = len(base.ops)
+        assert planted == base_planted and sorted(twins) == sorted(planted)
+        assert sorted(twins.values()) == list(range(n, n + len(planted)))
+        # the task's own edges, ops and data are those of the planted-DAG task
+        for e, b in zip(graph.edges[:n], base.edges):
+            assert (e.src, e.dst) == (b.src, b.dst)
+            assert e.op.layers[0].weights.tobytes() == b.op.layers[0].weights.tobytes()
+        for name in ("x_train", "y_train", "x_test", "y_test"):
+            assert getattr(ds, name).tobytes() == getattr(base_ds, name).tobytes()
+        for eid, twin in twins.items():
+            assert (graph.src[twin], graph.dst[twin]) == (graph.src[eid], graph.dst[eid])
+            q, t = graph.ops[eid].layers[0].weights, graph.ops[twin].layers[0].weights
+            np.testing.assert_allclose(t @ t.T, np.eye(len(t)), atol=1e-12)
+            assert 0 < np.linalg.norm(t - q) < 0.5 * np.linalg.norm(q)
+        again = data.gen_twin_dag_task(seed)[0]
+        assert all(a.op.layers[0].weights.tobytes() == b.op.layers[0].weights.tobytes()
+                   for a, b in zip(graph.edges[n:], again.edges[n:]))
+    assert data.twin_dag_task_config(4).learning_rate == 0.005
+    assert data.twin_dag_task_config(4).seed == 4

@@ -378,20 +378,25 @@ def test_cli_missing_data_exits_two(tmp_path):
     assert res.returncode == 2
 
 
+# learning rates at which these DAG tasks overflow in a training step
+OVERFLOWING_LEARNING_RATE = {20: 0.5, 26: 0.09}
+
+
 def test_cli_diverging_search_prints_its_one_error_line_and_no_warning(tmp_path):
-    # seed 20 with the default config overflows in the graph's forward walk
+    # seed 20 at a large learning rate overflows in the graph's forward walk
     cfg = tmp_path / "cfg.json"
-    cfg.write_text("")
+    cfg.write_text(json.dumps({"learning_rate": OVERFLOWING_LEARNING_RATE[20]}))
     res = run_cli("search", "--config", str(cfg), "--seed", "20", "--out", str(tmp_path / "x"))
     assert res.returncode == 2
     assert res.stderr == "error: non-finite output of edge 3 (fc)\n"
 
 
 def test_cli_search_stopped_on_a_severing_prune_says_so(tmp_path):
-    # cells seed 10 rolls back a prune that would sever the graph and stops;
-    # the run still exits 0, and its summary line names the stop
+    # a prune threshold above every gamma makes the first prune sever the
+    # graph: the search rolls it back and stops; the run still exits 0, and
+    # its summary line names the stop
     cfg = tmp_path / "cfg.json"
-    cfg.write_text("{}")
+    cfg.write_text('{"prune_threshold": 1e9}')
     out = tmp_path / "x"
     res = run_cli("proxy-search", "--config", str(cfg), "--seed", "10", "--out", str(out))
     assert res.returncode == 0
@@ -401,10 +406,11 @@ def test_cli_search_stopped_on_a_severing_prune_says_so(tmp_path):
 
 @pytest.mark.parametrize("seed, eid", [(20, 3), (26, 8)])
 def test_cli_search_that_overflows_names_the_edge(tmp_path, seed, eid):
-    # these DAG tasks overflow in a training step: the compiled step names
-    # the same edge as the walk that graph_forward runs, and the run exits 2
+    # at these learning rates the DAG tasks overflow in a training step: the
+    # generated loop names the same edge as the walk that graph_forward runs,
+    # and the run exits 2
     cfg = tmp_path / "cfg.json"
-    cfg.write_text("{}")
+    cfg.write_text(json.dumps({"learning_rate": OVERFLOWING_LEARNING_RATE[seed]}))
     res = run_cli("search", "--config", str(cfg), "--seed", str(seed),
                   "--out", str(tmp_path / "x"))
     assert res.returncode == 2
