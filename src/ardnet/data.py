@@ -119,7 +119,8 @@ def load_mnist_idx(data_dir):
     """Load the four standard IDX files from a directory.
 
     Pixels are scaled to [0, 1] and standardized by the train-set mean/std;
-    the test split reuses the train statistics.
+    the test split reuses the train statistics.  Constant train images are
+    rejected: they have no spread to standardize by.
     """
     raw = {key: read_idx(_find_idx_file(data_dir, stem))
            for key, stem in _MNIST_FILES.items()}
@@ -135,6 +136,8 @@ def load_mnist_idx(data_dir):
             raise ValueError(f"{split} split has no images")
         if ys.size and ys.max() > 9:
             raise ValueError(f"{split} labels contain value {ys.max()} outside 0-9")
+    if raw["x_train"].min() == raw["x_train"].max():
+        raise ValueError(f"train images are constant (every pixel is {raw['x_train'].min()})")
     x_train = raw["x_train"].astype(np.float64)[:, None] / 255.0
     x_test = raw["x_test"].astype(np.float64)[:, None] / 255.0
     mean = float(x_train.mean())

@@ -304,8 +304,8 @@ class _EdgeSlots:
         if key != self.loop_key:
             self.loop = _build_loop(graph, self.alive.tolist(), self.group_of.tolist())
             self.loop_key = key
-        return self.loop(xs, ys, perm, size, graph.w, self.alive, self.v, self.coef.tolist(),
-                         self.kind, config.momentum, config.learning_rate)
+        return self.loop(graph.ops, xs, ys, perm, size, graph.w, self.alive, self.v,
+                         self.coef.tolist(), self.kind, config.momentum, config.learning_rate)
 
     def gammas(self):
         """Every edge's gamma and alive flag, as arrays over edge ids."""
@@ -328,7 +328,7 @@ class _EdgeSlots:
             for eid in trainable:
                 layers = graph.ops[eid].layers
                 g_dst = node_g[graph.dst[eid]]
-                cache = sg.op_cache(graph, gcache, eid)
+                cache = sg.op_cache(graph, gcache, eid, g_dst)
                 if g_dst is None or cache is None:
                     continue
                 grads, _ = nn.backward(layers, cache, graph.w[eid] * g_dst, input_grad=False)
@@ -453,18 +453,19 @@ def _build_loop(graph, members, group_of):
     current plan and the alive members `members` (edge ids in flat order)
     of the groups `group_of` (their group positions).
 
-    loop(xs, ys, perm, size, w, ids, v, coef, kind, momentum, lr) runs the
-    batches perm[i : i + size] of (xs, ys) in order and returns their
-    losses.  A batch gathers its rows with `take`, runs the plan's
-    statements (`sg._walk_source`), `nn.energy` and one reduction of the
-    product rows, then the scalar step (`_scalar_source`), and adds the
-    penalty to the loss.  The scalars of w, the graph's array, and the
-    members' velocity v are floats inside the loop, written back to w[ids]
-    and v when it returns or raises, so a failure leaves the state of the
-    last completed batch.  A product buffer is kept per output shape: a
-    batch writes every row that it does not replace with its own sum.
+    loop(ops, xs, ys, perm, size, w, ids, v, coef, kind, momentum, lr) runs
+    the batches perm[i : i + size] of (xs, ys) in order and returns their
+    losses.  A batch gathers its rows with `take`, runs the plan's forward
+    statements (`sg._walk_source`), `nn.energy`, the backward and product
+    statements and one reduction of the product rows, then the scalar step
+    (`_scalar_source`), and adds the penalty to the loss.  The scalars of
+    w, the graph's array, and the members' velocity v are floats inside the
+    loop, written back to w[ids] and v when it returns or raises, so a
+    failure leaves the state of the last completed batch.  A product buffer
+    is kept per output shape: a batch writes every row that it does not
+    replace with its own sum.
     """
-    walk = sg._walk_source(graph)
+    walk = sg._walk_source(graph, sg._plan(graph))
     groups = [[] for _ in range(max(group_of, default=-1) + 1)]
     for eid, gi in zip(members, group_of):
         groups[gi].append(eid)
@@ -477,24 +478,24 @@ def _build_loop(graph, members, group_of):
         return found
 
     head = walk.setup + [f"{names} = {value}" for names, value in (
-        (_names("w", range(len(graph.ops))), "w.tolist()"), (_names("v", members), "v.tolist()"),
-        (_names("k", range(len(groups))), "coef")) if names] + ["energy = nn.energy", "losses = []"]
+        (_names("v", members), "v.tolist()"), (_names("k", range(len(groups))), "coef"))
+        if names] + ["energy = nn.energy", "losses = []"]
     views = _names("B", range(len(walk.rows)))
     batch = (["idx = perm[i : i + size]", "x = xs.take(idx, axis=0)", "y = ys.take(idx, axis=0)"]
              + walk.forward
              + [f"loss, g = energy({walk.output}, y, kind)",
                 f"B, axes, {views}= prods.get(g.shape) or buffer(g.shape)", "own = []"]
-             + walk.backward
+             + walk.backward + walk.products
              + ["s = B.sum(axis=axes).tolist()", "for row, value in own: s[row] = float(value)"]
              + _scalar_source(groups, {eid: row for row, eid in enumerate(walk.rows)})
              + ["losses.append(loss + pen)"])
     source = "\n    ".join(
-        ["def loop(xs, ys, perm, size, w, ids, v, coef, kind, m, lr):"] + head
+        ["def loop(ops, xs, ys, perm, size, w, ids, v, coef, kind, m, lr):"] + head
         + ["try:", "    for i in range(0, len(perm), size):"]
         + ["        " + line for line in batch]
         + ["finally:", f"    w[ids] = ({_names('w', members)})",
            f"    v[:] = ({_names('v', members)})", "return losses"]) + "\n"
-    env = dict(walk.env, nn=nn, sqrt=math.sqrt, prods=prods, buffer=buffer)
+    env = dict(sg._WALK_ENV, nn=nn, sqrt=math.sqrt, prods=prods, buffer=buffer)
     exec(compile(source, "<search loop>", "exec"), env)
     return env["loop"]
 

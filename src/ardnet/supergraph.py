@@ -10,23 +10,21 @@ prioritized zero operation: one identity edge guarding each non-input
 node's entire fan-out, whose switch variance enters every downstream
 gamma harmonically.
 
-The curvature of the energy w.r.t. each w comes from the backward walk:
-one Gauss-Newton rule contracts per-sample Jacobians d out / d w_e, one
-walk per output dimension, against the full energy Hessian, on every op
-kind.
+The curvature of the energy w.r.t. each w comes from backward walks: one
+Gauss-Newton rule contracts per-sample Jacobians d out / d w_e, one walk
+per output dimension, against the full energy Hessian, on every op kind.
 
-A search's training loop inlines the plan as Python statements
-(`_walk_source`): one statement per edge and per node, which interpolate
-only integer node ids, edge ids and rows and repeat the walks' float
-operations in their order, checks and errors included.  `graph_forward`
-and `graph_backward` remain the path for every other walk (data
-generation, evaluation, curvature, retraining), which compiles nothing.
+Every backward walk runs one set of generated statements (`_walk_source`),
+one per edge and per node, interpolating only integer ids and rows: a
+search's training loop inlines them beside the plan's forward statements,
+and `_node_grads` compiles them once per plan for the curvature and for
+`graph_backward` (retraining).  `graph_forward` is every other forward walk
+(data generation, evaluation, curvature, retraining), and compiles nothing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from operator import attrgetter
 
 import numpy as np
@@ -234,7 +232,7 @@ class _Plan:
     over its alive in-edges; layer is the op's fc layer when the op is one
     plain matrix, else None.  The layer, not its weights, is kept, because
     retraining replaces `layer.weights`.  `walked` lists the edge ids of
-    `steps` in their order.
+    `steps` in their order; `walk` is compiled by `_node_grads`.
     """
 
     key: bytes
@@ -242,6 +240,7 @@ class _Plan:
     fan_out: list  # node -> every out-edge id, alive or not
     steps: list
     walked: np.ndarray
+    walk: object = None
 
 
 def _matrix_layer(op):
@@ -281,16 +280,15 @@ def _plan(graph):
 class GraphCache:
     """What one forward walk leaves for the backward walk and the curvature.
 
-    Lists run over node ids (node_z, node_g) and edge ids (edge_out,
-    edge_cache), holding None where nothing flowed.  A plain matrix edge
-    keeps no op cache; `op_cache` builds it when a reader needs one.
+    Lists run over node ids (node_z) and edge ids (edge_out, edge_cache),
+    holding None where nothing flowed.  A plain matrix edge keeps no op
+    cache; `op_cache` builds it when a reader needs one.
     """
 
     plan: _Plan
     node_z: list      # node id -> state tensor
     edge_out: list    # edge id -> op output tensor (before w scaling)
     edge_cache: list  # edge id -> op-internal cache
-    node_g: list | None = None  # node id -> dE/dz_node, set by graph_backward
 
 
 def _raise_non_finite(ops, outs, eid=None):
@@ -355,106 +353,81 @@ def graph_forward(graph, x):
     return node_z[graph.output_node], GraphCache(plan, node_z, edge_out, edge_cache)
 
 
-def _backward_walk(graph, gcache, g_out, prods=None):
-    """Reverse accumulation over the edges the forward pass ran: the list
-    node id -> dE/dz_node, None where nothing flowed back and at the input
-    node, whose gradient nothing reads (no edge into it ever runs).
-
-    With prods, an array with one row per plan edge (`_Plan.walked`), each
-    edge's product g * op output is kept as well: in its row when it is
-    C-ordered and shaped like g_out, else summed into the returned dict
-    edge id -> sum.
-    """
-    plan, w, edge_out, edge_cache = gcache.plan, graph.w, gcache.edge_out, gcache.edge_cache
-    node_g = [None] * len(gcache.node_z)
-    node_g[graph.output_node] = g_out
-    own, end, inp = {}, len(plan.walked), graph.input_node
-    for node, steps in reversed(plan.steps):
-        end -= len(steps)  # the row of the node's first in-edge
-        g = node_g[node]
-        if g is None:
-            continue
-        batched = prods is not None and g.shape == g_out.shape and g.flags.c_contiguous
-        for row, (eid, op, src, layer) in enumerate(steps, end):
-            out = edge_out[eid]
-            if out is None:  # its source carried no information flow
-                continue
-            if batched and out.flags.c_contiguous:
-                np.multiply(g, out, out=prods[row])
-            elif prods is not None:
-                own[eid] = (g * out).sum()
-            if src == inp:
-                continue
-            if layer is None:
-                gx = w[eid] * op.vjp(edge_cache[eid], g)
-            else:
-                gx = w[eid] * (g @ layer.weights)
-            prev = node_g[src]
-            node_g[src] = gx if prev is None else prev + gx
-    return node_g, own
-
-
 def graph_backward(graph, gcache, grad_output):
     """Reverse accumulation over the edges the forward pass ran.
 
     Returns (array over edge ids of dE/dw, 0.0 where the edge did not run;
-    list node id -> dE/dz_node or None, None at the input node), and keeps
-    the node gradients in the cache.  An op out of the input node runs no
-    vjp, so its op cache keeps no grad_out.  The products g * op output that
-    are C-ordered and shaped like the output gradient are reduced in one
-    sum over the plan's edges, which equals their own sums bit for bit; any
-    other product keeps its own sum.
+    list node id -> dE/dz_node or None, None at the input node): the node
+    gradients of the plan's walk (`_node_grads`), then each edge's product
+    g * op output.  The products that are C-ordered and shaped like the
+    output gradient are reduced in one sum over the plan's edges, which
+    equals their own sums bit for bit; any other product keeps its own sum.
+    An op out of the input node runs no vjp, so its op cache keeps no
+    grad_out.
     """
-    plan = gcache.plan
-    g_out = np.asarray(grad_output, dtype=np.float64)
-    prods = np.zeros((len(plan.walked),) + g_out.shape)
-    node_g, own = _backward_walk(graph, gcache, g_out, prods)
+    plan, g_out = gcache.plan, np.asarray(grad_output, dtype=np.float64)
+    node_g = _node_grads(graph, gcache, g_out)
+    prods, own = np.zeros((len(plan.walked),) + g_out.shape), {}
+    for row, (eid, dst) in enumerate(zip(plan.walked.tolist(), graph.dst[plan.walked].tolist())):
+        g, out = node_g[dst], gcache.edge_out[eid]
+        if g is None or out is None:
+            continue
+        if g.shape == g_out.shape and g.flags.c_contiguous and out.flags.c_contiguous:
+            np.multiply(g, out, out=prods[row])
+        else:
+            own[eid] = (g * out).sum()
     w_grads = np.zeros(len(graph.ops))
     w_grads[plan.walked] = prods.sum(axis=tuple(range(1, prods.ndim)))
-    for eid, value in own.items():
-        w_grads[eid] = value
-    gcache.node_g = node_g
+    w_grads[list(own)] = list(own.values())
     return w_grads, node_g
+
+
+# what the generated statements name besides their arguments: no graph object
+_WALK_ENV = {"asarray": np.asarray, "float64": np.float64, "multiply": np.multiply,
+             "all_finite": nn.all_finite, "non_finite": _raise_non_finite, "no_flow": _no_flow}
 
 
 @dataclass
 class _WalkSource:
-    """A plan as Python statements, one per edge and per node, for a
-    generated training loop to inline (`_walk_source`).
+    """A plan as Python statements, one per edge and per node, for the
+    search loop to inline and `_node_grads` to compile (`_walk_source`).
 
-    The statements read the input batch `x`, each edge's scalar as the
-    float `w<edge>`, and each plain matrix layer's weights and transpose as
-    `W<edge>` and `T<edge>`, which `setup` binds once per call of the loop.
-    `forward` leaves the output in `output`, or raises when no flow reaches
-    it.  `backward` reads the output gradient `g`, the rows `B<row>` of a
-    product buffer, one per entry of `rows`, and a list `own`: it writes
-    each edge's product g * op output to its row when the product is
-    C-ordered and shaped like `g`, and else appends (row, its sum) to
-    `own`.  `env` binds the ops, layers and helpers the statements name.
+    `setup` binds, from the graph's ops `ops` and scalar array `w`, each
+    edge's scalar as the float `w<edge>`, each plain matrix layer's weights
+    and transpose as `W<edge>` and `T<edge>`, and any other op as `A<edge>`.
+    `forward` reads the input batch `x`, leaves op outputs `o<edge>` and
+    caches `c<edge>`, and the graph's output in `output`, or raises when no
+    flow reaches it.  `backward` reads the output gradient `g` and leaves
+    dE/dz_node as `g<node>` at the nodes `grads`; `reads` binds the caches
+    it reads from a forward walk's list `edge_cache`.  `products` writes
+    each edge's product g * op output to its row `B<row>` of a buffer (one
+    per entry of `rows`) when it is C-ordered and shaped like `g`, and else
+    appends (row, its sum) to the list `own`.
     """
 
-    env: dict
     setup: list
     forward: list
+    reads: list
     backward: list
+    products: list
     output: str
-    rows: list  # the edge id of each product row, in the order backward forms them
+    grads: set
+    rows: list  # the edge id of each product row, in the order products forms them
 
 
-def _walk_source(graph):
-    """The statements of the graph's current plan.
+def _walk_source(graph, plan):
+    """The statements of a plan of the graph.
 
-    They repeat `graph_forward`'s and `graph_backward`'s float operations
-    in their order, with the same checks and errors.  The source
-    interpolates integer node ids, edge ids and rows only; ops, layers and
-    helpers are bound by name (`A<edge>`, `L<edge>`).  Which nodes carry
-    flow forward, and which gradient back, follows from the plan alone, so
-    it is settled here: a node without flow has no statement.
+    They repeat `graph_forward`'s float operations, with the same checks
+    and errors, and the reverse accumulation in its one order: a node's
+    gradient is complete before it is read, and each in-edge, in edge-id
+    order, adds w * (vjp of its op) to its source's gradient.  The source
+    interpolates integer node ids, edge ids and rows only.  Which nodes
+    carry flow forward, and which gradient back, follows from the plan
+    alone, so it is settled here: a node without flow has no statement, and
+    the input node gets no gradient (no edge into it ever runs).
     """
-    plan, ops, inp = _plan(graph), graph.ops, graph.input_node
-    env = {"asarray": np.asarray, "float64": np.float64, "multiply": np.multiply,
-           "all_finite": nn.all_finite, "non_finite": partial(_raise_non_finite, ops),
-           "no_flow": _no_flow}
+    ops, inp = graph.ops, graph.input_node
 
     def output(eid, op, src, layer):  # the name of the edge's op output
         return f"z{src}" if layer is None and op.tag in _PASS_TAGS else f"o{eid}"
@@ -462,7 +435,8 @@ def _walk_source(graph):
     def pairs(matrices):
         return "(" + "".join(f"({eid}, o{eid}), " for eid in matrices) + ")"
 
-    setup, fwd, ran, flow = [], [f"z{inp} = asarray(x, dtype=float64)"], [], {inp}
+    setup = ["".join(f"w{eid}, " for eid in range(len(ops))) + "= w.tolist()"] if ops else []
+    fwd, ran, flow = [f"z{inp} = asarray(x, dtype=float64)"], [], {inp}
     for node, steps in plan.steps:
         steps = [step for step in steps if step[2] in flow]
         if not steps:
@@ -472,33 +446,34 @@ def _walk_source(graph):
         matrices = []
         for eid, op, src, layer in steps:
             if layer is not None:
-                env[f"L{eid}"] = layer
-                setup += [f"W{eid} = L{eid}.weights", f"T{eid} = W{eid}.T"]
+                setup += [f"W{eid} = ops[{eid}].layers[0].weights", f"T{eid} = W{eid}.T"]
                 fwd.append(f"o{eid} = z{src}.dot(T{eid})")
                 matrices.append(eid)
             elif op.tag not in _PASS_TAGS:
-                env[f"A{eid}"] = op
+                setup.append(f"A{eid} = ops[{eid}]")
                 fwd += ["try:", f"    o{eid}, c{eid} = A{eid}.apply(z{src})",
-                        "except FloatingPointError:", f"    non_finite({pairs(matrices)}, {eid})"]
+                        "except FloatingPointError:",
+                        f"    non_finite(ops, {pairs(matrices)}, {eid})"]
             term = f"w{eid} * {output(eid, op, src, layer)}"
             fwd.append(f"z{node} = {term}" if eid == steps[0][0] else f"z{node} = z{node} + {term}")
         if matrices:
-            fwd.append(f"if not all_finite(z{node}): non_finite({pairs(matrices)})")
+            fwd.append(f"if not all_finite(z{node}): non_finite(ops, {pairs(matrices)})")
     if graph.output_node not in flow:
         fwd.append("raise no_flow()")
 
-    bwd, back, rows = ["S = g.shape", f"g{graph.output_node} = g"], {graph.output_node}, []
+    reads, bwd, back = [], [f"g{graph.output_node} = g"], {graph.output_node}
+    prods, rows = ["S = g.shape"], []
     for node, steps in reversed(ran):
         if node not in back:  # no path to the output
             continue
-        bwd.append(f"f = g{node}.shape == S and g{node}.flags.c_contiguous")
+        prods.append(f"f = g{node}.shape == S and g{node}.flags.c_contiguous")
         for eid, op, src, layer in steps:
             out, row = output(eid, op, src, layer), len(rows)
             rows.append(eid)
             # a matrix product is C-ordered
             fits = "f" if layer is not None else f"f and {out}.flags.c_contiguous"
-            bwd += [f"if {fits}: multiply(g{node}, {out}, out=B{row})",
-                    f"else: own.append(({row}, (g{node} * {out}).sum()))"]
+            prods += [f"if {fits}: multiply(g{node}, {out}, out=B{row})",
+                      f"else: own.append(({row}, (g{node} * {out}).sum()))"]
             if src == inp:
                 continue
             if layer is not None:
@@ -506,23 +481,43 @@ def _walk_source(graph):
             elif op.tag in _PASS_TAGS:
                 vjp = f"g{node}"
             else:
+                reads.append(f"c{eid} = edge_cache[{eid}]")
                 vjp = f"A{eid}.vjp(c{eid}, g{node})"
             bwd.append(f"g{src} = g{src} + w{eid} * {vjp}" if src in back
                        else f"g{src} = w{eid} * {vjp}")
             back.add(src)
-    return _WalkSource(env, setup, fwd, bwd, f"z{graph.output_node}", rows)
+    return _WalkSource(setup, fwd, reads, bwd, prods, f"z{graph.output_node}", back, rows)
 
 
-def op_cache(graph, gcache, eid):
+def _node_grads(graph, gcache, g_out):
+    """dE/dz_node of a forward walk's nodes for the output gradient g_out,
+    a list over node ids, None where no gradient flows and at the input
+    node.  The cache's plan compiles `_walk_source`'s backward statements
+    at its first call, into a walk that forms no w-gradient product and
+    reads the ops only through its arguments, so that a deep copy of the
+    graph, which shares the walk, runs it on its own layers."""
+    plan = gcache.plan
+    if plan.walk is None:
+        walk = _walk_source(graph, plan)
+        grads = ", ".join(f"g{node}" if node in walk.grads else "None"
+                          for node in range(graph.n_nodes))
+        env = dict(_WALK_ENV)
+        exec(compile("\n    ".join(["def walk(ops, w, edge_cache, g):"] + walk.setup + walk.reads
+                                    + walk.backward + [f"return [{grads}]\n"]),
+                     "<backward walk>", "exec"), env)
+        plan.walk = env["walk"]
+    return plan.walk(graph.ops, graph.w, gcache.edge_cache, g_out)
+
+
+def op_cache(graph, gcache, eid, g_dst):
     """The `nn` cache of an edge's op after a walk (None if it did not run).
 
     A plain matrix edge stores none; its cache is built from the walk's
-    tensors, with the gradient that graph_backward left at its target.
+    tensors, with g_dst, the gradient at its target, as grad_out.
     """
     out = gcache.edge_out[eid]
     if out is None or _matrix_layer(graph.ops[eid]) is None:
         return gcache.edge_cache[eid]
-    g_dst = None if gcache.node_g is None else gcache.node_g[graph.dst[eid]]
     return [nn.LayerCache(x=gcache.node_z[graph.src[eid]], preact=out, out=out, grad_out=g_dst)]
 
 
@@ -533,19 +528,19 @@ def arch_scalar_hessian(graph, gcache, h_seed):
     The Gauss-Newton rule sum_b J_b^T H_b J_b against the full energy
     Hessian seed (b, n, n), which carries the 1/batch factor.
     J_e[b, k] = d out[b, k] / d w_e is the sum over sample b's features of
-    node_g[dst] * (op output of e), with node_g from one backward walk
-    seeded with the one-hot e_k per output dimension k; those walks form
-    no w-gradient products and leave the cache's backward state as it was.
-    It runs on every op kind and is the exact second derivative wherever
-    the output is linear in w_e along the downstream ops (relu and maxpool
-    almost everywhere).
+    node_g[dst] * (op output of e), with node_g from the plan's compiled
+    backward walk (`_node_grads`) seeded with the one-hot e_k per output
+    dimension k; those walks form no w-gradient products.  It runs on every
+    op kind and is the exact second derivative wherever the output is
+    linear in w_e along the downstream ops (relu and maxpool almost
+    everywhere).
     """
     if h_seed.ndim != 3:
         raise ValueError("edge curvature needs per-sample full Hessian seeds (b, n, n)")
     edge_out = gcache.edge_out
     out = gcache.node_z[graph.output_node]
     b, n = h_seed.shape[:2]
-    grads = [_backward_walk(graph, gcache, np.tile(e_k, (b, 1)).reshape(out.shape))[0]
+    grads = [_node_grads(graph, gcache, np.tile(e_k, (b, 1)).reshape(out.shape))
              for e_k in np.eye(n)]
     jac = np.zeros((b, len(graph.ops), n))  # [b, e, k] = d out[b, k] / d w_e
     for node, ins in enumerate(gcache.plan.ins):

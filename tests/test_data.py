@@ -58,6 +58,20 @@ def test_mnist_label_range_checked(tmp_path):
         data.load_mnist_idx(tmp_path)
 
 
+@pytest.mark.parametrize("pixel", [0, 128])
+def test_mnist_constant_train_images_rejected(tmp_path, pixel):
+    # zero spread: all-zero images would standardize to 0/0, a constant
+    # non-zero image to rounding noise of +-1
+    data.write_idx(tmp_path / "train-images-idx3-ubyte", np.full((10, 28, 28), pixel, np.uint8))
+    data.write_idx(tmp_path / "train-labels-idx1-ubyte", np.zeros(10, dtype=np.uint8))
+    data.write_idx(tmp_path / "t10k-images-idx3-ubyte",
+                   np.random.default_rng(1).integers(0, 256, (4, 28, 28), dtype=np.uint8))
+    data.write_idx(tmp_path / "t10k-labels-idx1-ubyte", np.zeros(4, dtype=np.uint8))
+    message = rf"^train images are constant \(every pixel is {pixel}\)$"
+    with pytest.raises(ValueError, match=message):
+        data.load_mnist_idx(tmp_path)
+
+
 def test_mnist_shapes_and_standardization(tmp_path):
     rng = np.random.default_rng(2)
     data.write_idx(tmp_path / "train-images-idx3-ubyte",

@@ -524,6 +524,17 @@ def test_cli_split_without_images_exits_one(tmp_path, command, split):
     assert "Traceback" not in res.stderr
 
 
+def test_cli_compress_rejects_constant_train_images(tmp_path):
+    write_idx_set(tmp_path)
+    data.write_idx(tmp_path / "train-images-idx3-ubyte", np.zeros((64, 28, 28), np.uint8))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text("")
+    res = run_cli("compress", "--config", str(cfg), "--data", str(tmp_path),
+                  "--net", "lenet300-100", "--out", str(tmp_path / "x"))
+    assert res.returncode == 1
+    assert res.stderr == "error: train images are constant (every pixel is 0)\n"
+
+
 @pytest.mark.parametrize("bias", [np.zeros(1), np.zeros((300, 300))],
                          ids=["broadcast-shape", "matrix"])
 def test_cli_eval_rejects_a_bias_of_the_wrong_shape(tmp_path, bias):

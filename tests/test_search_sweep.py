@@ -5,6 +5,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+
+from ardnet import supergraph as sg
+
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "search_sweep.py"
 
 
@@ -13,6 +17,13 @@ def sweep(lo, hi):
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
     return done
+
+
+def load_tool():
+    spec = importlib.util.spec_from_file_location("search_sweep", TOOL)
+    sweep = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(sweep)
+    return sweep
 
 
 def test_sweep_prints_a_line_per_seed_and_search_and_the_totals():
@@ -42,9 +53,7 @@ def test_sweep_prints_no_numpy_warning_for_a_diverging_seed():
 
 
 def test_sweep_names_the_exception_a_search_raised(monkeypatch):
-    spec = importlib.util.spec_from_file_location("search_sweep", TOOL)
-    sweep = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(sweep)
+    sweep = load_tool()
 
     def diverges():
         raise FloatingPointError("non-finite training loss")
@@ -55,12 +64,24 @@ def test_sweep_names_the_exception_a_search_raised(monkeypatch):
 
 
 def test_twin_outcomes_are_counted_apart():
-    spec = importlib.util.spec_from_file_location("search_sweep", TOOL)
-    sweep = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(sweep)
+    sweep = load_tool()
     planted, twins = {2, 9}, {2: 12, 9: 13}
     assert [sweep._status(alive, planted, twins, False) for alive in (
         {2, 9}, {2, 9, 13}, {2, 13}, {12, 13}, {2}, {2, 9, 5}, {2, 13, 5})] == [
         "recovered", "twins", "swapped", "swapped", "missed", "missed", "missed"]
     assert sweep._status({2, 9}, planted, twins, True) == "stopped"
     assert sweep._status({2, 9, 5}, planted, {}, False) == "missed"
+
+
+def test_twin_recovery_needs_the_edge_curvature(monkeypatch):
+    # without curvature every omega update sees a flat energy, and the twin
+    # task's searches keep the twins (or diverge, which counts as a miss)
+    sweep = load_tool()
+
+    def recovered():
+        return sum(sweep.sweep_line("twin_dag", seed)[1] for seed in range(10))
+
+    with_curvature = recovered()
+    monkeypatch.setattr(sg, "arch_scalar_hessian",
+                        lambda graph, gcache, h_seed: np.zeros(len(graph.ops)))
+    assert with_curvature >= recovered() + 5

@@ -232,6 +232,24 @@ def loop_arch_hessian(graph, gcache, h_seed):
     return hess
 
 
+def seeded_arch_hessian(graph, gcache, h_seed):
+    """arch_scalar_hessian's contraction of the node gradients of
+    `loop_backward`, run once per one-hot output seed."""
+    out = gcache.node_z[graph.output_node]
+    b, n = h_seed.shape[:2]
+    grads = [loop_backward(graph, gcache, np.tile(e_k, (b, 1)).reshape(out.shape))[1]
+             for e_k in np.eye(n)]
+    jac = np.zeros((b, len(graph.ops), n))
+    for node in range(graph.n_nodes):
+        if grads[0].get(node) is None:
+            continue
+        g = np.stack([node_g[node] for node_g in grads]).reshape(n, b, -1)
+        for eid in graph.in_edges(node):
+            if eid in gcache.edge_out:
+                jac[:, eid] = np.einsum("kbf,bf->bk", g, gcache.edge_out[eid].reshape(b, -1))
+    return np.einsum("bei,bei->e", jac @ h_seed, jac)
+
+
 STEP = SearchConfig(learning_rate=1.0, momentum=0.0)
 
 
@@ -355,17 +373,20 @@ def test_plan_walk_equals_the_per_edge_loop(spec, seed):
                          [ref_grads[1].get(node) for node in inner])
         # plain matrix edges build their caches on demand; any other op out of
         # the input node runs no vjp, so its cache keeps no grad_out
-        got_outs = grad_outs(sg.op_cache(g, gcache, eid) for eid in range(n_edges))
+        got_outs = grad_outs(sg.op_cache(g, gcache, eid, got[1][g.dst[eid]])
+                             for eid in range(n_edges))
         ref_outs = grad_outs(listed(rcache.edge_cache, n_edges))
         no_vjp = {eid for eid in range(n_edges)
                   if g.src[eid] == g.input_node and sg._matrix_layer(g.ops[eid]) is None}
         assert all(out is None for eid in no_vjp for out in got_outs[eid] or [])
         assert same_bits([outs for eid, outs in enumerate(got_outs) if eid not in no_vjp],
                          [outs for eid, outs in enumerate(ref_outs) if eid not in no_vjp])
+        # the curvature runs the same walk as the per-edge loop, seed by seed
+        h_seed = nn.energy_hessian(out, t, "mse", "exact")
+        got = sg.arch_scalar_hessian(g, gcache, h_seed)
+        assert same_bits(got, seeded_arch_hessian(g, rcache, h_seed))
         if linear:
             # the Jacobian reference sums in another order than the VJPs
-            h_seed = nn.energy_hessian(out, t, "mse", "exact")
-            got = sg.arch_scalar_hessian(g, gcache, h_seed)
             ref = loop_arch_hessian(g, rcache, h_seed)
             assert list(ref) == g.alive_edge_ids() and not got[~g.alive].any()
             assert np.allclose(got[g.alive], list(ref.values()), rtol=1e-12, atol=0)
@@ -383,18 +404,69 @@ def test_plan_walk_equals_the_per_edge_loop(spec, seed):
 
 
 def test_a_copied_graph_compiles_its_own_step():
-    # the loop reads the layers it was built from; a deep copy must read its own
+    # the loop and the plan's backward walk read the layers they were built
+    # from; a deep copy, which shares the plan's compiled walk, must read its own
     rng = np.random.default_rng(3)
-    g = sg.SuperGraph(3, [fc_edge(0, 1, rng.normal(size=(2, 2))), fc_edge(1, 2, np.eye(2))])
+    mats = [rng.normal(size=(2, 2)), np.eye(2)]
+    g = sg.SuperGraph(3, [fc_edge(0, 1, mats[0]), fc_edge(1, 2, mats[1])])
     x, t = rng.normal(size=(4, 2)), np.zeros((4, 2))
     search_batch(g, x, t)
+
+    def walks(graph):  # the curvature, then the gradients with their products
+        out, gcache = sg.graph_forward(graph, x)
+        _, e_grad = nn.energy(out, t, "mse")
+        return [sg.arch_scalar_hessian(graph, gcache, nn.energy_hessian(out, t, "mse", "exact")),
+                *sg.graph_backward(graph, gcache, e_grad)]
+
+    walks(g)
     copied = copy.deepcopy(g)
-    copied.ops[0].layers[0].weights = 2.0 * copied.ops[0].layers[0].weights
+    assert copied._plan.walk is g._plan.walk
+    fresh = sg.SuperGraph(3, [fc_edge(0, 1, 2.0 * mats[0]), fc_edge(1, 2, 2.0 * mats[1])])
+    fresh.w[:] = copied.w
+    for op in copied.ops:
+        op.layers[0].weights = 2.0 * op.layers[0].weights
+    assert same_bits(walks(copied), walks(fresh))
     for graph in (copied, g):
         w = graph.w.copy()
         pen, _ = group_l2_penalty(w, np.arange(w.size), (np.full(w.size, STEP.lambda_w),) * 2)
         expected = nn.energy(sg.graph_forward(graph, x)[0], t, "mse")[0] + pen
         assert search_batch(graph, x, t)[0] == expected
+
+
+def test_each_plan_compiles_its_backward_walk_once(monkeypatch):
+    # a walk is compiled from the statements of its plan
+    compiled, walk_source = [], sg._walk_source
+
+    def counted(graph, plan):
+        compiled.append(plan)
+        return walk_source(graph, plan)
+
+    monkeypatch.setattr(sg, "_walk_source", counted)
+    rng = np.random.default_rng(4)
+    g = sg.SuperGraph(4, [fc_edge(0, 1, rng.normal(size=(3, 3))),
+                          fc_edge(1, 2, rng.normal(size=(3, 3))), identity_edge(1, 2),
+                          fc_edge(2, 3, rng.normal(size=(3, 3)))])
+    x, t = rng.normal(size=(5, 3)), rng.normal(size=(5, 3))
+
+    def curvature_and_gradients(graph):
+        out, gcache = sg.graph_forward(graph, x)
+        sg.arch_scalar_hessian(graph, gcache, nn.energy_hessian(out, t, "mse", "exact"))
+        sg.graph_backward(graph, gcache, nn.energy(out, t, "mse")[1])
+        return gcache.plan
+
+    sg.graph_forward(g, x)
+    assert not compiled  # neither the plan nor the forward walk compiles
+    # two iterations on one plan, each with three one-hot seeds and the gradients
+    plan = curvature_and_gradients(g)
+    assert curvature_and_gradients(g) is plan and compiled == [plan]
+    g.alive[2] = False  # a prune: the new plan compiles at its first backward walk
+    sg.graph_forward(g, x)
+    assert len(compiled) == 1
+    pruned = curvature_and_gradients(g)
+    assert compiled == [plan, pruned]
+    # a deep copy shares its plan's walk
+    curvature_and_gradients(copy.deepcopy(g))
+    assert len(compiled) == 2
 
 
 # ---------------------------------------------------------------------------
