@@ -83,8 +83,10 @@ def read_idx(path):
     if len(buf) < expected:
         raise ValueError(f"{path}: truncated data, file ends at byte {len(buf)} "
                          f"(expected {expected})")
-    return np.frombuffer(buf, dtype=np.uint8, offset=header,
-                         count=int(np.prod(dims))).reshape(dims).copy()
+    if len(buf) > expected:
+        raise ValueError(f"{path}: {len(buf) - expected} trailing bytes, the data "
+                         f"should end at byte {expected}")
+    return np.frombuffer(buf, dtype=np.uint8, offset=header).reshape(dims).copy()
 
 
 def write_idx(path, array):
@@ -136,6 +138,9 @@ def load_mnist_idx(data_dir):
             raise ValueError(f"{split} split has no images")
         if ys.size and ys.max() > 9:
             raise ValueError(f"{split} labels contain value {ys.max()} outside 0-9")
+    if raw["x_test"].shape[1:] != raw["x_train"].shape[1:]:
+        raise ValueError(f"test images are {raw['x_test'].shape[1:]} (H, W), "
+                         f"train images {raw['x_train'].shape[1:]}")
     if raw["x_train"].min() == raw["x_train"].max():
         raise ValueError(f"train images are constant (every pixel is {raw['x_train'].min()})")
     x_train = raw["x_train"].astype(np.float64)[:, None] / 255.0

@@ -324,11 +324,10 @@ class _EdgeSlots:
         loss, e_grad = nn.energy(out, y, self.kind)
         trainable = [eid for eid in graph.alive_edge_ids() if graph.ops[eid].layers]
         if trainable:
-            _, node_g = sg.graph_backward(graph, gcache, e_grad)
+            node_g = sg._node_grads(graph, gcache, e_grad)
             for eid in trainable:
-                layers = graph.ops[eid].layers
+                layers, cache = graph.ops[eid].layers, gcache.edge_cache[eid]
                 g_dst = node_g[graph.dst[eid]]
-                cache = sg.op_cache(graph, gcache, eid, g_dst)
                 if g_dst is None or cache is None:
                     continue
                 grads, _ = nn.backward(layers, cache, graph.w[eid] * g_dst, input_grad=False)

@@ -14,12 +14,13 @@ The curvature of the energy w.r.t. each w comes from backward walks: one
 Gauss-Newton rule contracts per-sample Jacobians d out / d w_e, one walk
 per output dimension, against the full energy Hessian, on every op kind.
 
+`graph_forward` is the plain interpreted forward walk (data generation,
+evaluation, curvature, retraining): every op runs through `Op.apply`.
 Every backward walk runs one set of generated statements (`_walk_source`),
 one per edge and per node, interpolating only integer ids and rows: a
 search's training loop inlines them beside the plan's forward statements,
-and `_node_grads` compiles them once per plan for the curvature and for
-`graph_backward` (retraining).  `graph_forward` is every other forward walk
-(data generation, evaluation, curvature, retraining), and compiles nothing.
+and `_node_grads` compiles them once per plan for the curvature, for
+retraining and for `graph_backward`.
 """
 
 from __future__ import annotations
@@ -42,7 +43,6 @@ __all__ = [
     "topo_order",
     "graph_forward",
     "graph_backward",
-    "op_cache",
     "arch_scalar_hessian",
     "refresh_gammas",
     "entropy_prune_mask",
@@ -227,19 +227,16 @@ class _Plan:
     """Alive adjacency of a graph, valid while its alive array's bytes
     equal `key`.
 
-    Edge-id lists are ascending.  `steps` holds, for each non-input node in
-    topological order, (node, [(edge id, op, source node, layer), ...])
-    over its alive in-edges; layer is the op's fc layer when the op is one
-    plain matrix, else None.  The layer, not its weights, is kept, because
-    retraining replaces `layer.weights`.  `walked` lists the edge ids of
-    `steps` in their order; `walk` is compiled by `_node_grads`.
+    `steps` holds, for each non-input node in topological order, (node,
+    [(edge id, op, source node, layer), ...]) over its alive in-edges in
+    edge-id order; layer is the op's fc layer when the op is one plain
+    matrix, else None, and only `_walk_source` reads it.  The layer, not its
+    weights, is kept, because retraining replaces `layer.weights`.  `walk`
+    is compiled by `_node_grads`.
     """
 
     key: bytes
-    ins: list      # node -> alive in-edge ids
-    fan_out: list  # node -> every out-edge id, alive or not
     steps: list
-    walked: np.ndarray
     walk: object = None
 
 
@@ -259,16 +256,13 @@ def _plan(graph):
     plan = graph._plan
     if plan is not None and plan.key == key:
         return plan
-    src, ops = graph.src.tolist(), graph.ops
-    ins, fan_out = ([[] for _ in range(graph.n_nodes)] for _ in range(2))
-    for eid, (a, b, alive) in enumerate(zip(src, graph.dst.tolist(), graph.alive.tolist())):
-        fan_out[a].append(eid)
-        if alive:
-            ins[b].append(eid)
+    src, dst, ops = graph.src.tolist(), graph.dst.tolist(), graph.ops
+    ins = [[] for _ in range(graph.n_nodes)]
+    for eid in np.flatnonzero(graph.alive).tolist():
+        ins[dst[eid]].append(eid)
     steps = [(node, [(eid, ops[eid], src[eid], _matrix_layer(ops[eid])) for eid in ins[node]])
              for node in graph.order if node != graph.input_node]
-    walked = [eid for _, edges in steps for eid, _, _, _ in edges]
-    graph._plan = _Plan(key, ins, fan_out, steps, np.array(walked, dtype=np.intp))
+    graph._plan = _Plan(key, steps)
     return graph._plan
 
 
@@ -281,8 +275,8 @@ class GraphCache:
     """What one forward walk leaves for the backward walk and the curvature.
 
     Lists run over node ids (node_z) and edge ids (edge_out, edge_cache),
-    holding None where nothing flowed.  A plain matrix edge keeps no op
-    cache; `op_cache` builds it when a reader needs one.
+    holding None where nothing flowed; edge_cache holds each op's `nn`
+    caches, as `Op.apply` returns them.
     """
 
     plan: _Plan
@@ -313,40 +307,29 @@ def graph_forward(graph, x):
 
     z_node is the sum over alive in-edges of w_e * op_e(z_src), with w the
     graph's array; a node with no information flow holds None and its
-    out-edges are skipped.  A plain matrix op runs as one matmul; a node
-    checks its sum once, and a non-finite sum names the first such in-edge
-    whose output is non-finite (a sum that overflowed from finite outputs
-    is left to the next check downstream).  Other ops check their own
-    outputs in `nn.forward`.
+    out-edges are skipped.  Every op runs through `Op.apply`, whose
+    `nn.forward` checks its output: a non-finite output names its edge, and
+    a sum that overflowed from finite outputs is left to the next check
+    downstream.
     """
     plan, w = _plan(graph), graph.w
     node_z = [None] * graph.n_nodes
     node_z[graph.input_node] = np.asarray(x, dtype=np.float64)
     edge_out = [None] * len(graph.ops)
     edge_cache = [None] * len(graph.ops)
-
-    def matrix_outs(steps):
-        return [(eid, edge_out[eid]) for eid, _, _, layer in steps if layer is not None]
-
     for node, steps in plan.steps:
-        total, matrix = None, False
-        for eid, op, src, layer in steps:
+        total = None
+        for eid, op, src, _ in steps:
             z = node_z[src]
             if z is None:
                 continue
-            if layer is None:
-                try:
-                    out, edge_cache[eid] = op.apply(z)
-                except FloatingPointError:
-                    _raise_non_finite(graph.ops, matrix_outs(steps), eid)
-            else:
-                out = z @ layer.weights.T
-                matrix = True
+            try:
+                out, edge_cache[eid] = op.apply(z)
+            except FloatingPointError:
+                _raise_non_finite(graph.ops, (), eid)
             edge_out[eid] = out
             term = w[eid] * out
             total = term if total is None else total + term
-        if matrix and not nn.all_finite(total):
-            _raise_non_finite(graph.ops, matrix_outs(steps))
         node_z[node] = total
     if node_z[graph.output_node] is None:
         raise _no_flow()
@@ -358,27 +341,18 @@ def graph_backward(graph, gcache, grad_output):
 
     Returns (array over edge ids of dE/dw, 0.0 where the edge did not run;
     list node id -> dE/dz_node or None, None at the input node): the node
-    gradients of the plan's walk (`_node_grads`), then each edge's product
-    g * op output.  The products that are C-ordered and shaped like the
-    output gradient are reduced in one sum over the plan's edges, which
-    equals their own sums bit for bit; any other product keeps its own sum.
-    An op out of the input node runs no vjp, so its op cache keeps no
-    grad_out.
+    gradients of the plan's walk (`_node_grads`), then each edge's sum of
+    g * op output.  An op out of the input node, and a plain matrix op,
+    runs no vjp, so its op cache keeps no grad_out.
     """
-    plan, g_out = gcache.plan, np.asarray(grad_output, dtype=np.float64)
-    node_g = _node_grads(graph, gcache, g_out)
-    prods, own = np.zeros((len(plan.walked),) + g_out.shape), {}
-    for row, (eid, dst) in enumerate(zip(plan.walked.tolist(), graph.dst[plan.walked].tolist())):
-        g, out = node_g[dst], gcache.edge_out[eid]
-        if g is None or out is None:
-            continue
-        if g.shape == g_out.shape and g.flags.c_contiguous and out.flags.c_contiguous:
-            np.multiply(g, out, out=prods[row])
-        else:
-            own[eid] = (g * out).sum()
+    node_g = _node_grads(graph, gcache, np.asarray(grad_output, dtype=np.float64))
     w_grads = np.zeros(len(graph.ops))
-    w_grads[plan.walked] = prods.sum(axis=tuple(range(1, prods.ndim)))
-    w_grads[list(own)] = list(own.values())
+    for node, steps in gcache.plan.steps:
+        g = node_g[node]
+        for eid, _, _, _ in steps:
+            out = gcache.edge_out[eid]
+            if g is not None and out is not None:
+                w_grads[eid] = (g * out).sum()
     return w_grads, node_g
 
 
@@ -418,14 +392,16 @@ class _WalkSource:
 def _walk_source(graph, plan):
     """The statements of a plan of the graph.
 
-    They repeat `graph_forward`'s float operations, with the same checks
-    and errors, and the reverse accumulation in its one order: a node's
-    gradient is complete before it is read, and each in-edge, in edge-id
-    order, adds w * (vjp of its op) to its source's gradient.  The source
-    interpolates integer node ids, edge ids and rows only.  Which nodes
-    carry flow forward, and which gradient back, follows from the plan
-    alone, so it is settled here: a node without flow has no statement, and
-    the input node gets no gradient (no edge into it ever runs).
+    They repeat `graph_forward`'s float operations and raise its errors,
+    naming the same edge, though a plain matrix runs as one product each way
+    and its node checks the sum once.  Then the reverse accumulation in its
+    one order: a node's gradient is complete before it is read, and each
+    in-edge, in edge-id order, adds w * (vjp of its op) to its source's
+    gradient.  The source interpolates integer node ids, edge ids and rows
+    only.  Which nodes carry flow forward, and which gradient back, follows
+    from the plan alone, so it is settled here: a node without flow has no
+    statement, and the input node gets no gradient (no edge into it ever
+    runs).
     """
     ops, inp = graph.ops, graph.input_node
 
@@ -509,18 +485,6 @@ def _node_grads(graph, gcache, g_out):
     return plan.walk(graph.ops, graph.w, gcache.edge_cache, g_out)
 
 
-def op_cache(graph, gcache, eid, g_dst):
-    """The `nn` cache of an edge's op after a walk (None if it did not run).
-
-    A plain matrix edge stores none; its cache is built from the walk's
-    tensors, with g_dst, the gradient at its target, as grad_out.
-    """
-    out = gcache.edge_out[eid]
-    if out is None or _matrix_layer(graph.ops[eid]) is None:
-        return gcache.edge_cache[eid]
-    return [nn.LayerCache(x=gcache.node_z[graph.src[eid]], preact=out, out=out, grad_out=g_dst)]
-
-
 def arch_scalar_hessian(graph, gcache, h_seed):
     """Per-edge curvature of the energy w.r.t. each architecture scalar w,
     as an array over edge ids, 0.0 where the edge did not run.
@@ -543,11 +507,11 @@ def arch_scalar_hessian(graph, gcache, h_seed):
     grads = [_node_grads(graph, gcache, np.tile(e_k, (b, 1)).reshape(out.shape))
              for e_k in np.eye(n)]
     jac = np.zeros((b, len(graph.ops), n))  # [b, e, k] = d out[b, k] / d w_e
-    for node, ins in enumerate(gcache.plan.ins):
+    for node, steps in gcache.plan.steps:
         if grads[0][node] is None:  # no path to the output
             continue
         g = np.stack([node_g[node] for node_g in grads]).reshape(n, b, -1)
-        for eid in ins:
+        for eid, _, _, _ in steps:
             if edge_out[eid] is not None:
                 jac[:, eid] = np.einsum("kbf,bf->bk", g, edge_out[eid].reshape(b, -1))
     return np.einsum("bei,bei->e", jac @ h_seed, jac)
@@ -667,14 +631,14 @@ def insert_zero_gates(graph):
     """
     if graph.gate_map:
         raise ValueError("zero gates already inserted")
-    fan_out = _plan(graph).fan_out
     gates = []
     for node in range(graph.n_nodes):
-        if node == graph.input_node or not fan_out[node]:
+        fan_out = np.flatnonzero(graph.src == node)
+        if node == graph.input_node or not fan_out.size:
             continue
         aux = graph.n_nodes
         graph.n_nodes += 1
-        graph.src[fan_out[node]] = aux
+        graph.src[fan_out] = aux
         graph.gate_map[node] = len(graph.ops) + len(gates)
         graph.gate_node_of[aux] = node
         gates.append(Edge(node, aux, make_op("zero_gate"), is_gate=True))

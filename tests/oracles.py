@@ -5,7 +5,8 @@ recursion and the closed-form updates that they check.
   differences of a scalar energy, one coordinate at a time.
 - `cccp_surrogate_cost` and `cccp_quadratic_reference`: the reweighted-l1
   alternation on a fixed convex quadratic energy, with exact inner solves.
-- `momentum_step`: the classic momentum formula, forming fresh arrays.
+- `momentum_step`: the classic momentum formula, forming fresh arrays, and
+  `allocating_step_layers`, which takes it on every layer array.
 
 The demos put this directory on ``sys.path`` to import it.
 """
@@ -149,3 +150,15 @@ def momentum_step(value, grad, velocity, lr, momentum):
     """Classic momentum update on fresh arrays; returns (new value, new velocity)."""
     velocity = momentum * velocity - lr * grad
     return value + velocity, velocity
+
+
+def allocating_step_layers(layers, grads, velocity, key, config):
+    """`engine._step_layers` by `momentum_step` on fresh arrays: assigning
+    value + velocity, as a float64 sum, to the layer, which masks it."""
+    for li, item in enumerate(grads):
+        for name, grad in zip(("weights", "bias"), item or ()):
+            if grad is not None:
+                value, velocity[key + (li, name)] = momentum_step(
+                    getattr(layers[li], name), grad, velocity.get(key + (li, name), 0.0),
+                    config.learning_rate, config.momentum)
+                setattr(layers[li], name, value)

@@ -20,7 +20,8 @@ def test_dump_diffs_clean_against_itself_and_names_a_change(tmp_path):
     assert done.returncode == 0, done.stderr
     record = json.loads(dump.read_text())
     assert sorted(record["search"]) == ["0", "1"]
-    assert sorted(record["search"]["0"]) == ["proxy_cells", "proxyless"]
+    assert sorted(record["search"]["0"]) == ["proxy_cells", "proxy_cells_retrain",
+                                              "proxyless", "proxyless_retrain"]
     assert sorted(record["compress"]) == ["compress-fc-exact/0", "compress-lenet5/0"]
     # every iteration's (w, s, omega, gamma, alive) of every edge, as trace= records it
     for search in ("proxy_cells", "proxyless"):
@@ -34,6 +35,17 @@ def test_dump_diffs_clean_against_itself_and_names_a_change(tmp_path):
             w, s, omega, gamma, alive = last[str(e["id"])]
             assert (w, s, gamma, alive) == (e["w"], e["s"], e["gamma"], e["alive"])
             assert isinstance(omega, float)
+    # the same searches with two retrain epochs, and every op layer's arrays
+    # after them, per edge id
+    for search in ("proxy_cells", "proxyless"):
+        assert "ops" not in record["search"]["0"][search]
+        result = record["search"]["0"][search + "_retrain"]
+        assert [row["epoch"] for row in result["history"] if row["iteration"] == -1] == [1, 2]
+        assert len(result["ops"]) == len(result["export"]["edges"])
+        layers = [layer for op in result["ops"] for layer in op]
+        assert layers and all(sorted(layer) == ["bias", "weights"] for layer in layers)
+        assert all(sorted(layer["weights"]) == ["array", "dtype", "l2", "sha256"]
+                   for layer in layers)
     same = run_tool("diff", dump, dump)
     assert same.returncode == 0 and same.stdout.strip() == "0 difference(s)"
 

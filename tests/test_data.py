@@ -37,6 +37,27 @@ def test_idx_truncated_names_byte_offset(tmp_path):
         data.read_idx(path)
 
 
+def test_idx_trailing_bytes_name_where_the_data_ends(tmp_path):
+    path = tmp_path / "long"
+    data.write_idx(path, np.zeros((4, 4), dtype=np.uint8))
+    path.write_bytes(path.read_bytes() + b"\x00\x07")
+    # 4 magic bytes, two 4-byte sizes, then 16 data bytes
+    with pytest.raises(ValueError, match=r"2 trailing bytes, the data should end at byte 28$"):
+        data.read_idx(path)
+
+
+def test_mnist_test_images_of_another_size_are_rejected(tmp_path):
+    rng = np.random.default_rng(1)
+    for name, n, side in (("train", 10, 28), ("t10k", 4, 14)):
+        data.write_idx(tmp_path / f"{name}-images-idx3-ubyte",
+                       rng.integers(0, 256, (n, side, side), dtype=np.uint8))
+        data.write_idx(tmp_path / f"{name}-labels-idx1-ubyte",
+                       rng.integers(0, 10, n, dtype=np.uint8))
+    with pytest.raises(ValueError, match=r"^test images are \(14, 14\) \(H, W\), "
+                                         r"train images \(28, 28\)$"):
+        data.load_mnist_idx(tmp_path)
+
+
 def test_idx_bad_magic(tmp_path):
     path = tmp_path / "bad"
     path.write_bytes(b"\x00\x00\x0d\x02" + b"\x00" * 16)

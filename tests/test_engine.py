@@ -15,7 +15,7 @@ from ardnet import supergraph as sg
 from ardnet.curvature import network_curvature
 from ardnet.updates import (GroupSpec, SearchConfig, group_l2_penalty, slab_l2_penalty,
                             slab_penalty_terms, structural_update)
-from oracles import momentum_step
+from oracles import allocating_step_layers, momentum_step
 
 
 def small_config(**kw):
@@ -932,18 +932,6 @@ def test_retraining_never_writes_into_an_array_the_caller_passed_in():
                net[0].weights, net[0].bias, net[1].weights]
     assert all(a.tobytes() == b.tobytes() for a, b in zip(passed, before))
     assert not any(np.array_equal(a, b) for a, b in zip(trained, before))
-
-
-def allocating_step_layers(layers, grads, velocity, key, config):
-    """`engine._step_layers` by `momentum_step` on fresh arrays: assigning
-    value + velocity, as a float64 sum, to the layer, which masks it."""
-    for li, item in enumerate(grads):
-        for name, grad in zip(("weights", "bias"), item or ()):
-            if grad is not None:
-                value, velocity[key + (li, name)] = momentum_step(
-                    getattr(layers[li], name), grad, velocity.get(key + (li, name), 0.0),
-                    config.learning_rate, config.momentum)
-                setattr(layers[li], name, value)
 
 
 @pytest.mark.parametrize("dtype", [np.int64, np.float32])

@@ -360,6 +360,19 @@ def test_cli_bad_config_exits_one(tmp_path):
     assert "t_max" in res.stderr
 
 
+@pytest.mark.parametrize("command", ["search", "proxy-search"])
+def test_cli_negative_seed_names_its_field(tmp_path, command):
+    # a negative seed used to reach numpy, whose error named no field
+    cfg = tmp_path / "seed.json"
+    cfg.write_text('{"seed": -3}')
+    for args in (("--config", str(cfg)), ("--config", str(write_search_config(tmp_path)),
+                                          "--seed", "-1")):
+        res = run_cli(command, *args, "--out", str(tmp_path / "x"))
+        assert res.returncode == 1
+        assert res.stderr == "error: config field seed must be >= 0\n"
+        assert not (tmp_path / "x").exists()
+
+
 def test_cli_non_finite_config_exits_one(tmp_path):
     # a NaN prune threshold used to run, prune nothing and exit 0
     cfg = tmp_path / "nan.json"

@@ -10,9 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ardnet import engine, exports, nn
+from ardnet import data, engine, exports, nn
 from ardnet import supergraph as sg
 from ardnet.updates import ENTROPY_PRUNE_THRESHOLD, GroupSpec, SearchConfig, group_l2_penalty
+from oracles import allocating_step_layers
 
 
 def identity_edge(src, dst, **kw):
@@ -371,13 +372,13 @@ def test_plan_walk_equals_the_per_edge_loop(spec, seed):
         assert got[1][g.input_node] is None
         assert same_bits([got[1][node] for node in inner],
                          [ref_grads[1].get(node) for node in inner])
-        # plain matrix edges build their caches on demand; any other op out of
-        # the input node runs no vjp, so its cache keeps no grad_out
-        got_outs = grad_outs(sg.op_cache(g, gcache, eid, got[1][g.dst[eid]])
-                             for eid in range(n_edges))
+        # an op out of the input node runs no vjp, nor does a plain matrix,
+        # whose walk is one product (`nn.backward` sets its grad_out when
+        # retraining), so their caches keep no grad_out
+        got_outs = grad_outs(gcache.edge_cache)
         ref_outs = grad_outs(listed(rcache.edge_cache, n_edges))
         no_vjp = {eid for eid in range(n_edges)
-                  if g.src[eid] == g.input_node and sg._matrix_layer(g.ops[eid]) is None}
+                  if g.src[eid] == g.input_node or sg._matrix_layer(g.ops[eid]) is not None}
         assert all(out is None for eid in no_vjp for out in got_outs[eid] or [])
         assert same_bits([outs for eid, outs in enumerate(got_outs) if eid not in no_vjp],
                          [outs for eid, outs in enumerate(ref_outs) if eid not in no_vjp])
@@ -401,6 +402,65 @@ def test_plan_walk_equals_the_per_edge_loop(spec, seed):
         tied = 0.0 + (pen_grad + ref_w_grads[alive])
         assert same_bits(slots.v, 0.0 * 0.0 - tied * 1.0)
         assert same_bits(g.w[alive], w0[alive] + slots.v)
+
+
+RETRAIN = SearchConfig(learning_rate=0.01, momentum=0.9)
+
+
+def retrain_reference(graph, x, y, kind, velocity):
+    """`_EdgeSlots.retrain_batch` by the per-edge loops: `loop_forward`,
+    `loop_backward`'s node gradients, then `nn.backward` and a momentum step
+    on fresh arrays for each trainable alive edge in edge-id order, its
+    velocity keyed by edge id; returns the batch loss."""
+    out, rcache = loop_forward(graph, x)
+    loss, e_grad = nn.energy(out, y, kind)
+    _, node_g = loop_backward(graph, rcache, e_grad)
+    for eid in graph.alive_edge_ids():
+        layers, g = graph.ops[eid].layers, node_g.get(graph.dst[eid])
+        if layers and g is not None and eid in rcache.edge_cache:
+            grads, _ = nn.backward(layers, rcache.edge_cache[eid], graph.w[eid] * g,
+                                   input_grad=False)
+            allocating_step_layers(layers, grads, velocity, (eid,), RETRAIN)
+    return loss
+
+
+def assert_retrains_like_the_reference(graph, groups, kind, batches):
+    ref, velocity = copy.deepcopy(graph), {}
+    slots = engine._EdgeSlots(graph, groups, RETRAIN, kind)
+    for x, y in batches:
+        loss = slots.retrain_batch(x, y)
+        assert same_bits(loss, retrain_reference(ref, x, y, kind, velocity))
+        for op, ref_op in zip(graph.ops, ref.ops):
+            for layer, ref_layer in zip(op.layers or (), ref_op.layers or ()):
+                assert same_bits(layer.weights, ref_layer.weights)
+                assert same_bits(layer.bias, ref_layer.bias)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=30)
+@given(spec=plan_graphs(), seed=st.integers(0, 2**16))
+def test_graph_retraining_equals_the_per_edge_loop(spec, seed):
+    # every op kind, with and without gates: three batches, bit for bit
+    n, edge_spec, spatial, gates = spec
+    rng = np.random.default_rng(seed)
+    g = sg.SuperGraph(n, [sg.Edge(i, j, plan_op(kind, rng)) for i, j, kind in edge_spec])
+    if gates:
+        sg.insert_zero_gates(g)
+    g.w[:] = rng.normal(size=len(g.ops))
+    xs = [rng.normal(size=(5, 1, SIDE, SIDE) if spatial else (5, DIM)) for _ in range(3)]
+    shape = sg.graph_forward(g, xs[0])[0].shape
+    groups = [GroupSpec(eid, [eid]) for eid in range(len(g.ops))]
+    assert_retrains_like_the_reference(g, groups, "mse",
+                                       [(x, rng.normal(size=shape)) for x in xs])
+
+
+def test_two_cell_retraining_equals_the_per_edge_loop():
+    # the cells share their op objects, so the edge-id order of the steps
+    # sets the bits
+    graph, ds, groups, _ = data.gen_two_cell_task(0, n_train=64)
+    assert len({id(op) for op in graph.ops if op.layers}) < sum(1 for op in graph.ops if op.layers)
+    graph.w[graph.alive] = 1.0
+    batches = [(ds.x_train[rows], ds.y_train[rows]) for rows in np.array_split(np.arange(64), 3)]
+    assert_retrains_like_the_reference(graph, groups, engine._energy_kind(ds), batches)
 
 
 def test_a_copied_graph_compiles_its_own_step():

@@ -11,6 +11,10 @@ workloads from ``SRC_ROOT/perfbench``, then records as JSON in ``OUT``:
   report, or the text of the exception the search raised, and in either
   case the search's ``trace=`` snapshots: per iteration, the
   (w, s, omega, gamma, alive) of every edge;
+- both searches again on fresh copies of the same tasks with
+  ``retrain_epochs=2`` (keys ``proxyless_retrain`` and
+  ``proxy_cells_retrain``): the same record, plus the digest and float64
+  l2 norm of every op layer's weights and bias, per edge id;
 - ``run_compression`` on the inputs of both compress workloads of the
   benchmark at seeds 0..N-1 (default 5): history, report, mask export, and
   the digest and float64 l2 norm of every weight, bias and mask array.
@@ -31,6 +35,7 @@ from __future__ import annotations
 
 import argparse
 import copy
+import dataclasses
 import hashlib
 import json
 import math
@@ -72,8 +77,12 @@ def _search_record(exports, config, search):
             graph, run = search(config, trace)
     except Exception as exc:  # the record keeps what the search raised
         return {"error": f"{type(exc).__name__}: {exc}", "trace": _plain(trace)}
-    return {"history": _plain(run.history), "report": _plain(run.report),
-            "export": _plain(exports.arch_export(graph, config)), "trace": _plain(trace)}
+    record = {"history": _plain(run.history), "report": _plain(run.report),
+              "export": _plain(exports.arch_export(graph, config)), "trace": _plain(trace)}
+    if config.retrain_epochs:  # the op weights that retraining moved
+        record["ops"] = [[{"weights": _plain(layer.weights), "bias": _plain(layer.bias)}
+                          for layer in op.layers or ()] for op in graph.ops]
+    return record
 
 
 def _compress_record(engine, exports, task):
@@ -99,17 +108,17 @@ def dump(src_root, out, search_seeds, compress_seeds):
 
     record = {"search": {}, "compress": {}}
     for seed in range(search_seeds):
-        graph, dataset, _ = data.gen_synthetic_dag_task(seed)
-        cgraph, cdata, groups, _ = data.gen_two_cell_task(seed)
-        record["search"][str(seed)] = {
-            "proxyless": _search_record(
-                exports, data.dag_task_config(seed),
-                lambda cfg, trace: engine.run_proxyless(graph, dataset, cfg, trace)),
-            "proxy_cells": _search_record(
-                exports, data.two_cell_task_config(seed),
-                lambda cfg, trace: engine.run_proxy_cells(cgraph, cdata, cfg, groups,
-                                                          trace)),
-        }
+        runs = record["search"][str(seed)] = {}
+        for suffix, changes in (("", {}), ("_retrain", {"retrain_epochs": 2})):
+            # a search changes its graph, so each run takes freshly generated tasks
+            graph, dataset, _ = data.gen_synthetic_dag_task(seed)
+            cgraph, cdata, groups, _ = data.gen_two_cell_task(seed)
+            runs["proxyless" + suffix] = _search_record(
+                exports, dataclasses.replace(data.dag_task_config(seed), **changes),
+                lambda cfg, trace: engine.run_proxyless(graph, dataset, cfg, trace))
+            runs["proxy_cells" + suffix] = _search_record(
+                exports, dataclasses.replace(data.two_cell_task_config(seed), **changes),
+                lambda cfg, trace: engine.run_proxy_cells(cgraph, cdata, cfg, groups, trace))
     for name in COMPRESS_WORKLOADS:
         workload = workloads.WORKLOADS[name]
         for seed in range(compress_seeds):
