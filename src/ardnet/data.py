@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import gzip
+import math
+import zlib
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -36,27 +38,14 @@ class Dataset:
     kind: str = "labels"  # "labels" (int targets) or "regression"
 
     def __post_init__(self):
-        if len(self.x_train) != len(self.y_train):
-            raise ValueError(
-                f"train count mismatch: {len(self.x_train)} inputs vs "
-                f"{len(self.y_train)} targets"
-            )
-        if len(self.x_test) != len(self.y_test):
-            raise ValueError(
-                f"test count mismatch: {len(self.x_test)} inputs vs "
-                f"{len(self.y_test)} targets"
-            )
+        for split in ("train", "test"):
+            xs, ys = getattr(self, f"x_{split}"), getattr(self, f"y_{split}")
+            if len(xs) != len(ys):
+                raise ValueError(f"{split} count mismatch: {len(xs)} inputs vs {len(ys)} targets")
 
 
 # ---------------------------------------------------------------------------
 # IDX binary format (big-endian, unsigned-byte payload)
-
-
-def _open_maybe_gzip(path):
-    path = str(path)
-    if path.endswith(".gz"):
-        return gzip.open(path, "rb")
-    return open(path, "rb")
 
 
 def read_idx(path):
@@ -64,9 +53,13 @@ def read_idx(path):
 
     Magic layout: two zero bytes, a type code (0x08 = unsigned byte), and
     the dimension count; each dimension size follows as a big-endian u32.
+    A name ending in .gz is read through gzip, and a damaged stream raises.
     """
-    with _open_maybe_gzip(path) as fh:
-        buf = fh.read()
+    try:
+        with (gzip.open if str(path).endswith(".gz") else open)(path, "rb") as fh:
+            buf = fh.read()
+    except (EOFError, zlib.error, gzip.BadGzipFile) as exc:
+        raise ValueError(f"{path}: damaged gzip stream ({exc})") from None
     if len(buf) < 4:
         raise ValueError(f"{path}: truncated header, file ends at byte {len(buf)}")
     magic = int.from_bytes(buf[0:4], "big")
@@ -79,7 +72,7 @@ def read_idx(path):
         raise ValueError(f"{path}: truncated dimension table, file ends at "
                          f"byte {len(buf)} (need {header})")
     dims = [int.from_bytes(buf[4 + 4 * i : 8 + 4 * i], "big") for i in range(ndim)]
-    expected = header + int(np.prod(dims))
+    expected = header + math.prod(dims)
     if len(buf) < expected:
         raise ValueError(f"{path}: truncated data, file ends at byte {len(buf)} "
                          f"(expected {expected})")

@@ -258,8 +258,8 @@ class _EdgeSlots:
     form, with their group's lambda_w * omega (`coef`); their velocity is a
     compact array over them, cut to the survivors at each prune.  Training
     runs the loop that `_build_loop` generates for the graph's plan and the
-    members' grouping, built at the first epoch after either changed; it
-    holds the scalars as floats and writes them back to the graph's array
+    members' grouping, built at the first epoch after an alive flag changed;
+    it holds the scalars as floats and writes them back to the graph's array
     and the velocity when it returns or raises.
     """
 
@@ -296,11 +296,10 @@ class _EdgeSlots:
         return self._train(x, y, np.arange(len(x)), len(x))[0]
 
     def _train(self, xs, ys, perm, size):
-        # the batch losses of the rows perm of (xs, ys), size rows a batch;
-        # the loop is rebuilt when the plan or the members changed (code may
-        # write graph.alive directly)
+        # the batch losses of the rows perm of (xs, ys), size rows a batch; the
+        # loop is rebuilt when an alive flag changed; `_gather` regroups at a prune
         graph, config = self.model, self.config
-        key = graph.alive.tobytes() + self.alive.tobytes()
+        key = graph.alive.tobytes()
         if key != self.loop_key:
             self.loop = _build_loop(graph, self.alive.tolist(), self.group_of.tolist())
             self.loop_key = key
@@ -395,27 +394,6 @@ def _names(prefix, ids):
     return "".join(f"{prefix}{i}, " for i in ids)
 
 
-def _sum_source(terms):
-    """An expression that adds the expressions `terms` as np.sum adds a
-    float64 array of their values, bit for bit: 0.0 plus numpy's pairwise
-    sum, which adds one by one below 8 terms, in 8 interleaved lanes up to
-    128 (the rest one by one), and splits more in halves at a multiple of 8."""
-    def pairwise(terms):
-        n = len(terms)
-        if n < 8:
-            return "(" + " + ".join(terms) + ")"
-        if n <= 128:
-            cut = n - n % 8
-            r = ["(" + " + ".join(terms[j:cut:8]) + ")" for j in range(8)]
-            lanes = (f"((({r[0]} + {r[1]}) + ({r[2]} + {r[3]}))"
-                     f" + (({r[4]} + {r[5]}) + ({r[6]} + {r[7]})))")
-            return "(" + " + ".join([lanes] + terms[cut:]) + ")"
-        half = n // 2 - (n // 2) % 8
-        return f"({pairwise(terms[:half])} + {pairwise(terms[half:])})"
-
-    return f"0.0 + {pairwise(terms)}" if terms else "0.0"
-
-
 def _scalar_source(groups, rows):
     """One batch's scalar step as statements on floats: `groups` lists each
     group's member edge ids in member order, and `rows` maps a member that
@@ -428,8 +406,8 @@ def _scalar_source(groups, rows):
     `p<edge>` is k * w / n and 0.0 at a zero norm, the tie sums from 0.0 the
     members' penalty gradients plus their product sums (0.0 without a row),
     a member whose velocity points uphill (tie * v > 0) restarts from v =
-    0.0, then v = v * momentum - tie * lr and w = w + v; `pen` sums k * n
-    over the groups in np.sum's order (`_sum_source`).  Tied members share
+    0.0, then v = v * momentum - tie * lr and w = w + v; `pen` adds k * n
+    to 0.0 one group at a time, in group order.  Tied members share
     the tie and the velocity, so a group restarts as one and its members
     stay bitwise equal.  The restart is a per-coordinate form of the
     gradient restart of O'Donoghue and Candes (2015): momentum that carries
@@ -443,7 +421,7 @@ def _scalar_source(groups, rows):
             f"(p{e} + {f's[{rows[e]}]' if e in rows else '0.0'})" for e in members))
         lines += [f"if t * v{e} > 0: v{e} = 0.0" for e in members]
         lines += [f"v{e} = v{e} * m - t * lr; w{e} = w{e} + v{e}" for e in members]
-    lines.append("pen = " + _sum_source([f"k{gi} * n{gi}" for gi in range(len(groups))]))
+    lines.append("pen = 0.0" + "".join(f" + k{gi} * n{gi}" for gi in range(len(groups))))
     return lines
 
 
@@ -488,15 +466,13 @@ def _build_loop(graph, members, group_of):
              + ["s = B.sum(axis=axes).tolist()", "for row, value in own: s[row] = float(value)"]
              + _scalar_source(groups, {eid: row for row, eid in enumerate(walk.rows)})
              + ["losses.append(loss + pen)"])
-    source = "\n    ".join(
-        ["def loop(ops, xs, ys, perm, size, w, ids, v, coef, kind, m, lr):"] + head
-        + ["try:", "    for i in range(0, len(perm), size):"]
+    return sg._compile(
+        "loop", "ops, xs, ys, perm, size, w, ids, v, coef, kind, m, lr",
+        head + ["try:", "    for i in range(0, len(perm), size):"]
         + ["        " + line for line in batch]
         + ["finally:", f"    w[ids] = ({_names('w', members)})",
-           f"    v[:] = ({_names('v', members)})", "return losses"]) + "\n"
-    env = dict(sg._WALK_ENV, nn=nn, sqrt=math.sqrt, prods=prods, buffer=buffer)
-    exec(compile(source, "<search loop>", "exec"), env)
-    return env["loop"]
+           f"    v[:] = ({_names('v', members)})", "return losses"],
+        dict(sg._WALK_ENV, nn=nn, sqrt=math.sqrt, prods=prods, buffer=buffer))
 
 
 def _search(graph, data, config, groups, mode, trace):

@@ -17,10 +17,11 @@ per output dimension, against the full energy Hessian, on every op kind.
 `graph_forward` is the plain interpreted forward walk (data generation,
 evaluation, curvature, retraining): every op runs through `Op.apply`.
 Every backward walk runs one set of generated statements (`_walk_source`),
-one per edge and per node, interpolating only integer ids and rows: a
-search's training loop inlines them beside the plan's forward statements,
-and `_node_grads` compiles them once per plan for the curvature, for
-retraining and for `graph_backward`.
+one per edge and per node, from a plan that holds the alive adjacency
+only: a search's training loop inlines them beside the plan's forward
+statements, and `_node_grads` compiles them once per plan for the
+curvature, for retraining and for `graph_backward`; both compile through
+`_compile`.
 """
 
 from __future__ import annotations
@@ -228,11 +229,8 @@ class _Plan:
     equal `key`.
 
     `steps` holds, for each non-input node in topological order, (node,
-    [(edge id, op, source node, layer), ...]) over its alive in-edges in
-    edge-id order; layer is the op's fc layer when the op is one plain
-    matrix, else None, and only `_walk_source` reads it.  The layer, not its
-    weights, is kept, because retraining replaces `layer.weights`.  `walk`
-    is compiled by `_node_grads`.
+    [(edge id, source node), ...]) over its alive in-edges in edge-id order.
+    `walk` is compiled by `_node_grads`.
     """
 
     key: bytes
@@ -256,12 +254,11 @@ def _plan(graph):
     plan = graph._plan
     if plan is not None and plan.key == key:
         return plan
-    src, dst, ops = graph.src.tolist(), graph.dst.tolist(), graph.ops
+    src, dst = graph.src.tolist(), graph.dst.tolist()
     ins = [[] for _ in range(graph.n_nodes)]
     for eid in np.flatnonzero(graph.alive).tolist():
-        ins[dst[eid]].append(eid)
-    steps = [(node, [(eid, ops[eid], src[eid], _matrix_layer(ops[eid])) for eid in ins[node]])
-             for node in graph.order if node != graph.input_node]
+        ins[dst[eid]].append((eid, src[eid]))
+    steps = [(node, ins[node]) for node in graph.order if node != graph.input_node]
     graph._plan = _Plan(key, steps)
     return graph._plan
 
@@ -312,21 +309,21 @@ def graph_forward(graph, x):
     a sum that overflowed from finite outputs is left to the next check
     downstream.
     """
-    plan, w = _plan(graph), graph.w
+    plan, w, ops = _plan(graph), graph.w, graph.ops
     node_z = [None] * graph.n_nodes
     node_z[graph.input_node] = np.asarray(x, dtype=np.float64)
     edge_out = [None] * len(graph.ops)
     edge_cache = [None] * len(graph.ops)
     for node, steps in plan.steps:
         total = None
-        for eid, op, src, _ in steps:
+        for eid, src in steps:
             z = node_z[src]
             if z is None:
                 continue
             try:
-                out, edge_cache[eid] = op.apply(z)
+                out, edge_cache[eid] = ops[eid].apply(z)
             except FloatingPointError:
-                _raise_non_finite(graph.ops, (), eid)
+                _raise_non_finite(ops, (), eid)
             edge_out[eid] = out
             term = w[eid] * out
             total = term if total is None else total + term
@@ -349,7 +346,7 @@ def graph_backward(graph, gcache, grad_output):
     w_grads = np.zeros(len(graph.ops))
     for node, steps in gcache.plan.steps:
         g = node_g[node]
-        for eid, _, _, _ in steps:
+        for eid, _ in steps:
             out = gcache.edge_out[eid]
             if g is not None and out is not None:
                 w_grads[eid] = (g * out).sum()
@@ -390,18 +387,15 @@ class _WalkSource:
 
 
 def _walk_source(graph, plan):
-    """The statements of a plan of the graph.
-
-    They repeat `graph_forward`'s float operations and raise its errors,
-    naming the same edge, though a plain matrix runs as one product each way
-    and its node checks the sum once.  Then the reverse accumulation in its
-    one order: a node's gradient is complete before it is read, and each
-    in-edge, in edge-id order, adds w * (vjp of its op) to its source's
-    gradient.  The source interpolates integer node ids, edge ids and rows
-    only.  Which nodes carry flow forward, and which gradient back, follows
-    from the plan alone, so it is settled here: a node without flow has no
-    statement, and the input node gets no gradient (no edge into it ever
-    runs).
+    """The statements of a plan of the graph, the one place that knows how
+    a plain matrix op (`_matrix_layer`) runs: one product each way, and one
+    check of its node's sum.  Otherwise they repeat `graph_forward`'s float
+    operations and raise its errors, naming the same edge.  Then the reverse
+    accumulation in its one order: a node's gradient is complete before it
+    is read, and each in-edge, in edge-id order, adds w * (vjp of its op) to
+    its source's gradient.  Only integer node ids, edge ids and rows are
+    interpolated.  Flow follows from the plan alone: a node without flow has
+    no statement, and the input node gets no gradient.
     """
     ops, inp = graph.ops, graph.input_node
 
@@ -414,7 +408,8 @@ def _walk_source(graph, plan):
     setup = ["".join(f"w{eid}, " for eid in range(len(ops))) + "= w.tolist()"] if ops else []
     fwd, ran, flow = [f"z{inp} = asarray(x, dtype=float64)"], [], {inp}
     for node, steps in plan.steps:
-        steps = [step for step in steps if step[2] in flow]
+        steps = [(eid, ops[eid], src, _matrix_layer(ops[eid])) for eid, src in steps
+                 if src in flow]
         if not steps:
             continue
         flow.add(node)
@@ -465,6 +460,14 @@ def _walk_source(graph, plan):
     return _WalkSource(setup, fwd, reads, bwd, prods, f"z{graph.output_node}", back, rows)
 
 
+def _compile(name, params, body, env):
+    """The function `def name(params):` whose body is the lines `body` (a
+    nested block indented within them), compiled and run in the namespace env."""
+    source = "\n    ".join([f"def {name}({params}):"] + body) + "\n"
+    exec(compile(source, f"<{name}>", "exec"), env)
+    return env[name]
+
+
 def _node_grads(graph, gcache, g_out):
     """dE/dz_node of a forward walk's nodes for the output gradient g_out,
     a list over node ids, None where no gradient flows and at the input
@@ -477,11 +480,9 @@ def _node_grads(graph, gcache, g_out):
         walk = _walk_source(graph, plan)
         grads = ", ".join(f"g{node}" if node in walk.grads else "None"
                           for node in range(graph.n_nodes))
-        env = dict(_WALK_ENV)
-        exec(compile("\n    ".join(["def walk(ops, w, edge_cache, g):"] + walk.setup + walk.reads
-                                    + walk.backward + [f"return [{grads}]\n"]),
-                     "<backward walk>", "exec"), env)
-        plan.walk = env["walk"]
+        plan.walk = _compile("walk", "ops, w, edge_cache, g",
+                             walk.setup + walk.reads + walk.backward + [f"return [{grads}]"],
+                             dict(_WALK_ENV))
     return plan.walk(graph.ops, graph.w, gcache.edge_cache, g_out)
 
 
@@ -511,7 +512,7 @@ def arch_scalar_hessian(graph, gcache, h_seed):
         if grads[0][node] is None:  # no path to the output
             continue
         g = np.stack([node_g[node] for node_g in grads]).reshape(n, b, -1)
-        for eid, _, _, _ in steps:
+        for eid, _ in steps:
             if edge_out[eid] is not None:
                 jac[:, eid] = np.einsum("kbf,bf->bk", g, edge_out[eid].reshape(b, -1))
     return np.einsum("bei,bei->e", jac @ h_seed, jac)

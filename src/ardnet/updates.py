@@ -28,6 +28,7 @@ import functools
 import hashlib
 import json
 import math
+import operator
 from dataclasses import dataclass, asdict, fields
 
 import numpy as np
@@ -162,12 +163,14 @@ def group_l2_penalty(wm, group, terms):
     group, the same per member); one-member groups give the reweighted l1.
 
     Subgradient, per member: lambda_w * omega_g * w / ||w_g|| (0 for a zero group).
+    The value adds the group terms to 0.0 in group order, as the search loop
+    does (builtin sum compensates from Python 3.12, so its bits would vary).
     """
     coef, coef_m = terms
     norm = np.sqrt(np.bincount(group, weights=wm * wm, minlength=coef.size))
     norm_m = norm[group]
     grad = np.divide(coef_m * wm, norm_m, out=np.zeros(wm.shape), where=norm_m > 0)
-    return float((coef * norm).sum()), grad
+    return functools.reduce(operator.add, (coef * norm).tolist(), 0.0), grad
 
 
 # ---------------------------------------------------------------------------

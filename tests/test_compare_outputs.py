@@ -57,7 +57,8 @@ def test_dump_diffs_clean_against_itself_and_names_a_change(tmp_path):
     lines = differ.stdout.splitlines()
     assert lines[0].startswith("/search/1/proxyless/history/0/loss: ")
     loss = record["search"]["1"]["proxyless"]["history"][0]["loss"]
-    assert lines[1:] == [f"0 structural difference(s); 1 float difference(s), "
+    assert lines[1:] == ["search/*/proxyless/history/*/loss: 1 float",
+                         f"0 structural difference(s); 1 float difference(s), "
                          f"largest relative {1.0 / abs(loss):.3g}", "1 difference(s)"]
 
     # a drifted array: a new digest, and a norm that moved in the last bits
@@ -74,6 +75,7 @@ def test_dump_diffs_clean_against_itself_and_names_a_change(tmp_path):
     assert differ.stdout.splitlines() == [
         f"/compress/compress-lenet5/0/layers/0/weights: array digest differs, "
         f"l2 {old_l2!r} != {weights['l2']!r}",
+        "compress/compress-lenet5/*/layers/*/weights: 1 float",
         f"0 structural difference(s); 1 float difference(s), largest relative {rel:.3g}",
         "1 difference(s)"]
 
@@ -81,6 +83,28 @@ def test_dump_diffs_clean_against_itself_and_names_a_change(tmp_path):
     changed.write_text(json.dumps(record))
     differ = run_tool("diff", dump, changed)
     assert differ.returncode == 1
-    assert differ.stdout.splitlines()[-2:] == [
+    assert differ.stdout.splitlines()[-3:] == [
+        "search/*/proxyless/history/*/loss: 1 structural",
         "1 structural difference(s); 0 float difference(s), largest relative 0",
         "1 difference(s)"]
+
+    # one count line per path pattern, in the order the list first names it
+    moved = json.loads(dump.read_text())
+    for seed in ("0", "1"):
+        for search in ("proxyless", "proxyless_retrain"):
+            for row in moved["search"][seed][search]["history"]:
+                row["loss"] *= 1.0 + 1e-15
+    del moved["search"]["0"]["proxy_cells"]["history"][0]["loss"]
+    moved["search"]["1"]["proxy_cells"]["history"][0]["loss"] += 1.0
+    changed.write_text(json.dumps(moved))
+    differ = run_tool("diff", dump, changed)
+    assert differ.returncode == 1
+    counts = [line for line in differ.stdout.splitlines() if not line.startswith("/")][:-2]
+    runs = {(seed, search): len(record["search"][seed][search]["history"])
+            for seed in ("0", "1") for search in ("proxyless", "proxyless_retrain")}
+    assert counts == [
+        "search/*/proxy_cells/history/*/loss: 1 structural, 1 float",
+        f"search/*/proxyless/history/*/loss: {runs['0', 'proxyless'] + runs['1', 'proxyless']} "
+        "float",
+        "search/*/proxyless_retrain/history/*/loss: "
+        f"{runs['0', 'proxyless_retrain'] + runs['1', 'proxyless_retrain']} float"]

@@ -1,6 +1,7 @@
 """IDX parsing and synthetic task generation."""
 
 import gzip
+import re
 
 import numpy as np
 import pytest
@@ -34,6 +35,46 @@ def test_idx_truncated_names_byte_offset(tmp_path):
     whole = path.read_bytes()
     path.write_bytes(whole[:-5])
     with pytest.raises(ValueError, match=r"byte \d+"):
+        data.read_idx(path)
+
+
+def gzipped_idx(tmp_path):
+    """A small IDX file's gzip bytes, and the path to write a damaged copy to."""
+    raw = tmp_path / "plain"
+    data.write_idx(raw, np.arange(200, dtype=np.uint8).reshape(10, 20))
+    return gzip.compress(raw.read_bytes(), mtime=0), tmp_path / "damaged.gz"
+
+
+def test_idx_truncated_gzip_names_the_file(tmp_path):
+    whole, path = gzipped_idx(tmp_path)
+    path.write_bytes(whole[: len(whole) // 2])
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: damaged gzip stream \(Compressed file ended"):
+        data.read_idx(path)
+
+
+def test_idx_corrupt_deflate_stream_names_the_file(tmp_path):
+    whole, path = gzipped_idx(tmp_path)
+    # after the 10-byte header, a final block of the reserved type 3
+    path.write_bytes(whole[:10] + b"\x07" + whole[11:])
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: damaged gzip stream \(.*invalid block type"):
+        data.read_idx(path)
+
+
+def test_idx_gzip_crc_mismatch_names_the_file(tmp_path):
+    whole, path = gzipped_idx(tmp_path)
+    crc = bytes(b ^ 0xFF for b in whole[-8:-4])  # the trailer holds CRC-32, then the size
+    path.write_bytes(whole[:-8] + crc + whole[-4:])
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: damaged gzip stream \(CRC check failed"):
+        data.read_idx(path)
+
+
+def test_idx_huge_declared_size_reads_as_truncated(tmp_path):
+    # 65536**4 bytes overflow int64; the header declares them over 100 data bytes
+    path = tmp_path / "huge"
+    header = ((0x08 << 8) | 4).to_bytes(4, "big") + (65536).to_bytes(4, "big") * 4
+    path.write_bytes(header + bytes(100))
+    with pytest.raises(ValueError, match=rf"truncated data, file ends at byte 120 "
+                                         rf"\(expected {20 + 65536**4}\)$"):
         data.read_idx(path)
 
 

@@ -5,6 +5,7 @@ import dataclasses
 import functools
 import json
 import math
+import operator
 import tracemalloc
 
 import numpy as np
@@ -270,18 +271,22 @@ def test_generated_penalty_equals_group_l2_penalty(members, w):
     assert np.array(got_grad).tobytes() == grad.tobytes()
 
 
-def test_sum_source_adds_as_np_sum():
-    # across the 8-lane and the 128-term boundaries, with magnitudes that
-    # make every order of additions give other bits
+def test_generated_penalty_adds_many_groups_in_order():
+    # 1 to 300 one-member groups, with magnitudes that make every order of
+    # additions give other bits: the loop's penalty and group_l2_penalty's
+    # both add the group terms to 0.0 in group order
     rng = np.random.default_rng(0)
+    reordered = 0
     for n in range(1, 301):
-        terms = [f"a[{i}]" for i in range(n)]
-        for _ in range(3):
-            a = rng.normal(size=n) * 10.0 ** rng.integers(-8, 9, size=n)
-            got = eval(engine._sum_source(terms), {"a": a.tolist()})
-            assert np.float64(got).tobytes() == np.sum(a).tobytes(), n
-        assert eval(engine._sum_source(terms), {"a": [-0.0] * n}) == 0.0
-    assert eval(engine._sum_source([])) == 0.0
+        w = rng.normal(size=n) * 10.0 ** rng.integers(-8, 9, size=n)
+        coef = rng.uniform(0.5, 1.5, size=n)
+        value, _ = group_l2_penalty(w, np.arange(n), (coef, coef))
+        in_order = functools.reduce(operator.add, (coef * np.abs(w)).tolist(), 0.0)
+        got, _ = generated_penalty([[eid] for eid in range(n)], w, coef)
+        assert np.float64(got).tobytes() == np.float64(value).tobytes(), n
+        assert np.float64(got).tobytes() == np.float64(in_order).tobytes(), n
+        reordered += np.sum(coef * np.abs(w)) != in_order
+    assert reordered  # np.sum's pairwise order would tell the two apart
 
 
 def test_search_trains_the_graph_w_in_place():

@@ -1,6 +1,7 @@
 """Artifact serialization and the command-line interface."""
 
 import dataclasses
+import gzip
 import json
 import os
 import subprocess
@@ -604,6 +605,65 @@ def test_cli_rejects_a_weight_file_of_another_network(tmp_path, command, defect,
     assert message in res.stderr
     assert "Traceback" not in res.stderr
     assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("command", ["compress", "retrain", "eval"])
+def test_cli_damaged_gzip_idx_file_exits_one(tmp_path, command):
+    # a truncated gzip stream in place of the test labels
+    write_idx_set(tmp_path)
+    plain = tmp_path / "t10k-labels-idx1-ubyte"
+    damaged = tmp_path / "t10k-labels-idx1-ubyte.gz"
+    whole = gzip.compress(plain.read_bytes())
+    damaged.write_bytes(whole[: len(whole) // 2])
+    plain.unlink()
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text("")
+    extra = {"compress": ("--config", str(cfg), "--out", str(tmp_path / "run")),
+             "retrain": ("--config", str(cfg), "--out", str(tmp_path / "run"),
+                         "--masks", str(tmp_path / "masks.json")),
+             "eval": ("--weights", str(tmp_path / "weights.npz"))}[command]
+    res = run_cli(command, "--data", str(tmp_path), *extra)
+    assert res.returncode == 1
+    assert res.stderr.startswith(f"error: {damaged}: damaged gzip stream (")
+    assert res.stderr.count("\n") == 1
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("command", ["eval", "retrain"])
+def test_cli_truncated_weight_file_exits_one(tmp_path, command):
+    write_idx_set(tmp_path)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text("")
+    net = models.build_model("lenet300-100", 0)
+    models.save_weights(net, tmp_path / "full.npz")
+    exports.save_json(exports.mask_export(net), tmp_path / "masks.json")
+    whole = (tmp_path / "full.npz").read_bytes()
+    weights = tmp_path / "weights.npz"
+    weights.write_bytes(whole[: len(whole) // 2])
+    extra = {"eval": (),
+             "retrain": ("--config", str(cfg), "--out", str(tmp_path / "run"),
+                         "--masks", str(tmp_path / "masks.json"))}[command]
+    res = run_cli(command, "--data", str(tmp_path), "--weights", str(weights), *extra)
+    assert res.returncode == 1
+    assert res.stderr == f"error: {weights}: not a readable weight file (File is not a zip file)\n"
+    assert not (tmp_path / "run").exists()
+
+
+def test_cli_compress_mode_sets_the_curvature_mode(tmp_path):
+    # --mode reaches the config that the run records: the tuned LeNet-300-100
+    # config with hessian_mode set, as masks.json's provenance hashes it
+    write_idx_set(tmp_path)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"t_max": 0, "retrain_epochs": 0}))
+    for mode, hessian_mode in (("exact", "exact"), ("approx-hessian", "approx")):
+        out = tmp_path / mode
+        res = run_cli("compress", "--config", str(cfg), "--data", str(tmp_path),
+                      "--mode", mode, "--out", str(out))
+        assert res.returncode == 0, res.stderr
+        expected = dataclasses.replace(models.mnist_compression_config("lenet300-100"),
+                                       t_max=0, retrain_epochs=0, hessian_mode=hessian_mode)
+        record = json.loads((out / "masks.json").read_text())
+        assert record["provenance"]["config_hash"] == expected.config_hash()
 
 
 def test_cli_export_dot(tmp_path):

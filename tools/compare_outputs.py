@@ -24,7 +24,9 @@ Floats are written with ``repr``, so a record compares bit for bit.
 is one, 0 if there is none.  When there are differences, a summary line
 counts the structural ones (a key or length, or a value that is not a
 float) apart from the float-only ones, with the largest relative float
-difference.  An array whose digest changed but whose shape and dtype did
+difference; before it, one line per path pattern (each index or seed
+replaced by ``*``) counts the differences found there, for example
+``search/*/proxyless/history/*/loss: 122 float``.  An array whose digest changed but whose shape and dtype did
 not is one float difference, of its l2 norm, so a last-bit drift reads as
 its relative size (0 when the norms are equal).  A tree is dumped in its
 own process, so to compare a change against its parent, dump each tree and
@@ -154,28 +156,33 @@ def _drifted_array(a, b):
 
 
 def differences(a, b, path=""):
-    """Every path at which two records differ, as (line naming both values,
-    relative difference when both are floats, else None)."""
+    """Every path at which two records differ, as (path, text naming both
+    values, relative difference when both are floats, else None)."""
     if _drifted_array(a, b):
-        return [(f"{path}: array digest differs, l2 {a['l2']!r} != {b['l2']!r}",
+        return [(path, f"array digest differs, l2 {a['l2']!r} != {b['l2']!r}",
                  _relative(a["l2"], b["l2"]))]
     if isinstance(a, dict) and isinstance(b, dict):
         found = []
         for key in sorted(set(a) | set(b)):
             sub = f"{path}/{key}"
             if key not in a or key not in b:
-                found.append((f"{sub}: only in {'B' if key not in a else 'A'}", None))
+                found.append((sub, f"only in {'B' if key not in a else 'A'}", None))
             else:
                 found.extend(differences(a[key], b[key], sub))
         return found
     if isinstance(a, list) and isinstance(b, list):
         if len(a) != len(b):
-            return [(f"{path}: length {len(a)} != {len(b)}", None)]
+            return [(path, f"length {len(a)} != {len(b)}", None)]
         return [d for i, (x, y) in enumerate(zip(a, b)) for d in differences(x, y, f"{path}/{i}")]
     if _same(a, b):
         return []
     floats = isinstance(a, float) and isinstance(b, float)
-    return [(f"{path}: {a!r} != {b!r}", _relative(a, b) if floats else None)]
+    return [(path, f"{a!r} != {b!r}", _relative(a, b) if floats else None)]
+
+
+def _pattern(path):
+    """The path with every all-digit part (a list index or a seed) as *."""
+    return "/".join("*" if part.isdigit() else part for part in path.split("/")[1:])
 
 
 def diff(path_a, path_b):
@@ -184,10 +191,15 @@ def diff(path_a, path_b):
     with open(path_b, encoding="utf-8") as fh:
         b = json.load(fh)
     found = differences(a, b)
-    for line, _ in found:
-        print(line)
+    counts = {}  # pattern -> [structural, float], in the order first found
+    for path, text, rel in found:
+        print(f"{path}: {text}")
+        counts.setdefault(_pattern(path), [0, 0])[rel is not None] += 1
+    for pattern, (structural, floats) in counts.items():
+        kinds = [f"{n} {kind}" for n, kind in ((structural, "structural"), (floats, "float")) if n]
+        print(f"{pattern}: {', '.join(kinds)}")
     if found:
-        drift = [rel for _, rel in found if rel is not None]
+        drift = [rel for _, _, rel in found if rel is not None]
         print(f"{len(found) - len(drift)} structural difference(s); {len(drift)} float "
               f"difference(s), largest relative {max(drift, default=0.0):.3g}")
     print(f"{len(found)} difference(s)")
