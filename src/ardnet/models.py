@@ -100,41 +100,43 @@ def load_weights(net, path):
     has one, its bias; masks are optional.  Any other key is an error, and
     so is a file that is not a whole npz archive."""
     try:
-        with np.load(path) as npz:
-            arrays = dict(npz)
+        arrays = np.load(path)
     except zipfile.BadZipFile as exc:
         raise ValueError(f"{path}: not a readable weight file ({exc})") from None
-    known = set()
-    for li, layer in enumerate(net):
-        if layer.weights is None:
-            continue
-        required = {f"w{li}": "weights"}
-        if layer.bias is not None:
-            required[f"b{li}"] = "bias"
-        for key, what in required.items():
-            if key not in arrays:
-                raise ValueError(f"weight file is missing the {what} of layer {li}")
-        known |= set(required) | {f"m{li}"}
-    unknown = sorted(set(arrays) - known)
-    if unknown:
-        raise ValueError(f"weight file key {unknown[0]!r} matches no layer of the model")
-    for li, layer in enumerate(net):
-        if layer.weights is None:
-            continue
-        weights = arrays[f"w{li}"]
-        if weights.shape != layer.weights.shape:
-            raise ValueError(f"layer {li} shape mismatch: file has {weights.shape}, "
-                             f"model has {layer.weights.shape}")
-        if layer.bias is not None:
-            bias = arrays[f"b{li}"]
-            if bias.shape != layer.bias.shape:
-                raise ValueError(f"layer {li} bias shape mismatch: file has "
-                                 f"{bias.shape}, model has {layer.bias.shape}")
-            layer.bias = bias
-        if f"m{li}" in arrays:
-            mask = arrays[f"m{li}"]
-            if mask.shape != weights.shape or not np.all((mask == 0) | (mask == 1)):
-                raise ValueError(f"layer {li} mask is not 0s and 1s of its weights' shape")
-            layer.mask = mask  # before the weights, which it then masks
-        layer.weights = weights
+    with arrays:
+        known = set()
+        for li, layer in enumerate(net):
+            if layer.weights is None:
+                continue
+            required = {f"w{li}": "weights"}
+            if layer.bias is not None:
+                required[f"b{li}"] = "bias"
+            for key, what in required.items():
+                if key not in arrays:
+                    raise ValueError(f"weight file is missing the {what} of layer {li}")
+            known |= set(required) | {f"m{li}"}
+        unknown = sorted(set(arrays.files) - known)
+        if unknown:
+            raise ValueError(f"weight file key {unknown[0]!r} matches no layer of the model")
+        for li, layer in enumerate(net):
+            if layer.weights is None:
+                continue
+            weights = arrays[f"w{li}"]
+            if weights.shape != layer.weights.shape:
+                raise ValueError(
+                    f"layer {li} shape mismatch: file has {weights.shape}, "
+                    f"model has {layer.weights.shape}"
+                )
+            if layer.bias is not None:
+                bias = arrays[f"b{li}"]
+                if bias.shape != layer.bias.shape:
+                    raise ValueError(f"layer {li} bias shape mismatch: file has "
+                                     f"{bias.shape}, model has {layer.bias.shape}")
+                layer.bias = bias
+            if f"m{li}" in arrays:
+                mask = arrays[f"m{li}"]
+                if mask.shape != weights.shape or not np.all((mask == 0) | (mask == 1)):
+                    raise ValueError(f"layer {li} mask is not 0s and 1s of its weights' shape")
+                layer.mask = mask  # before the weights, which it then masks
+            layer.weights = weights
     return net

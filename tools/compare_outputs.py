@@ -26,9 +26,10 @@ counts the structural ones (a key or length, or a value that is not a
 float) apart from the float-only ones, with the largest relative float
 difference; before it, one line per path pattern (each index or seed
 replaced by ``*``) counts the differences found there, for example
-``search/*/proxyless/history/*/loss: 122 float``.  An array whose digest changed but whose shape and dtype did
-not is one float difference, of its l2 norm, so a last-bit drift reads as
-its relative size (0 when the norms are equal).  A tree is dumped in its
+``search/*/proxyless/history/*/loss: 122 float``.  An array whose digest
+changed but whose shape and dtype did not is one float difference, of its
+l2 norm, so a last-bit drift reads as its relative size (0 when the norms
+are equal).  A tree is dumped in its
 own process, so to compare a change against its parent, dump each tree and
 diff the two files.
 """
