@@ -5,7 +5,8 @@ diagonals.  Each layer takes the curvature H at its output to its
 pre-activation as B H B (B = f'), plus D = f'' * dE/dout for a curved
 activation (tanh, softplus).  Relu and identity have f'' = 0 wherever it is
 defined, so only a curved layer reads the grad_out of a backward pass, and
-a relu/identity stack needs none (`curved_layers`).  The weight
+a relu/identity stack needs none (`curved_layers`); their f' in {0, 1} is
+its own square, so B H B needs no float B.  The weight
 diagonal and the diagonal backmap of its linear map A follow from
 diag(A^T D A) = (A*A)^T diag(D): they are `nn`'s adjoint of the layer kind
 with every coefficient squared.  Two modes:
@@ -67,11 +68,14 @@ def _diag(h, shape):
 
 def _activation_step(layer, cache, h_out):
     """H wrt layer output -> H wrt layer pre-activation: B H B, plus D for a
-    curved activation."""
+    curved activation.  A piecewise-linear f' is 0 or 1, its own square:
+    identity passes H on as it is, and relu keeps it where preact > 0."""
+    if layer.activation == "identity":
+        return h_out
     _, d1, d2 = nn.activation_funcs(layer.activation)
-    bmat = d1(cache.preact)
-    dmat = (None if layer.activation in nn.PIECEWISE_LINEAR
-            else d2(cache.preact) * cache.grad_out)
+    relu = layer.activation == "relu"
+    bmat = cache.preact > 0 if relu else d1(cache.preact)
+    dmat = None if relu else d2(cache.preact) * cache.grad_out
     if h_out.ndim == 3:
         bf = bmat.reshape(len(h_out), -1)
         h_pre = h_out * bf[:, :, None] * bf[:, None, :]
@@ -79,8 +83,9 @@ def _activation_step(layer, cache, h_out):
             idx = np.arange(bf.shape[1])
             h_pre[:, idx, idx] += dmat.reshape(bf.shape)
         return h_pre
-    h_pre = bmat**2 * h_out
-    return h_pre if dmat is None else h_pre + dmat
+    if relu:
+        return h_out * bmat
+    return bmat**2 * h_out + dmat
 
 
 def _sandwich_diag(h, w):
@@ -149,6 +154,7 @@ def propagate_curvature(layers, caches, h_seed, mode="exact", input_grad=True):
         if h.ndim == 3 and layer.kind != "fc":
             h = _diag(h, cache.out.shape)  # conv, pool and flatten read diagonals only
         h_pre = result.preact[idx] = _activation_step(layer, cache, h)
+        del h  # the output curvature is dead once the pre-activation one exists
         full = h_pre.ndim == 3
         d_pre = _diag(h_pre, cache.preact.shape) if full else h_pre
         input_term = input_grad or idx > stop

@@ -10,6 +10,9 @@ Image arrays are NCHW-shaped; conv and pool layers hand them on as views
 of channel-last memory, so each conv reads its `im2col` columns as
 contiguous channel vectors.  Only `flatten` copies into NCHW order, so fc
 weights index the (C, H, W) flattening.
+Conv-stack kernels form no full-size temporary: the conv adjoint works in
+blocks the size of one kernel row's columns, relu overwrites a fresh
+pre-activation (see LayerCache) and a maxpool winner takes one byte.
 """
 
 from __future__ import annotations
@@ -133,13 +136,16 @@ class Layer:
 
 @dataclass
 class LayerCache:
-    """Forward state of one layer, extended in-place by backward/curvature."""
+    """Forward state of one layer, extended in-place by backward/curvature.
+
+    Relu runs in place on every kind but flatten (whose pre is a view of x):
+    preact is out, max(pre, 0), read only as preact > 0, true where pre > 0."""
 
     x: np.ndarray
     preact: np.ndarray
     out: np.ndarray
     cols: np.ndarray | None = None  # im2col matrix for conv layers
-    argmax: np.ndarray | None = None  # flat winner index per pool window
+    argmax: np.ndarray | None = None  # winner offset u*p + v per pool window, unsigned
     grad_out: np.ndarray | None = None
 
 
@@ -216,22 +222,23 @@ def kernel_matrix(w):
     return w.transpose(0, 2, 3, 1).reshape(w.shape[0], -1)
 
 
-def col2im(cols, x_shape, kernel, stride=1, padding=0):
-    """Adjoint of im2col: scatter-add patch rows, read as (..., m, k, C),
-    back onto the input grid.
+def col2im(gp, wmat, x_shape, kernel, stride=1, padding=0):
+    """Adjoint of im2col applied to the patch matrix gp @ wmat: scatter-add
+    its rows, read as (..., m, k, C), back onto the input grid.
 
-    Accumulates channel-last, so each kernel offset adds one (b, H_out,
-    W_out, C) slab, and returns the NCHW transpose of that buffer, cut out
-    of its padding into contiguous memory."""
+    Forms the patch matrix one kernel row at a time, never whole, and adds
+    each row's k channel-last (b, H_out, W_out, C) slabs in offset order;
+    returns the NCHW transpose of that buffer, cut out of its padding into
+    contiguous memory."""
     b, c, h, w = x_shape
     m, k = kernel
     h_out, w_out = conv_output_shape(h, w, kernel, stride, padding)
-    patches = cols.reshape(b, h_out, w_out, m, k, c)
     xp = np.zeros((b, h + 2 * padding, w + 2 * padding, c))
     for u in range(m):
+        row = (gp @ wmat[:, u * k * c : (u + 1) * k * c]).reshape(b, h_out, w_out, k, c)
         for v in range(k):
             xp[:, u : u + stride * h_out : stride,
-               v : v + stride * w_out : stride] += patches[:, :, :, u, v]
+               v : v + stride * w_out : stride] += row[:, :, :, v]
     if padding:
         xp = np.ascontiguousarray(xp[:, padding:-padding, padding:-padding])
     return xp.transpose(0, 3, 1, 2)
@@ -256,6 +263,11 @@ def _check_finite(arr, what, idx):
 
 def _layer_forward(layer, x, idx):
     act, _, _ = activation_funcs(layer.activation)
+    if layer.kind == "flatten":  # pre is a view of x, so relu may not overwrite it
+        pre = x.reshape(x.shape[0], -1)
+        return LayerCache(x=x, preact=pre, out=act(pre))
+    if layer.activation == "relu":  # every other map writes a new pre (see LayerCache)
+        act = lambda pre: np.maximum(pre, 0.0, out=pre)  # noqa: E731
     if layer.kind == "fc":
         w = layer.weights
         if x.ndim != 2 or x.shape[1] != w.shape[1]:
@@ -296,19 +308,18 @@ def _layer_forward(layer, x, idx):
             # a running maximum keeps a NaN for the finite check; the winner
             # moves to j (above every earlier winner) only on a strict >,
             # np.argmax's first-max rule on ties, and np.maximum returns its
-            # second argument on a tie such as (-0.0, 0.0)
-            pre, amax = views[0].copy(order="K"), np.zeros_like(views[0], dtype=np.intp)
+            # second argument on a tie such as (-0.0, 0.0); the winner is
+            # stored in the narrowest unsigned type that holds p*p - 1
+            index = np.min_scalar_type(p * p - 1).type
+            pre, amax = views[0].copy(order="K"), np.zeros_like(views[0], dtype=index)
             for j, view in enumerate(views[1:], 1):
-                np.maximum(amax, (view > pre) * j, out=amax)
+                np.maximum(amax, (view > pre) * index(j), out=amax)
                 np.maximum(view, pre, out=pre)
             return LayerCache(x=x, preact=pre, out=act(pre), argmax=amax)
         pre = np.zeros_like(views[0])  # from +0.0, as a numpy sum starts
         for view in views:
             pre += view
         pre /= p * p
-        return LayerCache(x=x, preact=pre, out=act(pre))
-    if layer.kind == "flatten":
-        pre = x.reshape(x.shape[0], -1)
         return LayerCache(x=x, preact=pre, out=act(pre))
     raise ValueError(f"unknown layer kind {layer.kind!r}")
 
@@ -360,15 +371,17 @@ def _fc_adjoint(layer, cache, g_pre, squared=False, input_term=True):
 def _conv_adjoint(layer, cache, g_pre, squared=False, input_term=True):
     c_out, c_in, m, k = layer.weights.shape
     cols, wmat = cache.cols, kernel_matrix(layer.weights)
-    if squared:
-        cols, wmat = cols**2, wmat**2
     gp = g_pre.transpose(0, 2, 3, 1).reshape(-1, c_out)  # rows ordered like cols
     gb = gp.sum(axis=0) if layer.bias is not None else None
-    gw = (gp.T @ cols).reshape(c_out, m, k, c_in).transpose(0, 3, 1, 2)
-    del cols  # cols**2 is as large as the input term's product: never both at once
+    if squared:  # cols squared in m row blocks, each as large as a kernel row's columns
+        wmat, span = wmat**2, -(-len(cols) // m)
+        gw = sum(gp[r : r + span].T @ cols[r : r + span]**2 for r in range(0, len(cols), span))
+    else:
+        gw = gp.T @ cols
+    gw = gw.reshape(c_out, m, k, c_in).transpose(0, 3, 1, 2)
     gx = None
     if input_term:
-        gx = col2im(gp @ wmat, cache.x.shape, (m, k), layer.stride, layer.padding)
+        gx = col2im(gp, wmat, cache.x.shape, (m, k), layer.stride, layer.padding)
     return gw, gb, gx
 
 
@@ -381,18 +394,19 @@ def _pool_views(layer, x, h_out, w_out):
 
 
 def _pool_adjoint(layer, cache, g_pre, squared=False, input_term=True):
-    gx = np.zeros_like(cache.x)
-    views = _pool_views(layer, gx, *g_pre.shape[2:])
-    if layer.kind == "avgpool2d":
-        area = layer.pool**2  # every window input enters with weight 1/area
-        g = g_pre / (area * area if squared else area)
-        for view in views:
-            view += g
-    else:
-        # each window's winning input enters with weight 1; offsets run last
-        # to first, the order in which overlapping windows reach an input
-        for j in range(len(views) - 1, -1, -1):
-            views[j] += np.where(cache.argmax == j, g_pre, 0.0)
+    p, (h_out, w_out) = layer.pool, g_pre.shape[2:]
+    # windows that tile the input reach each input once, so an offset's
+    # 0.0 + term, assigned to its view, has the bits of adding onto zeros
+    tiles = layer.stride == p and cache.x.shape[2:] == (p * h_out, p * w_out)
+    gx = np.empty_like(cache.x) if tiles else np.zeros_like(cache.x)
+    views = _pool_views(layer, gx, h_out, w_out)
+    avg = layer.kind == "avgpool2d"  # every window input enters with weight 1/p²
+    g = g_pre / (p**4 if squared else p * p) if avg else g_pre
+    # maxpool: each window's winning input enters with weight 1; offsets run
+    # last to first, the order in which overlapping windows reach an input
+    for j in range(p * p) if avg else range(p * p - 1, -1, -1):
+        term = g if avg else np.where(cache.argmax == j, g, 0.0)
+        np.add(0.0 if tiles else views[j], term, out=views[j])
     return None, None, gx
 
 

@@ -1,6 +1,8 @@
 """Layer stack: forward/backward, energies, im2col."""
 
 import copy
+import dataclasses
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -9,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from ardnet import models, nn
+from ardnet import curvature, models, nn
 from ardnet.curvature import network_curvature
 from oracles import fd_weight_hessian_diag
 
@@ -333,7 +335,9 @@ def test_strided_offset_pools_equal_the_sliding_window_kernels(case):
         _, gx = nn.backward([layer], caches, g)
         if kind == "maxpool2d":
             assert bitwise(out, pre)
-            assert bitwise(caches[0].argmax, amax)
+            # the winner is stored in the narrowest unsigned type that holds it
+            assert caches[0].argmax.dtype == np.min_scalar_type(p * p - 1)
+            assert bitwise(caches[0].argmax.astype(amax.dtype), amax)
             assert bitwise(gx, scatter_maxpool_adjoint(x.shape, amax, g, p, s))
         elif p <= 2:
             assert bitwise(out, pre)
@@ -343,6 +347,29 @@ def test_strided_offset_pools_equal_the_sliding_window_kernels(case):
         bad[cell] = np.nan
         with pytest.raises(FloatingPointError):
             nn.forward([layer], bad)
+
+
+@pytest.mark.parametrize("kind", ["maxpool2d", "avgpool2d"])
+def test_tiling_pool_adjoint_assigns_the_bits_of_the_scatter(kind):
+    # windows that tile the input (stride = pool, sizes divide) assign each
+    # offset's term in place of adding it onto zeros: the bits stay those of
+    # the scatter oracle, a -0.0 winner's gradient becoming 0.0 + -0.0 = 0.0
+    rng = np.random.default_rng(21)
+    x = rng.choice([-1.0, -0.0, 0.0, 0.5, 2.0], size=(2, 3, 6, 8))
+    g = rng.choice([-1.5, -0.0, 0.0, 0.25, 3.0], size=(2, 3, 3, 4))
+    assert np.any(np.signbit(g) & (g == 0.0)) and np.any(g < 0.0)
+    layer = nn.pool_layer(kind, 2)
+    _, caches = nn.forward([layer], x)
+    if kind == "maxpool2d":
+        want = scatter_maxpool_adjoint(x.shape, window_pool(x, 2, 2, kind)[1], g, 2, 2)
+        want_sq = want
+    else:  # every input is in one window, entering with weight 1/4
+        want, want_sq = (np.zeros(x.shape) + np.kron(g / area, np.ones((2, 2)))
+                         for area in (4, 16))
+    assert not np.any(np.signbit(want) & (want == 0.0))
+    _, gx = nn.backward([layer], caches, g)
+    assert bitwise(gx, want)
+    assert bitwise(nn._ADJOINTS[kind](layer, caches[0], g, squared=True)[2], want_sq)
 
 
 def test_unknown_activation_rejected():
@@ -385,9 +412,10 @@ def test_squared_adjoint_is_the_curvature_diagonal_of_the_map(make, shape):
 
 
 def col2im_nchw(cols, x_shape, kernel, stride=1, padding=0):
-    """The NCHW scatter that col2im ran before it accumulated channel-last,
-    reading patches in im2col's (m, k, C) column order: the reference that
-    the channel-last buffer must reproduce bit for bit."""
+    """The NCHW scatter of a whole patch matrix, reading patches in
+    im2col's (m, k, C) column order: bit for bit the channel-last col2im
+    that scattered the dense product gp @ wmat before it formed one kernel
+    row at a time."""
     b, c, h, w = x_shape
     m, k = kernel
     h_out, w_out = nn.conv_output_shape(h, w, kernel, stride, padding)
@@ -402,6 +430,27 @@ def col2im_nchw(cols, x_shape, kernel, stride=1, padding=0):
     return xp
 
 
+def dense_conv_adjoint(layer, cache, g, squared):
+    """The conv adjoint's (weight, input) terms as a dense composition: the
+    whole cached cols (squared whole) and the whole patch matrix gp @ wmat,
+    scattered by col2im_nchw."""
+    c_out, c_in, m, k = layer.weights.shape
+    cols, wmat = cache.cols, nn.kernel_matrix(layer.weights)
+    if squared:
+        cols, wmat = cols**2, wmat**2
+    gp = g.transpose(0, 2, 3, 1).reshape(-1, c_out)
+    gw = (gp.T @ cols).reshape(c_out, m, k, c_in).transpose(0, 3, 1, 2)
+    return gw, col2im_nchw(gp @ wmat, cache.x.shape, (m, k), layer.stride, layer.padding)
+
+
+def conv_case(rng, b, c_in, c_out, k, stride, pad, size):
+    """A conv layer with an input and an output gradient."""
+    layer = nn.Layer("conv2d", weights=rng.normal(size=(c_out, c_in, k, k)),
+                     stride=stride, padding=pad)
+    ho, wo = nn.conv_output_shape(size, size, (k, k), stride, pad)
+    return layer, rng.normal(size=(b, c_in, size, size)), rng.normal(size=(b, c_out, ho, wo))
+
+
 def conv_geometries(n, seed):
     """n conv layers with inputs and output gradients, drawn as in
     acceptance criterion 3 but with padding up to 2."""
@@ -410,30 +459,33 @@ def conv_geometries(n, seed):
         b, c_in, c_out = (int(v) for v in rng.integers(1, 4, size=3))
         k, stride, pad = int(rng.integers(1, 4)), int(rng.integers(1, 3)), int(rng.integers(0, 3))
         size = int(rng.integers(k + stride, k + stride + 4))
-        layer = nn.Layer("conv2d", weights=rng.normal(size=(c_out, c_in, k, k)),
-                         stride=stride, padding=pad)
-        x = rng.normal(size=(b, c_in, size, size))
-        ho, wo = nn.conv_output_shape(size, size, (k, k), stride, pad)
-        yield layer, x, rng.normal(size=(b, c_out, ho, wo))
+        yield conv_case(rng, b, c_in, c_out, k, stride, pad, size)
+
+
+def conv_grid(seed):
+    """Every stride 1-2, padding 0-1 and 1-3 input channels, with a 3x3
+    kernel on 7x7 inputs."""
+    rng = np.random.default_rng(seed)
+    for stride, pad, c_in in itertools.product((1, 2), (0, 1), (1, 2, 3)):
+        yield conv_case(rng, 2, c_in, 3, 3, stride, pad, 7)
 
 
 # each input sums at most 27 products of standard normals; any summation
-# order keeps float64 rounding far below this
-ADJOINT_ATOL = 1e-12
+# order keeps float64 rounding far below this, relative to the largest term
+ADJOINT_RTOL = 1e-12
 
 
 def test_conv_input_adjoint_matches_the_nchw_col2im_reference():
-    for layer, x, g in conv_geometries(60, seed=5):
-        _, caches = nn.forward([layer], x)
-        _, gx = nn.backward([layer], caches, g)
-        c_out = layer.weights.shape[0]
-        gp = g.transpose(0, 2, 3, 1).reshape(-1, c_out)
-        cols = gp @ nn.kernel_matrix(layer.weights)
-        args = (x.shape, layer.weights.shape[2:], layer.stride, layer.padding)
-        ref = col2im_nchw(cols, *args)
-        assert bitwise(nn.col2im(cols, *args), ref)
-        assert gx.shape == x.shape
-        assert np.max(np.abs(gx - ref)) <= ADJOINT_ATOL
+    # the per-kernel-row input term and the squared weight term, formed a
+    # kernel row at a time, against the whole-matrix products
+    for layer, x, g in itertools.chain(conv_grid(5), conv_geometries(60, seed=5)):
+        _, (cache,) = nn.forward([layer], x)
+        for squared in (False, True):
+            gw, _, gx = nn._ADJOINTS["conv2d"](layer, cache, g, squared=squared)
+            assert gx.shape == x.shape
+            for got, want in zip((gw, gx), dense_conv_adjoint(layer, cache, g, squared)):
+                np.testing.assert_allclose(got, want, rtol=ADJOINT_RTOL,
+                                           atol=ADJOINT_RTOL * np.abs(want).max())
 
 
 def test_conv_input_adjoint_satisfies_the_dot_product_identity():
@@ -510,6 +562,59 @@ def test_conv_and_pool_activations_and_input_gradients_stay_channel_last(padding
             assert channel_last(g_in), layer.kind
     assert caches[4].out.flags.c_contiguous
     assert caches[4].out.tobytes() == np.ascontiguousarray(caches[4].x).tobytes()
+
+
+def two_array_caches(net, x):
+    """Forward caches whose relu layers hold the pre-activation and the
+    output as two arrays: each layer runs with the identity activation, and
+    its relu output is a new array."""
+    caches = []
+    for layer in net:
+        _, (cache,) = nn.forward([dataclasses.replace(layer, activation="identity")], x)
+        if layer.activation == "relu":
+            cache.out = np.maximum(cache.preact, 0.0)
+        caches.append(cache)
+        x = cache.out
+    return caches
+
+
+def test_relu_in_place_gives_the_bits_of_a_separate_preactivation():
+    rng = np.random.default_rng(23)
+    net = [nn.conv_layer(2, 4, 3, "relu", padding=1, rng=rng), nn.pool_layer("maxpool2d", 2),
+           nn.conv_layer(4, 5, 3, "relu", rng=rng), nn.pool_layer("maxpool2d", 2),
+           nn.flatten_layer(), nn.fc_layer(5 * 2 * 2, 6, "relu", rng=rng),
+           nn.fc_layer(6, 3, rng=rng)]
+    x, y = rng.normal(size=(4, 2, 12, 12)), rng.integers(0, 3, 4)
+    out, caches = nn.forward(net, x)
+    ref = two_array_caches(net, x)
+    flat = nn.forward([nn.Layer("flatten", activation="relu")], x)[0]
+    assert bitwise(flat, np.maximum(x, 0.0).reshape(4, -1)) and np.any(x < 0.0)  # x kept
+    for layer, cache, two in zip(net, caches, ref):
+        assert (cache.preact is cache.out) == (layer.activation in ("relu", "identity"))
+        assert bitwise(cache.out, two.out)
+        assert layer.activation != "relu" or two.preact is not two.out
+    _, e_grad = nn.energy(out, y, "softmax_ce")
+    (grads, gx), (grads2, gx2) = (nn.backward(net, c, e_grad) for c in (caches, ref))
+    assert bitwise(gx, gx2)
+    assert all(bitwise(a[i], b[i]) for a, b in zip(grads, grads2) if a is not None for i in (0, 1))
+    for mode in ("diag", "exact"):
+        got, want = (network_curvature(net, c, y, "softmax_ce", mode) for c in (caches, ref))
+        for name in ("weight_diag", "preact"):
+            pairs = [(a, b) for a, b in zip(getattr(got, name), getattr(want, name))
+                     if b is not None]
+            assert pairs and all(bitwise(a, b) for a, b in pairs)
+        # relu's pre-activation curvature keeps the bits of the float rule
+        # f'(pre)**2 * H (times f' on either side of a full matrix)
+        _, d1, _ = nn.activation_funcs("relu")
+        for idx in (0, 2, 5):
+            above, h_above = net[idx + 1], got.preact[idx + 1]
+            if h_above.ndim == 3:
+                h_out, bf = curvature._full_backmap(net, idx + 1, h_above), d1(ref[idx].preact)
+                rule = h_out * bf[:, :, None] * bf[:, None, :]
+            else:
+                h_out = nn._ADJOINTS[above.kind](above, caches[idx + 1], h_above, squared=True)[2]
+                rule = d1(ref[idx].preact) ** 2 * h_out
+            assert bitwise(got.preact[idx], rule)
 
 
 def test_im2col_times_the_kernel_matrix_is_a_direct_convolution():
