@@ -68,14 +68,16 @@ def _diag(h, shape):
 
 def _activation_step(layer, cache, h_out):
     """H wrt layer output -> H wrt layer pre-activation: B H B, plus D for a
-    curved activation.  A piecewise-linear f' is 0 or 1, its own square:
-    identity passes H on as it is, and relu keeps it where preact > 0."""
-    if layer.activation == "identity":
-        return h_out
-    _, d1, d2 = nn.activation_funcs(layer.activation)
-    relu = layer.activation == "relu"
-    bmat = cache.preact > 0 if relu else d1(cache.preact)
-    dmat = None if relu else d2(cache.preact) * cache.grad_out
+    curved activation.  A piecewise-linear f' is 0 or 1, its own square, so
+    H is kept where its mask is true (identity passes H on as it is)."""
+    if layer.activation in nn.PIECEWISE_LINEAR:
+        mask = nn.PIECEWISE_LINEAR[layer.activation]
+        if mask is None:
+            return h_out
+        bmat, dmat = mask(cache.preact), None
+    else:
+        _, d1, d2 = nn.activation_funcs(layer.activation)
+        bmat, dmat = d1(cache.preact), d2(cache.preact) * cache.grad_out
     if h_out.ndim == 3:
         bf = bmat.reshape(len(h_out), -1)
         h_pre = h_out * bf[:, :, None] * bf[:, None, :]
@@ -83,9 +85,7 @@ def _activation_step(layer, cache, h_out):
             idx = np.arange(bf.shape[1])
             h_pre[:, idx, idx] += dmat.reshape(bf.shape)
         return h_pre
-    if relu:
-        return h_out * bmat
-    return bmat**2 * h_out + dmat
+    return h_out * bmat if dmat is None else bmat**2 * h_out + dmat
 
 
 def _sandwich_diag(h, w):

@@ -50,9 +50,13 @@ def _relu(x):
     return np.maximum(x, 0.0)
 
 
-def _relu_d1(x):
+def _relu_mask(x):
     # derivative at 0 defined as 0
-    return (x > 0).astype(np.float64)
+    return x > 0
+
+
+def _relu_d1(x):
+    return _relu_mask(x).astype(np.float64)
 
 
 def _tanh_d1(x):
@@ -83,8 +87,9 @@ ACTIVATIONS = {
     "tanh": (np.tanh, _tanh_d1, _tanh_d2),
     "softplus": (_softplus, _sigmoid, _softplus_d2),
 }
-# f'' is 0 wherever it is defined: no curvature term reads their grad_out
-PIECEWISE_LINEAR = frozenset({"identity", "relu"})
+# f' is 0 or 1 and f'' is 0 wherever it is defined: no curvature term reads
+# their grad_out.  Each maps to its f' as a bool mask (None: 1 everywhere)
+PIECEWISE_LINEAR = {"identity": None, "relu": _relu_mask}
 
 
 def activation_funcs(name: str):
@@ -394,19 +399,14 @@ def _pool_views(layer, x, h_out, w_out):
 
 
 def _pool_adjoint(layer, cache, g_pre, squared=False, input_term=True):
-    p, (h_out, w_out) = layer.pool, g_pre.shape[2:]
-    # windows that tile the input reach each input once, so an offset's
-    # 0.0 + term, assigned to its view, has the bits of adding onto zeros
-    tiles = layer.stride == p and cache.x.shape[2:] == (p * h_out, p * w_out)
-    gx = np.empty_like(cache.x) if tiles else np.zeros_like(cache.x)
-    views = _pool_views(layer, gx, h_out, w_out)
+    p, gx = layer.pool, np.zeros_like(cache.x)
+    views = _pool_views(layer, gx, *g_pre.shape[2:])
     avg = layer.kind == "avgpool2d"  # every window input enters with weight 1/p²
     g = g_pre / (p**4 if squared else p * p) if avg else g_pre
     # maxpool: each window's winning input enters with weight 1; offsets run
     # last to first, the order in which overlapping windows reach an input
     for j in range(p * p) if avg else range(p * p - 1, -1, -1):
-        term = g if avg else np.where(cache.argmax == j, g, 0.0)
-        np.add(0.0 if tiles else views[j], term, out=views[j])
+        views[j] += g if avg else np.where(cache.argmax == j, g, 0.0)
     return None, None, gx
 
 

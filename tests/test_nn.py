@@ -350,10 +350,10 @@ def test_strided_offset_pools_equal_the_sliding_window_kernels(case):
 
 
 @pytest.mark.parametrize("kind", ["maxpool2d", "avgpool2d"])
-def test_tiling_pool_adjoint_assigns_the_bits_of_the_scatter(kind):
-    # windows that tile the input (stride = pool, sizes divide) assign each
-    # offset's term in place of adding it onto zeros: the bits stay those of
-    # the scatter oracle, a -0.0 winner's gradient becoming 0.0 + -0.0 = 0.0
+def test_tiling_pool_adjoint_gives_the_bits_of_the_scatter(kind):
+    # windows that tile the input (stride = pool, sizes divide) reach each
+    # input once: the adjoint has the bits of the scatter oracle, a -0.0
+    # winner's gradient becoming 0.0 + -0.0 = 0.0
     rng = np.random.default_rng(21)
     x = rng.choice([-1.0, -0.0, 0.0, 0.5, 2.0], size=(2, 3, 6, 8))
     g = rng.choice([-1.5, -0.0, 0.0, 0.25, 3.0], size=(2, 3, 3, 4))
@@ -478,8 +478,17 @@ ADJOINT_RTOL = 1e-12
 def test_conv_input_adjoint_matches_the_nchw_col2im_reference():
     # the per-kernel-row input term and the squared weight term, formed a
     # kernel row at a time, against the whole-matrix products
+    rng = np.random.default_rng(7)
     for layer, x, g in itertools.chain(conv_grid(5), conv_geometries(60, seed=5)):
         _, (cache,) = nn.forward([layer], x)
+        # a product with the identity is exact, so col2im's scatter must add
+        # the same slabs in the same offset order as the NCHW reference (a
+        # drawn patch matrix: im2col's repeats each input, in any order)
+        _, c_in, m, k = layer.weights.shape
+        cols = rng.normal(size=cache.cols.shape)
+        assert bitwise(nn.col2im(cols, np.eye(m * k * c_in), x.shape, (m, k), layer.stride,
+                                 layer.padding),
+                       col2im_nchw(cols, x.shape, (m, k), layer.stride, layer.padding))
         for squared in (False, True):
             gw, _, gx = nn._ADJOINTS["conv2d"](layer, cache, g, squared=squared)
             assert gx.shape == x.shape
