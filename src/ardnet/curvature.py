@@ -4,9 +4,13 @@ Reverse walk over a forward cache chain producing per-layer weight-Hessian
 diagonals.  Each layer takes the curvature H at its output to its
 pre-activation as B H B (B = f'), plus D = f'' * dE/dout for a curved
 activation (tanh, softplus).  Relu and identity have f'' = 0 wherever it is
-defined, so only a curved layer reads the grad_out of a backward pass, and
-a relu/identity stack needs none (`curved_layers`); their f' in {0, 1} is
-its own square, so B H B needs no float B.  The weight
+defined, so only a curved layer reads the grad_out of a backward pass (the
+only layers `nn.backward` sets it on), and a relu/identity stack needs none
+(`curved_layers`); their f' in {0, 1} is its own square, so B H B is H
+times `nn.PIECEWISE_LINEAR`'s bool mask, as in `nn.backward`, written into
+H once the walk owns it: once an fc, conv or pool adjoint (or an exact fc
+backmap) has allocated it.  The seed, its views and the stored
+pre-activation curvatures are never written.  The weight
 diagonal and the diagonal backmap of its linear map A follow from
 diag(A^T D A) = (A*A)^T diag(D): they are `nn`'s adjoint of the layer kind
 with every coefficient squared.  Two modes:
@@ -66,10 +70,11 @@ def _diag(h, shape):
     return np.diagonal(h, axis1=1, axis2=2).reshape(shape)
 
 
-def _activation_step(layer, cache, h_out):
+def _activation_step(layer, cache, h_out, owned):
     """H wrt layer output -> H wrt layer pre-activation: B H B, plus D for a
     curved activation.  A piecewise-linear f' is 0 or 1, its own square, so
-    H is kept where its mask is true (identity passes H on as it is)."""
+    H is kept where its mask is true (identity passes H on as it is).  The
+    products B H B are written into h_out when the walk owns it."""
     if layer.activation in nn.PIECEWISE_LINEAR:
         mask = nn.PIECEWISE_LINEAR[layer.activation]
         if mask is None:
@@ -78,14 +83,16 @@ def _activation_step(layer, cache, h_out):
     else:
         _, d1, d2 = nn.activation_funcs(layer.activation)
         bmat, dmat = d1(cache.preact), d2(cache.preact) * cache.grad_out
+    out = h_out if owned else None
     if h_out.ndim == 3:
         bf = bmat.reshape(len(h_out), -1)
-        h_pre = h_out * bf[:, :, None] * bf[:, None, :]
+        h_pre = np.multiply(h_out, bf[:, :, None], out=out)
+        h_pre *= bf[:, None, :]
         if dmat is not None:
             idx = np.arange(bf.shape[1])
             h_pre[:, idx, idx] += dmat.reshape(bf.shape)
         return h_pre
-    return h_out * bmat if dmat is None else bmat**2 * h_out + dmat
+    return np.multiply(h_out, bmat, out=out) if dmat is None else bmat**2 * h_out + dmat
 
 
 def _sandwich_diag(h, w):
@@ -145,15 +152,15 @@ def propagate_curvature(layers, caches, h_seed, mode="exact", input_grad=True):
     input_grad=False stops at the lowest weighted layer, as nn.backward
     does, and returns None for the input curvature.
     """
-    h = h_seed
+    h, owned = h_seed, False
     result = CurvatureResult(weight_diag=[None] * len(layers),
                              preact=[None] * len(layers))
     stop = nn._walk_stop(layers, input_grad)
     for idx in range(len(layers) - 1, stop - 1, -1):
         layer, cache = layers[idx], caches[idx]
-        if h.ndim == 3 and layer.kind != "fc":
-            h = _diag(h, cache.out.shape)  # conv, pool and flatten read diagonals only
-        h_pre = result.preact[idx] = _activation_step(layer, cache, h)
+        if h.ndim == 3 and layer.kind != "fc":  # conv, pool and flatten read diagonals only
+            h, owned = _diag(h, cache.out.shape), False
+        h_pre = result.preact[idx] = _activation_step(layer, cache, h, owned)
         del h  # the output curvature is dead once the pre-activation one exists
         full = h_pre.ndim == 3
         d_pre = _diag(h_pre, cache.preact.shape) if full else h_pre
@@ -162,5 +169,6 @@ def propagate_curvature(layers, caches, h_seed, mode="exact", input_grad=True):
             layer, cache, d_pre, squared=True, input_term=input_term)
         if full and input_term:
             h = _full_backmap(layers, idx, h_pre)
+        owned = layer.kind != "flatten"  # flatten's input term is a view of h_pre
     return result, h if input_grad else None
 

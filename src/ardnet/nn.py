@@ -12,7 +12,9 @@ contiguous channel vectors.  Only `flatten` copies into NCHW order, so fc
 weights index the (C, H, W) flattening.
 Conv-stack kernels form no full-size temporary: the conv adjoint works in
 blocks the size of one kernel row's columns, relu overwrites a fresh
-pre-activation (see LayerCache) and a maxpool winner takes one byte.
+pre-activation (see LayerCache), both reverse walks apply relu's bool mask
+in place to a gradient they allocated (see `backward`) and a maxpool
+winner takes one byte.
 """
 
 from __future__ import annotations
@@ -55,10 +57,6 @@ def _relu_mask(x):
     return x > 0
 
 
-def _relu_d1(x):
-    return _relu_mask(x).astype(np.float64)
-
-
 def _tanh_d1(x):
     return 1.0 - np.tanh(x) ** 2
 
@@ -82,18 +80,20 @@ def _softplus_d2(x):
 
 
 ACTIVATIONS = {
-    "identity": (lambda x: x, lambda x: np.ones_like(x), lambda x: np.zeros_like(x)),
-    "relu": (_relu, _relu_d1, lambda x: np.zeros_like(x)),
+    "identity": (lambda x: x, None, None),
+    "relu": (_relu, None, None),
     "tanh": (np.tanh, _tanh_d1, _tanh_d2),
     "softplus": (_softplus, _sigmoid, _softplus_d2),
 }
-# f' is 0 or 1 and f'' is 0 wherever it is defined: no curvature term reads
-# their grad_out.  Each maps to its f' as a bool mask (None: 1 everywhere)
+# f' is 0 or 1 and f'' is 0 wherever it is defined, so no curvature term
+# reads their grad_out.  Each maps to its f' as a bool mask (None: 1
+# everywhere), the one rule of both reverse walks
 PIECEWISE_LINEAR = {"identity": None, "relu": _relu_mask}
 
 
 def activation_funcs(name: str):
-    """Return (f, f', f'') for a supported activation name."""
+    """Return (f, f', f'') for a supported activation name; f' and f'' are
+    None for a piecewise-linear one, whose f' is its PIECEWISE_LINEAR mask."""
     try:
         return ACTIVATIONS[name]
     except KeyError:
@@ -141,10 +141,13 @@ class Layer:
 
 @dataclass
 class LayerCache:
-    """Forward state of one layer, extended in-place by backward/curvature.
+    """Forward state of one layer, extended in-place by backward.
 
     Relu runs in place on every kind but flatten (whose pre is a view of x):
-    preact is out, max(pre, 0), read only as preact > 0, true where pre > 0."""
+    preact is out, max(pre, 0), read only as preact > 0, true where pre > 0.
+    grad_out, dE/dout, is set by `backward` only on a layer with a curved
+    activation (tanh, softplus), the one the curvature's D term reads; a
+    relu or identity layer keeps None."""
 
     x: np.ndarray
     preact: np.ndarray
@@ -244,6 +247,7 @@ def col2im(gp, wmat, x_shape, kernel, stride=1, padding=0):
         for v in range(k):
             xp[:, u : u + stride * h_out : stride,
                v : v + stride * w_out : stride] += row[:, :, :, v]
+        del row  # so the next row's product is not formed beside this one
     if padding:
         xp = np.ascontiguousarray(xp[:, padding:-padding, padding:-padding])
     return xp.transpose(0, 3, 1, 2)
@@ -433,13 +437,16 @@ def backward(layers, caches, loss_grad, input_grad=True):
     """Reverse pass.  Returns (per-layer (grad_w, grad_b) or None, grad_x).
 
     input_grad=False stops at the lowest weighted layer: it forms no input
-    term, the layers below it are not visited and grad_x is None.  Fills
-    cache.grad_out of every visited layer as a side effect; the caches
-    must come from a forward call on the same layers.
+    term, the layers below it are not visited and grad_x is None.  Sets
+    cache.grad_out only on visited layers with a curved activation (see
+    LayerCache); the caches must come from a forward call on the same layers.
+    A relu layer's bool mask is written into the gradient once the walk
+    owns it (an fc, conv or pool adjoint allocated it); loss_grad and its
+    views (identity passes it on, flatten reshapes it) are never written.
     """
     if len(caches) != len(layers):
         raise ValueError("cache list does not match layer list")
-    g = np.asarray(loss_grad, dtype=np.float64)
+    g, owned = np.asarray(loss_grad, dtype=np.float64), False
     grads = [None] * len(layers)
     stop = _walk_stop(layers, input_grad)
     for idx in range(len(layers) - 1, stop - 1, -1):
@@ -451,10 +458,15 @@ def backward(layers, caches, loss_grad, input_grad=True):
                 f"gradient shape {g.shape} does not match layer {idx} output "
                 f"{cache.out.shape}"
             )
-        _, d1, _ = activation_funcs(layer.activation)
-        cache.grad_out = g
-        gw, gb, g = _ADJOINTS[layer.kind](layer, cache, g * d1(cache.preact),
-                                          input_term=input_grad or idx > stop)
+        if layer.activation in PIECEWISE_LINEAR:
+            mask = PIECEWISE_LINEAR[layer.activation]
+            if mask is not None:  # g times the mask's 0.0/1.0, bit for bit
+                g = np.multiply(g, mask(cache.preact), out=g if owned else None)
+        else:
+            _, d1, _ = activation_funcs(layer.activation)
+            cache.grad_out, g = g, g * d1(cache.preact)
+        gw, gb, g = _ADJOINTS[layer.kind](layer, cache, g, input_term=input_grad or idx > stop)
+        owned = layer.kind != "flatten"  # flatten's input term is a view of g
         if gw is not None:  # gw is fresh from the adjoint: mask it in place
             grads[idx] = (gw if layer.mask is None else np.multiply(gw, layer.mask, out=gw), gb)
     return grads, g if input_grad else None

@@ -77,9 +77,14 @@ def test_width_one_chain_diag_equals_exact_bitwise():
 
 
 def test_relu_second_derivative_term_is_zero():
-    f, d1, d2 = nn.activation_funcs("relu")
+    # relu is piecewise linear: its f' is the bool mask x > 0 (0 at 0) and it
+    # has no f'' term, so no curvature term reads a relu layer's grad_out
+    _, d1, d2 = nn.activation_funcs("relu")
     x = np.linspace(-2, 2, 9)
-    assert np.all(d2(x) == 0.0)
+    assert d1 is None and d2 is None
+    assert np.array_equal(nn.PIECEWISE_LINEAR["relu"](x), x > 0)
+    net = [nn.fc_layer(2, 3, "relu"), nn.fc_layer(3, 1, "relu")]
+    assert curvature.curved_layers(net) == []
 
 
 def test_conv_1x1_kernel_reduces_to_fc():
